@@ -64,6 +64,12 @@ def _read_tokens(path) -> list[list[str]]:
     return mo.read_word_file(path)
 
 
+def _nonempty_pairs(src: list, tgt: list) -> tuple[list, list]:
+    """The sentence pairs with both sides non-empty, as ParallelCorpus keeps them."""
+    keep = [i for i, (s, t) in enumerate(zip(src, tgt, strict=True)) if len(s) and len(t)]
+    return [src[i] for i in keep], [tgt[i] for i in keep]
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -109,8 +115,7 @@ def _word_table(cfg: PipelineConfig, data: CorpusData):
 
 
 def _morph_table(cfg: PipelineConfig, data: CorpusData, boundary_aware: bool):
-    src = data.morphs["train_src"]
-    tgt = data.morphs["train_tgt"]
+    src, tgt = _nonempty_pairs(data.morphs["train_src"], data.morphs["train_tgt"])
     corpus = al.ParallelCorpus.from_sentences(
         [mo.token_strings(s) for s in src], [mo.token_strings(t) for t in tgt],
         "morpheme",
@@ -337,13 +342,13 @@ def _cmd_align(args) -> int:
 
 def _cmd_extract(args) -> int:
     if args.boundary_aware:
-        src = mo.read_segmented_file(args.source)
-        tgt = mo.read_segmented_file(args.target)
+        src, tgt = _nonempty_pairs(mo.read_segmented_file(args.source),
+                                   mo.read_segmented_file(args.target))
         src_tok = [mo.token_strings(s) for s in src]
         tgt_tok = [mo.token_strings(t) for t in tgt]
     else:
-        src_tok = _read_tokens(args.source)
-        tgt_tok = _read_tokens(args.target)
+        src_tok, tgt_tok = _nonempty_pairs(_read_tokens(args.source),
+                                           _read_tokens(args.target))
     corpus = al.ParallelCorpus.from_sentences(src_tok, tgt_tok, args.granularity)
     if args.alignments:
         dims = [(len(s), len(t)) for s, t in zip(src_tok, tgt_tok)]

@@ -5,19 +5,24 @@ phrase options always cover whole words, which keeps a morpheme system's
 search directly comparable to a word system's.  Scoring is log-linear; the
 word LM contributes only for words completed so far, so pruning uses a rest
 cost built from phrase scores plus a context-free morpheme-LM estimate.
+
+nbest() and decode() share one search per sentence through a one-entry memo
+of the last search, so the usual n-best-then-1-best pair costs one search.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .lm import NGramModel, TwinScorerState, initial_twin_state, twin_extend, twin_finalize
+from .lm import (
+    LOG_ZERO, NGramModel, TwinScorerState, floored_logprob, initial_twin_state,
+    twin_extend, twin_finalize,
+)
 from .morpho import MorphSentence, split_token_string, word_spans, words_from_tokens
-from .phrasex import PhraseEntry, PhraseTable
-
-LOG_ZERO = -100.0  # finite stand-in for ln(0); keeps 0-weighted features at 0
+from .phrasex import PhraseTable
 
 FEATURE_ORDER = (
     "lm_morph", "lm_word", "phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd",
@@ -72,8 +77,6 @@ class TranslationOption:
     tm_features: tuple[tuple[str, float], ...]  # log-domain, no LM, no distortion
     n_words: int  # word-final tokens in the target
     mask: int
-    is_oov: bool = False
-    entry: Optional[PhraseEntry] = None
 
 
 @dataclass
@@ -116,7 +119,7 @@ def build_options(
     for w1 in range(n_words):
         for w2 in range(w1 + 1, min(w1 + limit, n_words) + 1):
             src = tokens[spans[w1].start : spans[w2 - 1].end + 1]
-            for entry in _entries_for(table, src):
+            for entry in table.by_source().get(src, ()):
                 feats = [
                     ("phi_fwd", safe_ln(entry.phi_fwd)),
                     ("phi_bwd", safe_ln(entry.phi_bwd)),
@@ -133,7 +136,6 @@ def build_options(
                     tm_features=tuple(feats),
                     n_words=_count_finals(entry.target),
                     mask=_span_mask(w1, w2),
-                    entry=entry,
                 ))
                 covered.update(range(w1, w2))
     for w in range(n_words):
@@ -146,19 +148,8 @@ def build_options(
             tm_features=(("phrase_penalty", 1.0), ("oov", 1.0)),
             n_words=_count_finals(tgt),
             mask=_span_mask(w, w + 1),
-            is_oov=True,
         ))
     return options
-
-
-def _entries_for(table: PhraseTable, src: tuple[str, ...]) -> list[PhraseEntry]:
-    index = getattr(table, "_source_index", None)
-    if index is None:
-        index = {}
-        for key in sorted(table.entries):
-            index.setdefault(key[0], []).append(table.entries[key])
-        table._source_index = index  # tables are immutable by convention
-    return index.get(src, [])
 
 
 def _count_finals(tokens: Iterable[str]) -> int:
@@ -183,7 +174,7 @@ def _future_costs(
             ctx: tuple[str, ...] = ()
             est = 0.0
             for tok in opt.target:
-                est += lm_m.logprob(tok, ctx)
+                est += floored_logprob(lm_m, tok, ctx)
                 ctx = (ctx + (tok,))[-(lm_m.order - 1):] if lm_m.order > 1 else ()
             score += w_lm * est
         if score > best[opt.start][opt.end]:
@@ -227,7 +218,18 @@ def search(
     distortion_limit: int = 6,
     max_span: Optional[int] = None,
 ) -> list[Hypothesis]:
-    """All finalized complete hypotheses that survived the beam."""
+    """All finalized complete hypotheses that survived the beam.
+
+    A stack offered more than ``beam_size`` hypotheses keeps its best
+    ``beam_size`` by score + rest cost (a stable sort, so ties keep arrival
+    order).  Offers that cannot make that cut are rejected before their LM
+    queries: each stack keeps a min-heap of the best ``beam_size`` keys it
+    was given, and an extension whose key with zero LM deltas is already
+    below the heap's minimum is never built.  LM log-probs are <= 0, so with
+    every present LM weight >= 0 the zero-delta key bounds the real one and
+    the surviving stacks, their order and every score are exactly those of
+    the unrejected search; with a negative LM weight the test is off.
+    """
     n_words = len(word_spans(source))
     options = build_options(source, table, max_span)
     by_start: dict[int, list[TranslationOption]] = {}
@@ -235,6 +237,10 @@ def search(
         by_start.setdefault(opt.start, []).append(opt)
     future = _future_costs(options, n_words, weights, lm_m)
     rest_memo: dict[int, float] = {}
+    reject = beam_size is not None and beam_size > 0 and all(
+        weights.get(name, 0.0) >= 0.0
+        for name, model in (("lm_morph", lm_m), ("lm_word", lm_w)) if model is not None
+    )
 
     initial = Hypothesis(
         coverage=0, n_covered=0, last_end=0,
@@ -243,10 +249,13 @@ def search(
     )
     stacks: list[list[Hypothesis]] = [[] for _ in range(n_words + 1)]
     stacks[0].append(initial)
+    offered = [0] * (n_words + 1)  # hypotheses offered per stack, rejected ones included
+    offered[0] = 1
+    best_keys: list[list[float]] = [[] for _ in range(n_words + 1)]  # min-heaps
 
     for level in range(n_words):
         stack = stacks[level]
-        if beam_size is not None and len(stack) > beam_size:
+        if beam_size is not None and offered[level] > beam_size:
             stack.sort(
                 key=lambda h: h.score + _rest(h.coverage, n_words, future, rest_memo),
                 reverse=True,
@@ -260,10 +269,27 @@ def search(
                 for opt in by_start.get(start, ()):
                     if opt.mask & hyp.coverage:
                         continue
-                    stacks[level + opt.end - opt.start].append(_extend(hyp, opt, lm_m, lm_w, weights))
+                    target = level + opt.end - opt.start
+                    offered[target] += 1
+                    if not reject:
+                        stacks[target].append(_extend(hyp, opt, lm_m, lm_w, weights))
+                        continue
+                    rest = _rest(hyp.coverage | opt.mask, n_words, future, rest_memo)
+                    heap = best_keys[target]
+                    full = len(heap) == beam_size
+                    if full:
+                        bound = dot(weights, _features(hyp, opt, lm_m, lm_w, 0.0, 0.0))
+                        if bound + rest < heap[0]:
+                            continue
+                    new = _extend(hyp, opt, lm_m, lm_w, weights)
+                    stacks[target].append(new)
+                    if full:
+                        heapq.heappushpop(heap, new.score + rest)
+                    else:
+                        heapq.heappush(heap, new.score + rest)
 
     complete = stacks[n_words]
-    if beam_size is not None and len(complete) > beam_size:
+    if beam_size is not None and offered[n_words] > beam_size:
         complete.sort(key=lambda h: h.score, reverse=True)
         del complete[beam_size:]
     return [_finalize(h, lm_m, lm_w, weights) for h in complete]
@@ -284,6 +310,28 @@ def _extend(
     weights: Mapping[str, float],
 ) -> Hypothesis:
     state, morph_delta, word_delta = twin_extend(hyp.state, opt.target, lm_m, lm_w)
+    feats = _features(hyp, opt, lm_m, lm_w, morph_delta, word_delta)
+    return Hypothesis(
+        coverage=hyp.coverage | opt.mask,
+        n_covered=hyp.n_covered + (opt.end - opt.start),
+        last_end=opt.end,
+        state=state,
+        features=feats,
+        score=dot(weights, feats),
+        parent=hyp,
+        option=opt,
+    )
+
+
+def _features(
+    hyp: Hypothesis,
+    opt: TranslationOption,
+    lm_m: Optional[NGramModel],
+    lm_w: Optional[NGramModel],
+    morph_delta: float,
+    word_delta: float,
+) -> dict[str, float]:
+    """The parent's features plus one phrase application, in a fixed key order."""
     feats = dict(hyp.features)
     for k, v in opt.tm_features:
         feats[k] = feats.get(k, 0.0) + v
@@ -295,16 +343,7 @@ def _extend(
     jump = abs(opt.start - hyp.last_end)
     if jump:
         feats["distortion"] = feats.get("distortion", 0.0) + jump
-    return Hypothesis(
-        coverage=hyp.coverage | opt.mask,
-        n_covered=hyp.n_covered + (opt.end - opt.start),
-        last_end=opt.end,
-        state=state,
-        features=feats,
-        score=dot(weights, feats),
-        parent=hyp,
-        option=opt,
-    )
+    return feats
 
 
 def _finalize(
@@ -361,6 +400,36 @@ def trace(hyp: Hypothesis, source: MorphSentence) -> list[tuple[int, int, tuple[
     return items
 
 
+# The last search: (source, table, lm_m, lm_w), compared by identity and held
+# so their ids cannot be reused; (weights, beam, distortion limit, max span),
+# compared by value; and its complete hypotheses.
+_last_search: Optional[tuple[tuple, tuple, list[Hypothesis]]] = None
+
+
+def _search_once(
+    source: MorphSentence,
+    table: PhraseTable,
+    lm_m: Optional[NGramModel],
+    lm_w: Optional[NGramModel],
+    weights: Mapping[str, float],
+    beam_size: Optional[int],
+    distortion_limit: int,
+    max_span: Optional[int],
+) -> list[Hypothesis]:
+    """search(), or its result from the previous call with the same arguments."""
+    global _last_search
+    objects = (source, table, lm_m, lm_w)
+    values = (dict(weights), beam_size, distortion_limit, max_span)
+    last = _last_search
+    if (last is not None and all(a is b for a, b in zip(last[0], objects))
+            and last[1] == values):
+        return last[2]
+    complete = search(source, table, lm_m, lm_w, weights, beam_size,
+                      distortion_limit, max_span)
+    _last_search = (objects, values, complete)
+    return complete
+
+
 def decode(
     source: MorphSentence,
     table: PhraseTable,
@@ -372,8 +441,8 @@ def decode(
     max_span: Optional[int] = None,
 ) -> Hypothesis:
     """Highest-scoring complete hypothesis (ties broken by target string)."""
-    complete = search(source, table, lm_m, lm_w, weights, beam_size,
-                      distortion_limit, max_span)
+    complete = _search_once(source, table, lm_m, lm_w, weights, beam_size,
+                            distortion_limit, max_span)
     return max(complete, key=lambda h: (h.score, target_tokens(h)))
 
 
@@ -396,8 +465,8 @@ def nbest(
     max_span: Optional[int] = None,
 ) -> list[NBestEntry]:
     """Top-n distinct target token strings by score, descending."""
-    complete = search(source, table, lm_m, lm_w, weights, beam_size,
-                      distortion_limit, max_span)
+    complete = _search_once(source, table, lm_m, lm_w, weights, beam_size,
+                            distortion_limit, max_span)
     best: dict[tuple[str, ...], Hypothesis] = {}
     for hyp in complete:
         key = target_tokens(hyp)

@@ -25,6 +25,7 @@ EOS = "</s>"
 UNK = "<unk>"
 
 NEG_INF = float("-inf")
+LOG_ZERO = -100.0  # finite stand-in for ln(0) wherever a log-prob enters a score
 
 Smoothing = Literal["mle", "witten-bell", "kneser-ney"]
 
@@ -214,6 +215,12 @@ def _finish(order, smoothing, vocab, prob_levels, backoff_levels) -> NGramModel:
     return NGramModel(order, smoothing, vocab, logprobs, logbows)
 
 
+def floored_logprob(model: NGramModel, token: str, context: Sequence[str]) -> float:
+    """model.logprob clamped at LOG_ZERO, so an unseen event (as under MLE) stays finite."""
+    lp = model.logprob(token, context)
+    return lp if lp > LOG_ZERO else LOG_ZERO
+
+
 def sentence_logprob(model: NGramModel, tokens: Sequence[str]) -> float:
     """ln p(tokens </s>) with <s> padding, the offline whole-sentence score."""
     ctx = (BOS,) * (model.order - 1)
@@ -271,7 +278,7 @@ def twin_extend(
     for m in morphemes:
         tok = m.serialize() if isinstance(m, MorphToken) else m
         if lm_m is not None:
-            morph_delta += lm_m.logprob(tok, morph_ctx)
+            morph_delta += floored_logprob(lm_m, tok, morph_ctx)
             morph_ctx = _roll(
                 morph_ctx, tok if tok in lm_m.vocab else UNK, lm_m.order
             )
@@ -281,7 +288,7 @@ def twin_extend(
             word = "".join(pending)
             pending = []
             if lm_w is not None:
-                word_delta += lm_w.logprob(word, word_ctx)
+                word_delta += floored_logprob(lm_w, word, word_ctx)
                 word_ctx = _roll(
                     word_ctx, word if word in lm_w.vocab else UNK, lm_w.order
                 )
@@ -299,12 +306,12 @@ def twin_finalize(
     word_ctx = state.word_ctx
     if state.pending and lm_w is not None:
         word = "".join(state.pending)
-        word_delta += lm_w.logprob(word, word_ctx)
+        word_delta += floored_logprob(lm_w, word, word_ctx)
         word_ctx = _roll(word_ctx, word if word in lm_w.vocab else UNK, lm_w.order)
     if lm_m is not None:
-        morph_delta += lm_m.logprob(EOS, state.morph_ctx)
+        morph_delta += floored_logprob(lm_m, EOS, state.morph_ctx)
     if lm_w is not None:
-        word_delta += lm_w.logprob(EOS, word_ctx)
+        word_delta += floored_logprob(lm_w, EOS, word_ctx)
     return morph_delta, word_delta
 
 

@@ -221,13 +221,15 @@ def word_spans_of_tokens(tokens: Sequence[str]) -> list[tuple[int, int]]:
 
 
 def read_segmented_file(path) -> list[MorphSentence]:
+    """One sentence per line; a blank line is an empty sentence."""
     with open(path, encoding="utf-8") as fh:
-        return [parse_segmented_line(line) for line in fh if line.strip()]
+        return [parse_segmented_line(line) for line in fh]
 
 
 def read_word_file(path) -> list[list[str]]:
+    """One word list per line; a blank line is an empty list."""
     with open(path, encoding="utf-8") as fh:
-        return [line.split() for line in fh if line.strip()]
+        return [line.split() for line in fh]
 
 
 def write_sentences(path, sentences: Iterable[MorphSentence]) -> None:

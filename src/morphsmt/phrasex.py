@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .align import AlignmentMatrix, Granularity, LexicalTable
@@ -60,6 +60,9 @@ class PhraseTable:
     max_span: int = 0
     boundary_aware: bool = False
     n_extras: int = 0
+    _by_source: Optional[dict[tuple[str, ...], list[PhraseEntry]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -68,10 +71,13 @@ class PhraseTable:
         return self.entries.get((tuple(source), tuple(target)))
 
     def by_source(self) -> dict[tuple[str, ...], list[PhraseEntry]]:
-        out: dict[tuple[str, ...], list[PhraseEntry]] = {}
-        for (src, _), entry in sorted(self.entries.items()):
-            out.setdefault(src, []).append(entry)
-        return out
+        """Entries per source phrase, by target; built once (tables are immutable by convention)."""
+        if self._by_source is None:
+            out: dict[tuple[str, ...], list[PhraseEntry]] = {}
+            for (src, _), entry in sorted(self.entries.items()):
+                out.setdefault(src, []).append(entry)
+            self._by_source = out
+        return self._by_source
 
 
 def extract_phrases(

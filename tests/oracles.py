@@ -137,3 +137,41 @@ def binomial_tail_fraction(n, m):
     for _ in range(n):
         coeffs = [1] + [coeffs[i] + coeffs[i + 1] for i in range(len(coeffs) - 1)] + [1]
     return Fraction(sum(coeffs[: m + 1]), 2 ** n)
+
+
+def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
+                     distortion_limit=6, max_span=None):
+    """The plain stack search: build every extension, then sort and cut each
+    stack; no memo and no early rejection.  It shares the decoder's option,
+    rest-cost and extension primitives, so it checks only the search loop."""
+    from morphsmt import decoder as dec
+    from morphsmt.lm import initial_twin_state
+    from morphsmt.morpho import word_spans
+
+    n_words = len(word_spans(source))
+    options = dec.build_options(source, table, max_span)
+    future = dec._future_costs(options, n_words, weights, lm_m)
+    by_start = sorted(options, key=lambda o: o.start)  # stable: table order per start
+    rest_memo = {}
+    stacks = [[] for _ in range(n_words + 1)]
+    stacks[0].append(dec.Hypothesis(0, 0, 0, initial_twin_state(lm_m, lm_w), {}, 0.0,
+                                    None, None))
+    for level in range(n_words):
+        stack = stacks[level]
+        if beam_size is not None and len(stack) > beam_size:
+            stack.sort(key=lambda h: h.score + dec._rest(h.coverage, n_words, future,
+                                                         rest_memo), reverse=True)
+            del stack[beam_size:]
+        for hyp in stack:
+            first_free = next(i for i in range(n_words) if not hyp.coverage >> i & 1)
+            for opt in by_start:
+                if (opt.start < first_free or opt.start > first_free + distortion_limit
+                        or opt.mask & hyp.coverage):
+                    continue
+                stacks[level + opt.end - opt.start].append(
+                    dec._extend(hyp, opt, lm_m, lm_w, weights))
+    complete = stacks[n_words]
+    if beam_size is not None and len(complete) > beam_size:
+        complete.sort(key=lambda h: h.score, reverse=True)
+        del complete[beam_size:]
+    return [dec._finalize(h, lm_m, lm_w, weights) for h in complete]

@@ -1,8 +1,13 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from morphsmt import cli, morpho, phrasex, synth
+from morphsmt import cli, decoder, morpho, phrasex, synth
 from morphsmt.config import ConfigError, load_config
 
 
@@ -99,6 +104,52 @@ def test_decode_subcommand(tmp_path):
                    "--table", str(pt), "--output", str(out)])
     assert rc == 0
     assert out.read_text(encoding="utf-8") == "x/STM\n"
+
+
+def test_decode_writes_one_line_per_input_line(tmp_path):
+    pt = tmp_path / "pt.txt"
+    pt.write_text(f"a/STM ||| x/STM ||| 1.0 1.0 1.0 1.0 {math.e!r} ||| 1 ||| 0-0\n",
+                  encoding="utf-8")
+    (tmp_path / "in.txt").write_text("a/STM\na/STM a/STM\n\na/STM\na/STM\n",
+                                     encoding="utf-8")
+    out = tmp_path / "out.txt"
+    nbest = tmp_path / "nbest.txt"
+    rc = cli.main(["decode", "--input", str(tmp_path / "in.txt"), "--table", str(pt),
+                   "--output", str(out), "--nbest-output", str(nbest)])
+    assert rc == 0
+    assert out.read_text(encoding="utf-8").split("\n") == [
+        "x/STM", "x/STM x/STM", "", "x/STM", "x/STM", ""]
+    lists = decoder.read_nbest(nbest)
+    assert len(lists) == 5 and lists[2][0].tokens == ()
+
+
+def test_mle_lm_gives_finite_nbest_scores(tmp_path):
+    cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=5, sizes=(60, 5, 5)),
+                      {"lm.smoothing": "mle"})
+    artifacts = cli.run_pipeline("m+phr+lm", cfg, tmp_path / "run")
+    scores = [e.score for entries in decoder.read_nbest(artifacts["nbest"])
+              for e in entries]
+    assert scores and all(math.isfinite(x) for x in scores)
+
+
+def test_artifacts_do_not_depend_on_hash_seed(tmp_path):
+    cfg = synth.write_workspace(tmp_path / "ws", seed=3, sizes=(40, 4, 4))
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    digests = []
+    for hash_seed in ("1", "2"):
+        run_dir = tmp_path / f"run{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src_dir),
+                                                          os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "morphsmt", "pipeline", "m+phr+lm+tune",
+                        "--config", str(cfg), "--run-dir", str(run_dir)],
+                       env=env, check=True, capture_output=True)
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted(run_dir.iterdir())})
+    assert sorted(digests[0]) == [
+        "lm_m.arpa", "lm_w.arpa", "manifest.txt", "mert_log.txt", "nbest.txt",
+        "output.txt", "pt.txt", "report.txt", "trace.txt", "weights.tsv"]
+    assert digests[0] == digests[1]
 
 
 def test_eval_identity_scores_one(tmp_path):

@@ -279,3 +279,114 @@ def test_matches_exhaustive_search_on_random_instances():
         want = exhaustive_monotone_best(words, decoder.build_options(src, tab),
                                         lm_m, lm_w, weights)
         assert got.score == pytest.approx(want, abs=1e-9)
+
+
+# --- exactness of early rejection and the shared search ----------------------
+
+
+@pytest.fixture(scope="module")
+def bundled_models(synth_config):
+    from morphsmt import cli
+
+    data = cli._load_data(synth_config)
+    tab, _, _ = cli._morph_table(synth_config, data, boundary_aware=True)
+    lm_m = lm.train_lm([morpho.token_strings(s) for s in data.morphs["train_tgt"]],
+                       synth_config.lm_morph_order, "witten-bell")
+    lm_w = lm.train_lm(data.words["train_tgt"], synth_config.lm_word_order, "witten-bell")
+    return data.morphs["dev_src"], tab, lm_m, lm_w
+
+
+# MERT can drive an LM weight below zero, which switches early rejection off
+LM_WEIGHTS = {
+    "positive": {},
+    "zero": {"lm_morph": 0.0, "lm_word": 0.0},
+    "negative": {"lm_morph": -0.38},
+}
+
+
+def fingerprint(hyps):
+    return [
+        (decoder.target_tokens(h), [(k, v.hex()) for k, v in h.features.items()],
+         h.score.hex())
+        for h in hyps
+    ]
+
+
+@pytest.mark.parametrize("lm_weights", sorted(LM_WEIGHTS))
+@pytest.mark.parametrize("beam", [1, 3, 20, None])
+def test_search_matches_reference_bit_for_bit(bundled_models, beam, lm_weights):
+    from oracles import reference_search
+
+    sources, tab, lm_m, lm_w = bundled_models
+    weights = {**decoder.default_weights(), **LM_WEIGHTS[lm_weights]}
+    distortion = 6
+    if beam is None:  # an unpruned search grows exponentially: short and monotone
+        sources = [s for s in sources if len(morpho.word_spans(s)) <= 3][:5]
+        distortion = 0
+    assert sources
+    for src in sources:
+        want = reference_search(src, tab, lm_m, lm_w, weights, beam, distortion)
+        got = decoder.search(src, tab, lm_m, lm_w, weights, beam, distortion)
+        assert fingerprint(got) == fingerprint(want)
+
+
+@pytest.mark.parametrize("lm_weights,rejects", [("positive", True), ("zero", True),
+                                                ("negative", False)])
+def test_rejection_skips_extensions_only_when_lm_weights_nonnegative(
+        bundled_models, monkeypatch, lm_weights, rejects):
+    from oracles import reference_search
+
+    sources, tab, lm_m, lm_w = bundled_models
+    weights = {**decoder.default_weights(), **LM_WEIGHTS[lm_weights]}
+    calls = []
+    real = decoder._extend
+    monkeypatch.setattr(decoder, "_extend", lambda *a: calls.append(1) or real(*a))
+    for src in sources[:5]:
+        reference_search(src, tab, lm_m, lm_w, weights, 3, 6)
+    n_reference = len(calls)
+    for src in sources[:5]:
+        decoder.search(src, tab, lm_m, lm_w, weights, 3, 6)
+    n_search = len(calls) - n_reference
+    assert (n_search < n_reference) == rejects
+    assert n_search <= n_reference
+
+
+def test_nbest_then_decode_share_one_search(monkeypatch):
+    src = morpho.parse_segmented_line("a/STM b/STM")
+    tab = table([
+        entry(("a/STM",), ("x1/STM",), 0.8),
+        entry(("a/STM",), ("x2/STM",), 0.2),
+        entry(("b/STM",), ("y1/STM",), 0.6),
+    ])
+    lm_m, lm_w = tiny_lms([["x1/STM", "y1/STM"]], [["x1", "y1"]])
+    calls = []
+    real = decoder.search
+    monkeypatch.setattr(decoder, "search", lambda *a: calls.append(a) or real(*a))
+    weights = decoder.default_weights()
+    lists = decoder.nbest(src, tab, lm_m, lm_w, weights, 5, 6, 10)
+    best = decoder.decode(src, tab, lm_m, lm_w, weights, 5, 6)
+    assert len(calls) == 1
+    assert best.score == lists[0].score
+    weights["phi_fwd"] = 0.41  # the memo keeps its own copy of the weights
+    decoder.decode(src, tab, lm_m, lm_w, weights, 5, 6)
+    assert len(calls) == 2
+    decoder.decode(src, tab, lm_m, lm_w, weights, 4, 6)
+    assert len(calls) == 3
+
+
+def test_stack_offered_more_than_beam_is_sorted_even_after_rejections():
+    # x3 is rejected, so stack 1 holds exactly beam=2 hypotheses; it was
+    # offered three, so it is sorted as the plain search sorts it
+    from oracles import reference_search
+
+    src = morpho.parse_segmented_line("a/STM b/STM")
+    tab = table([
+        entry(("a/STM",), ("x1/STM",), 0.5),
+        entry(("a/STM",), ("x2/STM",), 0.9),
+        entry(("a/STM",), ("x3/STM",), 0.1),
+        entry(("b/STM",), ("y/STM",)),
+    ])
+    weights = {"phi_fwd": 1.0}
+    got = decoder.search(src, tab, None, None, weights, 2, 0)
+    assert [decoder.target_tokens(h)[0] for h in got] == ["x2/STM", "x1/STM"]
+    assert fingerprint(got) == fingerprint(reference_search(src, tab, None, None, weights, 2, 0))
