@@ -60,10 +60,6 @@ def words_as_sentence(words: Sequence[str]) -> mo.MorphSentence:
     ))
 
 
-def _read_tokens(path) -> list[list[str]]:
-    return mo.read_word_file(path)
-
-
 def _nonempty_pairs(src: list, tgt: list) -> tuple[list, list]:
     """The sentence pairs with both sides non-empty, as ParallelCorpus keeps them."""
     keep = [i for i, (s, t) in enumerate(zip(src, tgt, strict=True)) if len(s) and len(t)]
@@ -331,7 +327,7 @@ def _cmd_segment_apply(args) -> int:
 
 def _cmd_align(args) -> int:
     corpus = al.ParallelCorpus.from_sentences(
-        _read_tokens(args.source), _read_tokens(args.target)
+        mo.read_word_file(args.source), mo.read_word_file(args.target)
     )
     alignments, _, _ = al.align_corpus(corpus, args.iterations, args.heuristic)
     al.write_alignments(args.output, alignments)
@@ -347,8 +343,8 @@ def _cmd_extract(args) -> int:
         src_tok = [mo.token_strings(s) for s in src]
         tgt_tok = [mo.token_strings(t) for t in tgt]
     else:
-        src_tok, tgt_tok = _nonempty_pairs(_read_tokens(args.source),
-                                           _read_tokens(args.target))
+        src_tok, tgt_tok = _nonempty_pairs(mo.read_word_file(args.source),
+                                           mo.read_word_file(args.target))
     corpus = al.ParallelCorpus.from_sentences(src_tok, tgt_tok, args.granularity)
     if args.alignments:
         dims = [(len(s), len(t)) for s, t in zip(src_tok, tgt_tok)]
@@ -370,7 +366,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_lm_train(args) -> int:
-    model = lmod.train_lm(_read_tokens(args.input), args.order, args.smoothing)
+    model = lmod.train_lm(mo.read_word_file(args.input), args.order, args.smoothing)
     lmod.write_arpa(args.output, model)
     return 0
 
@@ -437,8 +433,8 @@ def _cmd_eval(args) -> int:
     report: dict[str, str] = {}
     _fill_report(report, "bleu", ev.bleu(hyps, refs))
     if args.hyp_morphs and args.ref_morphs:
-        hyp_m = _read_tokens(args.hyp_morphs)
-        ref_m = _read_tokens(args.ref_morphs)
+        hyp_m = mo.read_word_file(args.hyp_morphs)
+        ref_m = mo.read_word_file(args.ref_morphs)
         _fill_report(report, "m_bleu", ev.m_bleu(hyp_m, ref_m))
     if args.compare:
         other = mo.read_word_file(args.compare)

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lm import (
-    LOG_ZERO, NGramModel, TwinScorerState, floored_logprob, initial_twin_state,
-    twin_extend, twin_finalize,
+    LOG_ZERO, LMMemo, NGramModel, TwinScorerState, floored_logprob,
+    initial_twin_state, twin_extend, twin_finalize,
 )
-from .morpho import MorphSentence, split_token_string, word_spans, words_from_tokens
+from .morpho import (
+    MorphSentence, parse_file, split_token_string, word_spans, words_from_tokens,
+)
 from .phrasex import PhraseTable
 
 FEATURE_ORDER = (
@@ -229,6 +231,10 @@ def search(
     every present LM weight >= 0 the zero-delta key bounds the real one and
     the surviving stacks, their order and every score are exactly those of
     the unrejected search; with a negative LM weight the test is off.
+
+    Each distinct LM question is asked once per call: twin_extend results
+    are memoized per (state, target), and LM log-probs per (context, token).
+    Both memos are exact and are dropped when the search returns.
     """
     n_words = len(word_spans(source))
     options = build_options(source, table, max_span)
@@ -252,6 +258,11 @@ def search(
     offered = [0] * (n_words + 1)  # hypotheses offered per stack, rejected ones included
     offered[0] = 1
     best_keys: list[list[float]] = [[] for _ in range(n_words + 1)]  # min-heaps
+    # this search's memos: twin_extend results per state and target, and
+    # floored log-probs (with the next context) per LM and (context, token)
+    lm_scores: dict[TwinScorerState, dict[tuple[str, ...], tuple]] = {}
+    memo_m: LMMemo = {}
+    memo_w: LMMemo = {}
 
     for level in range(n_words):
         stack = stacks[level]
@@ -262,6 +273,7 @@ def search(
             )
             del stack[beam_size:]
         for hyp in stack:
+            by_target = lm_scores.setdefault(hyp.state, {})
             first_free = _first_uncovered(hyp.coverage, n_words)
             for start in range(first_free, min(first_free + distortion_limit, n_words - 1) + 1):
                 if hyp.coverage >> start & 1:
@@ -271,22 +283,25 @@ def search(
                         continue
                     target = level + opt.end - opt.start
                     offered[target] += 1
-                    if not reject:
-                        stacks[target].append(_extend(hyp, opt, lm_m, lm_w, weights))
-                        continue
-                    rest = _rest(hyp.coverage | opt.mask, n_words, future, rest_memo)
-                    heap = best_keys[target]
-                    full = len(heap) == beam_size
-                    if full:
-                        bound = dot(weights, _features(hyp, opt, lm_m, lm_w, 0.0, 0.0))
-                        if bound + rest < heap[0]:
-                            continue
-                    new = _extend(hyp, opt, lm_m, lm_w, weights)
+                    if reject:
+                        rest = _rest(hyp.coverage | opt.mask, n_words, future, rest_memo)
+                        heap = best_keys[target]
+                        full = len(heap) == beam_size
+                        if full:
+                            bound = dot(weights, _features(hyp, opt, lm_m, lm_w, 0.0, 0.0))
+                            if bound + rest < heap[0]:
+                                continue
+                    scored = by_target.get(opt.target)
+                    if scored is None:
+                        scored = by_target[opt.target] = twin_extend(
+                            hyp.state, opt.target, lm_m, lm_w, memo_m, memo_w)
+                    new = _extend(hyp, opt, lm_m, lm_w, weights, scored)
                     stacks[target].append(new)
-                    if full:
-                        heapq.heappushpop(heap, new.score + rest)
-                    else:
-                        heapq.heappush(heap, new.score + rest)
+                    if reject:
+                        if full:
+                            heapq.heappushpop(heap, new.score + rest)
+                        else:
+                            heapq.heappush(heap, new.score + rest)
 
     complete = stacks[n_words]
     if beam_size is not None and offered[n_words] > beam_size:
@@ -308,8 +323,13 @@ def _extend(
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],
     weights: Mapping[str, float],
+    scored: Optional[tuple[TwinScorerState, float, float]] = None,
 ) -> Hypothesis:
-    state, morph_delta, word_delta = twin_extend(hyp.state, opt.target, lm_m, lm_w)
+    """``hyp`` extended by ``opt``; ``scored`` is twin_extend's result for
+    them if the caller has it, else twin_extend is called here."""
+    if scored is None:
+        scored = twin_extend(hyp.state, opt.target, lm_m, lm_w)
+    state, morph_delta, word_delta = scored
     feats = _features(hyp, opt, lm_m, lm_w, morph_delta, word_delta)
     return Hypothesis(
         coverage=hyp.coverage | opt.mask,
@@ -522,11 +542,13 @@ def write_weights(path, weights: Mapping[str, float]) -> None:
 
 
 def read_weights(path) -> dict[str, float]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            name, value = line.rstrip("\n").split("\t")
-            out[name] = float(value)
-    return out
+    return dict(pair for pair in parse_file(path, _parse_weight_line) if pair is not None)
+
+
+def _parse_weight_line(line: str) -> Optional[tuple[str, float]]:
+    if not line.strip():
+        return None
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) != 2:
+        raise ValueError(f"expected name<TAB>value, got {line.rstrip()!r}")
+    return fields[0], float(fields[1])

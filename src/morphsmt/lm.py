@@ -10,12 +10,19 @@ streams: the morpheme LM sees every token, the word LM sees each word the
 moment its final morpheme arrives (surfaces concatenated, tags and "+"
 stripped).  Carrying the pending-morphemes buffer in the state makes the
 scoring invariant to how the decoder chunks its extensions.
+
+Scorer contexts are kept minimal, as in KenLM: a context that no stored
+n-gram starts with and that has no backoff weight backs every query off
+with weight 0.0, so its first token is dropped without changing any score.
+Hypotheses that differ only in such tokens then share one state, and a
+per-search memo keyed by (context, token) answers each query once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .morpho import MorphToken, split_token_string
@@ -64,6 +71,34 @@ class NGramModel:
 
     def prob(self, token: str, context: Sequence[str] = ()) -> float:
         return math.exp(self.logprob(token, context))
+
+    @cached_property
+    def contexts(self) -> frozenset[tuple[str, ...]]:
+        """Known contexts: every prefix, up to order-1 tokens, of a stored
+        n-gram or of a context with a backoff weight.  Closed under prefixes,
+        so a context outside the set stays outside when a token is appended."""
+        longest = self.order - 1
+        known: set[tuple[str, ...]] = set()
+        for level in (*self.logprobs, *self.backoffs):
+            for gram in level:
+                for i in range(min(len(gram), longest), 0, -1):
+                    prefix = gram[:i]
+                    if prefix in known:
+                        break  # its own prefixes are in already
+                    known.add(prefix)
+        return frozenset(known)
+
+    def minimal_context(self, context: tuple[str, ...]) -> tuple[str, ...]:
+        """The shortest suffix of a vocab-mapped context that gives every query
+        the same log-prob: leading tokens go while the context is unknown,
+        since a query then backs off from it adding 0.0.  Under MLE there is
+        no backoff, so the context stays whole."""
+        if self.smoothing == "mle":
+            return context
+        known = self.contexts
+        while context and context not in known:
+            context = context[1:]
+        return context
 
 
 def _collect_counts(
@@ -237,6 +272,29 @@ def _roll(ctx: tuple[str, ...], event: str, order: int) -> tuple[str, ...]:
     return (ctx + (event,))[-(order - 1):]
 
 
+def next_context(model: NGramModel, ctx: tuple[str, ...], token: str) -> tuple[str, ...]:
+    """The minimal context after ``token`` is appended to ``ctx``."""
+    event = token if token in model.vocab else UNK
+    return model.minimal_context(_roll(ctx, event, model.order))
+
+
+LMMemo = dict[tuple[tuple[str, ...], str], tuple[float, tuple[str, ...]]]
+
+
+def _score(
+    model: NGramModel, memo: Optional[LMMemo], ctx: tuple[str, ...], token: str
+) -> tuple[float, tuple[str, ...]]:
+    """(floored ln p(token | ctx), next context), looked up in ``memo`` first."""
+    if memo is None:
+        return floored_logprob(model, token, ctx), next_context(model, ctx, token)
+    key = (ctx, token)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (floored_logprob(model, token, ctx),
+                           next_context(model, ctx, token))
+    return hit
+
+
 # ---------------------------------------------------------------------------
 # Twin scoring state
 # ---------------------------------------------------------------------------
@@ -244,7 +302,7 @@ def _roll(ctx: tuple[str, ...], event: str, order: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class TwinScorerState:
-    morph_ctx: tuple[str, ...]
+    morph_ctx: tuple[str, ...]  # minimal contexts (NGramModel.minimal_context)
     pending: tuple[str, ...]  # surfaces of the in-progress word
     word_ctx: tuple[str, ...]
 
@@ -252,8 +310,8 @@ class TwinScorerState:
 def initial_twin_state(
     lm_m: Optional[NGramModel], lm_w: Optional[NGramModel]
 ) -> TwinScorerState:
-    morph_ctx = (BOS,) * (lm_m.order - 1) if lm_m else ()
-    word_ctx = (BOS,) * (lm_w.order - 1) if lm_w else ()
+    morph_ctx = lm_m.minimal_context((BOS,) * (lm_m.order - 1)) if lm_m else ()
+    word_ctx = lm_w.minimal_context((BOS,) * (lm_w.order - 1)) if lm_w else ()
     return TwinScorerState(morph_ctx, (), word_ctx)
 
 
@@ -265,12 +323,15 @@ def twin_extend(
     morphemes: Sequence[TokenLike],
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],
+    memo_m: Optional[LMMemo] = None,
+    memo_w: Optional[LMMemo] = None,
 ) -> tuple[TwinScorerState, float, float]:
     """Score one phrase application under both views.
 
     Returns (new state, morpheme-LM delta, word-LM delta).  The word LM only
     sees words completed within this extension; an unfinished word stays in
-    the pending buffer.
+    the pending buffer.  ``memo_m``/``memo_w`` are optional dicts, one per LM,
+    that remember each (context, token) query's answer; they change no result.
     """
     morph_ctx, pending, word_ctx = state.morph_ctx, list(state.pending), state.word_ctx
     morph_delta = 0.0
@@ -278,20 +339,16 @@ def twin_extend(
     for m in morphemes:
         tok = m.serialize() if isinstance(m, MorphToken) else m
         if lm_m is not None:
-            morph_delta += floored_logprob(lm_m, tok, morph_ctx)
-            morph_ctx = _roll(
-                morph_ctx, tok if tok in lm_m.vocab else UNK, lm_m.order
-            )
+            lp, morph_ctx = _score(lm_m, memo_m, morph_ctx, tok)
+            morph_delta += lp
         surface, final = split_token_string(tok)
         pending.append(surface)
         if final:
             word = "".join(pending)
             pending = []
             if lm_w is not None:
-                word_delta += floored_logprob(lm_w, word, word_ctx)
-                word_ctx = _roll(
-                    word_ctx, word if word in lm_w.vocab else UNK, lm_w.order
-                )
+                lp, word_ctx = _score(lm_w, memo_w, word_ctx, word)
+                word_delta += lp
     return TwinScorerState(morph_ctx, tuple(pending), word_ctx), morph_delta, word_delta
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class MorphTag(Enum):
@@ -220,10 +222,25 @@ def word_spans_of_tokens(tokens: Sequence[str]) -> list[tuple[int, int]]:
     return spans
 
 
+def parse_file(path, parse_line: Callable[[str], T]) -> list[T]:
+    """``parse_line`` applied to every line of a UTF-8 text file, in order.
+
+    A ValueError it raises is raised again with the file and the 1-based
+    line number in front, so malformed input says where it is.
+    """
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                out.append(parse_line(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
 def read_segmented_file(path) -> list[MorphSentence]:
     """One sentence per line; a blank line is an empty sentence."""
-    with open(path, encoding="utf-8") as fh:
-        return [parse_segmented_line(line) for line in fh]
+    return parse_file(path, parse_segmented_line)
 
 
 def read_word_file(path) -> list[list[str]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .align import AlignmentMatrix, Granularity, LexicalTable
-from .morpho import MorphSentence, token_strings, word_spans
+from .morpho import MorphSentence, parse_file, token_strings, word_spans
 
 PHRASE_PENALTY = math.e  # constant fifth score, ln = 1 per applied phrase
 
@@ -44,7 +44,7 @@ class PhraseEntry:
     lex_fwd: float
     lex_bwd: float
     penalty: float
-    count_joint: float
+    count_joint: Optional[float]  # None when read from a table without counts
     alignment: frozenset[tuple[int, int]]
     extras: tuple[float, ...] = ()
 
@@ -310,9 +310,10 @@ def write_phrase_table(path, table: PhraseTable) -> None:
             e = table.entries[key]
             scores = " ".join(repr(s) for s in e.scores())
             links = " ".join(f"{i}-{j}" for i, j in sorted(e.alignment))
+            count = "" if e.count_joint is None else repr(e.count_joint)
             fh.write(
                 f"{' '.join(e.source)} ||| {' '.join(e.target)} ||| {scores} "
-                f"||| {e.count_joint!r} ||| {links}\n".rstrip() + "\n"
+                f"||| {count} ||| {links}\n".rstrip() + "\n"
             )
 
 
@@ -324,28 +325,31 @@ def read_phrase_table(
 ) -> PhraseTable:
     entries = {}
     n_extras = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = [f.strip() for f in line.split("|||")]
-            if len(fields) < 4:
-                raise ValueError(f"bad phrase-table line: {line!r}")
-            src = tuple(fields[0].split())
-            tgt = tuple(fields[1].split())
-            scores = [float(x) for x in fields[2].split()]
-            if len(scores) < 5:
-                raise ValueError(f"expected >= 5 scores: {line!r}")
-            count = float(fields[3]) if fields[3] else None
-            links = frozenset(
-                (int(i), int(j))
-                for i, j in (p.split("-") for p in fields[4].split())
-            ) if len(fields) > 4 and fields[4] else frozenset()
-            extras = tuple(scores[5:])
-            n_extras = max(n_extras, len(extras))
-            entries[(src, tgt)] = PhraseEntry(
-                src, tgt, scores[0], scores[1], scores[2], scores[3], scores[4],
-                count, links, extras,
-            )
+    for entry in parse_file(path, _parse_phrase_line):
+        if entry is not None:
+            entries[(entry.source, entry.target)] = entry
+            n_extras = max(n_extras, len(entry.extras))
     return PhraseTable(entries, granularity, max_span, boundary_aware, n_extras)
+
+
+def _parse_phrase_line(line: str) -> Optional[PhraseEntry]:
+    """One ``src ||| tgt ||| scores ||| count [||| links]`` line; None if blank."""
+    if not line.strip():
+        return None
+    fields = [f.strip() for f in line.split("|||")]
+    if len(fields) < 4:
+        raise ValueError(f"bad phrase-table line: {line.rstrip()!r}")
+    src = tuple(fields[0].split())
+    tgt = tuple(fields[1].split())
+    scores = [float(x) for x in fields[2].split()]
+    if len(scores) < 5:
+        raise ValueError(f"expected >= 5 scores: {line.rstrip()!r}")
+    count = float(fields[3]) if fields[3] else None
+    links = frozenset(
+        (int(i), int(j))
+        for i, j in (p.split("-") for p in fields[4].split())
+    ) if len(fields) > 4 and fields[4] else frozenset()
+    return PhraseEntry(
+        src, tgt, scores[0], scores[1], scores[2], scores[3], scores[4],
+        count, links, tuple(scores[5:]),
+    )

@@ -123,6 +123,31 @@ def test_decode_writes_one_line_per_input_line(tmp_path):
     assert len(lists) == 5 and lists[2][0].tokens == ()
 
 
+@pytest.mark.parametrize("bad", ["input", "weights", "table"])
+def test_decode_names_file_and_line_of_malformed_input(tmp_path, bad):
+    files = {
+        "table": f"a/STM ||| x/STM ||| 1.0 1.0 1.0 1.0 {math.e!r} ||| 1 ||| 0-0\n",
+        "input": "a/STM\n\na/STM a/STM\n",
+        "weights": "phi_fwd\t0.4\n",
+    }
+    files[bad] += {"input": "a/XYZ\n", "weights": "phi_bwd 0.4\n",
+                   "table": "a/STM ||| y/STM ||| 1.0 oops\n"}[bad]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src_dir), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "morphsmt", "decode", "--input", str(tmp_path / "input"),
+         "--table", str(tmp_path / "table"), "--weights", str(tmp_path / "weights"),
+         "--output", str(tmp_path / "out.txt")],
+        env=env, capture_output=True, text=True)
+    line = {"input": 4, "weights": 2, "table": 2}[bad]
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"{tmp_path / bad}:{line}:" in proc.stderr
+
+
 def test_mle_lm_gives_finite_nbest_scores(tmp_path):
     cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=5, sizes=(60, 5, 5)),
                       {"lm.smoothing": "mle"})

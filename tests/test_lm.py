@@ -80,6 +80,50 @@ def test_arpa_roundtrip(tmp_path, smoothing):
             )
 
 
+def _stream_model(tmp_path, order, smoothing, via_arpa, rng):
+    tokens = ["a", "b", "c", "d", "e", "f"]
+    corpus = [[rng.choice(tokens) for _ in range(rng.randint(0, 8))] for _ in range(12)]
+    model = lm.train_lm(corpus, order, smoothing)
+    if via_arpa:
+        lm.write_arpa(tmp_path / "model.arpa", model)
+        model = lm.read_arpa(tmp_path / "model.arpa")
+    return model, tokens + ["zz", BOS]
+
+
+@pytest.mark.parametrize("via_arpa", [False, True])
+@pytest.mark.parametrize("smoothing", ["witten-bell", "kneser-ney"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_minimal_context_keeps_every_logprob(tmp_path, order, smoothing, via_arpa):
+    rng = random.Random(order * 7 + len(smoothing) + via_arpa)
+    model, stream_tokens = _stream_model(tmp_path, order, smoothing, via_arpa, rng)
+    events = sorted(model.vocab | {UNK, EOS})
+    shortened = 0
+    for _ in range(6):
+        full = (BOS,) * (order - 1)
+        short = model.minimal_context(full)
+        for tok in [rng.choice(stream_tokens) for _ in range(15)]:
+            assert full[len(full) - len(short):] == short
+            shortened += len(short) < len(full)
+            for w in events:
+                assert model.logprob(w, short).hex() == model.logprob(w, full).hex(), (
+                    full, short, w)
+            full = lm._roll(full, tok if tok in model.vocab else UNK, order)
+            short = lm.next_context(model, short, tok)
+    assert shortened > 0 or order <= 2  # the property is not tested vacuously
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_mle_contexts_are_not_minimized(order):
+    rng = random.Random(order)
+    model, stream_tokens = _stream_model(None, order, "mle", False, rng)
+    full = (BOS,) * (order - 1)
+    assert model.minimal_context(full) == full
+    for tok in [rng.choice(stream_tokens) for _ in range(30)]:
+        rolled = lm._roll(full, tok if tok in model.vocab else UNK, order)
+        assert lm.next_context(model, full, tok) == rolled
+        full = rolled
+
+
 def test_sentence_logprob_matches_manual_sum():
     model = lm.train_lm(TOY, 2, "witten-bell")
     manual = (model.logprob("a", [BOS]) + model.logprob("b", ["a"])

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphsmt import morpho, phrasex
+from morphsmt import merge, morpho, phrasex
 from morphsmt.align import AlignmentMatrix, LexicalTable
 from morphsmt.phrasex import PhrasePair
 
@@ -220,6 +220,21 @@ def test_table_text_roundtrip(tmp_path):
         assert got.scores() == entry.scores()
         assert got.count_joint == entry.count_joint
         assert got.alignment == entry.alignment
+
+
+def test_table_without_counts_roundtrips_through_merge(tmp_path):
+    (tmp_path / "in.txt").write_text(
+        f"a ||| x ||| 0.5 0.5 0.5 0.5 {math.e!r} |||\n", encoding="utf-8")
+    table = phrasex.read_phrase_table(tmp_path / "in.txt")
+    assert table.get(["a"], ["x"]).count_joint is None
+    merged = merge.merge_interpolate(table, table, 0.5)
+    for name, original in (("plain", table), ("merged", merged)):
+        path = tmp_path / f"{name}.txt"
+        phrasex.write_phrase_table(path, original)
+        back = phrasex.read_phrase_table(path)
+        assert back.entries == original.entries
+        phrasex.write_phrase_table(tmp_path / "again.txt", back)
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
 def test_empty_multiset_gives_empty_table():
