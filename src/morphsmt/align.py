@@ -11,6 +11,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional, Sequence
 
+from .morpho import parse_file
+
 Granularity = Literal["word", "morpheme"]
 
 # fallback translation probability for pairs absent from a trained table;
@@ -102,35 +104,52 @@ def train_model1(
     if not corpus.pairs:
         raise ValueError("cannot train on an empty corpus")
 
+    # Each co-occurring (e, f) pair gets a slot, numbered in first-seen order
+    # through per-target columns slot_cols[f][e]; source tokens get ids.  EM
+    # then runs over flat lists, with no dict operation inside its loops, and
+    # adds every count and total in the same order as the textbook loop.
+    keys: list[tuple[Optional[str], str]] = []
+    slot_cols: dict[str, dict[Optional[str], int]] = {}
+    src_ids: dict[Optional[str], int] = {}
+    events = []  # per target token: (slot per source token, source ids)
+    for src, tgt in corpus.pairs:
+        sources = (None, *src)
+        ids = tuple(src_ids.setdefault(e, len(src_ids)) for e in sources)
+        for f in tgt:
+            col = slot_cols.setdefault(f, {})
+            slots = []
+            for e in sources:
+                slot = col.get(e)
+                if slot is None:
+                    slot = col[e] = len(keys)
+                    keys.append((e, f))
+                slots.append(slot)
+            events.append((slots, ids))
+
     if initial is not None:
-        t = dict(initial.probs)
+        prob = initial.probs.get
+        t = [prob(key, FLOOR_PROB) for key in keys]
     else:
         # uniform over each source token's observed targets
-        cooc: dict[Optional[str], set[str]] = defaultdict(set)
-        for src, tgt in corpus.pairs:
-            for e in (None, *src):
-                cooc[e].update(tgt)
-        t = {}
-        for src, tgt in corpus.pairs:
-            for e in (None, *src):
-                u = 1.0 / len(cooc[e])
-                for f in tgt:
-                    t[(e, f)] = u
+        n_targets: dict[Optional[str], int] = defaultdict(int)
+        for e, _ in keys:
+            n_targets[e] += 1
+        t = [1.0 / n_targets[e] for e, _ in keys]
 
+    owner = [src_ids[e] for e, _ in keys]
     for _ in range(iterations):
-        counts: dict[tuple[Optional[str], str], float] = defaultdict(float)
-        totals: dict[Optional[str], float] = defaultdict(float)
-        for src, tgt in corpus.pairs:
-            sources = (None, *src)
-            for f in tgt:
-                denom = sum(t.get((e, f), FLOOR_PROB) for e in sources)
-                for e in sources:
-                    c = t.get((e, f), FLOOR_PROB) / denom
-                    counts[(e, f)] += c
-                    totals[e] += c
-        t = {pair: c / totals[pair[0]] for pair, c in counts.items()}
+        counts = [0.0] * len(keys)
+        totals = [0.0] * len(src_ids)
+        for slots, ids in events:
+            probs = [t[slot] for slot in slots]
+            denom = sum(probs)
+            for slot, i, p in zip(slots, ids, probs):
+                c = p / denom
+                counts[slot] += c
+                totals[i] += c
+        t = [c / totals[i] for c, i in zip(counts, owner)]
 
-    return LexicalTable(t, corpus.granularity)
+    return LexicalTable(dict(zip(keys, t)), corpus.granularity)
 
 
 def corpus_logprob(corpus: ParallelCorpus, table: LexicalTable) -> float:
@@ -155,13 +174,14 @@ def viterbi_align(
     token) or when NULL is strictly more probable than every source.
     """
     links = set()
+    prob = table.probs.get  # table.prob without a method call per pair
     for j, f in enumerate(target):
         best_i, best_p = 0, -1.0
         for i, e in enumerate(source):
-            p = table.prob(f, e)
+            p = prob((e, f), FLOOR_PROB)
             if p > best_p:
                 best_i, best_p = i, p
-        if best_p > FLOOR_PROB and table.prob(f, None) <= best_p:
+        if best_p > FLOOR_PROB and prob((None, f), FLOOR_PROB) <= best_p:
             links.add((best_i, j))
     return AlignmentMatrix(frozenset(links), len(source), len(target))
 
@@ -265,13 +285,22 @@ def write_lexical_table(path, table: LexicalTable) -> None:
 
 def read_lexical_table(path, granularity: Granularity = "word") -> LexicalTable:
     probs = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            src, tgt, p = line.rstrip("\n").split("\t")
-            probs[(src or None, tgt)] = float(p)
+    for entry in parse_file(path, _parse_lexical_line):
+        if entry is not None:
+            key, p = entry
+            probs[key] = p
     return LexicalTable(probs, granularity)
+
+
+def _parse_lexical_line(line: str):
+    """``((src or None, tgt), prob)`` of one table line; None if blank."""
+    if not line.strip():
+        return None
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) != 3:
+        raise ValueError(f"expected src<TAB>tgt<TAB>prob: {line.rstrip()!r}")
+    src, tgt, p = fields
+    return (src or None, tgt), float(p)
 
 
 # --- Pharaoh alignment file format: one line per pair, space-separated i-j ---
@@ -285,15 +314,24 @@ def write_alignments(path, alignments: Iterable[AlignmentMatrix]) -> None:
 
 def read_alignments(path, dimensions: Sequence[tuple[int, int]]) -> list[AlignmentMatrix]:
     """Read Pharaoh lines; dimensions supply (source_len, target_len) per line."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = parse_file(path, _parse_links)
     if len(lines) != len(dimensions):
-        raise ValueError("alignment file length does not match corpus")
-    for line, (slen, tlen) in zip(lines, dimensions):
-        links = set()
-        for piece in line.split():
-            i, j = piece.split("-")
-            links.add((int(i), int(j)))
-        out.append(AlignmentMatrix(frozenset(links), slen, tlen))
+        raise ValueError(f"{path}: {len(lines)} alignment lines for "
+                         f"{len(dimensions)} sentence pairs")
+    out = []
+    for lineno, (links, (slen, tlen)) in enumerate(zip(lines, dimensions), 1):
+        try:
+            out.append(AlignmentMatrix(links, slen, tlen))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def _parse_links(line: str) -> frozenset[tuple[int, int]]:
+    links = set()
+    for piece in line.split():
+        i, sep, j = piece.partition("-")
+        if not (sep and i.isdigit() and j.isdigit()):
+            raise ValueError(f"bad link {piece!r}: expected i-j")
+        links.add((int(i), int(j)))
+    return frozenset(links)

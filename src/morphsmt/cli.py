@@ -145,10 +145,10 @@ def _segmentation_lexicon(data: CorpusData) -> mg.SegmentationLexicon:
     return mg.build_lexicon(word_lines, morph_lines)
 
 
-def _merged_table(cfg: PipelineConfig, data: CorpusData):
+def _merged_table(cfg: PipelineConfig, data: CorpusData,
+                  lexicon: mg.SegmentationLexicon):
     pt_m, ltm_f, ltm_b = _morph_table(cfg, data, boundary_aware=True)
     pt_w, ltw_f, ltw_b = _word_table(cfg, data)
-    lexicon = _segmentation_lexicon(data)
     pt_wm = mg.retokenize_pt(pt_w, lexicon)
     method = cfg.merge_method
     if method == "our-method":
@@ -186,9 +186,11 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     run_dir.mkdir(parents=True, exist_ok=True)
     data = _load_data(cfg)
     artifacts: dict[str, Path] = {}
+    # the merged system retokenizes with the lexicon that evaluation uses
+    lexicon = _segmentation_lexicon(data) if plan.merged else None
 
     if plan.merged:
-        table = _merged_table(cfg, data)
+        table = _merged_table(cfg, data, lexicon)
     elif plan.granularity == "word":
         table, _, _ = _word_table(cfg, data)
     else:
@@ -269,7 +271,8 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     report = {}
     bleu_report = ev.bleu(hyp_words, data.words["test_tgt"])
     _fill_report(report, "bleu", bleu_report)
-    lexicon = _segmentation_lexicon(data)
+    if lexicon is None:
+        lexicon = _segmentation_lexicon(data)
     hyp_morphs = [
         [tok for w in words for tok in lexicon.segment(w)] for words in hyp_words
     ]

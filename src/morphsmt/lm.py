@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, Optional, Sequence, Union
+from typing import Iterable, Literal, Optional, Sequence, Union, get_args
 
-from .morpho import MorphToken, split_token_string
+from .morpho import MorphToken, parse_file, split_token_string
 
 BOS = "<s>"
 EOS = "</s>"
@@ -405,39 +405,94 @@ def write_arpa(path, model: NGramModel) -> None:
 
 
 def read_arpa(path) -> NGramModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    smoothing: Smoothing = "witten-bell"
-    start = lines.index("\\data\\")
-    for line in lines[:start]:
-        if line.startswith("smoothing:"):
-            smoothing = line.split(":", 1)[1].strip()  # type: ignore[assignment]
-    sizes: dict[int, int] = {}
-    i = start + 1
-    while lines[i].strip():
-        name, n = lines[i].split("=")
-        sizes[int(name.split()[1])] = int(n)
-        i += 1
-    order = max(sizes)
-    logprobs: list[dict[tuple[str, ...], float]] = [dict() for _ in range(order)]
-    backoffs: list[dict[tuple[str, ...], float]] = [dict() for _ in range(order)]
-    k = 0
-    for line in lines[i:]:
+    """Inverse of ``write_arpa``; a malformed line raises ValueError naming
+    ``<path>:<line>:``."""
+    reader = _ArpaReader()
+    n_lines = len(parse_file(path, reader.feed))
+    if reader.state != "body":
+        missing = "\\data\\ line" if reader.state == "preamble" else "n-gram sections"
+        raise ValueError(f"{path}:{n_lines}: no {missing}")
+    return reader.model()
+
+
+class _ArpaReader:
+    """ARPA parser state, fed one line at a time by ``morpho.parse_file``:
+    a preamble, ``\\data\\`` with its ``ngram N=M`` counts up to a blank
+    line, then ``\\N-grams:`` sections of ``logp10<TAB>gram[<TAB>bow10]``."""
+
+    def __init__(self):
+        self.state = "preamble"
+        self.smoothing: Smoothing = "witten-bell"
+        self.order = 0  # the highest N of the ngram N=M lines
+        self.k = 0  # order of the current section; 0 outside one
+        self.logprobs: list[dict[tuple[str, ...], float]] = []
+        self.backoffs: list[dict[tuple[str, ...], float]] = []
+
+    def feed(self, line: str) -> None:
+        if self.state == "preamble":
+            line = line.rstrip("\n")
+            if line == "\\data\\":
+                self.state = "counts"
+            elif line.startswith("smoothing:"):
+                smoothing = line.split(":", 1)[1].strip()
+                if smoothing not in get_args(Smoothing):
+                    raise ValueError(f"unknown smoothing {smoothing!r}")
+                self.smoothing = smoothing  # type: ignore[assignment]
+            return
         line = line.strip()
+        if self.state == "counts":
+            if line:
+                self._count(line)
+            elif not self.order:
+                raise ValueError("no 'ngram N=M' line after \\data\\")
+            else:
+                self.logprobs = [dict() for _ in range(self.order)]
+                self.backoffs = [dict() for _ in range(self.order)]
+                self.state = "body"
+            return
         if not line:
-            continue
+            return
         if line == "\\end\\":
-            k = 0
-            continue
-        if line.endswith("-grams:"):
-            k = int(line[1:].split("-")[0])
-            continue
+            self.k = 0
+        elif line.endswith("-grams:"):
+            k = line[1:].split("-")[0]
+            if not line.startswith("\\") or not k.isdigit() \
+                    or not 1 <= int(k) <= len(self.logprobs):
+                raise ValueError(f"bad section header {line!r} for order "
+                                 f"{len(self.logprobs)}")
+            self.k = int(k)
+        else:
+            self._ngram(line)
+
+    def _count(self, line: str) -> None:
+        name, sep, n = line.partition("=")
+        words = name.split()
+        if not (sep and len(words) == 2 and words[0] == "ngram"
+                and words[1].isdigit() and int(words[1]) >= 1 and n.strip().isdigit()):
+            raise ValueError(f"bad count line {line!r}: expected 'ngram N=M'")
+        self.order = max(self.order, int(words[1]))
+
+    def _ngram(self, line: str) -> None:
+        k = self.k
+        if k == 0:
+            raise ValueError(f"n-gram line outside an n-gram section: {line!r}")
         parts = line.split("\t")
-        lp10 = float(parts[0])
+        if not 2 <= len(parts) <= 3 or not parts[1].split():
+            raise ValueError(f"expected logprob<TAB>n-gram[<TAB>backoff]: {line!r}")
+        try:
+            lp10 = float(parts[0])
+            bow10 = float(parts[2]) if len(parts) > 2 else None
+        except ValueError:
+            raise ValueError(f"non-numeric log-prob or backoff: {line!r}") from None
         gram = tuple(parts[1].split())
+        if len(gram) != k:
+            raise ValueError(f"{len(gram)}-gram in the {k}-grams section: {line!r}")
         if lp10 != _ARPA_NEG_INF:  # -99 lines are pure backoff carriers
-            logprobs[k - 1][gram] = lp10 * _LN10
-        if len(parts) > 2:
-            backoffs[k - 1][gram] = float(parts[2]) * _LN10
-    vocab = frozenset(w for (w,) in logprobs[0] if w not in (BOS, UNK))
-    return NGramModel(order, smoothing, vocab, logprobs, backoffs)
+            self.logprobs[k - 1][gram] = lp10 * _LN10
+        if bow10 is not None:
+            self.backoffs[k - 1][gram] = bow10 * _LN10
+
+    def model(self) -> NGramModel:
+        logprobs = self.logprobs
+        vocab = frozenset(w for (w,) in logprobs[0] if w not in (BOS, UNK))
+        return NGramModel(len(logprobs), self.smoothing, vocab, logprobs, self.backoffs)

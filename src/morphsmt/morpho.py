@@ -8,6 +8,7 @@ notion of "word" from here.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -182,8 +183,13 @@ def token_strings(sentence: MorphSentence) -> tuple[str, ...]:
     return tuple(t.serialize() for t in sentence.tokens)
 
 
+@functools.cache
 def split_token_string(token: str) -> tuple[str, bool]:
-    """(surface, is word-final) for a serialized token; plain words pass through."""
+    """(surface, is word-final) for a serialized token; plain words pass through.
+
+    Memoized for the life of the process: the answer depends on the string
+    alone, and the distinct tokens seen are bounded by the vocabularies.
+    """
     m = _TOKEN_RE.match(token)
     if m is None:
         return token, True

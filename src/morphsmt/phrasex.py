@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .align import AlignmentMatrix, Granularity, LexicalTable
+from .align import FLOOR_PROB, AlignmentMatrix, Granularity, LexicalTable
 from .morpho import MorphSentence, parse_file, token_strings, word_spans
 
 PHRASE_PENALTY = math.e  # constant fifth score, ln = 1 per applied phrase
@@ -30,8 +30,9 @@ class PhrasePair:
     def __post_init__(self):
         if not self.source or not self.target:
             raise ValueError("phrase sides must be non-empty")
+        n_src, n_tgt = len(self.source), len(self.target)
         for i, j in self.alignment:
-            if not (0 <= i < len(self.source) and 0 <= j < len(self.target)):
+            if not (0 <= i < n_src and 0 <= j < n_tgt):
                 raise ValueError("internal alignment out of phrase bounds")
 
 
@@ -80,6 +81,53 @@ class PhraseTable:
         return self._by_source
 
 
+# Extraction grows a box one source row at a time (as Moses does): each row
+# widens the projected target span [j1, j2], and the consistency check looks
+# only at the columns of that span, not at every link of the sentence.
+
+
+def _link_index(a: AlignmentMatrix):
+    """Per source row, its links as (position, i, j) in the order ``a.links``
+    iterates; per target column, the min and max linked source index
+    (``source_len`` and -1 when the column is unaligned)."""
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(a.source_len)]
+    lo = [a.source_len] * a.target_len
+    hi = [-1] * a.target_len
+    for pos, (i, j) in enumerate(a.links):
+        rows[i].append((pos, i, j))
+        if i < lo[j]:
+            lo[j] = i
+        if i > hi[j]:
+            hi[j] = i
+    return rows, lo, hi
+
+
+def _widen(row, j1: int, j2: int) -> tuple[int, int]:
+    for _, _, j in row:
+        if j < j1:
+            j1 = j
+        if j > j2:
+            j2 = j
+    return j1, j2
+
+
+def _consistent(lo, hi, i1: int, i2: int, j1: int, j2: int) -> Optional[bool]:
+    """Whether no link leaves the box [i1, i2] x [j1, j2], where [j1, j2] is
+    the projection of [i1, i2].  None when a projected column is linked to a
+    row before i1: the projection only widens as i2 grows, so no box from i1
+    that goes further can be consistent either."""
+    if min(lo[j1 : j2 + 1]) < i1:
+        return None
+    return max(hi[j1 : j2 + 1]) <= i2
+
+
+def _relative(inside, i1: int, j1: int) -> frozenset[tuple[int, int]]:
+    """The links of a consistent box from (i1, j1), made phrase-relative.
+    ``inside`` holds them in ``a.links`` order, so the set is built in the
+    order it always was; it does not depend on where the box ends."""
+    return frozenset((i - i1, j - j1) for _, i, j in inside)
+
+
 def extract_phrases(
     source: Sequence[str],
     target: Sequence[str],
@@ -93,37 +141,39 @@ def extract_phrases(
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    links = a.links
-    aligned_tgt = {j for _, j in links}
+    if len(source) != a.source_len or len(target) != a.target_len:
+        raise ValueError("alignment does not match sentence lengths")
+    rows, lo, hi = _link_index(a)
+    n_tgt = len(target)
     pairs: set[PhrasePair] = set()
     for i1 in range(len(source)):
+        j1, j2, box = n_tgt, -1, []
         for i2 in range(i1, min(i1 + max_len, len(source))):
-            proj = [j for i, j in links if i1 <= i <= i2]
-            if not proj:
+            j1, j2 = _widen(rows[i2], j1, j2)
+            box += rows[i2]
+            if j2 < 0:
                 continue
-            j1, j2 = min(proj), max(proj)
-            if any(j1 <= j <= j2 and not (i1 <= i <= i2) for i, j in links):
+            consistent = _consistent(lo, hi, i1, i2, j1, j2)
+            if consistent is None:
+                break
+            if not consistent or j2 - j1 + 1 > max_len:
                 continue
+            src_phrase = tuple(source[i1 : i2 + 1])
+            inside = sorted(box)
             jj1 = j1
-            while True:
+            while j2 - jj1 + 1 <= max_len:
+                rel = _relative(inside, i1, jj1)
                 jj2 = j2
                 while True:
-                    if jj2 - jj1 + 1 <= max_len:
-                        pairs.add(_make_pair(source, target, links, i1, i2, jj1, jj2))
-                    if jj2 + 1 >= len(target) or jj2 + 1 in aligned_tgt:
+                    pairs.add(PhrasePair(src_phrase, tuple(target[jj1 : jj2 + 1]), rel))
+                    if (jj2 - jj1 + 1 == max_len or jj2 + 1 == n_tgt
+                            or hi[jj2 + 1] >= 0):
                         break
                     jj2 += 1
-                if jj1 - 1 < 0 or jj1 - 1 in aligned_tgt:
+                if jj1 == 0 or hi[jj1 - 1] >= 0:
                     break
                 jj1 -= 1
     return pairs
-
-
-def _make_pair(source, target, links, i1, i2, j1, j2) -> PhrasePair:
-    rel = frozenset(
-        (i - i1, j - j1) for i, j in links if i1 <= i <= i2 and j1 <= j <= j2
-    )
-    return PhrasePair(tuple(source[i1 : i2 + 1]), tuple(target[j1 : j2 + 1]), rel)
 
 
 def extract_phrases_boundary_aware(
@@ -146,47 +196,50 @@ def extract_phrases_boundary_aware(
         raise ValueError("alignment does not match sentence lengths")
     src_spans = word_spans(src)
     tgt_spans = word_spans(tgt)
-    links = a.links
-    aligned_tgt = {j for _, j in links}
-    word_of_tgt = {}
-    for w, span in enumerate(tgt_spans):
-        for j in range(span.start, span.end + 1):
-            word_of_tgt[j] = w
-
-    def word_unaligned(w: int) -> bool:
-        span = tgt_spans[w]
-        return all(j not in aligned_tgt for j in range(span.start, span.end + 1))
+    rows, lo, hi = _link_index(a)
+    word_of_tgt = [w for w, span in enumerate(tgt_spans)
+                   for _ in range(span.start, span.end + 1)]
+    unaligned = [all(hi[j] < 0 for j in range(span.start, span.end + 1))
+                 for span in tgt_spans]
+    n_words = len(tgt_spans)
 
     pairs: set[PhrasePair] = set()
     for w1 in range(len(src_spans)):
+        i1 = src_spans[w1].start
+        j1, j2, box = len(tgt_tokens), -1, []
         for w2 in range(w1, min(w1 + max_words, len(src_spans))):
-            i1, i2 = src_spans[w1].start, src_spans[w2].end
-            proj = [j for i, j in links if i1 <= i <= i2]
-            if not proj:
+            i2 = src_spans[w2].end
+            for i in range(src_spans[w2].start, i2 + 1):
+                j1, j2 = _widen(rows[i], j1, j2)
+                box += rows[i]
+            if j2 < 0:
                 continue
-            j1, j2 = min(proj), max(proj)
-            if any(j1 <= j <= j2 and not (i1 <= i <= i2) for i, j in links):
+            consistent = _consistent(lo, hi, i1, i2, j1, j2)
+            if consistent is None:
+                break
+            if not consistent:
                 continue
             # snap the projected span outward to word boundaries; the gap
             # tokens must be unaligned or the snapped box is inconsistent
             tw1, tw2 = word_of_tgt[j1], word_of_tgt[j2]
             snap1, snap2 = tgt_spans[tw1].start, tgt_spans[tw2].end
-            gap = [*range(snap1, j1), *range(j2 + 1, snap2 + 1)]
-            if any(j in aligned_tgt for j in gap):
+            if any(hi[j] >= 0 for j in (*range(snap1, j1), *range(j2 + 1, snap2 + 1))):
                 continue
+            src_phrase = src_tokens[i1 : i2 + 1]
+            inside = sorted(box)
             ew1 = tw1
-            while True:
+            while tw2 - ew1 + 1 <= max_words:
+                start = tgt_spans[ew1].start
+                rel = _relative(inside, i1, start)
                 ew2 = tw2
                 while True:
-                    if ew2 - ew1 + 1 <= max_words:
-                        pairs.add(_make_pair(
-                            src_tokens, tgt_tokens, links,
-                            i1, i2, tgt_spans[ew1].start, tgt_spans[ew2].end,
-                        ))
-                    if ew2 + 1 >= len(tgt_spans) or not word_unaligned(ew2 + 1):
+                    end = tgt_spans[ew2].end
+                    pairs.add(PhrasePair(src_phrase, tgt_tokens[start : end + 1], rel))
+                    if (ew2 - ew1 + 1 == max_words or ew2 + 1 == n_words
+                            or not unaligned[ew2 + 1]):
                         break
                     ew2 += 1
-                if ew1 - 1 < 0 or not word_unaligned(ew1 - 1):
+                if ew1 == 0 or not unaligned[ew1 - 1]:
                     break
                 ew1 -= 1
     return pairs
@@ -209,14 +262,37 @@ def lexical_weight(
     linked: dict[int, list[int]] = {}
     for i, j in alignment:
         linked.setdefault(j, []).append(i)
+    return _weight(target, source, linked, table.probs.get)
+
+
+def _weight(target, source, linked, prob) -> float:
+    """``lexical_weight`` from the links per target index, with ``prob`` the
+    lexical table's ``probs.get``.  A one-link average is the probability
+    itself (0 + p and p / 1 are exact), so it is taken as is."""
     weight = 1.0
     for j, t_tok in enumerate(target):
         sources = linked.get(j)
-        if sources:
-            weight *= sum(table.prob(t_tok, source[i]) for i in sources) / len(sources)
+        if sources is None:
+            weight *= prob((None, t_tok), FLOOR_PROB)
+        elif len(sources) == 1:
+            weight *= prob((source[sources[0]], t_tok), FLOOR_PROB)
         else:
-            weight *= table.prob(t_tok, None)
+            weight *= sum(
+                prob((source[i], t_tok), FLOOR_PROB) for i in sources
+            ) / len(sources)
     return weight
+
+
+def _weights(src, tgt, alignment, fwd, bwd) -> tuple[float, float]:
+    """(lex_fwd, lex_bwd) of one phrase pair under one internal alignment;
+    the links are grouped per target and per source in one pass, in the
+    alignment's iteration order, as ``lexical_weight`` groups them."""
+    by_tgt: dict[int, list[int]] = {}
+    by_src: dict[int, list[int]] = {}
+    for i, j in alignment:
+        by_tgt.setdefault(j, []).append(i)
+        by_src.setdefault(i, []).append(j)
+    return _weight(tgt, src, by_tgt, fwd), _weight(src, tgt, by_src, bwd)
 
 
 def score_phrase_table(
@@ -235,33 +311,38 @@ def score_phrase_table(
     """
     counts: Counter = pairs if isinstance(pairs, (Counter, dict)) else Counter(pairs)
     joint: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
-    aligns: dict[tuple, Counter] = {}
+    aligns: dict[tuple, dict[frozenset, int]] = {}
     src_marginal: Counter = Counter()
     tgt_marginal: Counter = Counter()
     for pair, c in counts.items():
         key = (pair.source, pair.target)
         joint[key] = joint.get(key, 0) + c
-        aligns.setdefault(key, Counter())[pair.alignment] += c
+        observed = aligns.get(key)
+        if observed is None:
+            aligns[key] = {pair.alignment: c}
+        else:
+            observed[pair.alignment] = observed.get(pair.alignment, 0) + c
         src_marginal[pair.source] += c
         tgt_marginal[pair.target] += c
 
+    fwd, bwd = lex_fwd_table.probs.get, lex_bwd_table.probs.get
     entries = {}
     for key in sorted(joint):
         src, tgt = key
         c = joint[key]
         observed = aligns[key]
-        lex_fwd = max(
-            lexical_weight(tgt, src, al, lex_fwd_table) for al in observed
-        )
-        lex_bwd = max(
-            lexical_weight(src, tgt, [(j, i) for i, j in al], lex_bwd_table)
-            for al in observed
-        )
-        top = max(observed.values())
-        representative = min(
-            (al for al, n in observed.items() if n == top),
-            key=lambda al: sorted(al),
-        )
+        if len(observed) == 1:
+            (representative,) = observed
+            lex_fwd, lex_bwd = _weights(src, tgt, representative, fwd, bwd)
+        else:
+            weights = [_weights(src, tgt, al, fwd, bwd) for al in observed]
+            lex_fwd = max(w for w, _ in weights)
+            lex_bwd = max(w for _, w in weights)
+            top = max(observed.values())
+            representative = min(
+                (al for al, n in observed.items() if n == top),
+                key=lambda al: sorted(al),
+            )
         entries[key] = PhraseEntry(
             source=src,
             target=tgt,

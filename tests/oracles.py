@@ -175,3 +175,109 @@ def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
         complete.sort(key=lambda h: h.score, reverse=True)
         del complete[beam_size:]
     return [dec._finalize(h, lm_m, lm_w, weights) for h in complete]
+
+
+def reference_model1(corpus, iterations=5, initial=None):
+    """IBM Model 1 EM as a flat loop over tuple-keyed dicts: the E-step adds
+    the same terms in the same order as the package, so every probability
+    must agree bit for bit."""
+    from collections import defaultdict
+
+    from morphsmt.align import FLOOR_PROB, LexicalTable
+
+    if initial is not None:
+        t = dict(initial.probs)
+    else:
+        # uniform over each source token's observed targets
+        cooc = defaultdict(set)
+        for src, tgt in corpus.pairs:
+            for e in (None, *src):
+                cooc[e].update(tgt)
+        t = {}
+        for src, tgt in corpus.pairs:
+            for e in (None, *src):
+                u = 1.0 / len(cooc[e])
+                for f in tgt:
+                    t[(e, f)] = u
+
+    for _ in range(iterations):
+        counts = defaultdict(float)
+        totals = defaultdict(float)
+        for src, tgt in corpus.pairs:
+            sources = (None, *src)
+            for f in tgt:
+                denom = sum(t.get((e, f), FLOOR_PROB) for e in sources)
+                for e in sources:
+                    c = t.get((e, f), FLOOR_PROB) / denom
+                    counts[(e, f)] += c
+                    totals[e] += c
+        t = {pair: c / totals[pair[0]] for pair, c in counts.items()}
+
+    return LexicalTable(t, corpus.granularity)
+
+
+def reference_lexical_weight(target, source, alignment, table):
+    """Koehn lexical weight through ``LexicalTable.prob``, one token at a time."""
+    linked = {}
+    for i, j in alignment:
+        linked.setdefault(j, []).append(i)
+    weight = 1.0
+    for j, t_tok in enumerate(target):
+        sources = linked.get(j)
+        if sources:
+            weight *= sum(table.prob(t_tok, source[i]) for i in sources) / len(sources)
+        else:
+            weight *= table.prob(t_tok, None)
+    return weight
+
+
+def reference_score_phrase_table(pairs, lex_fwd_table, lex_bwd_table,
+                                 granularity="morpheme", max_span=0,
+                                 boundary_aware=False):
+    """Phrase scoring with a Counter of alignments per pair and max/min over
+    them for every entry, and the backward weight over transposed links."""
+    from collections import Counter
+
+    from morphsmt.phrasex import PHRASE_PENALTY, PhraseEntry, PhraseTable
+
+    counts = pairs if isinstance(pairs, (Counter, dict)) else Counter(pairs)
+    joint = {}
+    aligns = {}
+    src_marginal = Counter()
+    tgt_marginal = Counter()
+    for pair, c in counts.items():
+        key = (pair.source, pair.target)
+        joint[key] = joint.get(key, 0) + c
+        aligns.setdefault(key, Counter())[pair.alignment] += c
+        src_marginal[pair.source] += c
+        tgt_marginal[pair.target] += c
+
+    entries = {}
+    for key in sorted(joint):
+        src, tgt = key
+        c = joint[key]
+        observed = aligns[key]
+        lex_fwd = max(
+            reference_lexical_weight(tgt, src, al, lex_fwd_table) for al in observed
+        )
+        lex_bwd = max(
+            reference_lexical_weight(src, tgt, [(j, i) for i, j in al], lex_bwd_table)
+            for al in observed
+        )
+        top = max(observed.values())
+        representative = min(
+            (al for al, n in observed.items() if n == top),
+            key=lambda al: sorted(al),
+        )
+        entries[key] = PhraseEntry(
+            source=src,
+            target=tgt,
+            phi_fwd=c / src_marginal[src],
+            phi_bwd=c / tgt_marginal[tgt],
+            lex_fwd=lex_fwd,
+            lex_bwd=lex_bwd,
+            penalty=PHRASE_PENALTY,
+            count_joint=c,
+            alignment=representative,
+        )
+    return PhraseTable(entries, granularity, max_span, boundary_aware)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from morphsmt import align
 from morphsmt.align import AlignmentMatrix, LexicalTable, ParallelCorpus
 
+import oracles
 from conftest import random_alignment
 
 
@@ -151,3 +152,29 @@ def test_align_corpus_deterministic():
     a2 = align.align_corpus(corpus, 3)
     assert [m.links for m in a1[0]] == [m.links for m in a2[0]]
     assert a1[1].probs == a2[1].probs
+
+
+def _random_corpus(rng, n_pairs):
+    src_vocab = [f"s{k}" for k in range(6)]
+    tgt_vocab = [f"t{k}" for k in range(5)]
+    return ParallelCorpus([
+        (tuple(rng.choice(src_vocab) for _ in range(rng.randint(1, 6))),
+         tuple(rng.choice(tgt_vocab) for _ in range(rng.randint(1, 6))))
+        for _ in range(n_pairs)
+    ])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("iterations", [1, 2, 3, 4, 5])
+def test_model1_matches_reference_bit_for_bit(seed, iterations):
+    rng = random.Random(seed * 10 + iterations)
+    corpus = _random_corpus(rng, rng.randint(1, 12))
+    # an initial table that misses some pairs and holds others the corpus lacks
+    start = oracles.reference_model1(_random_corpus(rng, 4), 2)
+    for initial in (None, start):
+        got = align.train_model1(corpus, iterations, initial)
+        want = oracles.reference_model1(corpus, iterations, initial)
+        assert list(got.probs) == list(want.probs)  # same keys, same order
+        assert {k: p.hex() for k, p in got.probs.items()} == \
+            {k: p.hex() for k, p in want.probs.items()}
+        assert got.granularity == corpus.granularity

@@ -148,6 +148,57 @@ def test_decode_names_file_and_line_of_malformed_input(tmp_path, bad):
     assert f"{tmp_path / bad}:{line}:" in proc.stderr
 
 
+TABLE_LINE = f"a/STM ||| x/STM ||| 1.0 1.0 1.0 1.0 {math.e!r} ||| 1 ||| 0-0\n"
+MALFORMED_INPUTS = {
+    # name: (files, bad file, bad line, subcommand arguments)
+    "arpa": (
+        {"input": "a/STM\n", "table": TABLE_LINE,
+         "lm": "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\tx/STM\n-0.5\n"},
+        "lm", 6,
+        ["decode", "--input", "{input}", "--table", "{table}", "--lm-morph", "{lm}",
+         "--output", "{out}"],
+    ),
+    "lexical-table": (
+        {"pt": TABLE_LINE, "lex": "a/STM\tx/STM\t0.5\n\tx/STM\t0.25\na/STM\tx/STM\n",
+         "lex_ok": "a/STM\tx/STM\t0.5\n"},
+        "lex", 3,
+        ["merge-pt", "--method", "our-method", "--primary", "{pt}", "--secondary", "{pt}",
+         "--pt-w", "{pt}", "--lex-m-fwd", "{lex}", "--lex-m-bwd", "{lex_ok}",
+         "--lex-w-fwd", "{lex_ok}", "--lex-w-bwd", "{lex_ok}", "--output", "{out}"],
+    ),
+    "alignment-link": (
+        {"src": "a b\nc\n", "tgt": "x\ny z\n", "align": "0-0 1-0\n0-x\n"},
+        "align", 2,
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--alignments", "{align}",
+         "--granularity", "word", "--output", "{out}"],
+    ),
+    "alignment-bounds": (
+        {"src": "a b\nc\n", "tgt": "x\ny z\n", "align": "0-0 1-0\n0-1 1-1\n"},
+        "align", 2,
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--alignments", "{align}",
+         "--granularity", "word", "--output", "{out}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_readers_name_file_and_line_of_malformed_input(tmp_path, case):
+    files, bad, line, argv = MALFORMED_INPUTS[case]
+    paths = {"out": str(tmp_path / "out.txt")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths[name] = str(tmp_path / name)
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src_dir), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "morphsmt", *(arg.format(**paths) for arg in argv)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"{tmp_path / bad}:{line}:" in proc.stderr
+
+
 def test_mle_lm_gives_finite_nbest_scores(tmp_path):
     cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=5, sizes=(60, 5, 5)),
                       {"lm.smoothing": "mle"})

@@ -241,3 +241,64 @@ def test_empty_multiset_gives_empty_table():
     fwd, bwd = lex_tables()
     table = phrasex.score_phrase_table(Counter(), fwd, bwd)
     assert len(table) == 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scoring_matches_reference_bit_for_bit(seed):
+    rng = random.Random(seed)
+    vocab = 2 + seed % 3  # small vocabularies repeat keys under several alignments
+    src_words = [f"s{k}" for k in range(vocab)]
+    tgt_words = [f"t{k}" for k in range(vocab)]
+    counts = Counter()
+    for _ in range(60):
+        sl, tl = rng.randint(1, 5), rng.randint(1, 5)
+        src = [rng.choice(src_words) for _ in range(sl)]
+        tgt = [rng.choice(tgt_words) for _ in range(tl)]
+        counts.update(phrasex.extract_phrases(src, tgt, random_alignment(rng, sl, tl, 0.8), 4))
+    # count ties between alignments of one key, and a pair seen with a larger count
+    key_pairs = {}
+    for pair in counts:
+        key_pairs.setdefault((pair.source, pair.target), []).append(pair)
+    tied = [pairs for pairs in key_pairs.values() if len(pairs) > 1]
+    assert tied
+    for pairs in tied[::2]:
+        for pair in pairs:
+            counts[pair] = 2
+    probs = {}
+    for e in [None, *src_words]:
+        for f in tgt_words:
+            if rng.random() < 0.7:
+                probs[(e, f)] = rng.random()
+    fwd = LexicalTable(probs)
+    bwd = LexicalTable({(f, e): rng.random() for (e, f) in probs if e is not None})
+    got = phrasex.score_phrase_table(counts, fwd, bwd, "word", 4)
+    want = oracles.reference_score_phrase_table(counts, fwd, bwd, "word", 4)
+    assert list(got.entries) == list(want.entries)
+    for key, entry in want.entries.items():
+        assert got.entries[key] == entry
+        assert repr(got.entries[key].scores()) == repr(entry.scores())
+    assert (got.granularity, got.max_span, got.boundary_aware) == ("word", 4, False)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_extracted_alignment_sets_iterate_as_built_from_links(seed):
+    # lexical weights sum a token's links in the order its alignment set
+    # iterates, so each set must be built in a.links order, as the oracles do
+    rng = random.Random(seed)
+    src = random_morph_sentence(rng, max_words=4)
+    tgt = random_morph_sentence(rng, max_words=4)
+    src_tok, tgt_tok = morpho.token_strings(src), morpho.token_strings(tgt)
+    a = random_alignment(rng, len(src), len(tgt), 1.5)
+    got = phrasex.extract_phrases(src_tok, tgt_tok, a, 7) | \
+        phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
+    want = oracles.brute_force_phrases(src_tok, tgt_tok, a.links, 7) | \
+        oracles.brute_force_boundary_phrases(
+            src_tok, tgt_tok,
+            [(s.start, s.end) for s in morpho.word_spans(src)],
+            [(s.start, s.end) for s in morpho.word_spans(tgt)],
+            a.links, 7,
+        )
+    order = {(p.source, p.target, p.alignment): list(p.alignment) for p in want}
+    assert got == want
+    for p in got:
+        assert list(p.alignment) == order[(p.source, p.target, p.alignment)]
