@@ -66,6 +66,20 @@ def _nonempty_pairs(src: list, tgt: list) -> tuple[list, list]:
     return [src[i] for i in keep], [tgt[i] for i in keep]
 
 
+def _check_parallel(path_a, lines_a: list, path_b, lines_b: list) -> None:
+    """ValueError naming both files if they do not have one line per sentence pair."""
+    if len(lines_a) != len(lines_b):
+        raise ValueError(f"parallel files differ in length: {path_a} has "
+                         f"{len(lines_a)} lines, {path_b} has {len(lines_b)}")
+
+
+def _read_parallel(read, path_a, path_b) -> tuple[list, list]:
+    """Two parallel files, each read by ``read``, checked by ``_check_parallel``."""
+    lines_a, lines_b = read(path_a), read(path_b)
+    _check_parallel(path_a, lines_a, path_b, lines_b)
+    return lines_a, lines_b
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -86,12 +100,19 @@ class CorpusData:
 
 
 def _load_data(cfg: PipelineConfig) -> CorpusData:
+    """The twelve corpus files; the four files of each split must be parallel."""
     words = {}
     morphs = {}
     for split in ("train", "dev", "test"):
         for side in ("src", "tgt"):
-            words[f"{split}_{side}"] = mo.read_word_file(cfg.paths[f"{split}_{side}_words"])
-            morphs[f"{split}_{side}"] = mo.read_segmented_file(cfg.paths[f"{split}_{side}_morphs"])
+            key = f"{split}_{side}"
+            words[key] = mo.read_word_file(cfg.paths[f"{key}_words"])
+            morphs[key] = mo.read_segmented_file(cfg.paths[f"{key}_morphs"])
+        src = f"{split}_src"
+        for name, lines in ((f"{src}_morphs", morphs[src]),
+                            (f"{split}_tgt_words", words[f"{split}_tgt"]),
+                            (f"{split}_tgt_morphs", morphs[f"{split}_tgt"])):
+            _check_parallel(cfg.paths[f"{src}_words"], words[src], cfg.paths[name], lines)
     return CorpusData(words, morphs)
 
 
@@ -330,7 +351,7 @@ def _cmd_segment_apply(args) -> int:
 
 def _cmd_align(args) -> int:
     corpus = al.ParallelCorpus.from_sentences(
-        mo.read_word_file(args.source), mo.read_word_file(args.target)
+        *_read_parallel(mo.read_word_file, args.source, args.target)
     )
     alignments, _, _ = al.align_corpus(corpus, args.iterations, args.heuristic)
     al.write_alignments(args.output, alignments)
@@ -341,13 +362,13 @@ def _cmd_align(args) -> int:
 
 def _cmd_extract(args) -> int:
     if args.boundary_aware:
-        src, tgt = _nonempty_pairs(mo.read_segmented_file(args.source),
-                                   mo.read_segmented_file(args.target))
+        src, tgt = _nonempty_pairs(*_read_parallel(
+            mo.read_segmented_file, args.source, args.target))
         src_tok = [mo.token_strings(s) for s in src]
         tgt_tok = [mo.token_strings(t) for t in tgt]
     else:
-        src_tok, tgt_tok = _nonempty_pairs(mo.read_word_file(args.source),
-                                           mo.read_word_file(args.target))
+        src_tok, tgt_tok = _nonempty_pairs(*_read_parallel(
+            mo.read_word_file, args.source, args.target))
     corpus = al.ParallelCorpus.from_sentences(src_tok, tgt_tok, args.granularity)
     if args.alignments:
         dims = [(len(s), len(t)) for s, t in zip(src_tok, tgt_tok)]
@@ -411,6 +432,7 @@ def _cmd_mert(args) -> int:
     else:
         sources = mo.read_segmented_file(args.dev_source)
     refs = [tuple(r) for r in mo.read_word_file(args.dev_refs)]
+    _check_parallel(args.dev_source, sources, args.dev_refs, refs)
     initial = dec.read_weights(args.weights) if args.weights else dec.default_weights(
         table.n_extras, lm_m is not None, lm_w is not None
     )
@@ -431,16 +453,15 @@ def _cmd_mert(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    hyps = mo.read_word_file(args.hyp)
-    refs = mo.read_word_file(args.ref)
+    hyps, refs = _read_parallel(mo.read_word_file, args.hyp, args.ref)
     report: dict[str, str] = {}
     _fill_report(report, "bleu", ev.bleu(hyps, refs))
     if args.hyp_morphs and args.ref_morphs:
-        hyp_m = mo.read_word_file(args.hyp_morphs)
-        ref_m = mo.read_word_file(args.ref_morphs)
+        hyp_m, ref_m = _read_parallel(mo.read_word_file, args.hyp_morphs, args.ref_morphs)
         _fill_report(report, "m_bleu", ev.m_bleu(hyp_m, ref_m))
     if args.compare:
         other = mo.read_word_file(args.compare)
+        _check_parallel(args.compare, other, args.ref, refs)
         wins_a = wins_b = 0
         for h, o, r in zip(hyps, other, refs, strict=True):
             sa = ev.bleu_from_stats(ev.bleu_stats(h, r)).score

@@ -8,6 +8,11 @@ cost built from phrase scores plus a context-free morpheme-LM estimate.
 
 nbest() and decode() share one search per sentence through a one-entry memo
 of the last search, so the usual n-best-then-1-best pair costs one search.
+
+A hypothesis carries its features as a flat vector: a layout (feature names
+in the order a dict of them would have been filled) and the values in that
+order, so every score is the same sum of the same products as ``dot`` over
+that dict.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import add, mul
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .lm import (
     LOG_ZERO, LMMemo, NGramModel, TwinScorerState, floored_logprob,
@@ -81,16 +87,22 @@ class TranslationOption:
     mask: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Hypothesis:
     coverage: int  # bitmask over source word indices
     n_covered: int
     last_end: int  # word index one past the last applied span
     state: TwinScorerState
-    features: dict[str, float]
+    layout: tuple[str, ...]  # feature names, in the order they were first added
+    values: list[float]  # feature values, in layout order
     score: float
     parent: Optional["Hypothesis"]
     option: Optional[TranslationOption]
+
+    @property
+    def features(self) -> dict[str, float]:
+        """The feature values by name, in layout order."""
+        return dict(zip(self.layout, self.values))
 
 
 def render_tokens(sentence: MorphSentence, granularity: str) -> tuple[str, ...]:
@@ -234,13 +246,22 @@ def search(
 
     Each distinct LM question is asked once per call: twin_extend results
     are memoized per (state, target), and LM log-probs per (context, token).
-    Both memos are exact and are dropped when the search returns.
+    How options extend a feature layout (``_Move``) is worked out once per
+    (layout, TM feature names, jump or not), and each option's template
+    once per (layout, option, jump or not).  All memos are exact and are
+    dropped when the search returns.
     """
     n_words = len(word_spans(source))
     options = build_options(source, table, max_span)
-    by_start: dict[int, list[TranslationOption]] = {}
-    for opt in options:
-        by_start.setdefault(opt.start, []).append(opt)
+    # per start: (option, its first cell in a layout's row of steps, mask,
+    # width, target id); a row holds two (move, template) steps per option,
+    # without and with a jump
+    by_start: dict[int, list[tuple[TranslationOption, int, int, int, int]]] = {}
+    targets: dict[tuple[str, ...], int] = {}
+    for i, opt in enumerate(options):
+        by_start.setdefault(opt.start, []).append((
+            opt, 2 * i, opt.mask, opt.end - opt.start,
+            targets.setdefault(opt.target, len(targets))))
     future = _future_costs(options, n_words, weights, lm_m)
     rest_memo: dict[int, float] = {}
     reject = beam_size is not None and beam_size > 0 and all(
@@ -251,18 +272,22 @@ def search(
     initial = Hypothesis(
         coverage=0, n_covered=0, last_end=0,
         state=initial_twin_state(lm_m, lm_w),
-        features={}, score=0.0, parent=None, option=None,
+        layout=(), values=[], score=0.0, parent=None, option=None,
     )
     stacks: list[list[Hypothesis]] = [[] for _ in range(n_words + 1)]
     stacks[0].append(initial)
     offered = [0] * (n_words + 1)  # hypotheses offered per stack, rejected ones included
     offered[0] = 1
     best_keys: list[list[float]] = [[] for _ in range(n_words + 1)]  # min-heaps
-    # this search's memos: twin_extend results per state and target, and
+    # this search's memos: twin_extend results per state and target id, and
     # floored log-probs (with the next context) per LM and (context, token)
-    lm_scores: dict[TwinScorerState, dict[tuple[str, ...], tuple]] = {}
+    lm_scores: dict[TwinScorerState, dict[int, tuple]] = {}
     memo_m: LMMemo = {}
     memo_w: LMMemo = {}
+    # each layout's row of steps, filled as options use it, and the moves
+    moves: dict[tuple, _Move] = {}
+    steps: dict[tuple[str, ...], list[Optional[tuple[_Move, list[float]]]]] = {}
+    extend = _extend  # looked up per search, so a wrapper set on the module is used
 
     for level in range(n_words):
         stack = stacks[level]
@@ -273,29 +298,52 @@ def search(
             )
             del stack[beam_size:]
         for hyp in stack:
+            coverage = hyp.coverage
+            parent_values = hyp.values
             by_target = lm_scores.setdefault(hyp.state, {})
-            first_free = _first_uncovered(hyp.coverage, n_words)
+            row = steps.get(hyp.layout)
+            if row is None:
+                row = steps[hyp.layout] = [None] * (2 * len(options))
+            first_free = _first_uncovered(coverage, n_words)
             for start in range(first_free, min(first_free + distortion_limit, n_words - 1) + 1):
-                if hyp.coverage >> start & 1:
+                if coverage >> start & 1:
                     continue
-                for opt in by_start.get(start, ()):
-                    if opt.mask & hyp.coverage:
+                jump = abs(start - hyp.last_end)
+                jumped = 1 if jump else 0
+                for opt, cell, mask, width, target_id in by_start.get(start, ()):
+                    if mask & coverage:
                         continue
-                    target = level + opt.end - opt.start
+                    target = level + width
                     offered[target] += 1
+                    step = row[cell + jumped]
+                    if step is None:
+                        names = tuple(name for name, _ in opt.tm_features)
+                        key = (hyp.layout, names, jumped)
+                        move = moves.get(key)
+                        if move is None:
+                            move = moves[key] = _move(hyp.layout, names, jump,
+                                                      weights, lm_m, lm_w)
+                        step = row[cell + jumped] = (move, _template(move, opt))
+                    move, template = step
+                    # the child's values before its LM deltas, as in _extend
+                    pad = move.pad
+                    values = list(map(add, parent_values + pad if pad else parent_values,
+                                      template))
+                    if jump:
+                        values[move.jump_slot] += jump
                     if reject:
-                        rest = _rest(hyp.coverage | opt.mask, n_words, future, rest_memo)
+                        rest = _rest(coverage | mask, n_words, future, rest_memo)
                         heap = best_keys[target]
                         full = len(heap) == beam_size
                         if full:
-                            bound = dot(weights, _features(hyp, opt, lm_m, lm_w, 0.0, 0.0))
+                            bound = sum(map(mul, move.weights, values))
                             if bound + rest < heap[0]:
                                 continue
-                    scored = by_target.get(opt.target)
+                    scored = by_target.get(target_id)
                     if scored is None:
-                        scored = by_target[opt.target] = twin_extend(
+                        scored = by_target[target_id] = twin_extend(
                             hyp.state, opt.target, lm_m, lm_w, memo_m, memo_w)
-                    new = _extend(hyp, opt, lm_m, lm_w, weights, scored)
+                    new = extend(hyp, opt, lm_m, lm_w, weights, scored, move, values)
                     stacks[target].append(new)
                     if reject:
                         if full:
@@ -317,6 +365,69 @@ def _first_uncovered(coverage: int, n_words: int) -> int:
     return n_words
 
 
+class _Move(NamedTuple):
+    """How options with one list of TM feature names extend hypotheses of one
+    layout, with or without a jump.
+
+    The child's values are the parent's, padded with 0.0 for the names the
+    child adds, plus the option's template (``_template``): its TM values
+    and word count at their slots, 0.0 elsewhere.  The jump and the LM
+    deltas are then added at their slots.  Each slot gets exactly the one
+    addition the feature dict got, and ``x + 0.0 == x`` for every value that
+    occurs (they start as ``0.0 + v``, so none is -0.0), so the values are
+    equal bit for bit to the dict's.
+    """
+
+    layout: tuple[str, ...]  # the child's
+    pad: list[float]  # zeros for the names the child adds to the parent's layout
+    weights: list[float]  # the weight of each name in the child's layout
+    tm_slots: tuple[int, ...]  # of the option's TM features, in their order
+    word_penalty_slot: int
+    morph_slot: Optional[int]  # lm_morph, if there is a morpheme LM
+    word_slot: Optional[int]  # lm_word, if there is a word LM
+    jump_slot: Optional[int]  # distortion, if the option jumps
+
+
+def _move(
+    layout: tuple[str, ...],
+    names: tuple[str, ...],
+    jump: int,
+    weights: Mapping[str, float],
+    lm_m: Optional[NGramModel],
+    lm_w: Optional[NGramModel],
+) -> _Move:
+    """The ``_Move`` for options with TM feature ``names`` after a hypothesis
+    of ``layout``.  The names the layout lacks are appended in the order a
+    feature dict would insert them."""
+    added = list(names)
+    if lm_m is not None:
+        added.append("lm_morph")
+    if lm_w is not None:
+        added.append("lm_word")
+    added.append("word_penalty")
+    if jump:
+        added.append("distortion")
+    child = (*layout, *(name for name in added if name not in layout))
+    index = {name: i for i, name in enumerate(child)}
+    return _Move(
+        child, [0.0] * (len(child) - len(layout)), [weights.get(n, 0.0) for n in child],
+        tuple(index[n] for n in names), index["word_penalty"],
+        index["lm_morph"] if lm_m is not None else None,
+        index["lm_word"] if lm_w is not None else None,
+        index["distortion"] if jump else None,
+    )
+
+
+def _template(move: _Move, opt: TranslationOption) -> list[float]:
+    """``opt``'s TM values and word count at their slots of ``move``'s
+    layout, 0.0 elsewhere."""
+    template = [0.0] * len(move.layout)
+    for i, (_, value) in zip(move.tm_slots, opt.tm_features):
+        template[i] = value
+    template[move.word_penalty_slot] = float(opt.n_words)
+    return template
+
+
 def _extend(
     hyp: Hypothesis,
     opt: TranslationOption,
@@ -324,46 +435,32 @@ def _extend(
     lm_w: Optional[NGramModel],
     weights: Mapping[str, float],
     scored: Optional[tuple[TwinScorerState, float, float]] = None,
+    move: Optional[_Move] = None,
+    values: Optional[list[float]] = None,
 ) -> Hypothesis:
-    """``hyp`` extended by ``opt``; ``scored`` is twin_extend's result for
-    them if the caller has it, else twin_extend is called here."""
+    """``hyp`` extended by ``opt``.  ``scored`` is twin_extend's result for
+    them.  ``move`` and ``values`` come together: the option's ``_Move`` for
+    ``hyp``'s layout and the child's values before its LM deltas, which are
+    added to them in place.  What the caller does not pass is computed here."""
     if scored is None:
         scored = twin_extend(hyp.state, opt.target, lm_m, lm_w)
     state, morph_delta, word_delta = scored
-    feats = _features(hyp, opt, lm_m, lm_w, morph_delta, word_delta)
+    if move is None:
+        jump = abs(opt.start - hyp.last_end)
+        move = _move(hyp.layout, tuple(name for name, _ in opt.tm_features), jump,
+                     weights, lm_m, lm_w)
+        values = list(map(add, hyp.values + move.pad, _template(move, opt)))
+        if jump:
+            values[move.jump_slot] += jump
+    layout, _, wvec, _, _, morph_slot, word_slot, _ = move
+    if morph_slot is not None:
+        values[morph_slot] += morph_delta
+    if word_slot is not None:
+        values[word_slot] += word_delta
     return Hypothesis(
-        coverage=hyp.coverage | opt.mask,
-        n_covered=hyp.n_covered + (opt.end - opt.start),
-        last_end=opt.end,
-        state=state,
-        features=feats,
-        score=dot(weights, feats),
-        parent=hyp,
-        option=opt,
+        hyp.coverage | opt.mask, hyp.n_covered + (opt.end - opt.start), opt.end,
+        state, layout, values, sum(map(mul, wvec, values)), hyp, opt,
     )
-
-
-def _features(
-    hyp: Hypothesis,
-    opt: TranslationOption,
-    lm_m: Optional[NGramModel],
-    lm_w: Optional[NGramModel],
-    morph_delta: float,
-    word_delta: float,
-) -> dict[str, float]:
-    """The parent's features plus one phrase application, in a fixed key order."""
-    feats = dict(hyp.features)
-    for k, v in opt.tm_features:
-        feats[k] = feats.get(k, 0.0) + v
-    if lm_m is not None:
-        feats["lm_morph"] = feats.get("lm_morph", 0.0) + morph_delta
-    if lm_w is not None:
-        feats["lm_word"] = feats.get("lm_word", 0.0) + word_delta
-    feats["word_penalty"] = feats.get("word_penalty", 0.0) + opt.n_words
-    jump = abs(opt.start - hyp.last_end)
-    if jump:
-        feats["distortion"] = feats.get("distortion", 0.0) + jump
-    return feats
 
 
 def _finalize(
@@ -373,7 +470,7 @@ def _finalize(
     weights: Mapping[str, float],
 ) -> Hypothesis:
     morph_delta, word_delta = twin_finalize(hyp.state, lm_m, lm_w)
-    feats = dict(hyp.features)
+    feats = hyp.features
     if lm_m is not None:
         feats["lm_morph"] = feats.get("lm_morph", 0.0) + morph_delta
     if lm_w is not None:
@@ -382,8 +479,8 @@ def _finalize(
         feats["word_penalty"] = feats.get("word_penalty", 0.0) + 1
     return Hypothesis(
         coverage=hyp.coverage, n_covered=hyp.n_covered, last_end=hyp.last_end,
-        state=hyp.state, features=feats, score=dot(weights, feats),
-        parent=hyp.parent, option=hyp.option,
+        state=hyp.state, layout=tuple(feats), values=list(feats.values()),
+        score=dot(weights, feats), parent=hyp.parent, option=hyp.option,
     )
 
 

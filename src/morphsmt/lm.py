@@ -49,25 +49,42 @@ class NGramModel:
     backoffs: list[dict[tuple[str, ...], float]]  # index k-1: context -> ln bow
 
     def logprob(self, token: str, context: Sequence[str] = ()) -> float:
-        """ln p(token | context); context is truncated to the last order-1 tokens."""
-        w = token if token in self.vocab else UNK
-        ctx = tuple(
-            c if (c in self.vocab or c == BOS) else UNK
-            for c in context[max(0, len(context) - (self.order - 1)):]
-        )
-        return self._query(ctx + (w,))
+        """ln p(token | context); context is truncated to the last order-1 tokens.
 
-    def _query(self, gram: tuple[str, ...]) -> float:
-        k = len(gram)
-        val = self.logprobs[k - 1].get(gram)
-        if val is not None:
-            return val
-        if k == 1:
+        A query that misses drops the context's first token until a stored
+        n-gram ends in ``token``; the backoff weights of the contexts it left
+        are added to that log-prob from the right, ``bow1 + (bow2 + lp)``, as
+        a recursive query adds them."""
+        n = self.order - 1
+        ctx = tuple(context[len(context) - n:] if len(context) > n else context)
+        known = self._context_tokens
+        if not known.issuperset(ctx):
+            ctx = tuple(c if c in known else UNK for c in ctx)
+        gram = ctx + (token if token in self.vocab else UNK,)
+        levels = self.logprobs
+        lp = levels[len(ctx)].get(gram)
+        if lp is not None:
+            return lp
+        if not ctx or self.smoothing == "mle":  # no backoff mass under plain ML
             return NEG_INF
-        if self.smoothing == "mle":
-            return NEG_INF  # no backoff mass under plain ML estimation
-        bow = self.backoffs[k - 2].get(gram[:-1], 0.0)
-        return bow + self._query(gram[1:])
+        backoffs = self.backoffs
+        bows = []
+        for k in range(len(ctx), 0, -1):  # k: length of the context backed off from
+            bows.append(backoffs[k - 1].get(gram[:-1], 0.0))
+            gram = gram[1:]
+            lp = levels[k - 1].get(gram)
+            if lp is not None:
+                break
+        else:
+            lp = NEG_INF
+        for bow in reversed(bows):
+            lp = bow + lp
+        return lp
+
+    @cached_property
+    def _context_tokens(self) -> frozenset[str]:
+        """Tokens a context keeps as they are; any other maps to <unk>."""
+        return self.vocab | {BOS, UNK}
 
     def prob(self, token: str, context: Sequence[str] = ()) -> float:
         return math.exp(self.logprob(token, context))

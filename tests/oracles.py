@@ -154,7 +154,7 @@ def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
     by_start = sorted(options, key=lambda o: o.start)  # stable: table order per start
     rest_memo = {}
     stacks = [[] for _ in range(n_words + 1)]
-    stacks[0].append(dec.Hypothesis(0, 0, 0, initial_twin_state(lm_m, lm_w), {}, 0.0,
+    stacks[0].append(dec.Hypothesis(0, 0, 0, initial_twin_state(lm_m, lm_w), (), [], 0.0,
                                     None, None))
     for level in range(n_words):
         stack = stacks[level]
@@ -175,6 +175,75 @@ def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
         complete.sort(key=lambda h: h.score, reverse=True)
         del complete[beam_size:]
     return [dec._finalize(h, lm_m, lm_w, weights) for h in complete]
+
+
+def replay_scores(hyp, lm_m, lm_w, weights):
+    """(features, score) of every hypothesis on ``hyp``'s path, root child
+    first, rebuilt along a different path than the decoder's flat vectors:
+    one dict per extension, filled in a fixed key order and scored by
+    ``dot``, as the decoder did before.  The last pair includes the
+    end-of-sentence step, so ``hyp`` must be a finalized search result that
+    applied at least one phrase."""
+    from morphsmt.decoder import dot
+    from morphsmt.lm import initial_twin_state, twin_extend, twin_finalize
+
+    options = []
+    node = hyp
+    while node.option is not None:
+        options.append(node.option)
+        node = node.parent
+    state = initial_twin_state(lm_m, lm_w)
+    feats = {}
+    last_end = 0
+    replayed = []
+    for opt in reversed(options):
+        state, morph_delta, word_delta = twin_extend(state, opt.target, lm_m, lm_w)
+        feats = dict(feats)
+        for k, v in opt.tm_features:
+            feats[k] = feats.get(k, 0.0) + v
+        if lm_m is not None:
+            feats["lm_morph"] = feats.get("lm_morph", 0.0) + morph_delta
+        if lm_w is not None:
+            feats["lm_word"] = feats.get("lm_word", 0.0) + word_delta
+        feats["word_penalty"] = feats.get("word_penalty", 0.0) + opt.n_words
+        jump = abs(opt.start - last_end)
+        if jump:
+            feats["distortion"] = feats.get("distortion", 0.0) + jump
+        last_end = opt.end
+        replayed.append((feats, dot(weights, feats)))
+    morph_delta, word_delta = twin_finalize(state, lm_m, lm_w)
+    feats = dict(feats)
+    if lm_m is not None:
+        feats["lm_morph"] = feats.get("lm_morph", 0.0) + morph_delta
+    if lm_w is not None:
+        feats["lm_word"] = feats.get("lm_word", 0.0) + word_delta
+    if state.pending:
+        feats["word_penalty"] = feats.get("word_penalty", 0.0) + 1
+    replayed[-1] = (feats, dot(weights, feats))
+    return replayed
+
+
+def reference_logprob(model, token, context=()):
+    """``NGramModel.logprob`` as a recursive backoff query: each level that
+    misses adds its context's backoff weight to the query one token shorter."""
+    from morphsmt.lm import BOS, NEG_INF, UNK
+
+    def query(gram):
+        k = len(gram)
+        val = model.logprobs[k - 1].get(gram)
+        if val is not None:
+            return val
+        if k == 1 or model.smoothing == "mle":
+            return NEG_INF
+        bow = model.backoffs[k - 2].get(gram[:-1], 0.0)
+        return bow + query(gram[1:])
+
+    w = token if token in model.vocab else UNK
+    ctx = tuple(
+        c if (c in model.vocab or c == BOS) else UNK
+        for c in context[max(0, len(context) - (model.order - 1)):]
+    )
+    return query(ctx + (w,))
 
 
 def reference_model1(corpus, iterations=5, initial=None):

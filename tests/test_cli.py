@@ -306,3 +306,73 @@ def test_system_names_map_to_their_enhancements():
         assert plan.word_lm == (("+lm" in name) or name == "merged")
         assert plan.tune == ("+tune" in name)
         assert plan.merged == (name == "merged")
+
+
+def run_morphsmt(*argv):
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src_dir), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "morphsmt", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+UNEQUAL_INPUTS = {
+    # name: (files, the file paired with "src", subcommand arguments); the
+    # error names "src" first
+    "align": (
+        {"src": "a b\na\n", "tgt": "x y\n"}, "tgt",
+        ["align", "--source", "{src}", "--target", "{tgt}", "--output", "{out}"],
+    ),
+    "extract": (
+        {"src": "a b\nb\n", "tgt": "x y\n"}, "tgt",
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--granularity", "word",
+         "--output", "{out}"],
+    ),
+    "extract-boundary-aware": (
+        {"src": "a/STM\n", "tgt": "x/STM\ny/STM\n"}, "tgt",
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--boundary-aware",
+         "--output", "{out}"],
+    ),
+    "mert": (
+        {"src": "a/STM\na/STM\n", "refs": "x\n", "table": TABLE_LINE}, "refs",
+        ["mert", "--dev-source", "{src}", "--dev-refs", "{refs}", "--table", "{table}",
+         "--output", "{out}"],
+    ),
+    "eval": (
+        {"src": "a b\nc d\n", "ref": "a b\n"}, "ref",
+        ["eval", "--hyp", "{src}", "--ref", "{ref}", "--output", "{out}"],
+    ),
+    "eval-compare": (
+        {"hyp": "a b\nc d\n", "ref": "a b\nc d\n", "src": "a b\n"}, "ref",
+        ["eval", "--hyp", "{hyp}", "--ref", "{ref}", "--compare", "{src}",
+         "--output", "{out}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNEQUAL_INPUTS))
+def test_parallel_files_of_unequal_length_are_named(tmp_path, case):
+    files, other, argv = UNEQUAL_INPUTS[case]
+    paths = {"out": str(tmp_path / "out.txt")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths[name] = str(tmp_path / name)
+    proc = run_morphsmt(*(arg.format(**paths) for arg in argv))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    n_src, n_other = files["src"].count("\n"), files[other].count("\n")
+    assert f"{paths['src']} has {n_src} lines, {paths[other]} has {n_other}" in proc.stderr
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_pipeline_checks_parallel_files_before_training(tmp_path):
+    cfg = synth.write_workspace(tmp_path / "ws", seed=3, sizes=(20, 3, 3))
+    refs = tmp_path / "ws" / "test.tgt.words"
+    refs.write_text("".join(refs.read_text(encoding="utf-8").splitlines(True)[:-1]),
+                    encoding="utf-8")
+    run_dir = tmp_path / "run"
+    proc = run_morphsmt("pipeline", "m-system", "--config", str(cfg), "--run-dir", str(run_dir))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"{tmp_path / 'ws' / 'test.src.words'} has 3 lines, {refs} has 2" in proc.stderr
+    assert not (run_dir / "pt.txt").exists()

@@ -390,3 +390,84 @@ def test_stack_offered_more_than_beam_is_sorted_even_after_rejections():
     got = decoder.search(src, tab, None, None, weights, 2, 0)
     assert [decoder.target_tokens(h)[0] for h in got] == ["x2/STM", "x1/STM"]
     assert fingerprint(got) == fingerprint(reference_search(src, tab, None, None, weights, 2, 0))
+
+
+# --- flat feature vectors: more layouts against the plain search and the
+# dict-per-extension scoring ---------------------------------------------------
+
+
+def assert_matches_references(sources, tab, lm_m, lm_w, weights, beam, distortion):
+    """``search`` equals ``reference_search`` in fingerprint, and every
+    hypothesis on each result's path has the features and score, in float
+    hex and key order, that one dict per extension scored by ``dot`` gives."""
+    from oracles import reference_search, replay_scores
+
+    for src in sources:
+        got = decoder.search(src, tab, lm_m, lm_w, weights, beam, distortion)
+        assert fingerprint(got) == fingerprint(
+            reference_search(src, tab, lm_m, lm_w, weights, beam, distortion))
+        for hyp in got:
+            path = []
+            node = hyp
+            while node.option is not None:
+                path.append(node)
+                node = node.parent
+            want = replay_scores(hyp, lm_m, lm_w, weights)
+            assert [([(k, v.hex()) for k, v in h.features.items()], h.score.hex())
+                    for h in reversed(path)] == [
+                ([(k, v.hex()) for k, v in feats.items()], score.hex())
+                for feats, score in want]
+
+
+def test_search_matches_references_on_merged_table(bundled_models, synth_config):
+    from morphsmt import cli, merge
+
+    sources, tab, lm_m, lm_w = bundled_models
+    classic, _, _ = cli._morph_table(synth_config, cli._load_data(synth_config),
+                                     boundary_aware=False)
+    merged = merge.merge_add_features(tab, classic, 2)
+    weights = decoder.default_weights(n_extras=2)
+    assert any(e.extras for e in merged.entries.values())
+    assert_matches_references(sources[:12], merged, lm_m, lm_w, weights, 5, 6)
+
+
+def test_search_matches_references_when_first_word_is_oov(bundled_models):
+    sources, tab, lm_m, lm_w = bundled_models
+    oov = morpho.parse_segmented_line("qqq/STM+ zzz/SUF")
+    sources = [morpho.MorphSentence(oov.tokens + s.tokens) for s in sources[:12]]
+    weights = decoder.default_weights()
+    for beam, distortion in ((5, 0), (5, 6)):
+        assert_matches_references(sources, tab, lm_m, lm_w, weights, beam, distortion)
+    # monotone, the first extension is the OOV pass-through: its keys lead
+    got = decoder.search(sources[0], tab, lm_m, lm_w, weights, 5, 0)
+    assert list(got[0].features)[:2] == ["phrase_penalty", "oov"]
+
+
+@pytest.mark.parametrize("distortion", [0, 6])
+@pytest.mark.parametrize("lm_sign", ["negative", "zero", "mixed"])
+def test_search_matches_references_under_mert_like_weights(bundled_models, distortion,
+                                                           lm_sign):
+    sources, tab, lm_m, lm_w = bundled_models
+    rng = random.Random(f"{distortion}{lm_sign}")
+    for trial in range(3):
+        weights = {name: rng.uniform(-1.5, 1.5) for name in decoder.default_weights()}
+        weights["lm_morph"], weights["lm_word"] = {
+            "negative": (-rng.uniform(0.01, 1.0), -rng.uniform(0.01, 1.0)),
+            "zero": (0.0, 0.0),
+            "mixed": (-rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)),
+        }[lm_sign]
+        picked = rng.sample(sources, 6)
+        assert_matches_references(picked, tab, lm_m, lm_w, weights, 4, distortion)
+
+
+def test_search_matches_references_on_word_table(synth_config):
+    from morphsmt import cli
+
+    data = cli._load_data(synth_config)
+    tab, _, _ = cli._word_table(synth_config, data)
+    lm_w = lm.train_lm(data.words["train_tgt"], synth_config.lm_word_order, "witten-bell")
+    sources = [cli.words_as_sentence(s) for s in data.words["dev_src"][:15]]
+    weights = decoder.default_weights(with_morph_lm=False)
+    assert tab.granularity == "word"
+    for beam, distortion in ((3, 6), (20, 0)):
+        assert_matches_references(sources, tab, None, lm_w, weights, beam, distortion)

@@ -112,6 +112,46 @@ def test_minimal_context_keeps_every_logprob(tmp_path, order, smoothing, via_arp
     assert shortened > 0 or order <= 2  # the property is not tested vacuously
 
 
+@pytest.mark.parametrize("via_arpa", [False, True])
+@pytest.mark.parametrize("smoothing", ["mle", "witten-bell", "kneser-ney"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_logprob_matches_recursive_backoff_bit_for_bit(tmp_path, order, smoothing, via_arpa):
+    from oracles import reference_logprob
+
+    rng = random.Random(order * 11 + len(smoothing) + via_arpa)
+    model, stream_tokens = _stream_model(tmp_path, order, smoothing, via_arpa, rng)
+    events = sorted(model.vocab | {UNK, EOS, "zz"})
+    rolled = set()
+    contexts = {()}
+    for _ in range(6):
+        full = (BOS,) * (order - 1)
+        short = model.minimal_context(full)
+        for tok in [rng.choice(stream_tokens) for _ in range(15)]:
+            rolled.add(full)
+            # minimized contexts, one too long, and one with a raw OOV token
+            contexts.update({full, short, ("a",) + full, ("zz",) + full[1:]})
+            full = lm._roll(full, tok if tok in model.vocab else UNK, order)
+            short = lm.next_context(model, short, tok)
+    for ctx in sorted(contexts):
+        for w in events:
+            want = reference_logprob(model, w, ctx).hex()
+            assert model.logprob(w, ctx).hex() == want, (ctx, w)
+            assert model.logprob(w, list(ctx)).hex() == want, (ctx, w)
+    # the walk is not tested vacuously: some queries back off two levels
+    deepest = max(_levels_backed_off(model, ctx + (w if w in model.vocab else UNK,))
+                  for ctx in rolled for w in events)
+    assert deepest >= min(order - 1, 2)
+
+
+def _levels_backed_off(model, gram):
+    """How many leading tokens a query drops before its n-gram is stored."""
+    dropped = 0
+    while len(gram) > 1 and gram not in model.logprobs[len(gram) - 1]:
+        gram = gram[1:]
+        dropped += 1
+    return dropped
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_mle_contexts_are_not_minimized(order):
     rng = random.Random(order)
