@@ -80,6 +80,17 @@ def _read_parallel(read, path_a, path_b) -> tuple[list, list]:
     return lines_a, lines_b
 
 
+def _check_search_options(args) -> None:
+    """ValueError naming the search option out of bounds, as Config.validate
+    checks them for the pipeline; ``--max-span`` is decode's only."""
+    for option in ("beam", "nbest", "max_span"):
+        value = getattr(args, option, None)
+        if value is not None and value <= 0:
+            raise ValueError(f"--{option.replace('_', '-')} must be positive")
+    if args.distortion_limit < 0:
+        raise ValueError("--distortion-limit must be >= 0")
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -396,6 +407,7 @@ def _cmd_lm_train(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    _check_search_options(args)
     table = px.read_phrase_table(args.table, args.granularity)
     lm_m = lmod.read_arpa(args.lm_morph) if args.lm_morph else None
     lm_w = lmod.read_arpa(args.lm_word) if args.lm_word else None
@@ -424,6 +436,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_mert(args) -> int:
+    _check_search_options(args)
     table = px.read_phrase_table(args.table, args.granularity)
     lm_m = lmod.read_arpa(args.lm_morph) if args.lm_morph else None
     lm_w = lmod.read_arpa(args.lm_word) if args.lm_word else None

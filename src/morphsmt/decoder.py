@@ -236,13 +236,20 @@ def search(
 
     A stack offered more than ``beam_size`` hypotheses keeps its best
     ``beam_size`` by score + rest cost (a stable sort, so ties keep arrival
-    order).  Offers that cannot make that cut are rejected before their LM
-    queries: each stack keeps a min-heap of the best ``beam_size`` keys it
-    was given, and an extension whose key with zero LM deltas is already
-    below the heap's minimum is never built.  LM log-probs are <= 0, so with
-    every present LM weight >= 0 the zero-delta key bounds the real one and
-    the surviving stacks, their order and every score are exactly those of
-    the unrejected search; with a negative LM weight the test is off.
+    order).  Offers that cannot make that cut are rejected: each stack keeps
+    a min-heap of the best ``beam_size`` keys it was given, and an offer is
+    tested against a full heap's minimum twice.
+      - Before its LM queries, by its key with zero LM deltas.  LM log-probs
+        are <= 0, so this bounds the real key only when every present LM
+        weight is >= 0; with a negative LM weight this test is off.
+      - After them, for any weight signs, by its real key: the memoized
+        twin_extend deltas are added and the child is scored as ``_extend``
+        scores it, but only a child that passes is built.
+    A full heap holds the keys of ``beam_size`` children already offered to
+    the stack, all >= its minimum, so the stable sort would cut a child
+    whose key is strictly below it; ties are kept.  The surviving stacks,
+    their order and every score are therefore exactly those of the
+    unrejected search.
 
     Each distinct LM question is asked once per call: twin_extend results
     are memoized per (state, target), and LM log-probs per (context, token).
@@ -264,7 +271,8 @@ def search(
             targets.setdefault(opt.target, len(targets))))
     future = _future_costs(options, n_words, weights, lm_m)
     rest_memo: dict[int, float] = {}
-    reject = beam_size is not None and beam_size > 0 and all(
+    reject = beam_size is not None and beam_size > 0
+    reject_pre_lm = reject and all(
         weights.get(name, 0.0) >= 0.0
         for name, model in (("lm_morph", lm_m), ("lm_word", lm_w)) if model is not None
     )
@@ -325,8 +333,9 @@ def search(
                                                       weights, lm_m, lm_w)
                         step = row[cell + jumped] = (move, _template(move, opt))
                     move, template = step
-                    # the child's values before its LM deltas, as in _extend
+                    # the child's values and score, as _extend works them out
                     pad = move.pad
+                    wvec = move.weights
                     values = list(map(add, parent_values + pad if pad else parent_values,
                                       template))
                     if jump:
@@ -335,21 +344,30 @@ def search(
                         rest = _rest(coverage | mask, n_words, future, rest_memo)
                         heap = best_keys[target]
                         full = len(heap) == beam_size
-                        if full:
-                            bound = sum(map(mul, move.weights, values))
-                            if bound + rest < heap[0]:
-                                continue
+                        if (full and reject_pre_lm
+                                and sum(map(mul, wvec, values)) + rest < heap[0]):
+                            continue
                     scored = by_target.get(target_id)
                     if scored is None:
                         scored = by_target[target_id] = twin_extend(
                             hyp.state, opt.target, lm_m, lm_w, memo_m, memo_w)
-                    new = extend(hyp, opt, lm_m, lm_w, weights, scored, move, values)
-                    stacks[target].append(new)
+                    state, morph_delta, word_delta = scored
+                    slot = move.morph_slot
+                    if slot is not None:
+                        values[slot] += morph_delta
+                    slot = move.word_slot
+                    if slot is not None:
+                        values[slot] += word_delta
+                    score = sum(map(mul, wvec, values))
                     if reject:
                         if full:
-                            heapq.heappushpop(heap, new.score + rest)
+                            if score + rest < heap[0]:
+                                continue
+                            heapq.heappushpop(heap, score + rest)
                         else:
-                            heapq.heappush(heap, new.score + rest)
+                            heapq.heappush(heap, score + rest)
+                    stacks[target].append(
+                        extend(hyp, opt, lm_m, lm_w, weights, state, move, values, score))
 
     complete = stacks[n_words]
     if beam_size is not None and offered[n_words] > beam_size:
@@ -434,32 +452,31 @@ def _extend(
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],
     weights: Mapping[str, float],
-    scored: Optional[tuple[TwinScorerState, float, float]] = None,
+    state: Optional[TwinScorerState] = None,
     move: Optional[_Move] = None,
     values: Optional[list[float]] = None,
+    score: Optional[float] = None,
 ) -> Hypothesis:
-    """``hyp`` extended by ``opt``.  ``scored`` is twin_extend's result for
-    them.  ``move`` and ``values`` come together: the option's ``_Move`` for
-    ``hyp``'s layout and the child's values before its LM deltas, which are
-    added to them in place.  What the caller does not pass is computed here."""
-    if scored is None:
-        scored = twin_extend(hyp.state, opt.target, lm_m, lm_w)
-    state, morph_delta, word_delta = scored
+    """``hyp`` extended by ``opt``.  ``search`` passes the child's twin
+    state, the option's ``_Move`` for ``hyp``'s layout, the child's values
+    (LM deltas included) and its score; called with none of them, this
+    works them out the same way."""
     if move is None:
+        state, morph_delta, word_delta = twin_extend(hyp.state, opt.target, lm_m, lm_w)
         jump = abs(opt.start - hyp.last_end)
         move = _move(hyp.layout, tuple(name for name, _ in opt.tm_features), jump,
                      weights, lm_m, lm_w)
         values = list(map(add, hyp.values + move.pad, _template(move, opt)))
         if jump:
             values[move.jump_slot] += jump
-    layout, _, wvec, _, _, morph_slot, word_slot, _ = move
-    if morph_slot is not None:
-        values[morph_slot] += morph_delta
-    if word_slot is not None:
-        values[word_slot] += word_delta
+        if move.morph_slot is not None:
+            values[move.morph_slot] += morph_delta
+        if move.word_slot is not None:
+            values[move.word_slot] += word_delta
+        score = sum(map(mul, move.weights, values))
     return Hypothesis(
         hyp.coverage | opt.mask, hyp.n_covered + (opt.end - opt.start), opt.end,
-        state, layout, values, sum(map(mul, wvec, values)), hyp, opt,
+        state, move.layout, values, score, hyp, opt,
     )
 
 

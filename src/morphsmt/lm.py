@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, Optional, Sequence, Union, get_args
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence, Union, get_args
 
 from .morpho import MorphToken, parse_file, split_token_string
 
@@ -317,8 +317,7 @@ def _score(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwinScorerState:
+class TwinScorerState(NamedTuple):
     morph_ctx: tuple[str, ...]  # minimal contexts (NGramModel.minimal_context)
     pending: tuple[str, ...]  # surfaces of the in-progress word
     word_ctx: tuple[str, ...]

@@ -81,14 +81,29 @@ def line_search(
     sentence is the upper envelope of score(c) = dot(w,f) + step*dot(d,f).
     """
     cand_lists = _ensure_candidates(pool, refs)
+    return _sweep(cand_lists, _dots(direction, cand_lists), _dots(weights, cand_lists))
+
+
+def _dots(
+    weights: Mapping[str, float], cand_lists: Sequence[Sequence[Candidate]]
+) -> list[list[float]]:
+    """dot(weights, c.features) for every candidate, per sentence."""
+    return [[dot(weights, c.features) for c in cands] for cands in cand_lists]
+
+
+def _sweep(
+    cand_lists: Sequence[Sequence[Candidate]],
+    slopes: Sequence[Sequence[float]],
+    offsets: Sequence[Sequence[float]],
+) -> tuple[float, float]:
+    """``line_search`` over lines given per candidate: its score at ``step``
+    is offset + step * slope."""
     events: list[tuple[float, int, Candidate, Candidate]] = []
     stats = zero_stats()
     for s, cands in enumerate(cand_lists):
         if not cands:
             continue
-        hull = _upper_envelope(
-            [(dot(direction, c.features), dot(weights, c.features), c) for c in cands]
-        )
+        hull = _upper_envelope(list(zip(slopes[s], offsets[s], cands)))
         stats = add_stats(stats, hull[0][1].stats)
         for (_, prev_c), (x, c) in zip(hull, hull[1:]):
             events.append((x, s, prev_c, c))
@@ -202,12 +217,15 @@ def mert_run(
         directions = [{n: 1.0} for n in names]
         for _ in range(n_random_directions):
             directions.append({n: rng.gauss(0.0, 1.0) for n in names})
+        # each line's slope is fixed for the iteration, its offset for a pass
+        slopes = [_dots(d, pool_lists) for d in directions]
 
         current = select_bleu(pool_lists, state.weights)
         for _ in range(max_passes):
             best_move = None
-            for d in directions:
-                step, score = line_search(pool_lists, None, state.weights, d)
+            offsets = _dots(state.weights, pool_lists)
+            for d, d_slopes in zip(directions, slopes):
+                step, score = _sweep(pool_lists, d_slopes, offsets)
                 if score > current + 1e-12 and (
                     best_move is None or score > best_move[0]
                 ):

@@ -223,6 +223,52 @@ def replay_scores(hyp, lm_m, lm_w, weights):
     return replayed
 
 
+def reference_mert_run(dev_refs, initial_weights, decoder_handle, max_iters=10,
+                       epsilon=1e-4, seed=0, n_random_directions=1, max_passes=8):
+    """``mert.mert_run`` as a plain loop that calls ``line_search`` for every
+    direction in every pass, so each line's slope and offset are worked out
+    afresh each time.  The returned state must agree bit for bit."""
+    import random
+
+    from morphsmt import mert
+
+    state = mert.MertState(weights=dict(initial_weights),
+                           pool=[dict() for _ in dev_refs],
+                           best_weights=dict(initial_weights))
+    rng = random.Random(seed)
+    names = sorted(initial_weights, key=mert._feature_rank)
+    for iteration in range(max_iters):
+        state.iteration = iteration
+        for s, entries in enumerate(decoder_handle(state.weights)):
+            for entry in entries:
+                key, cand = mert._as_candidate(entry, dev_refs[s])
+                state.pool[s].setdefault(key, cand)
+        pool_lists = state.pool_lists()
+        directions = [{n: 1.0} for n in names]
+        for _ in range(n_random_directions):
+            directions.append({n: rng.gauss(0.0, 1.0) for n in names})
+        current = mert.select_bleu(pool_lists, state.weights)
+        for _ in range(max_passes):
+            best_move = None
+            for d in directions:
+                step, score = mert.line_search(pool_lists, None, state.weights, d)
+                if score > current + 1e-12 and (best_move is None or score > best_move[0]):
+                    best_move = (score, step, d)
+            if best_move is None:
+                break
+            score, step, d = best_move
+            for n, v in d.items():
+                state.weights[n] = state.weights.get(n, 0.0) + step * v
+            current = score
+        state.history.append(current)
+        if current > state.best_bleu:
+            state.best_bleu = current
+            state.best_weights = dict(state.weights)
+        if iteration > 0 and state.history[-1] - state.history[-2] < epsilon:
+            break
+    return state
+
+
 def reference_logprob(model, token, context=()):
     """``NGramModel.logprob`` as a recursive backoff query: each level that
     misses adds its context's backoff weight to the query one token shorter."""

@@ -376,3 +376,35 @@ def test_pipeline_checks_parallel_files_before_training(tmp_path):
     assert "Traceback" not in proc.stderr
     assert f"{tmp_path / 'ws' / 'test.src.words'} has 3 lines, {refs} has 2" in proc.stderr
     assert not (run_dir / "pt.txt").exists()
+
+
+SEARCH_OPTIONS = {
+    # case: (subcommand, option, bad value, message)
+    "decode-beam": ("decode", "--beam", "0", "--beam must be positive"),
+    "decode-nbest": ("decode", "--nbest", "0", "--nbest must be positive"),
+    "decode-max-span": ("decode", "--max-span", "0", "--max-span must be positive"),
+    "decode-distortion-limit": ("decode", "--distortion-limit", "-1",
+                                "--distortion-limit must be >= 0"),
+    "mert-beam": ("mert", "--beam", "-3", "--beam must be positive"),
+    "mert-nbest": ("mert", "--nbest", "0", "--nbest must be positive"),
+    "mert-distortion-limit": ("mert", "--distortion-limit", "-2",
+                              "--distortion-limit must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_OPTIONS))
+def test_search_options_are_checked_before_loading(tmp_path, case):
+    # the table does not exist: a checked option is reported before any read
+    command, option, value, message = SEARCH_OPTIONS[case]
+    (tmp_path / "src").write_text("a/STM\n", encoding="utf-8")
+    (tmp_path / "refs").write_text("x\n", encoding="utf-8")
+    files = {
+        "decode": ["--input", str(tmp_path / "src"), "--nbest-output",
+                   str(tmp_path / "nbest.txt")],
+        "mert": ["--dev-source", str(tmp_path / "src"), "--dev-refs", str(tmp_path / "refs")],
+    }[command]
+    proc = run_morphsmt(command, *files, "--table", str(tmp_path / "missing"),
+                        "--output", str(tmp_path / "out.txt"), option, value)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["refs", "src"]

@@ -296,7 +296,7 @@ def bundled_models(synth_config):
     return data.morphs["dev_src"], tab, lm_m, lm_w
 
 
-# MERT can drive an LM weight below zero, which switches early rejection off
+# MERT can drive an LM weight below zero, which switches pre-LM rejection off
 LM_WEIGHTS = {
     "positive": {},
     "zero": {"lm_morph": 0.0, "lm_word": 0.0},
@@ -332,8 +332,35 @@ def test_search_matches_reference_bit_for_bit(bundled_models, beam, lm_weights):
 
 @pytest.mark.parametrize("lm_weights,rejects", [("positive", True), ("zero", True),
                                                 ("negative", False)])
-def test_rejection_skips_extensions_only_when_lm_weights_nonnegative(
+def test_pre_lm_rejection_skips_lm_queries_only_when_lm_weights_nonnegative(
         bundled_models, monkeypatch, lm_weights, rejects):
+    # the plain search asks twin_extend about every offered (state, target);
+    # both searches offer the same children, so ``search`` asks fewer
+    # distinct questions only if it rejects offers before their LM queries
+    from oracles import reference_search
+
+    sources, tab, lm_m, lm_w = bundled_models
+    weights = {**decoder.default_weights(), **LM_WEIGHTS[lm_weights]}
+    asked = []
+    real = decoder.twin_extend
+    monkeypatch.setattr(decoder, "twin_extend",
+                        lambda *a: asked.append((a[0], a[1])) or real(*a))
+    skipped = False
+    for src in sources[:5]:
+        reference_search(src, tab, lm_m, lm_w, weights, 3, 6)
+        offered = set(asked)
+        asked.clear()
+        decoder.search(src, tab, lm_m, lm_w, weights, 3, 6)
+        assert len(set(asked)) == len(asked)  # the memo asks each question once
+        assert set(asked) <= offered
+        skipped = skipped or set(asked) < offered
+        asked.clear()
+    assert skipped == rejects
+
+
+@pytest.mark.parametrize("lm_weights", sorted(LM_WEIGHTS))
+def test_real_key_rejection_skips_extensions_for_every_lm_weight_sign(
+        bundled_models, monkeypatch, lm_weights):
     from oracles import reference_search
 
     sources, tab, lm_m, lm_w = bundled_models
@@ -347,8 +374,7 @@ def test_rejection_skips_extensions_only_when_lm_weights_nonnegative(
     for src in sources[:5]:
         decoder.search(src, tab, lm_m, lm_w, weights, 3, 6)
     n_search = len(calls) - n_reference
-    assert (n_search < n_reference) == rejects
-    assert n_search <= n_reference
+    assert n_search < n_reference
 
 
 def test_nbest_then_decode_share_one_search(monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from morphsmt import mert, metrics
@@ -140,3 +142,58 @@ def test_returns_argmax_over_iterations():
 
     state = mert_run([("a", "b")], {"f": 1.0}, handle, max_iters=3, epsilon=1e-12)
     assert state.best_bleu == max(state.history)
+
+
+def random_nbest_handle(rng, refs, names):
+    """A decoder stand-in: fresh random candidates on each call, each a
+    reference with a few words changed, dropped or repeated, carrying a
+    random subset of the features, of either sign; a few values repeat so
+    that lines share slopes and the envelope's dedup ties occur."""
+    shared = [round(rng.uniform(-2.0, 2.0), 1) for _ in range(3)]
+
+    def value():
+        return rng.choice(shared) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0)
+
+    def perturb(ref):
+        words = []
+        for w in ref:
+            r = rng.random()
+            if r < 0.15:
+                continue
+            words.append(f"x{rng.randrange(3)}" if r < 0.3 else w)
+            if r > 0.9:
+                words.append(w)
+        return tuple(f"{w}/STM" for w in words)
+
+    def handle(_weights):
+        return [
+            [NBestEntry(perturb(ref), {n: value() for n in names if rng.random() < 0.7},
+                        0.0)
+             for _ in range(rng.randint(1, 8))]
+            for ref in refs
+        ]
+
+    return handle
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_mert_run_matches_reference_bit_for_bit(trial):
+    from oracles import reference_mert_run
+
+    rng = random.Random(trial)
+    names = ["lm_morph", "phi_fwd", "word_penalty", "distortion", "merge_feat_1"]
+    refs = [tuple(f"w{rng.randrange(8)}" for _ in range(rng.randint(4, 9)))
+            for _ in range(rng.randint(3, 8))]
+    initial = {n: rng.uniform(-1.0, 1.0) for n in names}
+    max_iters = rng.randint(1, 3)
+    n_random = rng.randint(1, 2)
+    states = [
+        run(refs, initial, random_nbest_handle(random.Random(trial), refs, names),
+            max_iters, 1e-12, trial, n_random)
+        for run in (mert_run, reference_mert_run)
+    ]
+    got, want = ([sorted((k, v.hex()) for k, v in weights.items())
+                  for weights in (st.weights, st.best_weights)]
+                 + [[b.hex() for b in st.history], st.best_bleu.hex()]
+                 for st in states)
+    assert got == want
