@@ -7,6 +7,7 @@ no link at all.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional, Sequence
@@ -142,7 +143,7 @@ def train_model1(
         totals = [0.0] * len(src_ids)
         for slots, ids in events:
             probs = [t[slot] for slot in slots]
-            denom = sum(probs)
+            denom = math.fsum(probs)
             for slot, i, p in zip(slots, ids, probs):
                 c = p / denom
                 counts[slot] += c
@@ -154,8 +155,6 @@ def train_model1(
 
 def corpus_logprob(corpus: ParallelCorpus, table: LexicalTable) -> float:
     """Model 1 log-likelihood (uniform alignment prior dropped); EM never lowers it."""
-    import math
-
     total = 0.0
     for src, tgt in corpus.pairs:
         sources = (None, *src)

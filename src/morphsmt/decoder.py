@@ -70,7 +70,7 @@ def default_weights(
 
 
 def dot(weights: Mapping[str, float], features: Mapping[str, float]) -> float:
-    return sum(weights.get(k, 0.0) * v for k, v in features.items())
+    return math.fsum(weights.get(k, 0.0) * v for k, v in features.items())
 
 
 def safe_ln(x: float) -> float:
@@ -182,7 +182,7 @@ def _future_costs(
     w_wp = weights.get("word_penalty", 0.0)
     best = [[-math.inf] * (n_words + 1) for _ in range(n_words + 1)]
     for opt in options:
-        score = sum(weights.get(k, 0.0) * v for k, v in opt.tm_features)
+        score = math.fsum(weights.get(k, 0.0) * v for k, v in opt.tm_features)
         score += w_wp * opt.n_words
         if lm_m is not None and w_lm != 0.0:
             ctx: tuple[str, ...] = ()
@@ -345,7 +345,7 @@ def search(
                         heap = best_keys[target]
                         full = len(heap) == beam_size
                         if (full and reject_pre_lm
-                                and sum(map(mul, wvec, values)) + rest < heap[0]):
+                                and math.fsum(map(mul, wvec, values)) + rest < heap[0]):
                             continue
                     scored = by_target.get(target_id)
                     if scored is None:
@@ -358,7 +358,7 @@ def search(
                     slot = move.word_slot
                     if slot is not None:
                         values[slot] += word_delta
-                    score = sum(map(mul, wvec, values))
+                    score = math.fsum(map(mul, wvec, values))
                     if reject:
                         if full:
                             if score + rest < heap[0]:
@@ -473,7 +473,7 @@ def _extend(
             values[move.morph_slot] += morph_delta
         if move.word_slot is not None:
             values[move.word_slot] += word_delta
-        score = sum(map(mul, move.weights, values))
+        score = math.fsum(map(mul, move.weights, values))
     return Hypothesis(
         hyp.coverage | opt.mask, hyp.n_covered + (opt.end - opt.start), opt.end,
         state, move.layout, values, score, hyp, opt,

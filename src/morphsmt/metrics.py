@@ -74,7 +74,7 @@ def bleu_from_stats(stats: Sequence[int], max_n: int = BLEU_MAX_N) -> BleuReport
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+        score = bp * math.exp(math.fsum(math.log(p) for p in precisions) / max_n)
     return BleuReport(score, tuple(precisions), bp, hyp_len, ref_len, matches, totals)
 
 

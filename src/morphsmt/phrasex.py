@@ -277,7 +277,7 @@ def _weight(target, source, linked, prob) -> float:
         elif len(sources) == 1:
             weight *= prob((source[sources[0]], t_tok), FLOOR_PROB)
         else:
-            weight *= sum(
+            weight *= math.fsum(
                 prob((source[i], t_tok), FLOOR_PROB) for i in sources
             ) / len(sources)
     return weight

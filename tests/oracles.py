@@ -7,7 +7,7 @@ instead of iterative DP for the LCS.
 """
 
 from fractions import Fraction
-from math import exp, log
+from math import exp, fsum, log
 
 from morphsmt.phrasex import PhrasePair
 
@@ -293,9 +293,9 @@ def reference_logprob(model, token, context=()):
 
 
 def reference_model1(corpus, iterations=5, initial=None):
-    """IBM Model 1 EM as a flat loop over tuple-keyed dicts: the E-step adds
-    the same terms in the same order as the package, so every probability
-    must agree bit for bit."""
+    """IBM Model 1 EM as a flat loop over tuple-keyed dicts: the E-step takes
+    each denominator with ``fsum`` and adds the counts in the same order as
+    the package, so every probability must agree bit for bit."""
     from collections import defaultdict
 
     from morphsmt.align import FLOOR_PROB, LexicalTable
@@ -321,7 +321,7 @@ def reference_model1(corpus, iterations=5, initial=None):
         for src, tgt in corpus.pairs:
             sources = (None, *src)
             for f in tgt:
-                denom = sum(t.get((e, f), FLOOR_PROB) for e in sources)
+                denom = fsum(t.get((e, f), FLOOR_PROB) for e in sources)
                 for e in sources:
                     c = t.get((e, f), FLOOR_PROB) / denom
                     counts[(e, f)] += c
@@ -340,7 +340,7 @@ def reference_lexical_weight(target, source, alignment, table):
     for j, t_tok in enumerate(target):
         sources = linked.get(j)
         if sources:
-            weight *= sum(table.prob(t_tok, source[i]) for i in sources) / len(sources)
+            weight *= fsum(table.prob(t_tok, source[i]) for i in sources) / len(sources)
         else:
             weight *= table.prob(t_tok, None)
     return weight
