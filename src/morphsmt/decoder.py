@@ -9,10 +9,14 @@ cost built from phrase scores plus a context-free morpheme-LM estimate.
 nbest() and decode() share one search per sentence through a one-entry memo
 of the last search, so the usual n-best-then-1-best pair costs one search.
 
-A hypothesis carries its features as a flat vector: a layout (feature names
-in the order a dict of them would have been filled) and the values in that
-order, so every score is the same sum of the same products as ``dot`` over
-that dict.
+Each search fixes one order of feature slots: the options' TM feature
+names, ``lm_morph`` and ``lm_word`` for the LMs present, ``word_penalty`` and
+``distortion``.  A hypothesis holds its values in that order (0.0 where
+untouched) and a bitmask of the slots its path touched, so ``features`` and
+the n-best file list exactly the features the path added to.  Scores are
+``math.fsum`` of weights times values: correctly rounded, hence free of the
+slot order, equal to ``dot`` over the features, and the same on every Python
+version.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from math import fsum
 from operator import add, mul
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .lm import (
     LOG_ZERO, LMMemo, NGramModel, TwinScorerState, floored_logprob,
@@ -70,7 +75,7 @@ def default_weights(
 
 
 def dot(weights: Mapping[str, float], features: Mapping[str, float]) -> float:
-    return math.fsum(weights.get(k, 0.0) * v for k, v in features.items())
+    return fsum(weights.get(k, 0.0) * v for k, v in features.items())
 
 
 def safe_ln(x: float) -> float:
@@ -93,16 +98,19 @@ class Hypothesis:
     n_covered: int
     last_end: int  # word index one past the last applied span
     state: TwinScorerState
-    layout: tuple[str, ...]  # feature names, in the order they were first added
-    values: list[float]  # feature values, in layout order
+    names: tuple[str, ...]  # the search's feature slots, in slot order
+    touched: int  # bitmask over slots: the features some step of the path added to
+    values: list[float]  # feature values in slot order, 0.0 where untouched
     score: float
     parent: Optional["Hypothesis"]
     option: Optional[TranslationOption]
 
     @property
     def features(self) -> dict[str, float]:
-        """The feature values by name, in layout order."""
-        return dict(zip(self.layout, self.values))
+        """The features the path touched, by name, in slot order."""
+        touched = self.touched
+        return {name: value for i, (name, value) in enumerate(zip(self.names, self.values))
+                if touched >> i & 1}
 
 
 def render_tokens(sentence: MorphSentence, granularity: str) -> tuple[str, ...]:
@@ -182,7 +190,7 @@ def _future_costs(
     w_wp = weights.get("word_penalty", 0.0)
     best = [[-math.inf] * (n_words + 1) for _ in range(n_words + 1)]
     for opt in options:
-        score = math.fsum(weights.get(k, 0.0) * v for k, v in opt.tm_features)
+        score = fsum(weights.get(k, 0.0) * v for k, v in opt.tm_features)
         score += w_wp * opt.n_words
         if lm_m is not None and w_lm != 0.0:
             ctx: tuple[str, ...] = ()
@@ -234,41 +242,56 @@ def search(
 ) -> list[Hypothesis]:
     """All finalized complete hypotheses that survived the beam.
 
+    Each option gets one template in this search's slot order (its TM values
+    and word count, 0.0 elsewhere) and the touched bits of those slots and of
+    the LMs.  A child's values are its parent's plus the template, with the
+    jump and the LM deltas added at their slots, and its touched mask is the
+    parent's, the option's and, if it jumped, distortion's.
+
     A stack offered more than ``beam_size`` hypotheses keeps its best
     ``beam_size`` by score + rest cost (a stable sort, so ties keep arrival
     order).  Offers that cannot make that cut are rejected: each stack keeps
     a min-heap of the best ``beam_size`` keys it was given, and an offer is
     tested against a full heap's minimum twice.
       - Before its LM queries, by its key with zero LM deltas.  LM log-probs
-        are <= 0, so this bounds the real key only when every present LM
-        weight is >= 0; with a negative LM weight this test is off.
-      - After them, for any weight signs, by its real key: the memoized
-        twin_extend deltas are added and the child is scored as ``_extend``
-        scores it, but only a child that passes is built.
+        are <= 0 and ``fsum`` is monotone in each term, so with every present
+        LM weight >= 0 this key bounds the real one by construction; with a
+        negative LM weight this test is off.
+      - After them, for any weight signs, by its real key; only a child that
+        passes is built by ``_extend``.
     A full heap holds the keys of ``beam_size`` children already offered to
     the stack, all >= its minimum, so the stable sort would cut a child
     whose key is strictly below it; ties are kept.  The surviving stacks,
-    their order and every score are therefore exactly those of the
-    unrejected search.
-
+    their order and every score are exactly those of the unrejected search.
     Each distinct LM question is asked once per call: twin_extend results
     are memoized per (state, target), and LM log-probs per (context, token).
-    How options extend a feature layout (``_Move``) is worked out once per
-    (layout, TM feature names, jump or not), and each option's template
-    once per (layout, option, jump or not).  All memos are exact and are
-    dropped when the search returns.
     """
     n_words = len(word_spans(source))
     options = build_options(source, table, max_span)
-    # per start: (option, its first cell in a layout's row of steps, mask,
-    # width, target id); a row holds two (move, template) steps per option,
-    # without and with a jump
-    by_start: dict[int, list[tuple[TranslationOption, int, int, int, int]]] = {}
+    names = (*dict.fromkeys(name for opt in options for name, _ in opt.tm_features),
+             *(name for name, model in (("lm_morph", lm_m), ("lm_word", lm_w))
+               if model is not None),
+             "word_penalty", "distortion")
+    slot = {name: i for i, name in enumerate(names)}
+    wvec = [weights.get(name, 0.0) for name in names]
+    morph_slot = slot.get("lm_morph")
+    word_slot = slot.get("lm_word")
+    jump_slot = slot["distortion"]
+    step_bits = sum(1 << slot[name] for name in ("lm_morph", "lm_word", "word_penalty")
+                    if name in slot)
+    # per start: (option, mask, width, target id, template, touched bits)
+    by_start: dict[int, list[tuple[TranslationOption, int, int, int, list[float], int]]] = {}
     targets: dict[tuple[str, ...], int] = {}
-    for i, opt in enumerate(options):
+    for opt in options:
+        template = [0.0] * len(names)
+        bits = step_bits
+        for name, value in opt.tm_features:
+            template[slot[name]] = value
+            bits |= 1 << slot[name]
+        template[slot["word_penalty"]] = float(opt.n_words)
         by_start.setdefault(opt.start, []).append((
-            opt, 2 * i, opt.mask, opt.end - opt.start,
-            targets.setdefault(opt.target, len(targets))))
+            opt, opt.mask, opt.end - opt.start,
+            targets.setdefault(opt.target, len(targets)), template, bits))
     future = _future_costs(options, n_words, weights, lm_m)
     rest_memo: dict[int, float] = {}
     reject = beam_size is not None and beam_size > 0
@@ -277,13 +300,9 @@ def search(
         for name, model in (("lm_morph", lm_m), ("lm_word", lm_w)) if model is not None
     )
 
-    initial = Hypothesis(
-        coverage=0, n_covered=0, last_end=0,
-        state=initial_twin_state(lm_m, lm_w),
-        layout=(), values=[], score=0.0, parent=None, option=None,
-    )
     stacks: list[list[Hypothesis]] = [[] for _ in range(n_words + 1)]
-    stacks[0].append(initial)
+    stacks[0].append(Hypothesis(0, 0, 0, initial_twin_state(lm_m, lm_w), names, 0,
+                                [0.0] * len(names), 0.0, None, None))
     offered = [0] * (n_words + 1)  # hypotheses offered per stack, rejected ones included
     offered[0] = 1
     best_keys: list[list[float]] = [[] for _ in range(n_words + 1)]  # min-heaps
@@ -292,9 +311,6 @@ def search(
     lm_scores: dict[TwinScorerState, dict[int, tuple]] = {}
     memo_m: LMMemo = {}
     memo_w: LMMemo = {}
-    # each layout's row of steps, filled as options use it, and the moves
-    moves: dict[tuple, _Move] = {}
-    steps: dict[tuple[str, ...], list[Optional[tuple[_Move, list[float]]]]] = {}
     extend = _extend  # looked up per search, so a wrapper set on the module is used
 
     for level in range(n_words):
@@ -308,57 +324,38 @@ def search(
         for hyp in stack:
             coverage = hyp.coverage
             parent_values = hyp.values
+            parent_touched = hyp.touched
             by_target = lm_scores.setdefault(hyp.state, {})
-            row = steps.get(hyp.layout)
-            if row is None:
-                row = steps[hyp.layout] = [None] * (2 * len(options))
             first_free = _first_uncovered(coverage, n_words)
             for start in range(first_free, min(first_free + distortion_limit, n_words - 1) + 1):
                 if coverage >> start & 1:
                     continue
                 jump = abs(start - hyp.last_end)
-                jumped = 1 if jump else 0
-                for opt, cell, mask, width, target_id in by_start.get(start, ()):
+                for opt, mask, width, target_id, template, bits in by_start.get(start, ()):
                     if mask & coverage:
                         continue
                     target = level + width
                     offered[target] += 1
-                    step = row[cell + jumped]
-                    if step is None:
-                        names = tuple(name for name, _ in opt.tm_features)
-                        key = (hyp.layout, names, jumped)
-                        move = moves.get(key)
-                        if move is None:
-                            move = moves[key] = _move(hyp.layout, names, jump,
-                                                      weights, lm_m, lm_w)
-                        step = row[cell + jumped] = (move, _template(move, opt))
-                    move, template = step
-                    # the child's values and score, as _extend works them out
-                    pad = move.pad
-                    wvec = move.weights
-                    values = list(map(add, parent_values + pad if pad else parent_values,
-                                      template))
+                    values = list(map(add, parent_values, template))
                     if jump:
-                        values[move.jump_slot] += jump
+                        values[jump_slot] += jump
                     if reject:
                         rest = _rest(coverage | mask, n_words, future, rest_memo)
                         heap = best_keys[target]
                         full = len(heap) == beam_size
                         if (full and reject_pre_lm
-                                and math.fsum(map(mul, wvec, values)) + rest < heap[0]):
+                                and fsum(map(mul, wvec, values)) + rest < heap[0]):
                             continue
                     scored = by_target.get(target_id)
                     if scored is None:
                         scored = by_target[target_id] = twin_extend(
                             hyp.state, opt.target, lm_m, lm_w, memo_m, memo_w)
                     state, morph_delta, word_delta = scored
-                    slot = move.morph_slot
-                    if slot is not None:
-                        values[slot] += morph_delta
-                    slot = move.word_slot
-                    if slot is not None:
-                        values[slot] += word_delta
-                    score = math.fsum(map(mul, wvec, values))
+                    if morph_slot is not None:
+                        values[morph_slot] += morph_delta
+                    if word_slot is not None:
+                        values[word_slot] += word_delta
+                    score = fsum(map(mul, wvec, values))
                     if reject:
                         if full:
                             if score + rest < heap[0]:
@@ -366,14 +363,14 @@ def search(
                             heapq.heappushpop(heap, score + rest)
                         else:
                             heapq.heappush(heap, score + rest)
-                    stacks[target].append(
-                        extend(hyp, opt, lm_m, lm_w, weights, state, move, values, score))
+                    touched = parent_touched | bits | (1 << jump_slot if jump else 0)
+                    stacks[target].append(extend(hyp, opt, state, touched, values, score))
 
     complete = stacks[n_words]
     if beam_size is not None and offered[n_words] > beam_size:
         complete.sort(key=lambda h: h.score, reverse=True)
         del complete[beam_size:]
-    return [_finalize(h, lm_m, lm_w, weights) for h in complete]
+    return [_finalize(h, lm_m, lm_w, wvec) for h in complete]
 
 
 def _first_uncovered(coverage: int, n_words: int) -> int:
@@ -383,100 +380,19 @@ def _first_uncovered(coverage: int, n_words: int) -> int:
     return n_words
 
 
-class _Move(NamedTuple):
-    """How options with one list of TM feature names extend hypotheses of one
-    layout, with or without a jump.
-
-    The child's values are the parent's, padded with 0.0 for the names the
-    child adds, plus the option's template (``_template``): its TM values
-    and word count at their slots, 0.0 elsewhere.  The jump and the LM
-    deltas are then added at their slots.  Each slot gets exactly the one
-    addition the feature dict got, and ``x + 0.0 == x`` for every value that
-    occurs (they start as ``0.0 + v``, so none is -0.0), so the values are
-    equal bit for bit to the dict's.
-    """
-
-    layout: tuple[str, ...]  # the child's
-    pad: list[float]  # zeros for the names the child adds to the parent's layout
-    weights: list[float]  # the weight of each name in the child's layout
-    tm_slots: tuple[int, ...]  # of the option's TM features, in their order
-    word_penalty_slot: int
-    morph_slot: Optional[int]  # lm_morph, if there is a morpheme LM
-    word_slot: Optional[int]  # lm_word, if there is a word LM
-    jump_slot: Optional[int]  # distortion, if the option jumps
-
-
-def _move(
-    layout: tuple[str, ...],
-    names: tuple[str, ...],
-    jump: int,
-    weights: Mapping[str, float],
-    lm_m: Optional[NGramModel],
-    lm_w: Optional[NGramModel],
-) -> _Move:
-    """The ``_Move`` for options with TM feature ``names`` after a hypothesis
-    of ``layout``.  The names the layout lacks are appended in the order a
-    feature dict would insert them."""
-    added = list(names)
-    if lm_m is not None:
-        added.append("lm_morph")
-    if lm_w is not None:
-        added.append("lm_word")
-    added.append("word_penalty")
-    if jump:
-        added.append("distortion")
-    child = (*layout, *(name for name in added if name not in layout))
-    index = {name: i for i, name in enumerate(child)}
-    return _Move(
-        child, [0.0] * (len(child) - len(layout)), [weights.get(n, 0.0) for n in child],
-        tuple(index[n] for n in names), index["word_penalty"],
-        index["lm_morph"] if lm_m is not None else None,
-        index["lm_word"] if lm_w is not None else None,
-        index["distortion"] if jump else None,
-    )
-
-
-def _template(move: _Move, opt: TranslationOption) -> list[float]:
-    """``opt``'s TM values and word count at their slots of ``move``'s
-    layout, 0.0 elsewhere."""
-    template = [0.0] * len(move.layout)
-    for i, (_, value) in zip(move.tm_slots, opt.tm_features):
-        template[i] = value
-    template[move.word_penalty_slot] = float(opt.n_words)
-    return template
-
-
 def _extend(
     hyp: Hypothesis,
     opt: TranslationOption,
-    lm_m: Optional[NGramModel],
-    lm_w: Optional[NGramModel],
-    weights: Mapping[str, float],
-    state: Optional[TwinScorerState] = None,
-    move: Optional[_Move] = None,
-    values: Optional[list[float]] = None,
-    score: Optional[float] = None,
+    state: TwinScorerState,
+    touched: int,
+    values: list[float],
+    score: float,
 ) -> Hypothesis:
-    """``hyp`` extended by ``opt``.  ``search`` passes the child's twin
-    state, the option's ``_Move`` for ``hyp``'s layout, the child's values
-    (LM deltas included) and its score; called with none of them, this
-    works them out the same way."""
-    if move is None:
-        state, morph_delta, word_delta = twin_extend(hyp.state, opt.target, lm_m, lm_w)
-        jump = abs(opt.start - hyp.last_end)
-        move = _move(hyp.layout, tuple(name for name, _ in opt.tm_features), jump,
-                     weights, lm_m, lm_w)
-        values = list(map(add, hyp.values + move.pad, _template(move, opt)))
-        if jump:
-            values[move.jump_slot] += jump
-        if move.morph_slot is not None:
-            values[move.morph_slot] += morph_delta
-        if move.word_slot is not None:
-            values[move.word_slot] += word_delta
-        score = math.fsum(map(mul, move.weights, values))
+    """``hyp`` extended by ``opt``; ``search`` works out the child's twin
+    state, touched slots, values (LM deltas included) and score."""
     return Hypothesis(
         hyp.coverage | opt.mask, hyp.n_covered + (opt.end - opt.start), opt.end,
-        state, move.layout, values, score, hyp, opt,
+        state, hyp.names, touched, values, score, hyp, opt,
     )
 
 
@@ -484,20 +400,24 @@ def _finalize(
     hyp: Hypothesis,
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],
-    weights: Mapping[str, float],
+    wvec: Sequence[float],
 ) -> Hypothesis:
-    morph_delta, word_delta = twin_finalize(hyp.state, lm_m, lm_w)
-    feats = hyp.features
-    if lm_m is not None:
-        feats["lm_morph"] = feats.get("lm_morph", 0.0) + morph_delta
-    if lm_w is not None:
-        feats["lm_word"] = feats.get("lm_word", 0.0) + word_delta
-    if hyp.state.pending:  # flushed tail counts as a completed word
-        feats["word_penalty"] = feats.get("word_penalty", 0.0) + 1
+    """``hyp`` with the end-of-sentence LM deltas added (touching the LM slots
+    even where no step did, as in an empty sentence), scored by ``wvec``, the
+    weights in slot order."""
+    names = hyp.names
+    values = hyp.values.copy()
+    touched = hyp.touched
+    deltas = dict(zip(("lm_morph", "lm_word"), twin_finalize(hyp.state, lm_m, lm_w)))
+    if hyp.state.pending:  # the flushed tail counts as a completed word
+        deltas["word_penalty"] = 1
+    for i, name in enumerate(names):
+        if name in deltas:
+            values[i] += deltas[name]
+            touched |= 1 << i
     return Hypothesis(
-        coverage=hyp.coverage, n_covered=hyp.n_covered, last_end=hyp.last_end,
-        state=hyp.state, layout=tuple(feats), values=list(feats.values()),
-        score=dot(weights, feats), parent=hyp.parent, option=hyp.option,
+        hyp.coverage, hyp.n_covered, hyp.last_end, hyp.state, names, touched, values,
+        fsum(map(mul, wvec, values)), hyp.parent, hyp.option,
     )
 
 

@@ -6,6 +6,7 @@ Fraction arithmetic and naive loops instead of Counter-based BLEU, recursion
 instead of iterative DP for the LCS.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, fsum, log
 
@@ -139,11 +140,59 @@ def binomial_tail_fraction(n, m):
     return Fraction(sum(coeffs[: m + 1]), 2 ** n)
 
 
+@dataclass
+class ReferenceHypothesis:
+    """A plain search node: its features as a dict, scored by ``dot``."""
+
+    coverage: int
+    last_end: int
+    state: object
+    features: dict
+    score: float
+    parent: object
+    option: object
+
+
+def extended_features(feats, opt, last_end, morph_delta, word_delta, lm_m, lm_w):
+    """A copy of ``feats`` with one extension by ``opt`` added, filled in a
+    fixed key order: the option's TM features, the LMs present, the word
+    penalty, and the jump from ``last_end`` if there is one."""
+    feats = dict(feats)
+    for k, v in opt.tm_features:
+        feats[k] = feats.get(k, 0.0) + v
+    if lm_m is not None:
+        feats["lm_morph"] = feats.get("lm_morph", 0.0) + morph_delta
+    if lm_w is not None:
+        feats["lm_word"] = feats.get("lm_word", 0.0) + word_delta
+    feats["word_penalty"] = feats.get("word_penalty", 0.0) + opt.n_words
+    jump = abs(opt.start - last_end)
+    if jump:
+        feats["distortion"] = feats.get("distortion", 0.0) + jump
+    return feats
+
+
+def finalized_features(feats, state, lm_m, lm_w):
+    """A copy of ``feats`` with the end-of-sentence step added."""
+    from morphsmt.lm import twin_finalize
+
+    morph_delta, word_delta = twin_finalize(state, lm_m, lm_w)
+    feats = dict(feats)
+    if lm_m is not None:
+        feats["lm_morph"] = feats.get("lm_morph", 0.0) + morph_delta
+    if lm_w is not None:
+        feats["lm_word"] = feats.get("lm_word", 0.0) + word_delta
+    if state.pending:
+        feats["word_penalty"] = feats.get("word_penalty", 0.0) + 1
+    return feats
+
+
 def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
                      distortion_limit=6, max_span=None):
     """The plain stack search: build every extension, then sort and cut each
-    stack; no memo and no early rejection.  It shares the decoder's option,
-    rest-cost and extension primitives, so it checks only the search loop."""
+    stack; no memo and no early rejection.  Each node holds its features as
+    a dict, filled by ``extended_features`` and scored by ``dot``.  It shares
+    only the decoder's option and rest-cost primitives, so it checks the
+    search loop and the scoring."""
     from morphsmt import decoder as dec
     from morphsmt.lm import initial_twin_state
     from morphsmt.morpho import word_spans
@@ -154,8 +203,8 @@ def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
     by_start = sorted(options, key=lambda o: o.start)  # stable: table order per start
     rest_memo = {}
     stacks = [[] for _ in range(n_words + 1)]
-    stacks[0].append(dec.Hypothesis(0, 0, 0, initial_twin_state(lm_m, lm_w), (), [], 0.0,
-                                    None, None))
+    stacks[0].append(ReferenceHypothesis(0, 0, initial_twin_state(lm_m, lm_w), {}, 0.0,
+                                         None, None))
     for level in range(n_words):
         stack = stacks[level]
         if beam_size is not None and len(stack) > beam_size:
@@ -168,24 +217,35 @@ def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
                 if (opt.start < first_free or opt.start > first_free + distortion_limit
                         or opt.mask & hyp.coverage):
                     continue
-                stacks[level + opt.end - opt.start].append(
-                    dec._extend(hyp, opt, lm_m, lm_w, weights))
+                # looked up on the decoder, as the decoder does, so a wrapper
+                # set there sees this search's LM questions too
+                state, morph_delta, word_delta = dec.twin_extend(
+                    hyp.state, opt.target, lm_m, lm_w)
+                feats = extended_features(hyp.features, opt, hyp.last_end,
+                                          morph_delta, word_delta, lm_m, lm_w)
+                stacks[level + opt.end - opt.start].append(ReferenceHypothesis(
+                    hyp.coverage | opt.mask, opt.end, state, feats,
+                    dec.dot(weights, feats), hyp, opt))
     complete = stacks[n_words]
     if beam_size is not None and len(complete) > beam_size:
         complete.sort(key=lambda h: h.score, reverse=True)
         del complete[beam_size:]
-    return [dec._finalize(h, lm_m, lm_w, weights) for h in complete]
+    finalized = []
+    for h in complete:
+        feats = finalized_features(h.features, h.state, lm_m, lm_w)
+        finalized.append(ReferenceHypothesis(h.coverage, h.last_end, h.state, feats,
+                                             dec.dot(weights, feats), h.parent, h.option))
+    return finalized
 
 
 def replay_scores(hyp, lm_m, lm_w, weights):
     """(features, score) of every hypothesis on ``hyp``'s path, root child
     first, rebuilt along a different path than the decoder's flat vectors:
-    one dict per extension, filled in a fixed key order and scored by
-    ``dot``, as the decoder did before.  The last pair includes the
-    end-of-sentence step, so ``hyp`` must be a finalized search result that
-    applied at least one phrase."""
+    one dict per extension (``extended_features``) scored by ``dot``.  The
+    last pair includes the end-of-sentence step, so ``hyp`` must be a
+    finalized search result that applied at least one phrase."""
     from morphsmt.decoder import dot
-    from morphsmt.lm import initial_twin_state, twin_extend, twin_finalize
+    from morphsmt.lm import initial_twin_state, twin_extend
 
     options = []
     node = hyp
@@ -198,27 +258,10 @@ def replay_scores(hyp, lm_m, lm_w, weights):
     replayed = []
     for opt in reversed(options):
         state, morph_delta, word_delta = twin_extend(state, opt.target, lm_m, lm_w)
-        feats = dict(feats)
-        for k, v in opt.tm_features:
-            feats[k] = feats.get(k, 0.0) + v
-        if lm_m is not None:
-            feats["lm_morph"] = feats.get("lm_morph", 0.0) + morph_delta
-        if lm_w is not None:
-            feats["lm_word"] = feats.get("lm_word", 0.0) + word_delta
-        feats["word_penalty"] = feats.get("word_penalty", 0.0) + opt.n_words
-        jump = abs(opt.start - last_end)
-        if jump:
-            feats["distortion"] = feats.get("distortion", 0.0) + jump
+        feats = extended_features(feats, opt, last_end, morph_delta, word_delta, lm_m, lm_w)
         last_end = opt.end
         replayed.append((feats, dot(weights, feats)))
-    morph_delta, word_delta = twin_finalize(state, lm_m, lm_w)
-    feats = dict(feats)
-    if lm_m is not None:
-        feats["lm_morph"] = feats.get("lm_morph", 0.0) + morph_delta
-    if lm_w is not None:
-        feats["lm_word"] = feats.get("lm_word", 0.0) + word_delta
-    if state.pending:
-        feats["word_penalty"] = feats.get("word_penalty", 0.0) + 1
+    feats = finalized_features(feats, state, lm_m, lm_w)
     replayed[-1] = (feats, dot(weights, feats))
     return replayed
 

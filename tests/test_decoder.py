@@ -306,7 +306,7 @@ LM_WEIGHTS = {
 
 def fingerprint(hyps):
     return [
-        (decoder.target_tokens(h), [(k, v.hex()) for k, v in h.features.items()],
+        (decoder.target_tokens(h), [(k, v.hex()) for k, v in sorted(h.features.items())],
          h.score.hex())
         for h in hyps
     ]
@@ -365,15 +365,20 @@ def test_real_key_rejection_skips_extensions_for_every_lm_weight_sign(
 
     sources, tab, lm_m, lm_w = bundled_models
     weights = {**decoder.default_weights(), **LM_WEIGHTS[lm_weights]}
+    # the plain search scores every child it builds with one twin_extend call
     calls = []
-    real = decoder._extend
-    monkeypatch.setattr(decoder, "_extend", lambda *a: calls.append(1) or real(*a))
+    real = decoder.twin_extend
+    monkeypatch.setattr(decoder, "twin_extend", lambda *a: calls.append(1) or real(*a))
     for src in sources[:5]:
         reference_search(src, tab, lm_m, lm_w, weights, 3, 6)
     n_reference = len(calls)
+    monkeypatch.setattr(decoder, "twin_extend", real)
+    calls.clear()
+    real_extend = decoder._extend
+    monkeypatch.setattr(decoder, "_extend", lambda *a: calls.append(1) or real_extend(*a))
     for src in sources[:5]:
         decoder.search(src, tab, lm_m, lm_w, weights, 3, 6)
-    n_search = len(calls) - n_reference
+    n_search = len(calls)
     assert n_search < n_reference
 
 
@@ -425,7 +430,7 @@ def test_stack_offered_more_than_beam_is_sorted_even_after_rejections():
 def assert_matches_references(sources, tab, lm_m, lm_w, weights, beam, distortion):
     """``search`` equals ``reference_search`` in fingerprint, and every
     hypothesis on each result's path has the features and score, in float
-    hex and key order, that one dict per extension scored by ``dot`` gives."""
+    hex, that one dict per extension scored by ``dot`` gives."""
     from oracles import reference_search, replay_scores
 
     for src in sources:
@@ -439,9 +444,9 @@ def assert_matches_references(sources, tab, lm_m, lm_w, weights, beam, distortio
                 path.append(node)
                 node = node.parent
             want = replay_scores(hyp, lm_m, lm_w, weights)
-            assert [([(k, v.hex()) for k, v in h.features.items()], h.score.hex())
+            assert [([(k, v.hex()) for k, v in sorted(h.features.items())], h.score.hex())
                     for h in reversed(path)] == [
-                ([(k, v.hex()) for k, v in feats.items()], score.hex())
+                ([(k, v.hex()) for k, v in sorted(feats.items())], score.hex())
                 for feats, score in want]
 
 
@@ -464,9 +469,13 @@ def test_search_matches_references_when_first_word_is_oov(bundled_models):
     weights = decoder.default_weights()
     for beam, distortion in ((5, 0), (5, 6)):
         assert_matches_references(sources, tab, lm_m, lm_w, weights, beam, distortion)
-    # monotone, the first extension is the OOV pass-through: its keys lead
-    got = decoder.search(sources[0], tab, lm_m, lm_w, weights, 5, 0)
-    assert list(got[0].features)[:2] == ["phrase_penalty", "oov"]
+    # monotone, the first extension is the OOV pass-through: it touches the
+    # phrase penalty and oov but no translation probability
+    node = decoder.search(sources[0], tab, lm_m, lm_w, weights, 5, 0)[0]
+    while node.parent.option is not None:
+        node = node.parent
+    assert {"phrase_penalty", "oov"} <= set(node.features)
+    assert not any(name.startswith("phi_") for name in node.features)
 
 
 @pytest.mark.parametrize("distortion", [0, 6])
@@ -497,3 +506,16 @@ def test_search_matches_references_on_word_table(synth_config):
     assert tab.granularity == "word"
     for beam, distortion in ((3, 6), (20, 0)):
         assert_matches_references(sources, tab, None, lm_w, weights, beam, distortion)
+
+
+def test_empty_sentence_touches_only_the_lm_slots(bundled_models):
+    from oracles import reference_search
+
+    _, tab, lm_m, lm_w = bundled_models
+    empty = morpho.MorphSentence(())
+    weights = decoder.default_weights()
+    for models, names in (((lm_m, lm_w), {"lm_morph", "lm_word"}), ((lm_m, None), {"lm_morph"}),
+                          ((None, None), set())):
+        got = decoder.search(empty, tab, *models, weights, 5, 6)
+        assert fingerprint(got) == fingerprint(reference_search(empty, tab, *models, weights, 5, 6))
+        assert set(got[0].features) == names
