@@ -3,12 +3,23 @@
 Speedups must leave every artifact byte-identical, so this pins the digest of
 each artifact of all eight systems on one small synthetic corpus (seed 5,
 sizes (60, 8, 6): large enough that MERT drives LM weights below zero).
-``manifest.txt`` is left out because it holds the data paths.  The digests
-were recorded with Python 3.11.7; a Python whose ``float`` printing or ``sum``
+``manifest.txt`` is left out because it holds the data paths and versions.
+
+Every float sum that reaches an artifact is a correctly rounded
+``math.fsum``, so the digests do not depend on how ``builtins.sum`` rounds:
+``test_digests_do_not_depend_on_how_sum_rounds`` checks them with the
+compensated ``sum`` of Python 3.12.  They were recorded with Python 3.11.7;
+only a platform whose ``libm`` (``log``, ``exp``) or ``float`` printing
 differs may need them re-recorded, in a change that says why.
 """
 
 import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +125,74 @@ def test_artifacts_match_golden_digests(workspace, system):
 
 def test_golden_covers_every_system():
     assert sorted(GOLDEN) == sorted(cli.SYSTEMS)
+
+
+def neumaier_sum(iterable, /, start=0):
+    """``builtins.sum`` as Python 3.12 computes it: exact while the total is
+    an int, then floats added with Neumaier's compensation (ints in C long
+    range added plainly), until the first other item."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for x in items:
+            total = total + x
+            if type(total) is not int:
+                break
+    if type(total) is float:
+        c = 0.0
+        for x in items:
+            if type(x) is float:
+                t = total + x
+                c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            elif isinstance(x, int) and -2 ** 63 <= x < 2 ** 63:
+                total += float(x)
+            else:
+                if c and math.isfinite(c):
+                    total += c
+                total = total + x
+                break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for x in items:
+        total = total + x
+    return total
+
+
+# runs the tuned systems with ``neumaier_sum`` as ``builtins.sum``
+SUM_312_RUN = """
+import builtins, hashlib, json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_golden import neumaier_sum
+builtins.sum = neumaier_sum
+from morphsmt import cli
+from morphsmt.config import load_config
+cfg = load_config(sys.argv[2])
+digests = {}
+for system in sys.argv[4:]:
+    artifacts = cli.run_pipeline(system, cfg, Path(sys.argv[3]) / system)
+    digests[system] = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                       for name, path in artifacts.items() if name != "manifest"}
+print(json.dumps(digests))
+"""
+
+
+def test_neumaier_sum_compensates_like_python_312():
+    assert neumaier_sum([0.1] * 10) == 1.0  # 0.9999999999999999 when added plainly
+    assert neumaier_sum([1e100, 1.0, -1e100, 1.0]) == 2.0
+    assert neumaier_sum([1, 2, 3]) == 6 and neumaier_sum([], 0.5) == 0.5
+    assert neumaier_sum([[1], [2]], []) == [1, 2]
+
+
+def test_digests_do_not_depend_on_how_sum_rounds(workspace, tmp_path):
+    root, _ = workspace
+    systems = ["m+tune", "m+phr+lm+tune"]
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src_dir), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", SUM_312_RUN, str(Path(__file__).parent),
+         str(root / "ws" / "synth.cfg"), str(tmp_path), *systems],
+        env=env, check=True, capture_output=True, text=True)
+    assert json.loads(done.stdout) == {system: GOLDEN[system] for system in systems}
