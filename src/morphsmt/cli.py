@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
+from . import __version__
 from . import align as al
 from . import decoder as dec
 from . import lm as lmod
@@ -210,6 +212,28 @@ def _proximity(cfg: PipelineConfig, data: CorpusData, traces):
     return ev.proximity_triples(traces, data.words["test_tgt"], alignments)
 
 
+def decode_corpus(
+    sources: Sequence[mo.MorphSentence],
+    table: px.PhraseTable,
+    lm_m: Optional[lmod.NGramModel],
+    lm_w: Optional[lmod.NGramModel],
+    weights: Mapping[str, float],
+    beam: int,
+    distortion_limit: int,
+    n: int,
+    max_span: Optional[int] = None,
+) -> tuple[list[dec.Hypothesis], list[list[dec.NBestEntry]]]:
+    """The best hypothesis and the ``n``-best list of each source sentence,
+    from one search per sentence."""
+    best, lists = [], []
+    for source in sources:
+        lists.append(dec.nbest(source, table, lm_m, lm_w, weights, beam,
+                               distortion_limit, n, max_span))
+        best.append(dec.decode(source, table, lm_m, lm_w, weights, beam,
+                               distortion_limit, max_span))
+    return best, lists
+
+
 def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     if system not in PLANS:
         raise ValueError(f"unknown system {system!r}; expected one of {', '.join(SYSTEMS)}")
@@ -258,15 +282,10 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
         test_sources = data.morphs["test_src"]
 
     if plan.tune:
-        def handle(wts):
-            return [
-                dec.nbest(s, table, lm_m, lm_w, wts, cfg.beam,
-                          cfg.distortion_limit, cfg.nbest)
-                for s in dev_sources
-            ]
-
         state = mt.mert_run(
-            [tuple(r) for r in data.words["dev_tgt"]], weights, handle,
+            [tuple(r) for r in data.words["dev_tgt"]], weights,
+            lambda wts: decode_corpus(dev_sources, table, lm_m, lm_w, wts, cfg.beam,
+                                      cfg.distortion_limit, cfg.nbest)[1],
             cfg.mert_max_iters, cfg.mert_epsilon, seed=cfg.seed,
         )
         weights = state.best_weights
@@ -276,17 +295,10 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     artifacts["weights"] = run_dir / "weights.tsv"
     dec.write_weights(artifacts["weights"], weights)
 
-    outputs = []
-    traces = []
-    nbest_lists = []
-    for source in test_sources:
-        lists = dec.nbest(source, table, lm_m, lm_w, weights, cfg.beam,
-                          cfg.distortion_limit, cfg.nbest)
-        nbest_lists.append(lists)
-        best = dec.decode(source, table, lm_m, lm_w, weights, cfg.beam,
-                          cfg.distortion_limit)
-        outputs.append(dec.target_tokens(best))
-        traces.append(dec.trace(best, source))
+    best, nbest_lists = decode_corpus(test_sources, table, lm_m, lm_w, weights,
+                                      cfg.beam, cfg.distortion_limit, cfg.nbest)
+    outputs = [dec.target_tokens(h) for h in best]
+    traces = [dec.trace(h, source) for h, source in zip(best, test_sources)]
 
     artifacts["output"] = run_dir / "output.txt"
     mo.write_word_lines(artifacts["output"], outputs)
@@ -340,6 +352,8 @@ def _write_report(path, report: dict) -> None:
 def _write_manifest(path, system: str, cfg: PipelineConfig) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"system={system}\n")
+        # digests that differ between two runs may come from another Python
+        fh.write(f"python={platform.python_version()}\nmorphsmt={__version__}\n")
         for key, value in cfg.settings_items():
             fh.write(f"{key}={value}\n")
         for key in sorted(cfg.paths):
@@ -418,18 +432,9 @@ def _cmd_decode(args) -> int:
         sources = [words_as_sentence(w) for w in mo.read_word_file(args.input)]
     else:
         sources = mo.read_segmented_file(args.input)
-    outputs = []
-    nbest_lists = []
-    for source in sources:
-        best = dec.decode(source, table, lm_m, lm_w, weights,
-                          args.beam, args.distortion_limit, args.max_span)
-        outputs.append(dec.target_tokens(best))
-        if args.nbest_output:
-            nbest_lists.append(dec.nbest(
-                source, table, lm_m, lm_w, weights,
-                args.beam, args.distortion_limit, args.nbest, args.max_span,
-            ))
-    mo.write_word_lines(args.output, outputs)
+    best, nbest_lists = decode_corpus(sources, table, lm_m, lm_w, weights, args.beam,
+                                      args.distortion_limit, args.nbest, args.max_span)
+    mo.write_word_lines(args.output, [dec.target_tokens(h) for h in best])
     if args.nbest_output:
         dec.write_nbest(args.nbest_output, nbest_lists)
     return 0
@@ -449,16 +454,12 @@ def _cmd_mert(args) -> int:
     initial = dec.read_weights(args.weights) if args.weights else dec.default_weights(
         table.n_extras, lm_m is not None, lm_w is not None
     )
-
-    def handle(wts):
-        return [
-            dec.nbest(s, table, lm_m, lm_w, wts, args.beam,
-                      args.distortion_limit, args.nbest)
-            for s in sources
-        ]
-
-    state = mt.mert_run(refs, initial, handle, args.max_iters, args.epsilon,
-                        seed=args.seed)
+    state = mt.mert_run(
+        refs, initial,
+        lambda wts: decode_corpus(sources, table, lm_m, lm_w, wts, args.beam,
+                                  args.distortion_limit, args.nbest)[1],
+        args.max_iters, args.epsilon, seed=args.seed,
+    )
     dec.write_weights(args.output, state.best_weights)
     if args.log:
         mt.write_mert_log(args.log, state)

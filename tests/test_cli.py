@@ -199,6 +199,18 @@ def test_readers_name_file_and_line_of_malformed_input(tmp_path, case):
     assert f"{tmp_path / bad}:{line}:" in proc.stderr
 
 
+def test_manifest_records_versions(tmp_path, synth_config):
+    import platform
+
+    import morphsmt
+
+    path = tmp_path / "manifest.txt"
+    cli._write_manifest(path, "m-system", synth_config)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert f"python={platform.python_version()}" in lines
+    assert f"morphsmt={morphsmt.__version__}" in lines
+
+
 def test_mle_lm_gives_finite_nbest_scores(tmp_path):
     cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=5, sizes=(60, 5, 5)),
                       {"lm.smoothing": "mle"})
