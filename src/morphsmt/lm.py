@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, NamedTuple, Optional, Sequence, Union, get_args
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence, get_args
 
-from .morpho import MorphToken, parse_file, split_token_string
+from .morpho import parse_file, split_token_string
 
 BOS = "<s>"
 EOS = "</s>"
@@ -331,12 +331,9 @@ def initial_twin_state(
     return TwinScorerState(morph_ctx, (), word_ctx)
 
 
-TokenLike = Union[str, MorphToken]
-
-
 def twin_extend(
     state: TwinScorerState,
-    morphemes: Sequence[TokenLike],
+    morphemes: Sequence[str],
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],
     memo_m: Optional[LMMemo] = None,
@@ -352,8 +349,7 @@ def twin_extend(
     morph_ctx, pending, word_ctx = state.morph_ctx, list(state.pending), state.word_ctx
     morph_delta = 0.0
     word_delta = 0.0
-    for m in morphemes:
-        tok = m.serialize() if isinstance(m, MorphToken) else m
+    for tok in morphemes:
         if lm_m is not None:
             lp, morph_ctx = _score(lm_m, memo_m, morph_ctx, tok)
             morph_delta += lp

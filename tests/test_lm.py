@@ -268,9 +268,9 @@ def test_twin_word_view_and_chunking_invariance(seed):
         assert w_got == pytest.approx(w_ref, abs=1e-9)
 
 
-def test_twin_accepts_morph_tokens_and_none_models():
+def test_twin_extend_with_none_models():
     lm_m, lm_w = twin_fixture()
-    toks = [morpho.MorphToken("maa", morpho.MorphTag.STM, False)]
+    toks = ["maa/STM"]
     state = lm.initial_twin_state(None, lm_w)
     state, dm, dw = lm.twin_extend(state, toks, None, lm_w)
     assert dm == 0.0 and dw != 0.0
