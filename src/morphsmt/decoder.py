@@ -263,6 +263,7 @@ def search(
     the stack, all >= its minimum, so the stable sort would cut a child
     whose key is strictly below it; ties are kept.  The surviving stacks,
     their order and every score are exactly those of the unrejected search.
+
     Each distinct LM question is asked once per call: twin_extend results
     are memoized per (state, target), and LM log-probs per (context, token).
     """
