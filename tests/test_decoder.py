@@ -423,8 +423,8 @@ def test_stack_offered_more_than_beam_is_sorted_even_after_rejections():
     assert fingerprint(got) == fingerprint(reference_search(src, tab, None, None, weights, 2, 0))
 
 
-# --- flat feature vectors: more layouts against the plain search and the
-# dict-per-extension scoring ---------------------------------------------------
+# --- flat feature vectors: more tables and weights against the plain search
+# and the dict-per-extension scoring ------------------------------------------
 
 
 def assert_matches_references(sources, tab, lm_m, lm_w, weights, beam, distortion):
