@@ -527,7 +527,12 @@ def _cmd_merge_pt(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    overrides = dict(kv.split("=", 1) for kv in args.set or [])
+    overrides = {}
+    for kv in args.set or []:
+        if "=" not in kv:
+            raise ValueError(f"--set expects KEY=VALUE: {kv!r}")
+        key, value = kv.split("=", 1)
+        overrides[key.strip()] = value.strip()  # as a config file line is read
     cfg = load_config(args.config, overrides)
     artifacts = run_pipeline(args.system, cfg, args.run_dir)
     for name in sorted(artifacts):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, NoReturn, Optional
 
 DATA_KEYS = tuple(
     f"{split}_{side}_{kind}"
@@ -62,32 +62,38 @@ class PipelineConfig:
     merge_primary: str = "wm"
     seed: int = 42
 
-    def validate(self) -> None:
+    def validate(self, origins: Optional[Mapping[str, str]] = None) -> None:
+        """Check every setting.  ``origins`` maps a setting's attribute name,
+        or ``data.<key>``, to where it was set; a message names that first."""
+        def fail(name: str, problem: str) -> NoReturn:
+            where = (origins or {}).get(name)
+            raise ConfigError(f"{where}: {problem}" if where else problem)
+
         positive = (
             "max_words", "max_morphemes", "lm_word_order", "lm_morph_order",
             "align_iterations", "beam", "nbest", "mert_max_iters", "seed",
         )
         for name in positive:
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+                fail(name, f"{name} must be positive")
         if self.distortion_limit < 0:
-            raise ConfigError("distortion_limit must be >= 0")
+            fail("distortion_limit", "distortion_limit must be >= 0")
         if self.mert_epsilon <= 0:
-            raise ConfigError("mert_epsilon must be positive")
+            fail("mert_epsilon", "mert_epsilon must be positive")
         if not 0.0 <= self.merge_alpha <= 1.0:
-            raise ConfigError("merge_alpha must be in [0, 1]")
+            fail("merge_alpha", "merge_alpha must be in [0, 1]")
         if self.merge_method not in ("our-method", "interpolation", "add-1", "add-2"):
-            raise ConfigError(f"unknown merge method: {self.merge_method}")
+            fail("merge_method", f"unknown merge method: {self.merge_method}")
         if self.merge_primary not in ("wm", "m"):
-            raise ConfigError(f"merge.primary must be wm or m: {self.merge_primary}")
+            fail("merge_primary", f"merge.primary must be wm or m: {self.merge_primary}")
         if self.lm_smoothing not in ("mle", "witten-bell", "kneser-ney"):
-            raise ConfigError(f"unknown smoothing: {self.lm_smoothing}")
+            fail("lm_smoothing", f"unknown smoothing: {self.lm_smoothing}")
         missing = [k for k in DATA_KEYS if k not in self.paths]
         if missing:
             raise ConfigError(f"missing data paths: {', '.join(missing)}")
         for key, path in self.paths.items():
             if not path.exists():
-                raise ConfigError(f"data.{key}: no such file: {path}")
+                fail(f"data.{key}", f"data.{key}: no such file: {path}")
 
     def settings_items(self) -> list[tuple[str, str]]:
         """Canonical (key, value) list, for manifests."""
@@ -99,35 +105,46 @@ class PipelineConfig:
 
 
 def parse_config_text(
-    text: str, base_dir: Path, overrides: Optional[Mapping[str, str]] = None
+    text: str,
+    base_dir: Path,
+    overrides: Optional[Mapping[str, str]] = None,
+    filename: str = "<config>",
 ) -> PipelineConfig:
-    raw: dict[str, str] = {}
+    """The config in ``text``, then ``overrides``.  A malformed line, an
+    unknown key, a bad or out-of-range value and a missing data file are
+    reported as ``<filename>:<line>:``, or as the ``--set KEY=VALUE``
+    override they came from."""
+    raw: dict[str, tuple[str, str]] = {}  # key: (value, where it was set)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value: {line!r}")
+            raise ConfigError(f"{filename}:{lineno}: expected key = value: {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        raw[key] = value
-    raw.update(overrides or {})
+        raw[key] = (value, f"{filename}:{lineno}")
+    for key, value in (overrides or {}).items():
+        raw[key] = (value, f"--set {key}={value}")
 
     cfg = PipelineConfig()
-    for key, value in raw.items():
+    origins = {}  # attribute name or data key: where it was set
+    for key, (value, where) in raw.items():
         if key.startswith("data."):
             name = key[len("data."):]
             if name not in DATA_KEYS:
-                raise ConfigError(f"unknown data key: {key}")
+                raise ConfigError(f"{where}: unknown data key: {key}")
             cfg.paths[name] = (base_dir / value).resolve()
+            origins[key] = where
         elif key in _SETTING_KEYS:
             attr, conv = _SETTING_KEYS[key]
             try:
                 setattr(cfg, attr, conv(value))
             except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
+                raise ConfigError(f"{where}: bad value for {key}: {value!r}") from exc
+            origins[attr] = where
         else:
-            raise ConfigError(f"unknown config key: {key}")
-    cfg.validate()
+            raise ConfigError(f"{where}: unknown config key: {key}")
+    cfg.validate(origins)
     return cfg
 
 
@@ -136,5 +153,5 @@ def load_config(
 ) -> PipelineConfig:
     path = Path(path)
     return parse_config_text(
-        path.read_text(encoding="utf-8"), path.resolve().parent, overrides
+        path.read_text(encoding="utf-8"), path.resolve().parent, overrides, str(path)
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from math import fsum
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
@@ -59,6 +60,26 @@ DEFAULT_WEIGHTS = {
     "merge_feat_1": 0.3,
     "merge_feat_2": 0.3,
 }
+
+# The cheap key of an offer (see ``search``) adds its terms left to right:
+# the parent's score, the jump term w*jump, the rest cost, the option's TM
+# score, and each LM's w*delta.  The exact key is fsum(w_i * v_i) + rest,
+# where v_i is the parent's value plus the option's at slot i.  With u = 2**-53
+# and M the sum of the terms' magnitudes (the parent's sum of |w_i * p_i|,
+# the option's of |w_i * t_i|, |w*jump|, |rest| and |w*delta| per LM), both
+# keys are within a few u*M of the real-number key:
+#   - exact: each slot sum, each product, the fsum and the final "+ rest"
+#     round once, each by at most u times a part of M: <= 4u*M;
+#   - cheap: the parent's score and the TM score are fsums of rounded
+#     products (<= 2u times their parts of M), the jump and LM products round
+#     once, and its at most five additions each round by <= u*M: <= 7u*M.
+# So the keys differ by at most about 11u*M < 1.3e-15*M.  SLACK is ~10**6
+# times that, which also covers second-order terms and the rounding of M and
+# of the test itself.  Underflow adds at most 2**-1075 per rounding, a few
+# dozen of them; each option's magnitude carries _MAG_FLOOR so that
+# SLACK*M > 2**-930 covers it as well.
+SLACK = 1e-9
+_MAG_FLOOR = 2.0 ** -900
 
 
 def default_weights(
@@ -264,6 +285,24 @@ def search(
     whose key is strictly below it; ties are kept.  The surviving stacks,
     their order and every score are exactly those of the unrejected search.
 
+    Both tests look first at a cheap key, which needs no child values: the
+    parent's score, the jump term, the rest cost and the option's weighted TM
+    score (computed once per search), plus each LM's weighted delta once they
+    are known.  Its roundings and the exact ``fsum`` key's differ by at most
+    about 11 units in the last place of M, the sum of the terms' magnitudes
+    (derived at ``SLACK``), and ``SLACK * M`` is about 10**6 times that.  So
+    an offer whose cheap key is more than ``SLACK * M`` below the minimum is
+    one the exact test rejects, and one more than that above it is one the
+    exact test keeps.  Only an offer too close to call takes the exact
+    pre-LM test, and only a child that passes the cheap real-key test gets
+    its values and exact score.  A non-finite term makes the cheap test NaN
+    or never true, and the exact path decides.  The options of one source
+    span form a group, in ``build_options`` order, with its best TM score
+    and largest magnitude: under the pre-LM test a group whose best offer
+    fails is rejected whole, and still counts every offer for the stack's
+    sort.  Every rejection is one the exact tests make, so the same LM
+    questions are asked and the same children built.
+
     Each distinct LM question is asked once per call: twin_extend results
     are memoized per (state, target), and LM log-probs per (context, token).
     """
@@ -278,21 +317,30 @@ def search(
     morph_slot = slot.get("lm_morph")
     word_slot = slot.get("lm_word")
     jump_slot = slot["distortion"]
+    w_morph = 0.0 if morph_slot is None else wvec[morph_slot]
+    w_word = 0.0 if word_slot is None else wvec[word_slot]
     step_bits = sum(1 << slot[name] for name in ("lm_morph", "lm_word", "word_penalty")
                     if name in slot)
-    # per start: (option, mask, width, target id, template, touched bits)
-    by_start: dict[int, list[tuple[TranslationOption, int, int, int, list[float], int]]] = {}
+    # per start, one group per span in option order: (mask, width, members,
+    # best TM score, largest magnitude); per member: (option, target id,
+    # template, touched bits, weighted TM score, its magnitude)
+    by_start: dict[int, list[tuple[int, int, list[tuple], float, float]]] = {}
     targets: dict[tuple[str, ...], int] = {}
-    for opt in options:
-        template = [0.0] * len(names)
-        bits = step_bits
-        for name, value in opt.tm_features:
-            template[slot[name]] = value
-            bits |= 1 << slot[name]
-        template[slot["word_penalty"]] = float(opt.n_words)
-        by_start.setdefault(opt.start, []).append((
-            opt, opt.mask, opt.end - opt.start,
-            targets.setdefault(opt.target, len(targets)), template, bits))
+    for (start, end), span_options in groupby(options, key=lambda o: (o.start, o.end)):
+        members = []
+        for opt in span_options:
+            template = [0.0] * len(names)
+            bits = step_bits
+            for name, value in opt.tm_features:
+                template[slot[name]] = value
+                bits |= 1 << slot[name]
+            template[slot["word_penalty"]] = float(opt.n_words)
+            terms = list(map(mul, wvec, template))
+            members.append((opt, targets.setdefault(opt.target, len(targets)), template,
+                            bits, fsum(terms), fsum(map(abs, terms)) + _MAG_FLOOR))
+        by_start.setdefault(start, []).append((
+            _span_mask(start, end), end - start, members,
+            max(tm for *_, tm, _ in members), max(mag for *_, mag in members)))
     future = _future_costs(options, n_words, weights, lm_m)
     rest_memo: dict[int, float] = {}
     reject = beam_size is not None and beam_size > 0
@@ -307,8 +355,9 @@ def search(
     offered = [0] * (n_words + 1)  # hypotheses offered per stack, rejected ones included
     offered[0] = 1
     best_keys: list[list[float]] = [[] for _ in range(n_words + 1)]  # min-heaps
-    # this search's memos: twin_extend results per state and target id, and
-    # floored log-probs (with the next context) per LM and (context, token)
+    # this search's memos: twin_extend results (with the weighted LM term and
+    # its magnitude) per state and target id, and floored log-probs (with the
+    # next context) per LM and (context, token)
     lm_scores: dict[TwinScorerState, dict[int, tuple]] = {}
     memo_m: LMMemo = {}
     memo_w: LMMemo = {}
@@ -326,46 +375,74 @@ def search(
             coverage = hyp.coverage
             parent_values = hyp.values
             parent_touched = hyp.touched
+            parent_score = hyp.score
+            parent_mag = fsum(map(abs, map(mul, wvec, parent_values)))
             by_target = lm_scores.setdefault(hyp.state, {})
             first_free = _first_uncovered(coverage, n_words)
             for start in range(first_free, min(first_free + distortion_limit, n_words - 1) + 1):
                 if coverage >> start & 1:
                     continue
                 jump = abs(start - hyp.last_end)
-                for opt, mask, width, target_id, template, bits in by_start.get(start, ()):
+                jump_term = wvec[jump_slot] * jump
+                for mask, width, members, best_tm, best_mag in by_start.get(start, ()):
                     if mask & coverage:
                         continue
                     target = level + width
-                    offered[target] += 1
-                    values = list(map(add, parent_values, template))
-                    if jump:
-                        values[jump_slot] += jump
+                    offered[target] += len(members)
                     if reject:
                         rest = _rest(coverage | mask, n_words, future, rest_memo)
                         heap = best_keys[target]
-                        full = len(heap) == beam_size
-                        if (full and reject_pre_lm
-                                and fsum(map(mul, wvec, values)) + rest < heap[0]):
-                            continue
-                    scored = by_target.get(target_id)
-                    if scored is None:
-                        scored = by_target[target_id] = twin_extend(
-                            hyp.state, opt.target, lm_m, lm_w, memo_m, memo_w)
-                    state, morph_delta, word_delta = scored
-                    if morph_slot is not None:
-                        values[morph_slot] += morph_delta
-                    if word_slot is not None:
-                        values[word_slot] += word_delta
-                    score = fsum(map(mul, wvec, values))
-                    if reject:
+                        base = parent_score + jump_term + rest
+                        base_mag = parent_mag + abs(jump_term) + abs(rest)
+                        if (reject_pre_lm and len(heap) == beam_size
+                                and base + best_tm + SLACK * (base_mag + best_mag) < heap[0]):
+                            continue  # the group's best offer fails, so every one does
+                    for opt, target_id, template, bits, tm, mag in members:
+                        full = reject and len(heap) == beam_size
+                        values = None
                         if full:
-                            if score + rest < heap[0]:
+                            lowest = heap[0]
+                            key = base + tm
+                            key_mag = base_mag + mag
+                            if reject_pre_lm:
+                                slack = SLACK * key_mag
+                                if key + slack < lowest:
+                                    continue
+                                if not key - slack >= lowest:  # too close to call, or NaN
+                                    values = list(map(add, parent_values, template))
+                                    if jump:
+                                        values[jump_slot] += jump
+                                    if fsum(map(mul, wvec, values)) + rest < lowest:
+                                        continue
+                        scored = by_target.get(target_id)
+                        if scored is None:
+                            state, morph_delta, word_delta = twin_extend(
+                                hyp.state, opt.target, lm_m, lm_w, memo_m, memo_w)
+                            morph_term = w_morph * morph_delta
+                            word_term = w_word * word_delta
+                            scored = by_target[target_id] = (
+                                state, morph_delta, word_delta, morph_term + word_term,
+                                abs(morph_term) + abs(word_term))
+                        state, morph_delta, word_delta, lm_term, lm_mag = scored
+                        if full and key + lm_term + SLACK * (key_mag + lm_mag) < lowest:
+                            continue
+                        if values is None:
+                            values = list(map(add, parent_values, template))
+                            if jump:
+                                values[jump_slot] += jump
+                        if morph_slot is not None:
+                            values[morph_slot] += morph_delta
+                        if word_slot is not None:
+                            values[word_slot] += word_delta
+                        score = fsum(map(mul, wvec, values))
+                        if full:
+                            if score + rest < lowest:
                                 continue
                             heapq.heappushpop(heap, score + rest)
-                        else:
+                        elif reject:
                             heapq.heappush(heap, score + rest)
-                    touched = parent_touched | bits | (1 << jump_slot if jump else 0)
-                    stacks[target].append(extend(hyp, opt, state, touched, values, score))
+                        touched = parent_touched | bits | (1 << jump_slot if jump else 0)
+                        stacks[target].append(extend(hyp, opt, state, touched, values, score))
 
     complete = stacks[n_words]
     if beam_size is not None and offered[n_words] > beam_size:
@@ -548,22 +625,32 @@ def write_nbest(path, lists: Sequence[Sequence[NBestEntry]]) -> None:
 
 def read_nbest(path) -> list[list[NBestEntry]]:
     lists: list[list[NBestEntry]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            sent_id_s, tokens_s, feats_s, score_s = [p.strip() for p in line.split("|||")]
-            sent_id = int(sent_id_s)
+    for parsed in parse_file(path, _parse_nbest_line):
+        if parsed is not None:
+            sent_id, entry = parsed
             while len(lists) <= sent_id:
                 lists.append([])
-            feats = {}
-            for piece in feats_s.split():
-                name, value = piece.split("=")
-                feats[name] = float(value)
-            lists[sent_id].append(
-                NBestEntry(tuple(tokens_s.split()), feats, float(score_s))
-            )
+            lists[sent_id].append(entry)
     return lists
+
+
+def _parse_nbest_line(line: str) -> Optional[tuple[int, NBestEntry]]:
+    if not line.strip():
+        return None
+    fields = [p.strip() for p in line.split("|||")]
+    if len(fields) != 4:
+        raise ValueError(f"expected 4 '|||'-separated fields, got {len(fields)}: "
+                         f"{line.rstrip()!r}")
+    sent_id_s, tokens_s, feats_s, score_s = fields
+    if not sent_id_s.isdecimal():
+        raise ValueError(f"bad sentence id: {sent_id_s!r}")
+    feats = {}
+    for piece in feats_s.split():
+        name, eq, value = piece.partition("=")
+        if not eq:
+            raise ValueError(f"expected name=value, got {piece!r}")
+        feats[name] = float(value)
+    return int(sent_id_s), NBestEntry(tuple(tokens_s.split()), feats, float(score_s))
 
 
 # --- weights file: name<TAB>value ---------------------------------------------

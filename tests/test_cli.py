@@ -390,6 +390,44 @@ def test_pipeline_checks_parallel_files_before_training(tmp_path):
     assert not (run_dir / "pt.txt").exists()
 
 
+CONFIG_ERRORS = {
+    # case: (line added to the config or None, --set arguments, message)
+    "malformed-line": ("oops no equals", [],
+                       "{cfg}:{line}: expected key = value: 'oops no equals'"),
+    "unknown-key": ("decoder.bogus = 3", [], "{cfg}:{line}: unknown config key: decoder.bogus"),
+    "unknown-data-key": ("data.extra = x.txt", [],
+                         "{cfg}:{line}: unknown data key: data.extra"),
+    "bad-value": ("decoder.beam = ten", [], "{cfg}:{line}: bad value for decoder.beam: 'ten'"),
+    "out-of-range-value": ("decoder.beam = -4", [], "{cfg}:{line}: beam must be positive"),
+    "missing-data-file": ("data.dev_src_words = nowhere.txt", [],
+                          "{cfg}:{line}: data.dev_src_words: no such file: {dir}/nowhere.txt"),
+    "bad-set-value": (None, ["--set", "decoder.beam=ten"],
+                      "--set decoder.beam=ten: bad value for decoder.beam: 'ten'"),
+    "spaced-set-value": (None, ["--set", "decoder.beam = ten"],
+                         "--set decoder.beam=ten: bad value for decoder.beam: 'ten'"),
+    "out-of-range-set-value": (None, ["--set", "merge.alpha=1.5"],
+                               "--set merge.alpha=1.5: merge_alpha must be in [0, 1]"),
+    "set-without-equals": (None, ["--set", "decoder.beam"],
+                           "--set expects KEY=VALUE: 'decoder.beam'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_pipeline_config_errors_say_where(tmp_path, case):
+    added, overrides, message = CONFIG_ERRORS[case]
+    cfg = synth.write_workspace(tmp_path / "ws", seed=3, sizes=(5, 2, 2))
+    text = cfg.read_text(encoding="utf-8")
+    if added is not None:
+        cfg.write_text(text + added + "\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    proc = run_morphsmt("pipeline", "m-system", "--config", str(cfg), "--run-dir", str(run_dir),
+                        *overrides)
+    assert proc.returncode == 1
+    where = {"cfg": cfg, "line": text.count("\n") + 1, "dir": cfg.resolve().parent}
+    assert proc.stderr == f"error: {message.format(**where)}\n"
+    assert not run_dir.exists()
+
+
 SEARCH_OPTIONS = {
     # case: (subcommand, option, bad value, message)
     "decode-beam": ("decode", "--beam", "0", "--beam must be positive"),

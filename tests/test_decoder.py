@@ -1,7 +1,10 @@
 import math
 import random
+from math import fsum
+from operator import add, mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphsmt import decoder, lm, morpho
 from morphsmt.phrasex import PhraseEntry, PhraseTable
@@ -205,6 +208,37 @@ def test_nbest_file_roundtrip(tmp_path):
     decoder.write_nbest(path, lists)
     back = decoder.read_nbest(path)
     assert back == lists
+
+
+NBEST_LINE = "0 ||| x/STM ||| lm_morph=-1.5 phi_fwd=-0.25 ||| -2.0\n"
+MALFORMED_NBEST = {
+    # case: (second line, message)
+    "too-few-fields": ("0 ||| x/STM ||| phi_fwd=-0.25\n",
+                       "expected 4 '|||'-separated fields, got 3: '0 ||| x/STM ||| phi_fwd=-0.25'"),
+    "too-many-fields": ("0 ||| x/STM ||| phi_fwd=-0.25 ||| -2.0 ||| 1\n",
+                        "expected 4 '|||'-separated fields, got 5: "
+                        "'0 ||| x/STM ||| phi_fwd=-0.25 ||| -2.0 ||| 1'"),
+    "score": ("0 ||| x/STM ||| phi_fwd=-0.25 ||| high\n",
+              "could not convert string to float: 'high'"),
+    "feature-value": ("0 ||| x/STM ||| phi_fwd=oops ||| -2.0\n",
+                      "could not convert string to float: 'oops'"),
+    "feature-without-value": ("0 ||| x/STM ||| phi_fwd ||| -2.0\n",
+                              "expected name=value, got 'phi_fwd'"),
+    "sentence-id": ("first ||| x/STM ||| phi_fwd=-0.25 ||| -2.0\n",
+                    "bad sentence id: 'first'"),
+    "negative-sentence-id": ("-1 ||| x/STM ||| phi_fwd=-0.25 ||| -2.0\n",
+                             "bad sentence id: '-1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NBEST))
+def test_read_nbest_names_file_and_line_of_malformed_input(tmp_path, case):
+    line, message = MALFORMED_NBEST[case]
+    path = tmp_path / "nbest.txt"
+    path.write_text(NBEST_LINE + line, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        decoder.read_nbest(path)
+    assert str(info.value) == f"{path}:2: {message}"
 
 
 def test_weights_file_roundtrip(tmp_path):
@@ -421,6 +455,119 @@ def test_stack_offered_more_than_beam_is_sorted_even_after_rejections():
     got = decoder.search(src, tab, None, None, weights, 2, 0)
     assert [decoder.target_tokens(h)[0] for h in got] == ["x2/STM", "x1/STM"]
     assert fingerprint(got) == fingerprint(reference_search(src, tab, None, None, weights, 2, 0))
+
+
+@pytest.mark.parametrize("lm_weights", sorted(LM_WEIGHTS))
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_search_matches_reference_bit_for_bit_under_scaled_weights(bundled_models, scale,
+                                                                    lm_weights):
+    # the cheap key's slack scales with the terms' magnitudes, so rejection
+    # stays exact whatever the weights' scale
+    from oracles import reference_search
+
+    sources, tab, lm_m, lm_w = bundled_models
+    weights = {name: scale * value
+               for name, value in {**decoder.default_weights(), **LM_WEIGHTS[lm_weights]}.items()}
+    for src in sources[:8]:
+        assert fingerprint(decoder.search(src, tab, lm_m, lm_w, weights, 3, 6)) == fingerprint(
+            reference_search(src, tab, lm_m, lm_w, weights, 3, 6))
+
+
+def offer_keys(wvec, parent, template, jump, rest, morph_delta, word_delta):
+    """(cheap, magnitude, exact) keys of one offer before and after its LM
+    deltas, worked out as ``search`` works them out.  Slots: the TM features,
+    then lm_morph, lm_word, word_penalty and distortion."""
+    terms = list(map(mul, wvec, template))
+    tm, mag = fsum(terms), fsum(map(abs, terms)) + decoder._MAG_FLOOR
+    jump_term = wvec[-1] * jump
+    base = fsum(map(mul, wvec, parent)) + jump_term + rest
+    base_mag = fsum(map(abs, map(mul, wvec, parent))) + abs(jump_term) + abs(rest)
+    morph_term, word_term = wvec[-4] * morph_delta, wvec[-3] * word_delta
+    values = list(map(add, parent, template))
+    values[-1] += jump
+    pre_lm = (base + tm, base_mag + mag, fsum(map(mul, wvec, values)) + rest)
+    values[-4] += morph_delta
+    values[-3] += word_delta
+    real = (pre_lm[0] + (morph_term + word_term),
+            pre_lm[1] + (abs(morph_term) + abs(word_term)),
+            fsum(map(mul, wvec, values)) + rest)
+    return pre_lm, real
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+# a sum of log-probs, some of them floored at LOG_ZERO
+log_prob = st.one_of(st.floats(min_value=-1e3, max_value=0.0),
+                     st.integers(1, 40).map(lambda k: k * lm.LOG_ZERO))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_exact_key_lies_within_slack_of_the_cheap_key(data):
+    n_tm = data.draw(st.integers(1, 8))
+    scale = data.draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    wvec = [scale * w for w in data.draw(st.lists(finite, min_size=n_tm + 4,
+                                                  max_size=n_tm + 4))]
+    parent = [*data.draw(st.lists(finite, min_size=n_tm, max_size=n_tm)),
+              data.draw(log_prob), data.draw(log_prob),
+              float(data.draw(st.integers(0, 60))), float(data.draw(st.integers(0, 400)))]
+    template = [*data.draw(st.lists(finite, min_size=n_tm, max_size=n_tm)),
+                0.0, 0.0, float(data.draw(st.integers(0, 8))), 0.0]
+    keys = offer_keys(wvec, parent, template, data.draw(st.integers(0, 20)), data.draw(finite),
+                      data.draw(log_prob), data.draw(log_prob))
+    for cheap, magnitude, exact in keys:
+        # the derivation in the decoder bounds the gap by about 11 units in
+        # the last place of the magnitude; SLACK is far above that
+        assert abs(exact - cheap) <= 12 * 2.0 ** -53 * magnitude
+        assert abs(exact - cheap) < decoder.SLACK * magnitude
+
+
+def test_offer_a_rounding_error_above_the_heap_minimum_is_kept(monkeypatch):
+    # In real numbers x+y1 and x+y2 both score -1.57.  In floats y2's exact
+    # key is one ulp above y1's, which is the minimum of the full beam-1
+    # heap, and y2's cheap key is one ulp below it: only the slack keeps y2,
+    # which the plain search ranks first.
+    from oracles import reference_search
+
+    weights = (0.1, 0.4)
+    x, y1, y2 = (-2.9, -0.8), (-1.2, -2.1), (-1.6, -2.0)
+    exact1, exact2 = (fsum(map(mul, weights, map(add, x, y))) for y in (y1, y2))
+    assert fsum(map(mul, weights, x)) + fsum(map(mul, weights, y2)) < exact1 < exact2
+
+    options = [
+        decoder.TranslationOption(start, start + 1, (target,),
+                                  (("phi_fwd", phi_fwd), ("phi_bwd", phi_bwd)), 1, 1 << start)
+        for start, target, (phi_fwd, phi_bwd) in ((0, "x/STM", x), (1, "y1/STM", y1),
+                                                  (1, "y2/STM", y2))]
+    monkeypatch.setattr(decoder, "build_options", lambda *args: options)
+    src = morpho.parse_segmented_line("a/STM b/STM")
+    named = dict(zip(("phi_fwd", "phi_bwd"), weights))
+    got = decoder.search(src, None, None, None, named, 1, 0)
+    assert [decoder.target_tokens(h) for h in got] == [("x/STM", "y2/STM")]
+    assert fingerprint(got) == fingerprint(reference_search(src, None, None, None, named, 1, 0))
+
+
+def test_stack_offered_more_than_beam_only_through_a_rejected_group_is_sorted(monkeypatch):
+    # From the root, x1 and x2 fill stack 1's beam-2 heap; the group of y1
+    # and y2 (word b, a jump away) is then rejected whole.  Stack 1 holds two
+    # hypotheses but was offered four, so it is sorted: x2 is expanded first.
+    from oracles import reference_search
+
+    src = morpho.parse_segmented_line("a/STM b/STM")
+    tab = table([
+        entry(("a/STM",), ("x1/STM",), 0.5),
+        entry(("a/STM",), ("x2/STM",), 0.9),
+        entry(("b/STM",), ("y1/STM",), 0.1),
+        entry(("b/STM",), ("y2/STM",), 0.05),
+    ])
+    weights = {"phi_fwd": 1.0, "distortion": -1.0}
+    parents = []
+    real_extend = decoder._extend
+    monkeypatch.setattr(decoder, "_extend",
+                        lambda hyp, *a: parents.append(hyp) or real_extend(hyp, *a))
+    got = decoder.search(src, tab, None, None, weights, 2, 6)
+    assert [decoder.target_tokens(h) for h in parents] == [
+        (), (), ("x2/STM",), ("x2/STM",), ("x1/STM",)]
+    assert fingerprint(got) == fingerprint(reference_search(src, tab, None, None, weights, 2, 6))
 
 
 # --- flat feature vectors: more tables and weights against the plain search
