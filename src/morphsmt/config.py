@@ -62,11 +62,11 @@ class PipelineConfig:
     merge_primary: str = "wm"
     seed: int = 42
 
-    def validate(self, origins: Optional[Mapping[str, str]] = None) -> None:
+    def validate(self, origins: Mapping[str, str]) -> None:
         """Check every setting.  ``origins`` maps a setting's attribute name,
         or ``data.<key>``, to where it was set; a message names that first."""
         def fail(name: str, problem: str) -> NoReturn:
-            where = (origins or {}).get(name)
+            where = origins.get(name)
             raise ConfigError(f"{where}: {problem}" if where else problem)
 
         positive = (
@@ -106,9 +106,9 @@ class PipelineConfig:
 
 def parse_config_text(
     text: str,
+    filename: str,
     base_dir: Path,
     overrides: Optional[Mapping[str, str]] = None,
-    filename: str = "<config>",
 ) -> PipelineConfig:
     """The config in ``text``, then ``overrides``.  A malformed line, an
     unknown key, a bad or out-of-range value and a missing data file are
@@ -153,5 +153,5 @@ def load_config(
 ) -> PipelineConfig:
     path = Path(path)
     return parse_config_text(
-        path.read_text(encoding="utf-8"), path.resolve().parent, overrides, str(path)
+        path.read_text(encoding="utf-8"), str(path), path.resolve().parent, overrides
     )

@@ -273,35 +273,33 @@ def search(
     ``beam_size`` by score + rest cost (a stable sort, so ties keep arrival
     order).  Offers that cannot make that cut are rejected: each stack keeps
     a min-heap of the best ``beam_size`` keys it was given, and an offer is
-    tested against a full heap's minimum twice.
-      - Before its LM queries, by its key with zero LM deltas.  LM log-probs
-        are <= 0 and ``fsum`` is monotone in each term, so with every present
-        LM weight >= 0 this key bounds the real one by construction; with a
-        negative LM weight this test is off.
-      - After them, for any weight signs, by its real key; only a child that
-        passes is built by ``_extend``.
-    A full heap holds the keys of ``beam_size`` children already offered to
-    the stack, all >= its minimum, so the stable sort would cut a child
-    whose key is strictly below it; ties are kept.  The surviving stacks,
-    their order and every score are exactly those of the unrejected search.
+    tested against a full heap's minimum.  A full heap holds the keys of
+    ``beam_size`` children already offered to the stack, all >= its
+    minimum, so the stable sort would cut a child whose key is strictly
+    below it; ties are kept.  The surviving stacks, their order and every
+    score are exactly those of the unrejected search.
 
-    Both tests look first at a cheap key, which needs no child values: the
-    parent's score, the jump term, the rest cost and the option's weighted TM
-    score (computed once per search), plus each LM's weighted delta once they
-    are known.  Its roundings and the exact ``fsum`` key's differ by at most
-    about 11 units in the last place of M, the sum of the terms' magnitudes
-    (derived at ``SLACK``), and ``SLACK * M`` is about 10**6 times that.  So
-    an offer whose cheap key is more than ``SLACK * M`` below the minimum is
-    one the exact test rejects, and one more than that above it is one the
-    exact test keeps.  Only an offer too close to call takes the exact
-    pre-LM test, and only a child that passes the cheap real-key test gets
-    its values and exact score.  A non-finite term makes the cheap test NaN
-    or never true, and the exact path decides.  The options of one source
-    span form a group, in ``build_options`` order, with its best TM score
-    and largest magnitude: under the pre-LM test a group whose best offer
-    fails is rejected whole, and still counts every offer for the stack's
-    sort.  Every rejection is one the exact tests make, so the same LM
-    questions are asked and the same children built.
+    Before a child's values are built, the offer is tested on a cheap key:
+    the parent's score, the jump term, the rest cost and the option's
+    weighted TM score (computed once per search).  Its roundings and the
+    exact ``fsum`` key's differ by at most about 11 units in the last place
+    of M, the sum of the terms' magnitudes (derived at ``SLACK``), and
+    ``SLACK * M`` is about 10**6 times that, so an offer whose cheap key is
+    more than ``SLACK * M`` below the minimum is one the exact test rejects.
+      - Before its LM queries, by the cheap key alone.  LM log-probs are
+        <= 0, so with every present LM weight >= 0 it bounds the key with
+        the LM deltas; with a negative LM weight this test is off.  The
+        options of one source span form a group, in ``build_options`` order,
+        with its best TM score and largest magnitude, and a group whose best
+        offer fails is rejected whole; every offer still counts for the
+        stack's sort.
+      - After them, for any weight signs, by the cheap key plus each LM's
+        weighted delta.
+    Only a child that passes both gets its values and exact score, and it
+    is built by ``_extend`` only if that exact key is not below the minimum.
+    A non-finite term makes the cheap tests NaN or never true, so the exact
+    test decides.  An offer within ``SLACK * M`` of the minimum may take its
+    LM lookup before its exact key rejects it.
 
     Each distinct LM question is asked once per call: twin_extend results
     are memoized per (state, target), and LM log-probs per (context, token).
@@ -335,12 +333,13 @@ def search(
                 template[slot[name]] = value
                 bits |= 1 << slot[name]
             template[slot["word_penalty"]] = float(opt.n_words)
-            terms = list(map(mul, wvec, template))
             members.append((opt, targets.setdefault(opt.target, len(targets)), template,
-                            bits, fsum(terms), fsum(map(abs, terms)) + _MAG_FLOOR))
+                            bits, *_tm_score(wvec, template)))
+        tms = [tm for *_, tm, _ in members]
         by_start.setdefault(start, []).append((
             _span_mask(start, end), end - start, members,
-            max(tm for *_, tm, _ in members), max(mag for *_, mag in members)))
+            math.nan if any(map(math.isnan, tms)) else max(tms),
+            max(mag for *_, mag in members)))
     future = _future_costs(options, n_words, weights, lm_m)
     rest_memo: dict[int, float] = {}
     reject = beam_size is not None and beam_size > 0
@@ -376,7 +375,7 @@ def search(
             parent_values = hyp.values
             parent_touched = hyp.touched
             parent_score = hyp.score
-            parent_mag = fsum(map(abs, map(mul, wvec, parent_values)))
+            parent_mag = _magnitude(wvec, parent_values)
             by_target = lm_scores.setdefault(hyp.state, {})
             first_free = _first_uncovered(coverage, n_words)
             for start in range(first_free, min(first_free + distortion_limit, n_words - 1) + 1):
@@ -399,21 +398,12 @@ def search(
                             continue  # the group's best offer fails, so every one does
                     for opt, target_id, template, bits, tm, mag in members:
                         full = reject and len(heap) == beam_size
-                        values = None
                         if full:
                             lowest = heap[0]
                             key = base + tm
                             key_mag = base_mag + mag
-                            if reject_pre_lm:
-                                slack = SLACK * key_mag
-                                if key + slack < lowest:
-                                    continue
-                                if not key - slack >= lowest:  # too close to call, or NaN
-                                    values = list(map(add, parent_values, template))
-                                    if jump:
-                                        values[jump_slot] += jump
-                                    if fsum(map(mul, wvec, values)) + rest < lowest:
-                                        continue
+                            if reject_pre_lm and key + SLACK * key_mag < lowest:
+                                continue
                         scored = by_target.get(target_id)
                         if scored is None:
                             state, morph_delta, word_delta = twin_extend(
@@ -426,10 +416,9 @@ def search(
                         state, morph_delta, word_delta, lm_term, lm_mag = scored
                         if full and key + lm_term + SLACK * (key_mag + lm_mag) < lowest:
                             continue
-                        if values is None:
-                            values = list(map(add, parent_values, template))
-                            if jump:
-                                values[jump_slot] += jump
+                        values = list(map(add, parent_values, template))
+                        if jump:
+                            values[jump_slot] += jump
                         if morph_slot is not None:
                             values[morph_slot] += morph_delta
                         if word_slot is not None:
@@ -449,6 +438,20 @@ def search(
         complete.sort(key=lambda h: h.score, reverse=True)
         del complete[beam_size:]
     return [_finalize(h, lm_m, lm_w, wvec) for h in complete]
+
+
+def _tm_score(wvec: Sequence[float], template: Sequence[float]) -> tuple[float, float]:
+    """An option's weighted TM score, an exact ``fsum``, and its magnitude
+    for the cheap key (see ``SLACK``)."""
+    return fsum(map(mul, wvec, template)), _magnitude(wvec, template) + _MAG_FLOOR
+
+
+def _magnitude(wvec: Sequence[float], values: Sequence[float]) -> float:
+    """The sum of the |w_i * v_i|.  A plain sum: its rounding is far below
+    ``SLACK``, and where the terms are huge it overflows to inf, which only
+    makes the cheap test keep more offers, rather than raise as ``fsum``
+    would."""
+    return sum(map(abs, map(mul, wvec, values)))
 
 
 def _first_uncovered(coverage: int, n_words: int) -> int:

@@ -475,13 +475,15 @@ def test_search_matches_reference_bit_for_bit_under_scaled_weights(bundled_model
 
 def offer_keys(wvec, parent, template, jump, rest, morph_delta, word_delta):
     """(cheap, magnitude, exact) keys of one offer before and after its LM
-    deltas, worked out as ``search`` works them out.  Slots: the TM features,
-    then lm_morph, lm_word, word_penalty and distortion."""
-    terms = list(map(mul, wvec, template))
-    tm, mag = fsum(terms), fsum(map(abs, terms)) + decoder._MAG_FLOOR
+    deltas.  Slots: the TM features, then lm_morph, lm_word, word_penalty
+    and distortion.  The option's TM score and magnitude and the parent's
+    magnitude come from the decoder's own helpers; the additions below copy
+    the order of those in ``search`` (``base``, ``key``, ``key + lm_term``)
+    and must change with them."""
+    tm, mag = decoder._tm_score(wvec, template)
     jump_term = wvec[-1] * jump
     base = fsum(map(mul, wvec, parent)) + jump_term + rest
-    base_mag = fsum(map(abs, map(mul, wvec, parent))) + abs(jump_term) + abs(rest)
+    base_mag = decoder._magnitude(wvec, parent) + abs(jump_term) + abs(rest)
     morph_term, word_term = wvec[-4] * morph_delta, wvec[-3] * word_delta
     values = list(map(add, parent, template))
     values[-1] += jump
@@ -568,6 +570,50 @@ def test_stack_offered_more_than_beam_only_through_a_rejected_group_is_sorted(mo
     assert [decoder.target_tokens(h) for h in parents] == [
         (), (), ("x2/STM",), ("x2/STM",), ("x1/STM",)]
     assert fingerprint(got) == fingerprint(reference_search(src, tab, None, None, weights, 2, 6))
+
+
+def single_word_options(*specs):
+    """Options over one source word each: (start, target, phi_fwd, phi_bwd)."""
+    return [decoder.TranslationOption(start, start + 1, (target,),
+                                      (("phi_fwd", phi_fwd), ("phi_bwd", phi_bwd)), 1,
+                                      1 << start)
+            for start, target, phi_fwd, phi_bwd in specs]
+
+
+def test_group_with_a_nan_key_after_its_first_member_is_not_rejected_whole(monkeypatch):
+    # From the root, x fills stack 1's beam-1 heap, and then the group of y1
+    # and y2 (word b, a jump away) is offered.  y1 fails the heap minimum,
+    # but y2's key is NaN (weight 0 times an infinite score), which the
+    # exact test keeps: so the group is not rejected whole and y2 is built.
+    from oracles import reference_search
+
+    monkeypatch.setattr(decoder, "build_options", lambda *args: single_word_options(
+        (0, "x/STM", -1.0, 0.0), (1, "y1/STM", -5.0, 0.0), (1, "y2/STM", -5.0, math.inf)))
+    built = []
+    real_extend = decoder._extend
+    monkeypatch.setattr(decoder, "_extend",
+                        lambda hyp, opt, *a: built.append(opt.target) or real_extend(hyp, opt, *a))
+    src = morpho.parse_segmented_line("a/STM b/STM")
+    weights = {"phi_fwd": 1.0, "phi_bwd": 0.0, "distortion": -1.0}
+    got = decoder.search(src, None, None, None, weights, 1, 6)
+    assert ("y2/STM",) in built[:2]
+    assert ("y1/STM",) not in built[:2]
+    assert fingerprint(got) == fingerprint(reference_search(src, None, None, None, weights, 1, 6))
+
+
+def test_option_whose_term_magnitudes_overflow_is_searched(monkeypatch):
+    # y2's weighted terms, +-1e308, cancel in its exact key, but the sum of
+    # their magnitudes overflows: the cheap test then keeps every offer of
+    # y2 and the exact key decides
+    from oracles import reference_search
+
+    monkeypatch.setattr(decoder, "build_options", lambda *args: single_word_options(
+        (0, "x/STM", -1.0, 0.0), (1, "y1/STM", -5.0, 0.0), (1, "y2/STM", 1e308, -1e308)))
+    src = morpho.parse_segmented_line("a/STM b/STM")
+    weights = {"phi_fwd": 1.0, "phi_bwd": 1.0, "distortion": -1.0}
+    got = decoder.search(src, None, None, None, weights, 1, 6)
+    assert [decoder.target_tokens(h) for h in got] == [("x/STM", "y2/STM")]
+    assert fingerprint(got) == fingerprint(reference_search(src, None, None, None, weights, 1, 6))
 
 
 # --- flat feature vectors: more tables and weights against the plain search
