@@ -62,12 +62,6 @@ def words_as_sentence(words: Sequence[str]) -> mo.MorphSentence:
     ))
 
 
-def _nonempty_pairs(src: list, tgt: list) -> tuple[list, list]:
-    """The sentence pairs with both sides non-empty, as ParallelCorpus keeps them."""
-    keep = [i for i, (s, t) in enumerate(zip(src, tgt, strict=True)) if len(s) and len(t)]
-    return [src[i] for i in keep], [tgt[i] for i in keep]
-
-
 def _check_parallel(path_a, lines_a: list, path_b, lines_b: list) -> None:
     """ValueError naming both files if they do not have one line per sentence pair."""
     if len(lines_a) != len(lines_b):
@@ -129,44 +123,48 @@ def _load_data(cfg: PipelineConfig) -> CorpusData:
     return CorpusData(words, morphs)
 
 
-def _word_table(cfg: PipelineConfig, data: CorpusData):
-    corpus = al.ParallelCorpus.from_sentences(
-        data.words["train_src"], data.words["train_tgt"], "word"
-    )
-    alignments, lt_f, lt_b = al.align_corpus(
-        corpus, cfg.align_iterations, cfg.align_heuristic
-    )
-    counts = px.extract_corpus(
-        [s for s, _ in corpus.pairs], [t for _, t in corpus.pairs],
-        alignments, cfg.max_words,
-    )
-    table = px.score_phrase_table(counts, lt_f, lt_b, "word", cfg.max_words)
+def build_table(
+    src: Sequence[Sequence[str]],
+    tgt: Sequence[Sequence[str]],
+    granularity: al.Granularity,
+    boundary_aware: bool,
+    max_span: int,
+    iterations: int,
+    heuristic: al.Heuristic,
+    alignments=None,
+) -> tuple[px.PhraseTable, al.LexicalTable, al.LexicalTable]:
+    """A scored phrase table and its two lexical tables, from parallel
+    token-string sentences.  Pairs with an empty side are dropped.  The kept
+    pairs are aligned, or, given ``alignments`` (a Pharaoh file with one line
+    per kept pair), Model 1 is trained in both directions for the lexical
+    tables alone."""
+    corpus = al.ParallelCorpus.from_sentences(src, tgt, granularity)
+    if alignments is None:
+        links, lt_f, lt_b = al.align_corpus(corpus, iterations, heuristic)
+    else:
+        links = al.read_alignments(alignments, [(len(s), len(t)) for s, t in corpus.pairs])
+        lt_f = al.train_model1(corpus, iterations)
+        rev = al.ParallelCorpus([(t, s) for s, t in corpus.pairs], granularity)
+        lt_b = al.train_model1(rev, iterations)
+    extract = px.extract_corpus_boundary_aware if boundary_aware else px.extract_corpus
+    counts = extract([s for s, _ in corpus.pairs], [t for _, t in corpus.pairs],
+                     links, max_span)
+    table = px.score_phrase_table(counts, lt_f, lt_b, granularity, max_span, boundary_aware)
     return table, lt_f, lt_b
+
+
+def _word_table(cfg: PipelineConfig, data: CorpusData):
+    return build_table(data.words["train_src"], data.words["train_tgt"], "word", False,
+                       cfg.max_words, cfg.align_iterations, cfg.align_heuristic)
 
 
 def _morph_table(cfg: PipelineConfig, data: CorpusData, boundary_aware: bool):
-    src, tgt = _nonempty_pairs(data.morphs["train_src"], data.morphs["train_tgt"])
-    corpus = al.ParallelCorpus.from_sentences(
-        [mo.token_strings(s) for s in src], [mo.token_strings(t) for t in tgt],
-        "morpheme",
+    return build_table(
+        [mo.token_strings(s) for s in data.morphs["train_src"]],
+        [mo.token_strings(t) for t in data.morphs["train_tgt"]],
+        "morpheme", boundary_aware, cfg.max_words if boundary_aware else cfg.max_morphemes,
+        cfg.align_iterations, cfg.align_heuristic,
     )
-    alignments, lt_f, lt_b = al.align_corpus(
-        corpus, cfg.align_iterations, cfg.align_heuristic
-    )
-    if boundary_aware:
-        counts = px.extract_corpus_boundary_aware(src, tgt, alignments, cfg.max_words)
-        table = px.score_phrase_table(
-            counts, lt_f, lt_b, "morpheme", cfg.max_words, True
-        )
-    else:
-        counts = px.extract_corpus(
-            [s for s, _ in corpus.pairs], [t for _, t in corpus.pairs],
-            alignments, cfg.max_morphemes,
-        )
-        table = px.score_phrase_table(
-            counts, lt_f, lt_b, "morpheme", cfg.max_morphemes, False
-        )
-    return table, lt_f, lt_b
 
 
 def _segmentation_lexicon(data: CorpusData) -> mg.SegmentationLexicon:
@@ -386,30 +384,15 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    # boundary-aware input is parsed as segmented text, so a malformed token
+    # is reported with its file and line
+    read = mo.read_segmented_file if args.boundary_aware else mo.read_word_file
+    src, tgt = _read_parallel(read, args.source, args.target)
     if args.boundary_aware:
-        src, tgt = _nonempty_pairs(*_read_parallel(
-            mo.read_segmented_file, args.source, args.target))
-        src_tok = [mo.token_strings(s) for s in src]
-        tgt_tok = [mo.token_strings(t) for t in tgt]
-    else:
-        src_tok, tgt_tok = _nonempty_pairs(*_read_parallel(
-            mo.read_word_file, args.source, args.target))
-    corpus = al.ParallelCorpus.from_sentences(src_tok, tgt_tok, args.granularity)
-    if args.alignments:
-        dims = [(len(s), len(t)) for s, t in zip(src_tok, tgt_tok)]
-        alignments = al.read_alignments(args.alignments, dims)
-        lt_f = al.train_model1(corpus, args.iterations)
-        rev = al.ParallelCorpus([(t, s) for s, t in corpus.pairs], corpus.granularity)
-        lt_b = al.train_model1(rev, args.iterations)
-    else:
-        alignments, lt_f, lt_b = al.align_corpus(corpus, args.iterations)
-    if args.boundary_aware:
-        counts = px.extract_corpus_boundary_aware(src, tgt, alignments, args.max_span)
-    else:
-        counts = px.extract_corpus(src_tok, tgt_tok, alignments, args.max_span)
-    table = px.score_phrase_table(
-        counts, lt_f, lt_b, args.granularity, args.max_span, args.boundary_aware
-    )
+        src, tgt = [mo.token_strings(s) for s in src], [mo.token_strings(t) for t in tgt]
+    table, _, _ = build_table(src, tgt, args.granularity, args.boundary_aware,
+                              args.max_span, args.iterations, "grow-diag-final-and",
+                              args.alignments)
     px.write_phrase_table(args.output, table)
     return 0
 
@@ -420,7 +403,10 @@ def _cmd_lm_train(args) -> int:
     return 0
 
 
-def _cmd_decode(args) -> int:
+def _load_search(args, source_path):
+    """What ``decode`` and ``mert`` search with, after their search options
+    are checked: the table, the optional LMs, the weights (the defaults for
+    that table and those LMs when no file is given) and the source sentences."""
     _check_search_options(args)
     table = px.read_phrase_table(args.table, args.granularity)
     lm_m = lmod.read_arpa(args.lm_morph) if args.lm_morph else None
@@ -429,9 +415,14 @@ def _cmd_decode(args) -> int:
         table.n_extras, lm_m is not None, lm_w is not None
     )
     if args.granularity == "word":
-        sources = [words_as_sentence(w) for w in mo.read_word_file(args.input)]
+        sources = [words_as_sentence(w) for w in mo.read_word_file(source_path)]
     else:
-        sources = mo.read_segmented_file(args.input)
+        sources = mo.read_segmented_file(source_path)
+    return table, lm_m, lm_w, weights, sources
+
+
+def _cmd_decode(args) -> int:
+    table, lm_m, lm_w, weights, sources = _load_search(args, args.input)
     best, nbest_lists = decode_corpus(sources, table, lm_m, lm_w, weights, args.beam,
                                       args.distortion_limit, args.nbest, args.max_span)
     mo.write_word_lines(args.output, [dec.target_tokens(h) for h in best])
@@ -441,19 +432,9 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_mert(args) -> int:
-    _check_search_options(args)
-    table = px.read_phrase_table(args.table, args.granularity)
-    lm_m = lmod.read_arpa(args.lm_morph) if args.lm_morph else None
-    lm_w = lmod.read_arpa(args.lm_word) if args.lm_word else None
-    if args.granularity == "word":
-        sources = [words_as_sentence(w) for w in mo.read_word_file(args.dev_source)]
-    else:
-        sources = mo.read_segmented_file(args.dev_source)
+    table, lm_m, lm_w, initial, sources = _load_search(args, args.dev_source)
     refs = [tuple(r) for r in mo.read_word_file(args.dev_refs)]
     _check_parallel(args.dev_source, sources, args.dev_refs, refs)
-    initial = dec.read_weights(args.weights) if args.weights else dec.default_weights(
-        table.n_extras, lm_m is not None, lm_w is not None
-    )
     state = mt.mert_run(
         refs, initial,
         lambda wts: decode_corpus(sources, table, lm_m, lm_w, wts, args.beam,

@@ -62,9 +62,11 @@ class PipelineConfig:
     merge_primary: str = "wm"
     seed: int = 42
 
-    def validate(self, origins: Mapping[str, str]) -> None:
+    def validate(self, origins: Mapping[str, str], source: str) -> None:
         """Check every setting.  ``origins`` maps a setting's attribute name,
-        or ``data.<key>``, to where it was set; a message names that first."""
+        or ``data.<key>``, to where it was set; a message names that first.
+        A data path set nowhere is reported against ``source``, the config
+        file's name."""
         def fail(name: str, problem: str) -> NoReturn:
             where = origins.get(name)
             raise ConfigError(f"{where}: {problem}" if where else problem)
@@ -90,7 +92,7 @@ class PipelineConfig:
             fail("lm_smoothing", f"unknown smoothing: {self.lm_smoothing}")
         missing = [k for k in DATA_KEYS if k not in self.paths]
         if missing:
-            raise ConfigError(f"missing data paths: {', '.join(missing)}")
+            raise ConfigError(f"{source}: missing data paths: {', '.join(missing)}")
         for key, path in self.paths.items():
             if not path.exists():
                 fail(f"data.{key}", f"data.{key}: no such file: {path}")
@@ -144,7 +146,7 @@ def parse_config_text(
             origins[attr] = where
         else:
             raise ConfigError(f"{where}: unknown config key: {key}")
-    cfg.validate(origins)
+    cfg.validate(origins, filename)
     return cfg
 
 

@@ -34,7 +34,8 @@ from .lm import (
     initial_twin_state, twin_extend, twin_finalize,
 )
 from .morpho import (
-    MorphSentence, parse_file, split_token_string, word_spans, words_from_tokens,
+    MorphSentence, parse_file, split_token_string, token_strings, word_spans,
+    words_from_tokens,
 )
 from .phrasex import PhraseTable
 
@@ -116,7 +117,6 @@ class TranslationOption:
 @dataclass(slots=True)
 class Hypothesis:
     coverage: int  # bitmask over source word indices
-    n_covered: int
     last_end: int  # word index one past the last applied span
     state: TwinScorerState
     names: tuple[str, ...]  # the search's feature slots, in slot order
@@ -154,14 +154,14 @@ def build_options(
     unit oov feature and neutral translation scores.
     """
     tokens = render_tokens(source, table.granularity)
-    spans = word_spans(source)
+    spans = word_spans(token_strings(source))
     n_words = len(spans)
     limit = max_span or (table.max_span if table.max_span > 0 else n_words)
     options: list[TranslationOption] = []
     covered = set()
     for w1 in range(n_words):
         for w2 in range(w1 + 1, min(w1 + limit, n_words) + 1):
-            src = tokens[spans[w1].start : spans[w2 - 1].end + 1]
+            src = tokens[spans[w1][0] : spans[w2 - 1][1] + 1]
             for entry in table.by_source().get(src, ()):
                 feats = [
                     ("phi_fwd", safe_ln(entry.phi_fwd)),
@@ -184,8 +184,8 @@ def build_options(
     for w in range(n_words):
         if w in covered:
             continue
-        span = spans[w]
-        tgt = tokens[span.start : span.end + 1]
+        start, end = spans[w]
+        tgt = tokens[start : end + 1]
         options.append(TranslationOption(
             start=w, end=w + 1, target=tgt,
             tm_features=(("phrase_penalty", 1.0), ("oov", 1.0)),
@@ -304,7 +304,7 @@ def search(
     Each distinct LM question is asked once per call: twin_extend results
     are memoized per (state, target), and LM log-probs per (context, token).
     """
-    n_words = len(word_spans(source))
+    n_words = len(word_spans(token_strings(source)))
     options = build_options(source, table, max_span)
     names = (*dict.fromkeys(name for opt in options for name, _ in opt.tm_features),
              *(name for name, model in (("lm_morph", lm_m), ("lm_word", lm_w))
@@ -349,7 +349,7 @@ def search(
     )
 
     stacks: list[list[Hypothesis]] = [[] for _ in range(n_words + 1)]
-    stacks[0].append(Hypothesis(0, 0, 0, initial_twin_state(lm_m, lm_w), names, 0,
+    stacks[0].append(Hypothesis(0, 0, initial_twin_state(lm_m, lm_w), names, 0,
                                 [0.0] * len(names), 0.0, None, None))
     offered = [0] * (n_words + 1)  # hypotheses offered per stack, rejected ones included
     offered[0] = 1
@@ -472,8 +472,8 @@ def _extend(
     """``hyp`` extended by ``opt``; ``search`` works out the child's twin
     state, touched slots, values (LM deltas included) and score."""
     return Hypothesis(
-        hyp.coverage | opt.mask, hyp.n_covered + (opt.end - opt.start), opt.end,
-        state, hyp.names, touched, values, score, hyp, opt,
+        hyp.coverage | opt.mask, opt.end, state, hyp.names, touched, values, score,
+        hyp, opt,
     )
 
 
@@ -497,7 +497,7 @@ def _finalize(
             values[i] += deltas[name]
             touched |= 1 << i
     return Hypothesis(
-        hyp.coverage, hyp.n_covered, hyp.last_end, hyp.state, names, touched, values,
+        hyp.coverage, hyp.last_end, hyp.state, names, touched, values,
         fsum(map(mul, wvec, values)), hyp.parent, hyp.option,
     )
 
@@ -517,9 +517,7 @@ def target_tokens(hyp: Hypothesis) -> tuple[str, ...]:
 
 def trace(hyp: Hypothesis, source: MorphSentence) -> list[tuple[int, int, tuple[str, ...], tuple[str, ...]]]:
     """(src word start, end exclusive, src words, out words) per applied phrase."""
-    from .morpho import to_words
-
-    src_words = to_words(source)
+    src_words = words_from_tokens(token_strings(source))
     items = []
     node: Optional[Hypothesis] = hyp
     while node is not None:

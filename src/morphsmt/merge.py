@@ -16,13 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .align import LexicalTable
-from .morpho import (
-    MorphSentence,
-    to_words,
-    token_strings,
-    word_spans_of_tokens,
-    words_from_tokens,
-)
+from .morpho import MorphSentence, token_strings, word_spans, words_from_tokens
 from .phrasex import PHRASE_PENALTY, PhraseEntry, PhraseTable, lexical_weight
 
 # origin feature values for the add-feature merges
@@ -54,13 +48,13 @@ def build_lexicon(
     """Collect each word's segmentation; most frequent wins, ties lexicographic."""
     seen: dict[str, Counter] = {}
     for words, morphs in zip(word_sentences, morph_sentences, strict=True):
-        if to_words(morphs) != list(words):
+        tokens = token_strings(morphs)
+        if words_from_tokens(tokens) != list(words):
             raise ValueError(
                 "segmented line does not reassemble to its word line: "
                 f"{' '.join(words)!r}"
             )
-        tokens = token_strings(morphs)
-        for word, (start, end) in zip(words, word_spans_of_tokens(tokens)):
+        for word, (start, end) in zip(words, word_spans(tokens)):
             seen.setdefault(word, Counter())[tokens[start : end + 1]] += 1
     mapping = {}
     for word in sorted(seen):
@@ -188,7 +182,7 @@ def induce_word_alignment(
 
 def _word_index(tokens: Sequence[str]) -> dict[int, int]:
     index = {}
-    for w, (start, end) in enumerate(word_spans_of_tokens(tokens)):
+    for w, (start, end) in enumerate(word_spans(tokens)):
         for pos in range(start, end + 1):
             index[pos] = w
     return index

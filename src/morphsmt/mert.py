@@ -246,22 +246,6 @@ def mert_run(
     return state
 
 
-def mert(
-    dev_refs: Sequence[Sequence[str]],
-    initial_weights: Mapping[str, float],
-    decoder_handle: DecoderHandle,
-    max_iters: int = 10,
-    epsilon: float = 1e-4,
-    seed: int = 0,
-    n_random_directions: int = 1,
-) -> dict[str, float]:
-    """Tuned weights: the argmax-BLEU point over all iterations."""
-    return mert_run(
-        dev_refs, initial_weights, decoder_handle,
-        max_iters, epsilon, seed, n_random_directions,
-    ).best_weights
-
-
 def _feature_rank(name: str) -> int:
     try:
         return FEATURE_ORDER.index(name)

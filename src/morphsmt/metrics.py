@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .align import AlignmentMatrix
-from .morpho import MorphSentence, token_strings
 
 BLEU_MAX_N = 4
 
@@ -94,19 +93,13 @@ def bleu(
     return bleu_from_stats(total, max_n)
 
 
-MorphInput = Sequence[str] | MorphSentence
-
-
 def m_bleu(
-    hyps: Sequence[MorphInput],
-    refs: Sequence[MorphInput],
+    hyps: Sequence[Sequence[str]],
+    refs: Sequence[Sequence[str]],
     max_n: int = BLEU_MAX_N,
 ) -> BleuReport:
     """BLEU over morpheme tokens (tags and continuation markers included)."""
-    def as_tokens(s: MorphInput) -> Sequence[str]:
-        return token_strings(s) if isinstance(s, MorphSentence) else s
-
-    return bleu([as_tokens(h) for h in hyps], [as_tokens(r) for r in refs], max_n)
+    return bleu(hyps, refs, max_n)
 
 
 def lcs_length(a: str, b: str) -> int:

@@ -52,14 +52,6 @@ class MorphToken:
 
 
 @dataclass(frozen=True)
-class WordSpan:
-    """Inclusive token-index range [start, end] forming one word."""
-
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
 class MorphSentence:
     tokens: tuple[MorphToken, ...]
 
@@ -105,41 +97,6 @@ def parse_segmented_line(line: str) -> MorphSentence:
     return MorphSentence(tuple(tokens))
 
 
-def word_spans(sentence: MorphSentence) -> list[WordSpan]:
-    """Spans partitioning the token range into words, in order."""
-    spans = []
-    start = 0
-    for i, tok in enumerate(sentence.tokens):
-        if not tok.continues:
-            spans.append(WordSpan(start, i))
-            start = i + 1
-    return spans
-
-
-def to_words(sentence: MorphSentence) -> list[str]:
-    """Concatenate surfaces within each word span."""
-    words = []
-    parts: list[str] = []
-    for tok in sentence.tokens:
-        parts.append(tok.surface)
-        if not tok.continues:
-            words.append("".join(parts))
-            parts = []
-    return words
-
-
-def validate_morphotactics(sentence: MorphSentence) -> bool:
-    """True iff every word's tag sequence matches (PRE* STM SUF*)+."""
-    for span in word_spans(sentence):
-        letters = "".join(
-            {"PRE": "P", "STM": "S", "SUF": "F"}[t.tag.value]
-            for t in sentence.tokens[span.start : span.end + 1]
-        )
-        if not re.fullmatch(r"(P*SF*)+", letters):
-            return False
-    return True
-
-
 DEFAULT_STUB_SUFFIXES = ("ing", "ed", "s")
 
 
@@ -173,9 +130,12 @@ def segment_words(
 
 
 # ---------------------------------------------------------------------------
-# String-level helpers.  Downstream modules (alignment, tables, LMs, decoder)
-# treat tokens as opaque strings; these recover word structure leniently so
-# that plain word tokens and OOV pass-through text survive unharmed.
+# String-level helpers: the one word API.  Downstream modules (alignment,
+# tables, LMs, decoder) treat tokens as opaque strings; these recover word
+# structure leniently so that plain word tokens and OOV pass-through text
+# survive unharmed.  A MorphSentence passes its ``token_strings``: the
+# greedy surface group and the pattern anchored on ``/TAG\+?$`` give every
+# serialized token back its own surface and ``+`` flag.
 # ---------------------------------------------------------------------------
 
 
@@ -211,7 +171,7 @@ def words_from_tokens(tokens: Iterable[str]) -> list[str]:
     return words
 
 
-def word_spans_of_tokens(tokens: Sequence[str]) -> list[tuple[int, int]]:
+def word_spans(tokens: Sequence[str]) -> list[tuple[int, int]]:
     """Inclusive (start, end) token-index spans of the words in a string sequence.
 
     A trailing open word (last token still word-internal) counts as a word.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .align import FLOOR_PROB, AlignmentMatrix, Granularity, LexicalTable
-from .morpho import MorphSentence, parse_file, token_strings, word_spans
+from .morpho import parse_file, word_spans
 
 PHRASE_PENALTY = math.e  # constant fifth score, ln = 1 per applied phrase
 
@@ -177,39 +177,39 @@ def extract_phrases(
 
 
 def extract_phrases_boundary_aware(
-    src: MorphSentence,
-    tgt: MorphSentence,
+    src: Sequence[str],
+    tgt: Sequence[str],
     a: AlignmentMatrix,
     max_words: int = 7,
 ) -> set[PhrasePair]:
     """Alignment-consistent pairs whose sides are whole-word spans (in words).
 
-    ``a`` links morpheme tokens.  Morpheme length is unbounded; only the word
-    count on each side is limited.  Unaligned extension is restricted to
-    adjacent fully-unaligned whole words.
+    ``src`` and ``tgt`` are token strings and ``a`` links them; words are
+    ``morpho.word_spans``.  Morpheme length is unbounded; only the word count
+    on each side is limited.  Unaligned extension is restricted to adjacent
+    fully-unaligned whole words.
     """
     if max_words < 1:
         raise ValueError("max_words must be >= 1")
-    src_tokens = token_strings(src)
-    tgt_tokens = token_strings(tgt)
+    src_tokens, tgt_tokens = tuple(src), tuple(tgt)
     if len(src_tokens) != a.source_len or len(tgt_tokens) != a.target_len:
         raise ValueError("alignment does not match sentence lengths")
-    src_spans = word_spans(src)
-    tgt_spans = word_spans(tgt)
+    src_spans = word_spans(src_tokens)
+    tgt_spans = word_spans(tgt_tokens)
     rows, lo, hi = _link_index(a)
-    word_of_tgt = [w for w, span in enumerate(tgt_spans)
-                   for _ in range(span.start, span.end + 1)]
-    unaligned = [all(hi[j] < 0 for j in range(span.start, span.end + 1))
-                 for span in tgt_spans]
+    word_of_tgt = [w for w, (start, end) in enumerate(tgt_spans)
+                   for _ in range(start, end + 1)]
+    unaligned = [all(hi[j] < 0 for j in range(start, end + 1))
+                 for start, end in tgt_spans]
     n_words = len(tgt_spans)
 
     pairs: set[PhrasePair] = set()
     for w1 in range(len(src_spans)):
-        i1 = src_spans[w1].start
+        i1 = src_spans[w1][0]
         j1, j2, box = len(tgt_tokens), -1, []
         for w2 in range(w1, min(w1 + max_words, len(src_spans))):
-            i2 = src_spans[w2].end
-            for i in range(src_spans[w2].start, i2 + 1):
+            w2_start, i2 = src_spans[w2]
+            for i in range(w2_start, i2 + 1):
                 j1, j2 = _widen(rows[i], j1, j2)
                 box += rows[i]
             if j2 < 0:
@@ -222,18 +222,18 @@ def extract_phrases_boundary_aware(
             # snap the projected span outward to word boundaries; the gap
             # tokens must be unaligned or the snapped box is inconsistent
             tw1, tw2 = word_of_tgt[j1], word_of_tgt[j2]
-            snap1, snap2 = tgt_spans[tw1].start, tgt_spans[tw2].end
+            snap1, snap2 = tgt_spans[tw1][0], tgt_spans[tw2][1]
             if any(hi[j] >= 0 for j in (*range(snap1, j1), *range(j2 + 1, snap2 + 1))):
                 continue
             src_phrase = src_tokens[i1 : i2 + 1]
             inside = sorted(box)
             ew1 = tw1
             while tw2 - ew1 + 1 <= max_words:
-                start = tgt_spans[ew1].start
+                start = tgt_spans[ew1][0]
                 rel = _relative(inside, i1, start)
                 ew2 = tw2
                 while True:
-                    end = tgt_spans[ew2].end
+                    end = tgt_spans[ew2][1]
                     pairs.add(PhrasePair(src_phrase, tgt_tokens[start : end + 1], rel))
                     if (ew2 - ew1 + 1 == max_words or ew2 + 1 == n_words
                             or not unaligned[ew2 + 1]):
@@ -371,8 +371,8 @@ def extract_corpus(
 
 
 def extract_corpus_boundary_aware(
-    sources: Sequence[MorphSentence],
-    targets: Sequence[MorphSentence],
+    sources: Sequence[Sequence[str]],
+    targets: Sequence[Sequence[str]],
     alignments: Sequence[AlignmentMatrix],
     max_words: int = 7,
 ) -> Counter:

@@ -46,6 +46,23 @@ def brute_force_phrases(src, tgt, links, max_len):
     return out
 
 
+def word_spans_of(sentence):
+    """Inclusive (start, end) word spans of a MorphSentence, read off each
+    token's ``continues`` flag rather than parsed from its serialized string."""
+    spans, start = [], 0
+    for i, tok in enumerate(sentence.tokens):
+        if not tok.continues:
+            spans.append((start, i))
+            start = i + 1
+    return spans
+
+
+def words_of(sentence):
+    """A MorphSentence's words: the surfaces of each ``word_spans_of`` span, joined."""
+    return ["".join(t.surface for t in sentence.tokens[start : end + 1])
+            for start, end in word_spans_of(sentence)]
+
+
 def brute_force_boundary_phrases(src_tokens, tgt_tokens, src_spans, tgt_spans,
                                  links, max_words):
     """Consistent boxes filtered to whole-word spans of <= max_words words."""
@@ -195,9 +212,8 @@ def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
     search loop and the scoring."""
     from morphsmt import decoder as dec
     from morphsmt.lm import initial_twin_state
-    from morphsmt.morpho import word_spans
 
-    n_words = len(word_spans(source))
+    n_words = len(word_spans_of(source))
     options = dec.build_options(source, table, max_span)
     future = dec._future_costs(options, n_words, weights, lm_m)
     by_start = sorted(options, key=lambda o: o.start)  # stable: table order per start

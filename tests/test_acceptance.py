@@ -90,26 +90,24 @@ def test_criterion_2_boundary_oracle():
         src = random_morph_sentence(rng, max_words=3)
         tgt = random_morph_sentence(rng, max_words=3)
         a = random_alignment(rng, len(src), len(tgt))
-        got = phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
+        src_tok, tgt_tok = morpho.token_strings(src), morpho.token_strings(tgt)
+        got = phrasex.extract_phrases_boundary_aware(src_tok, tgt_tok, a, 7)
         want = oracles.brute_force_boundary_phrases(
-            morpho.token_strings(src), morpho.token_strings(tgt),
-            [(s.start, s.end) for s in morpho.word_spans(src)],
-            [(s.start, s.end) for s in morpho.word_spans(tgt)],
+            src_tok, tgt_tok, oracles.word_spans_of(src), oracles.word_spans_of(tgt),
             a.links, 7,
         )
         assert got == want
-    src = morpho.parse_segmented_line("un/PRE+ democratic/STM")
-    tgt = morpho.parse_segmented_line(
+    src = morpho.token_strings(morpho.parse_segmented_line("un/PRE+ democratic/STM"))
+    full_word = morpho.token_strings(morpho.parse_segmented_line(
         "epä/PRE+ demokraat/STM+ t/SUF+ i/SUF+ s/SUF+ en/SUF"
-    )
-    full_word = morpho.token_strings(tgt)
+    ))
     spurious = full_word[:5]
     for links in (
         frozenset((i, j) for i in range(2) for j in range(6)),  # all pairs
         frozenset({(0, 0), (1, 1)}),  # prefix/stem only, suffixes unaligned
     ):
         pairs = phrasex.extract_phrases_boundary_aware(
-            src, tgt, AlignmentMatrix(links, 2, 6), 7
+            src, full_word, AlignmentMatrix(links, 2, 6), 7
         )
         assert any(p.target == full_word for p in pairs)
         assert not any(p.target == spurious for p in pairs)
@@ -120,17 +118,15 @@ def test_criterion_3_degeneracy():
     rng = random.Random(303)
     for _ in range(300):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
-        src = morpho.MorphSentence(tuple(
+        src = morpho.token_strings(morpho.MorphSentence(tuple(
             morpho.MorphToken(f"s{i}", morpho.MorphTag.STM, False) for i in range(n)
-        ))
-        tgt = morpho.MorphSentence(tuple(
+        )))
+        tgt = morpho.token_strings(morpho.MorphSentence(tuple(
             morpho.MorphToken(f"t{j}", morpho.MorphTag.STM, False) for j in range(m)
-        ))
+        )))
         a = random_alignment(rng, n, m)
         assert phrasex.extract_phrases_boundary_aware(src, tgt, a, 7) == \
-            phrasex.extract_phrases(
-                morpho.token_strings(src), morpho.token_strings(tgt), a, 7
-            )
+            phrasex.extract_phrases(src, tgt, a, 7)
 
 
 @criterion(4, "phi normalization holds for extraction and raw-count merge, "
@@ -171,7 +167,7 @@ def test_criterion_5_twin_word_view():
     rng = random.Random(505)
     sentences = [random_morph_sentence(rng, max_words=6) for _ in range(40)]
     lm_m = lm.train_lm([morpho.token_strings(s) for s in sentences], 3, "witten-bell")
-    lm_w = lm.train_lm([morpho.to_words(s) for s in sentences], 2, "witten-bell")
+    lm_w = lm.train_lm([oracles.words_of(s) for s in sentences], 2, "witten-bell")
 
     def run(tokens, chunks):
         state = lm.initial_twin_state(lm_m, lm_w)
@@ -188,7 +184,7 @@ def test_criterion_5_twin_word_view():
         tokens = morpho.token_strings(probe)
         _, m_total, w_total = run(tokens, [tokens])
         assert w_total == pytest.approx(
-            lm.sentence_logprob(lm_w, morpho.to_words(probe)), abs=1e-9
+            lm.sentence_logprob(lm_w, oracles.words_of(probe)), abs=1e-9
         )
         assert m_total == pytest.approx(
             lm.sentence_logprob(lm_m, tokens), abs=1e-9
@@ -271,8 +267,8 @@ def test_criterion_7_mert(synth_cfg, synth_data):
         [NBestEntry(filler_tokens, {"f": 0.0}, 0.0)],
         [NBestEntry(cand_a, {"f": 1.0}, 0.0), NBestEntry(cand_b, {"f": -1.0}, 0.0)],
     ]
-    weights = mert.mert([filler_ref, contested_ref], {"f": -1.0},
-                        lambda _w: lists, max_iters=5)
+    weights = mert.mert_run([filler_ref, contested_ref], {"f": -1.0},
+                            lambda _w: lists, max_iters=5).best_weights
     assert weights["f"] > 0.0  # selects the word-BLEU winner A
 
     # 5 real iterations on the synthetic bitext

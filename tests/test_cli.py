@@ -79,6 +79,31 @@ def test_extract_subcommand(tmp_path):
     assert len(table) > 0
 
 
+@pytest.mark.parametrize("system", ["w-system", "m-system", "m+phr"])
+@pytest.mark.parametrize("given_alignments", [False, True])
+def test_extract_writes_the_pipelines_table(tmp_path, system, given_alignments):
+    cfg = load_config(synth.write_workspace(tmp_path / "ws", sizes=(5, 2, 2)))
+    pt = cli.run_pipeline(system, cfg, tmp_path / "run")["pt"]
+    plan = cli.PLANS[system]
+    kind = "words" if plan.granularity == "word" else "morphs"
+    src, tgt = (str(cfg.paths[f"train_{side}_{kind}"]) for side in ("src", "tgt"))
+    max_span = cfg.max_morphemes if kind == "morphs" and not plan.boundary_aware \
+        else cfg.max_words
+    argv = ["extract", "--source", src, "--target", tgt, "--output", str(tmp_path / "pt.txt"),
+            "--granularity", plan.granularity, "--max-span", str(max_span),
+            "--iterations", str(cfg.align_iterations)]
+    if plan.boundary_aware:
+        argv.append("--boundary-aware")
+    if given_alignments:
+        links = str(tmp_path / "links.txt")
+        assert cli.main(["align", "--source", src, "--target", tgt, "--output", links,
+                         "--iterations", str(cfg.align_iterations),
+                         "--heuristic", cfg.align_heuristic]) == 0
+        argv += ["--alignments", links]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "pt.txt").read_bytes() == pt.read_bytes()
+
+
 def test_lm_train_subcommand(tmp_path):
     (tmp_path / "c.txt").write_text("a b\na c\n", encoding="utf-8")
     out = tmp_path / "lm.arpa"
@@ -303,7 +328,7 @@ def test_unknown_system_fails(synth_dir, tmp_path):
 
 def test_words_as_sentence_wraps_words():
     s = cli.words_as_sentence(["hello", "world"])
-    assert morpho.to_words(s) == ["hello", "world"]
+    assert morpho.words_from_tokens(morpho.token_strings(s)) == ["hello", "world"]
     assert all(not t.continues for t in s.tokens)
 
 
@@ -391,7 +416,8 @@ def test_pipeline_checks_parallel_files_before_training(tmp_path):
 
 
 CONFIG_ERRORS = {
-    # case: (line added to the config or None, --set arguments, message)
+    # case: (line added to the config, "-KEY" to delete the line that sets
+    # KEY, or None; --set arguments; message)
     "malformed-line": ("oops no equals", [],
                        "{cfg}:{line}: expected key = value: 'oops no equals'"),
     "unknown-key": ("decoder.bogus = 3", [], "{cfg}:{line}: unknown config key: decoder.bogus"),
@@ -401,6 +427,8 @@ CONFIG_ERRORS = {
     "out-of-range-value": ("decoder.beam = -4", [], "{cfg}:{line}: beam must be positive"),
     "missing-data-file": ("data.dev_src_words = nowhere.txt", [],
                           "{cfg}:{line}: data.dev_src_words: no such file: {dir}/nowhere.txt"),
+    "missing-data-key": ("-data.dev_src_words", [],
+                         "{cfg}: missing data paths: dev_src_words"),
     "bad-set-value": (None, ["--set", "decoder.beam=ten"],
                       "--set decoder.beam=ten: bad value for decoder.beam: 'ten'"),
     "spaced-set-value": (None, ["--set", "decoder.beam = ten"],
@@ -417,7 +445,12 @@ def test_pipeline_config_errors_say_where(tmp_path, case):
     added, overrides, message = CONFIG_ERRORS[case]
     cfg = synth.write_workspace(tmp_path / "ws", seed=3, sizes=(5, 2, 2))
     text = cfg.read_text(encoding="utf-8")
-    if added is not None:
+    if added is not None and added.startswith("-"):
+        kept = [line for line in text.splitlines(True)
+                if line.partition("=")[0].strip() != added[1:]]
+        assert len(kept) == text.count("\n") - 1
+        cfg.write_text("".join(kept), encoding="utf-8")
+    elif added is not None:
         cfg.write_text(text + added + "\n", encoding="utf-8")
     run_dir = tmp_path / "run"
     proc = run_morphsmt("pipeline", "m-system", "--config", str(cfg), "--run-dir", str(run_dir),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from morphsmt import lm, morpho
 from morphsmt.lm import BOS, EOS, UNK
 
+import oracles
 from conftest import random_morph_sentence
 
 TOY = [["a", "b"], ["a", "c"]]
@@ -238,7 +239,7 @@ def test_twin_word_view_and_chunking_invariance(seed):
     rng = random.Random(seed)
     sentences = [random_morph_sentence(rng) for _ in range(6)]
     token_corpus = [morpho.token_strings(s) for s in sentences]
-    word_corpus = [morpho.to_words(s) for s in sentences]
+    word_corpus = [oracles.words_of(s) for s in sentences]
     lm_m = lm.train_lm(token_corpus, 3, "witten-bell")
     lm_w = lm.train_lm(word_corpus, 2, "witten-bell")
     probe = random_morph_sentence(rng)
@@ -256,7 +257,7 @@ def test_twin_word_view_and_chunking_invariance(seed):
 
     base_state, m_ref, w_ref = run([tokens])
     assert w_ref == pytest.approx(
-        lm.sentence_logprob(lm_w, morpho.to_words(probe)), abs=1e-9
+        lm.sentence_logprob(lm_w, oracles.words_of(probe)), abs=1e-9
     )
     assert m_ref == pytest.approx(
         lm.sentence_logprob(lm_m, tokens), abs=1e-9

@@ -59,8 +59,8 @@ def fake_handle(per_iteration_lists):
 
 def test_singleton_nbests_leave_weights_unchanged():
     lists = [[NBestEntry(("a/STM+", "b/SUF"), {"phi_fwd": -1.0}, -1.0)]]
-    got = mert.mert([("ab",)], {"phi_fwd": 0.7}, fake_handle(lists), max_iters=4)
-    assert got == {"phi_fwd": 0.7}
+    got = mert_run([("ab",)], {"phi_fwd": 0.7}, fake_handle(lists), max_iters=4)
+    assert got.best_weights == {"phi_fwd": 0.7}
 
 
 def test_optimizes_word_bleu_not_morpheme_bleu():
@@ -88,9 +88,9 @@ def test_optimizes_word_bleu_not_morpheme_bleu():
         [NBestEntry(filler_tokens, {"f": 0.0}, 0.0)],
         [NBestEntry(cand_a, {"f": 1.0}, -1.0), NBestEntry(cand_b, {"f": -1.0}, 1.0)],
     ]
-    weights = mert.mert(
+    weights = mert_run(
         [filler_ref_w, contested_ref_w], {"f": -1.0}, fake_handle(lists), max_iters=5
-    )
+    ).best_weights
     assert weights["f"] * 1.0 > weights["f"] * -1.0  # candidate A selected
 
 
@@ -124,7 +124,7 @@ def test_pool_only_grows_and_dedups():
 
 def test_empty_dev_is_error():
     with pytest.raises(ValueError):
-        mert.mert([], {"f": 1.0}, fake_handle([]), max_iters=1)
+        mert_run([], {"f": 1.0}, fake_handle([]), max_iters=1)
 
 
 def test_returns_argmax_over_iterations():

@@ -51,7 +51,7 @@ def undemocratic_pair():
         "epä/PRE+ demokraat/STM+ t/SUF+ i/SUF+ s/SUF+ en/SUF"
     )
     links = frozenset((i, j) for i in range(2) for j in range(6))
-    return src, tgt, AlignmentMatrix(links, 2, 6)
+    return morpho.token_strings(src), morpho.token_strings(tgt), AlignmentMatrix(links, 2, 6)
 
 
 def test_boundary_aware_all_pairs_linked_single_pair():
@@ -70,9 +70,7 @@ def test_boundary_aware_kills_spurious_prefix_phrase():
     src, tgt, _ = undemocratic_pair()
     a = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 6)
     spurious = ("epä/PRE+", "demokraat/STM+", "t/SUF+", "i/SUF+", "s/SUF+")
-    classic = phrasex.extract_phrases(
-        morpho.token_strings(src), morpho.token_strings(tgt), a, 10
-    )
+    classic = phrasex.extract_phrases(src, tgt, a, 10)
     assert any(p.target == spurious for p in classic)
     boundary = phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
     assert not any(p.target == spurious for p in boundary)
@@ -85,33 +83,29 @@ def test_boundary_aware_monomorphemic_degeneracy():
     rng = random.Random(5)
     for _ in range(50):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
-        src = morpho.MorphSentence(tuple(
+        src = morpho.token_strings(morpho.MorphSentence(tuple(
             morpho.MorphToken(f"s{i}", morpho.MorphTag.STM, False) for i in range(n)
-        ))
-        tgt = morpho.MorphSentence(tuple(
+        )))
+        tgt = morpho.token_strings(morpho.MorphSentence(tuple(
             morpho.MorphToken(f"t{j}", morpho.MorphTag.STM, False) for j in range(m)
-        ))
+        )))
         a = random_alignment(rng, n, m)
         ba = phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
-        cl = phrasex.extract_phrases(
-            morpho.token_strings(src), morpho.token_strings(tgt), a, 7
-        )
+        cl = phrasex.extract_phrases(src, tgt, a, 7)
         assert ba == cl
 
 
 def test_boundary_aware_long_morpheme_span_allowed():
     # 3 target words / 9 morphemes: one pair may cover all 9 tokens
-    src = morpho.parse_segmented_line("a/STM b/STM c/STM")
-    tgt = morpho.parse_segmented_line(
+    src = morpho.token_strings(morpho.parse_segmented_line("a/STM b/STM c/STM"))
+    tgt = morpho.token_strings(morpho.parse_segmented_line(
         "p/STM+ q/SUF+ r/SUF s/STM+ t/SUF+ u/SUF v/STM+ w/SUF+ x/SUF"
-    )
+    ))
     links = frozenset({(0, 0), (1, 3), (2, 6)})
     a = AlignmentMatrix(links, 3, 9)
     pairs = phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
     assert any(len(p.target) == 9 for p in pairs)
-    token_limited = phrasex.extract_phrases(
-        morpho.token_strings(src), morpho.token_strings(tgt), a, 7
-    )
+    token_limited = phrasex.extract_phrases(src, tgt, a, 7)
     assert not any(len(p.target) == 9 for p in token_limited)
 
 
@@ -122,12 +116,10 @@ def test_boundary_aware_matches_filtered_bruteforce(seed):
     src = random_morph_sentence(rng, max_words=3)
     tgt = random_morph_sentence(rng, max_words=3)
     a = random_alignment(rng, len(src), len(tgt))
-    got = phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
+    src_tok, tgt_tok = morpho.token_strings(src), morpho.token_strings(tgt)
+    got = phrasex.extract_phrases_boundary_aware(src_tok, tgt_tok, a, 7)
     want = oracles.brute_force_boundary_phrases(
-        morpho.token_strings(src), morpho.token_strings(tgt),
-        [(s.start, s.end) for s in morpho.word_spans(src)],
-        [(s.start, s.end) for s in morpho.word_spans(tgt)],
-        a.links, 7,
+        src_tok, tgt_tok, oracles.word_spans_of(src), oracles.word_spans_of(tgt), a.links, 7,
     )
     assert got == want
 
@@ -290,12 +282,10 @@ def test_extracted_alignment_sets_iterate_as_built_from_links(seed):
     src_tok, tgt_tok = morpho.token_strings(src), morpho.token_strings(tgt)
     a = random_alignment(rng, len(src), len(tgt), 1.5)
     got = phrasex.extract_phrases(src_tok, tgt_tok, a, 7) | \
-        phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
+        phrasex.extract_phrases_boundary_aware(src_tok, tgt_tok, a, 7)
     want = oracles.brute_force_phrases(src_tok, tgt_tok, a.links, 7) | \
         oracles.brute_force_boundary_phrases(
-            src_tok, tgt_tok,
-            [(s.start, s.end) for s in morpho.word_spans(src)],
-            [(s.start, s.end) for s in morpho.word_spans(tgt)],
+            src_tok, tgt_tok, oracles.word_spans_of(src), oracles.word_spans_of(tgt),
             a.links, 7,
         )
     order = {(p.source, p.target, p.alignment): list(p.alignment) for p in want}
