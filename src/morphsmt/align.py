@@ -62,15 +62,6 @@ class LexicalTable:
     probs: dict[tuple[Optional[str], str], float] = field(default_factory=dict)
     granularity: Granularity = "word"
 
-    def prob(self, target: str, source: Optional[str]) -> float:
-        return self.probs.get((source, target), FLOOR_PROB)
-
-    def source_sums(self) -> dict[Optional[str], float]:
-        sums: dict[Optional[str], float] = defaultdict(float)
-        for (src, _), p in self.probs.items():
-            sums[src] += p
-        return dict(sums)
-
 
 @dataclass(frozen=True)
 class AlignmentMatrix:
@@ -151,16 +142,6 @@ def train_model1(
         t = [c / totals[i] for c, i in zip(counts, owner)]
 
     return LexicalTable(dict(zip(keys, t)), corpus.granularity)
-
-
-def corpus_logprob(corpus: ParallelCorpus, table: LexicalTable) -> float:
-    """Model 1 log-likelihood (uniform alignment prior dropped); EM never lowers it."""
-    total = 0.0
-    for src, tgt in corpus.pairs:
-        sources = (None, *src)
-        for f in tgt:
-            total += math.log(sum(table.prob(f, e) for e in sources))
-    return total
 
 
 def viterbi_align(

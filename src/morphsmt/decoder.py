@@ -134,13 +134,6 @@ class Hypothesis:
                 if touched >> i & 1}
 
 
-def render_tokens(sentence: MorphSentence, granularity: str) -> tuple[str, ...]:
-    """Table/LM view of the source: serialized morphs, or bare surfaces for word systems."""
-    if granularity == "word":
-        return tuple(t.surface for t in sentence.tokens)
-    return tuple(t.serialize() for t in sentence.tokens)
-
-
 def _span_mask(start: int, end: int) -> int:
     return ((1 << (end - start)) - 1) << start
 
@@ -151,10 +144,14 @@ def build_options(
     """Phrase options over whole-word source spans, plus OOV pass-through.
 
     A source word no option covers is copied through as its own word with a
-    unit oov feature and neutral translation scores.
+    unit oov feature and neutral translation scores.  Phrases are looked up
+    in the table's view of the source: its token strings, or their bare
+    surfaces for a word table.
     """
-    tokens = render_tokens(source, table.granularity)
-    spans = word_spans(token_strings(source))
+    tokens = token_strings(source)
+    spans = word_spans(tokens)
+    if table.granularity == "word":
+        tokens = tuple(split_token_string(t)[0] for t in tokens)
     n_words = len(spans)
     limit = max_span or (table.max_span if table.max_span > 0 else n_words)
     options: list[TranslationOption] = []
@@ -304,8 +301,8 @@ def search(
     Each distinct LM question is asked once per call: twin_extend results
     are memoized per (state, target), and LM log-probs per (context, token).
     """
-    n_words = len(word_spans(token_strings(source)))
     options = build_options(source, table, max_span)
+    n_words = max((opt.end for opt in options), default=0)  # OOV pass-through covers every word
     names = (*dict.fromkeys(name for opt in options for name, _ in opt.tm_features),
              *(name for name, model in (("lm_morph", lm_m), ("lm_word", lm_w))
                if model is not None),
@@ -674,4 +671,7 @@ def _parse_weight_line(line: str) -> Optional[tuple[str, float]]:
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 2:
         raise ValueError(f"expected name<TAB>value, got {line.rstrip()!r}")
-    return fields[0], float(fields[1])
+    value = float(fields[1])
+    if not math.isfinite(value):
+        raise ValueError(f"weight {fields[0]!r} must be finite, got {fields[1]!r}")
+    return fields[0], value

@@ -86,9 +86,6 @@ class NGramModel:
         """Tokens a context keeps as they are; any other maps to <unk>."""
         return self.vocab | {BOS, UNK}
 
-    def prob(self, token: str, context: Sequence[str] = ()) -> float:
-        return math.exp(self.logprob(token, context))
-
     @cached_property
     def contexts(self) -> frozenset[tuple[str, ...]]:
         """Known contexts: every prefix, up to order-1 tokens, of a stored

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .align import LexicalTable
 from .morpho import MorphSentence, token_strings, word_spans, words_from_tokens
-from .phrasex import PHRASE_PENALTY, PhraseEntry, PhraseTable, lexical_weight
+from .phrasex import PHRASE_PENALTY, PhraseEntry, PhraseTable, lexical_weights
 
 # origin feature values for the add-feature merges
 FEAT_BOTH = math.e
@@ -49,12 +49,14 @@ def build_lexicon(
     seen: dict[str, Counter] = {}
     for words, morphs in zip(word_sentences, morph_sentences, strict=True):
         tokens = token_strings(morphs)
-        if words_from_tokens(tokens) != list(words):
+        spans = word_spans(tokens)
+        surfaces = [t.surface for t in morphs.tokens]
+        if ["".join(surfaces[start : end + 1]) for start, end in spans] != list(words):
             raise ValueError(
                 "segmented line does not reassemble to its word line: "
                 f"{' '.join(words)!r}"
             )
-        for word, (start, end) in zip(words, word_spans(tokens)):
+        for word, (start, end) in zip(words, spans):
             seen.setdefault(word, Counter())[tokens[start : end + 1]] += 1
     mapping = {}
     for word in sorted(seen):
@@ -234,10 +236,7 @@ def merge_our_method(
             lmf, lmb = em.lex_fwd, em.lex_bwd
         else:
             # morpheme-side estimate over the retokenized entry's alignment
-            lmf = lexical_weight(tgt, src, carrier.alignment, lex_m_fwd)
-            lmb = lexical_weight(
-                src, tgt, [(j, i) for i, j in carrier.alignment], lex_m_bwd
-            )
+            lmf, lmb = lexical_weights(src, tgt, carrier.alignment, lex_m_fwd, lex_m_bwd)
 
         src_words = tuple(words_from_tokens(src))
         tgt_words = tuple(words_from_tokens(tgt))
@@ -246,10 +245,7 @@ def merge_our_method(
             lwf, lwb = ew.lex_fwd, ew.lex_bwd
         else:
             word_links = induce_word_alignment(src, tgt, carrier.alignment)
-            lwf = lexical_weight(tgt_words, src_words, word_links, lex_w_fwd)
-            lwb = lexical_weight(
-                src_words, tgt_words, [(j, i) for i, j in word_links], lex_w_bwd
-            )
+            lwf, lwb = lexical_weights(src_words, tgt_words, word_links, lex_w_fwd, lex_w_bwd)
 
         entries[key] = PhraseEntry(
             src, tgt,

@@ -175,12 +175,12 @@ def word_spans(tokens: Sequence[str]) -> list[tuple[int, int]]:
     """Inclusive (start, end) token-index spans of the words in a string sequence.
 
     A trailing open word (last token still word-internal) counts as a word.
+    Only a token that ends in ``+`` can be word-internal, so only those are split.
     """
     spans = []
     start = 0
     for i, tok in enumerate(tokens):
-        _, final = split_token_string(tok)
-        if final:
+        if not tok.endswith("+") or split_token_string(tok)[1]:
             spans.append((start, i))
             start = i + 1
     if start < len(tokens):

@@ -1,11 +1,12 @@
 """Phrase-pair extraction and scoring into five-feature phrase tables.
 
-Classic extraction enumerates alignment-consistent boxes over tokens with a
-token-length limit.  Boundary-aware extraction enumerates whole-word source
-spans over a morpheme alignment, snaps the projected target span outward to
-word boundaries, and limits both sides in WORDS, so a phrase may run to any
-number of morpheme tokens as long as it covers few enough words, and a
-phrase that stops mid-word (a nonword fragment) is never proposed.
+One loop enumerates alignment-consistent boxes over units with a limit in
+units.  Classic extraction's units are tokens.  Boundary-aware extraction's
+units are the words of a morpheme sentence: the projected target span snaps
+outward to word boundaries and both sides are limited in WORDS, so a phrase
+may run to any number of morpheme tokens as long as it covers few enough
+words, and a phrase that stops mid-word (a nonword fragment) is never
+proposed.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .align import FLOOR_PROB, AlignmentMatrix, Granularity, LexicalTable
+from .align import FLOOR_PROB, AlignmentMatrix, Granularity, LexicalTable, _parse_links
 from .morpho import parse_file, word_spans
 
 PHRASE_PENALTY = math.e  # constant fifth score, ln = 1 per applied phrase
@@ -81,9 +82,10 @@ class PhraseTable:
         return self._by_source
 
 
-# Extraction grows a box one source row at a time (as Moses does): each row
-# widens the projected target span [j1, j2], and the consistency check looks
-# only at the columns of that span, not at every link of the sentence.
+# Extraction grows a box one source unit at a time (as Moses does, row by
+# row): each unit's links widen the projected target span [j1, j2], and the
+# consistency check looks only at the columns of that span, not at every link
+# of the sentence.
 
 
 def _link_index(a: AlignmentMatrix):
@@ -121,153 +123,110 @@ def _consistent(lo, hi, i1: int, i2: int, j1: int, j2: int) -> Optional[bool]:
     return max(hi[j1 : j2 + 1]) <= i2
 
 
-def _relative(inside, i1: int, j1: int) -> frozenset[tuple[int, int]]:
-    """The links of a consistent box from (i1, j1), made phrase-relative.
-    ``inside`` holds them in ``a.links`` order, so the set is built in the
-    order it always was; it does not depend on where the box ends."""
-    return frozenset((i - i1, j - j1) for _, i, j in inside)
-
-
 def extract_phrases(
     source: Sequence[str],
     target: Sequence[str],
     a: AlignmentMatrix,
     max_len: int = 7,
+    boundary_aware: bool = False,
 ) -> set[PhrasePair]:
-    """All alignment-consistent phrase pairs with both sides <= max_len tokens.
+    """All alignment-consistent phrase pairs whose sides span <= max_len units.
 
-    A box is consistent when it contains at least one link and no link leaves
-    it; target boundaries additionally grow over adjacent unaligned tokens.
+    Units are tokens, or with ``boundary_aware`` the words of
+    ``morpho.word_spans``, so a phrase may then run to any number of morpheme
+    tokens.  A box is consistent when it contains at least one link and no
+    link leaves it; its target span snaps outward to unit boundaries over
+    unaligned tokens only, then grows over adjacent fully-unaligned units.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    source, target = tuple(source), tuple(target)
     if len(source) != a.source_len or len(target) != a.target_len:
         raise ValueError("alignment does not match sentence lengths")
     rows, lo, hi = _link_index(a)
-    n_tgt = len(target)
+    if boundary_aware:
+        src_spans, tgt_spans = word_spans(source), word_spans(target)
+        unit_rows = [[link for i in range(start, end + 1) for link in rows[i]]
+                     for start, end in src_spans]
+        unit_of_tgt = [u for u, (start, end) in enumerate(tgt_spans)
+                       for _ in range(start, end + 1)]
+        unaligned = [max(hi[start : end + 1]) < 0 for start, end in tgt_spans]
+    else:
+        src_spans = [(i, i) for i in range(len(source))]
+        tgt_spans = [(j, j) for j in range(len(target))]
+        unit_rows, unit_of_tgt = rows, range(len(target))
+        unaligned = [h < 0 for h in hi]
+    n_units = len(tgt_spans)
+
     pairs: set[PhrasePair] = set()
-    for i1 in range(len(source)):
-        j1, j2, box = n_tgt, -1, []
-        for i2 in range(i1, min(i1 + max_len, len(source))):
-            j1, j2 = _widen(rows[i2], j1, j2)
-            box += rows[i2]
+    for u1, (i1, _) in enumerate(src_spans):
+        j1, j2, box = len(target), -1, []
+        for u2 in range(u1, min(u1 + max_len, len(src_spans))):
+            j1, j2 = _widen(unit_rows[u2], j1, j2)
+            box += unit_rows[u2]
             if j2 < 0:
                 continue
+            i2 = src_spans[u2][1]
             consistent = _consistent(lo, hi, i1, i2, j1, j2)
             if consistent is None:
                 break
-            if not consistent or j2 - j1 + 1 > max_len:
+            tu1, tu2 = unit_of_tgt[j1], unit_of_tgt[j2]
+            if not consistent or tu2 - tu1 >= max_len:
                 continue
-            src_phrase = tuple(source[i1 : i2 + 1])
-            inside = sorted(box)
-            jj1 = j1
-            while j2 - jj1 + 1 <= max_len:
-                rel = _relative(inside, i1, jj1)
-                jj2 = j2
-                while True:
-                    pairs.add(PhrasePair(src_phrase, tuple(target[jj1 : jj2 + 1]), rel))
-                    if (jj2 - jj1 + 1 == max_len or jj2 + 1 == n_tgt
-                            or hi[jj2 + 1] >= 0):
-                        break
-                    jj2 += 1
-                if jj1 == 0 or hi[jj1 - 1] >= 0:
-                    break
-                jj1 -= 1
-    return pairs
-
-
-def extract_phrases_boundary_aware(
-    src: Sequence[str],
-    tgt: Sequence[str],
-    a: AlignmentMatrix,
-    max_words: int = 7,
-) -> set[PhrasePair]:
-    """Alignment-consistent pairs whose sides are whole-word spans (in words).
-
-    ``src`` and ``tgt`` are token strings and ``a`` links them; words are
-    ``morpho.word_spans``.  Morpheme length is unbounded; only the word count
-    on each side is limited.  Unaligned extension is restricted to adjacent
-    fully-unaligned whole words.
-    """
-    if max_words < 1:
-        raise ValueError("max_words must be >= 1")
-    src_tokens, tgt_tokens = tuple(src), tuple(tgt)
-    if len(src_tokens) != a.source_len or len(tgt_tokens) != a.target_len:
-        raise ValueError("alignment does not match sentence lengths")
-    src_spans = word_spans(src_tokens)
-    tgt_spans = word_spans(tgt_tokens)
-    rows, lo, hi = _link_index(a)
-    word_of_tgt = [w for w, (start, end) in enumerate(tgt_spans)
-                   for _ in range(start, end + 1)]
-    unaligned = [all(hi[j] < 0 for j in range(start, end + 1))
-                 for start, end in tgt_spans]
-    n_words = len(tgt_spans)
-
-    pairs: set[PhrasePair] = set()
-    for w1 in range(len(src_spans)):
-        i1 = src_spans[w1][0]
-        j1, j2, box = len(tgt_tokens), -1, []
-        for w2 in range(w1, min(w1 + max_words, len(src_spans))):
-            w2_start, i2 = src_spans[w2]
-            for i in range(w2_start, i2 + 1):
-                j1, j2 = _widen(rows[i], j1, j2)
-                box += rows[i]
-            if j2 < 0:
-                continue
-            consistent = _consistent(lo, hi, i1, i2, j1, j2)
-            if consistent is None:
-                break
-            if not consistent:
-                continue
-            # snap the projected span outward to word boundaries; the gap
+            # snap the projected span outward to unit boundaries; the gap
             # tokens must be unaligned or the snapped box is inconsistent
-            tw1, tw2 = word_of_tgt[j1], word_of_tgt[j2]
-            snap1, snap2 = tgt_spans[tw1][0], tgt_spans[tw2][1]
-            if any(hi[j] >= 0 for j in (*range(snap1, j1), *range(j2 + 1, snap2 + 1))):
+            snap1, snap2 = tgt_spans[tu1][0], tgt_spans[tu2][1]
+            if (snap1 < j1 or snap2 > j2) and any(
+                    hi[j] >= 0 for j in (*range(snap1, j1), *range(j2 + 1, snap2 + 1))):
                 continue
-            src_phrase = src_tokens[i1 : i2 + 1]
+            src_phrase = source[i1 : i2 + 1]
+            # the box's links in ``a.links`` order, so each phrase-relative
+            # alignment set iterates as if built from the links directly
             inside = sorted(box)
-            ew1 = tw1
-            while tw2 - ew1 + 1 <= max_words:
-                start = tgt_spans[ew1][0]
-                rel = _relative(inside, i1, start)
-                ew2 = tw2
+            eu1 = tu1
+            while tu2 - eu1 < max_len:
+                start = tgt_spans[eu1][0]
+                rel = frozenset((i - i1, j - start) for _, i, j in inside)
+                eu2 = tu2
                 while True:
-                    end = tgt_spans[ew2][1]
-                    pairs.add(PhrasePair(src_phrase, tgt_tokens[start : end + 1], rel))
-                    if (ew2 - ew1 + 1 == max_words or ew2 + 1 == n_words
-                            or not unaligned[ew2 + 1]):
+                    end = tgt_spans[eu2][1]
+                    pairs.add(PhrasePair(src_phrase, target[start : end + 1], rel))
+                    if (eu2 - eu1 + 1 == max_len or eu2 + 1 == n_units
+                            or not unaligned[eu2 + 1]):
                         break
-                    ew2 += 1
-                if ew1 == 0 or not unaligned[ew1 - 1]:
+                    eu2 += 1
+                if eu1 == 0 or not unaligned[eu1 - 1]:
                     break
-                ew1 -= 1
+                eu1 -= 1
     return pairs
 
 
-PairCounts = Union[Counter, Iterable[PhrasePair], Mapping[PhrasePair, int]]
-
-
-def lexical_weight(
-    target: Sequence[str],
+def lexical_weights(
     source: Sequence[str],
+    target: Sequence[str],
     alignment: Iterable[tuple[int, int]],
-    table: LexicalTable,
-) -> float:
-    """Koehn lexical weight of the target side given the source side.
+    fwd_table: LexicalTable,
+    bwd_table: LexicalTable,
+) -> tuple[float, float]:
+    """Koehn lexical weights (lex_fwd, lex_bwd) of a phrase pair under one
+    internal alignment: lex_fwd of the target given the source under
+    ``fwd_table``, lex_bwd of the source given the target under ``bwd_table``.
 
-    Per target token: average t(target|source) over its linked sources, or
-    t(target|NULL) when unlinked; multiply over target tokens.
+    Per token: average t(token|linked) over its links, in the alignment's
+    iteration order, or t(token|NULL) when unlinked; multiply over tokens.
     """
-    linked: dict[int, list[int]] = {}
+    by_tgt: dict[int, list[int]] = {}
+    by_src: dict[int, list[int]] = {}
     for i, j in alignment:
-        linked.setdefault(j, []).append(i)
-    return _weight(target, source, linked, table.probs.get)
+        by_tgt.setdefault(j, []).append(i)
+        by_src.setdefault(i, []).append(j)
+    return (_weight(target, source, by_tgt, fwd_table.probs.get),
+            _weight(source, target, by_src, bwd_table.probs.get))
 
 
 def _weight(target, source, linked, prob) -> float:
-    """``lexical_weight`` from the links per target index, with ``prob`` the
-    lexical table's ``probs.get``.  A one-link average is the probability
+    """One direction's weight from the links per target index, with ``prob``
+    the lexical table's ``probs.get``.  A one-link average is the probability
     itself (0 + p and p / 1 are exact), so it is taken as is."""
     weight = 1.0
     for j, t_tok in enumerate(target):
@@ -283,20 +242,8 @@ def _weight(target, source, linked, prob) -> float:
     return weight
 
 
-def _weights(src, tgt, alignment, fwd, bwd) -> tuple[float, float]:
-    """(lex_fwd, lex_bwd) of one phrase pair under one internal alignment;
-    the links are grouped per target and per source in one pass, in the
-    alignment's iteration order, as ``lexical_weight`` groups them."""
-    by_tgt: dict[int, list[int]] = {}
-    by_src: dict[int, list[int]] = {}
-    for i, j in alignment:
-        by_tgt.setdefault(j, []).append(i)
-        by_src.setdefault(i, []).append(j)
-    return _weight(tgt, src, by_tgt, fwd), _weight(src, tgt, by_src, bwd)
-
-
 def score_phrase_table(
-    pairs: PairCounts,
+    counts: Counter,
     lex_fwd_table: LexicalTable,
     lex_bwd_table: LexicalTable,
     granularity: Granularity = "morpheme",
@@ -309,7 +256,6 @@ def score_phrase_table(
     the max over the internal alignments a pair was extracted with; the stored
     representative alignment is the most frequent one (ties lexicographic).
     """
-    counts: Counter = pairs if isinstance(pairs, (Counter, dict)) else Counter(pairs)
     joint: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
     aligns: dict[tuple, dict[frozenset, int]] = {}
     src_marginal: Counter = Counter()
@@ -325,7 +271,6 @@ def score_phrase_table(
         src_marginal[pair.source] += c
         tgt_marginal[pair.target] += c
 
-    fwd, bwd = lex_fwd_table.probs.get, lex_bwd_table.probs.get
     entries = {}
     for key in sorted(joint):
         src, tgt = key
@@ -333,9 +278,11 @@ def score_phrase_table(
         observed = aligns[key]
         if len(observed) == 1:
             (representative,) = observed
-            lex_fwd, lex_bwd = _weights(src, tgt, representative, fwd, bwd)
+            lex_fwd, lex_bwd = lexical_weights(
+                src, tgt, representative, lex_fwd_table, lex_bwd_table)
         else:
-            weights = [_weights(src, tgt, al, fwd, bwd) for al in observed]
+            weights = [lexical_weights(src, tgt, al, lex_fwd_table, lex_bwd_table)
+                       for al in observed]
             lex_fwd = max(w for w, _ in weights)
             lex_bwd = max(w for _, w in weights)
             top = max(observed.values())
@@ -376,9 +323,10 @@ def extract_corpus_boundary_aware(
     alignments: Sequence[AlignmentMatrix],
     max_words: int = 7,
 ) -> Counter:
+    """Boundary-aware extraction counts; ``max_words`` limits both sides in words."""
     counts: Counter = Counter()
     for src, tgt, a in zip(sources, targets, alignments, strict=True):
-        counts.update(extract_phrases_boundary_aware(src, tgt, a, max_words))
+        counts.update(extract_phrases(src, tgt, a, max_words, boundary_aware=True))
     return counts
 
 
@@ -426,10 +374,12 @@ def _parse_phrase_line(line: str) -> Optional[PhraseEntry]:
     if len(scores) < 5:
         raise ValueError(f"expected >= 5 scores: {line.rstrip()!r}")
     count = float(fields[3]) if fields[3] else None
-    links = frozenset(
-        (int(i), int(j))
-        for i, j in (p.split("-") for p in fields[4].split())
-    ) if len(fields) > 4 and fields[4] else frozenset()
+    if not all(map(math.isfinite, scores + [count or 0.0])):
+        raise ValueError(f"scores and count must be finite: {line.rstrip()!r}")
+    links = _parse_links(fields[4]) if len(fields) > 4 else frozenset()
+    for i, j in links:
+        if i >= len(src) or j >= len(tgt):
+            raise ValueError(f"link {i}-{j} outside the {len(src)}x{len(tgt)} phrase pair")
     return PhraseEntry(
         src, tgt, scores[0], scores[1], scores[2], scores[3], scores[4],
         count, links, tuple(scores[5:]),

@@ -391,7 +391,12 @@ def reference_model1(corpus, iterations=5, initial=None):
 
 
 def reference_lexical_weight(target, source, alignment, table):
-    """Koehn lexical weight through ``LexicalTable.prob``, one token at a time."""
+    """Koehn lexical weight read from ``table.probs``, one token at a time."""
+    from morphsmt.align import FLOOR_PROB
+
+    def prob(t_tok, s_tok):
+        return table.probs.get((s_tok, t_tok), FLOOR_PROB)
+
     linked = {}
     for i, j in alignment:
         linked.setdefault(j, []).append(i)
@@ -399,9 +404,9 @@ def reference_lexical_weight(target, source, alignment, table):
     for j, t_tok in enumerate(target):
         sources = linked.get(j)
         if sources:
-            weight *= fsum(table.prob(t_tok, source[i]) for i in sources) / len(sources)
+            weight *= fsum(prob(t_tok, source[i]) for i in sources) / len(sources)
         else:
-            weight *= table.prob(t_tok, None)
+            weight *= prob(t_tok, None)
     return weight
 
 

@@ -91,7 +91,7 @@ def test_criterion_2_boundary_oracle():
         tgt = random_morph_sentence(rng, max_words=3)
         a = random_alignment(rng, len(src), len(tgt))
         src_tok, tgt_tok = morpho.token_strings(src), morpho.token_strings(tgt)
-        got = phrasex.extract_phrases_boundary_aware(src_tok, tgt_tok, a, 7)
+        got = phrasex.extract_phrases(src_tok, tgt_tok, a, 7, boundary_aware=True)
         want = oracles.brute_force_boundary_phrases(
             src_tok, tgt_tok, oracles.word_spans_of(src), oracles.word_spans_of(tgt),
             a.links, 7,
@@ -106,8 +106,8 @@ def test_criterion_2_boundary_oracle():
         frozenset((i, j) for i in range(2) for j in range(6)),  # all pairs
         frozenset({(0, 0), (1, 1)}),  # prefix/stem only, suffixes unaligned
     ):
-        pairs = phrasex.extract_phrases_boundary_aware(
-            src, full_word, AlignmentMatrix(links, 2, 6), 7
+        pairs = phrasex.extract_phrases(
+            src, full_word, AlignmentMatrix(links, 2, 6), 7, boundary_aware=True
         )
         assert any(p.target == full_word for p in pairs)
         assert not any(p.target == spurious for p in pairs)
@@ -125,7 +125,7 @@ def test_criterion_3_degeneracy():
             morpho.MorphToken(f"t{j}", morpho.MorphTag.STM, False) for j in range(m)
         )))
         a = random_alignment(rng, n, m)
-        assert phrasex.extract_phrases_boundary_aware(src, tgt, a, 7) == \
+        assert phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True) == \
             phrasex.extract_phrases(src, tgt, a, 7)
 
 

@@ -113,7 +113,7 @@ def test_lm_train_subcommand(tmp_path):
     from morphsmt import lm
     model = lm.read_arpa(out)
     assert model.order == 2
-    assert model.prob("b", ["a"]) == pytest.approx(0.3)
+    assert math.exp(model.logprob("b", ["a"])) == pytest.approx(0.3)
 
 
 def test_decode_subcommand(tmp_path):
@@ -148,15 +148,25 @@ def test_decode_writes_one_line_per_input_line(tmp_path):
     assert len(lists) == 5 and lists[2][0].tokens == ()
 
 
-@pytest.mark.parametrize("bad", ["input", "weights", "table"])
-def test_decode_names_file_and_line_of_malformed_input(tmp_path, bad):
+DECODE_MALFORMED = {
+    # case: (bad file, its appended bad line)
+    "input": ("input", "a/XYZ\n"),
+    "weights": ("weights", "phi_bwd 0.4\n"),
+    "weights-nan": ("weights", "phi_bwd\tnan\n"),
+    "table": ("table", "a/STM ||| y/STM ||| 1.0 oops\n"),
+    "table-inf": ("table", f"a/STM ||| y/STM ||| inf 1.0 1.0 1.0 {math.e!r} ||| 1 ||| 0-0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_MALFORMED))
+def test_decode_names_file_and_line_of_malformed_input(tmp_path, case):
+    bad, bad_line = DECODE_MALFORMED[case]
     files = {
         "table": f"a/STM ||| x/STM ||| 1.0 1.0 1.0 1.0 {math.e!r} ||| 1 ||| 0-0\n",
         "input": "a/STM\n\na/STM a/STM\n",
         "weights": "phi_fwd\t0.4\n",
     }
-    files[bad] += {"input": "a/XYZ\n", "weights": "phi_bwd 0.4\n",
-                   "table": "a/STM ||| y/STM ||| 1.0 oops\n"}[bad]
+    files[bad] += bad_line
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     src_dir = Path(cli.__file__).resolve().parents[1]
@@ -174,6 +184,10 @@ def test_decode_names_file_and_line_of_malformed_input(tmp_path, bad):
 
 
 TABLE_LINE = f"a/STM ||| x/STM ||| 1.0 1.0 1.0 1.0 {math.e!r} ||| 1 ||| 0-0\n"
+MERGE_OUR_METHOD = [
+    "merge-pt", "--method", "our-method", "--primary", "{pt}", "--secondary", "{pt}",
+    "--pt-w", "{pt}", "--lex-m-fwd", "{lex}", "--lex-m-bwd", "{lex}", "--lex-w-fwd", "{lex}",
+    "--lex-w-bwd", "{lex}", "--output", "{out}"]
 MALFORMED_INPUTS = {
     # name: (files, bad file, bad line, subcommand arguments)
     "arpa": (
@@ -190,6 +204,16 @@ MALFORMED_INPUTS = {
         ["merge-pt", "--method", "our-method", "--primary", "{pt}", "--secondary", "{pt}",
          "--pt-w", "{pt}", "--lex-m-fwd", "{lex}", "--lex-m-bwd", "{lex_ok}",
          "--lex-w-fwd", "{lex_ok}", "--lex-w-bwd", "{lex_ok}", "--output", "{out}"],
+    ),
+    "table-link-bounds": (
+        {"pt": TABLE_LINE + TABLE_LINE.replace("x/STM", "y/STM").replace("0-0", "3-0"),
+         "lex": "a/STM\tx/STM\t0.5\n"},
+        "pt", 2, MERGE_OUR_METHOD,
+    ),
+    "table-link-piece": (
+        {"pt": TABLE_LINE + TABLE_LINE.replace("x/STM", "y/STM").replace("0-0", "0"),
+         "lex": "a/STM\tx/STM\t0.5\n"},
+        "pt", 2, MERGE_OUR_METHOD,
     ),
     "alignment-link": (
         {"src": "a b\nc\n", "tgt": "x\ny z\n", "align": "0-0 1-0\n0-x\n"},

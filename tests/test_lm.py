@@ -21,8 +21,8 @@ def test_mle_bigram_hand_counts():
 def test_mle_unigram_includes_end_marker():
     model = lm.train_lm(TOY, 1, "mle")
     # events: a, b, a, c plus two </s>
-    assert model.prob("a") == pytest.approx(2 / 6)
-    assert model.prob(EOS) == pytest.approx(2 / 6)
+    assert math.exp(model.logprob("a")) == pytest.approx(2 / 6)
+    assert math.exp(model.logprob(EOS)) == pytest.approx(2 / 6)
 
 
 def test_mle_unseen_is_neg_inf():
@@ -33,9 +33,9 @@ def test_mle_unseen_is_neg_inf():
 def test_witten_bell_discounts_and_smooths():
     model = lm.train_lm(TOY, 2, "witten-bell")
     # c(a,b)=1, c(a)=2, T(a)=2, p_uni(b)=1/10 -> (1 + 2*0.1)/4 = 0.3
-    assert model.prob("b", ["a"]) == pytest.approx(0.3)
-    assert model.prob("b", ["a"]) < 0.5
-    assert model.prob("zz", ["a"]) > 0.0
+    assert math.exp(model.logprob("b", ["a"])) == pytest.approx(0.3)
+    assert math.exp(model.logprob("b", ["a"])) < 0.5
+    assert math.exp(model.logprob("zz", ["a"])) > 0.0
 
 
 def test_markov_truncation():
@@ -61,7 +61,7 @@ def test_normalization_over_vocab_unk_eos(smoothing, order):
                 ("a", "zz"), ("c", "b"), (EOS,)]
     events = sorted(model.vocab | {UNK})
     for ctx in contexts:
-        total = sum(model.prob(w, ctx) for w in events)
+        total = sum(math.exp(model.logprob(w, ctx)) for w in events)
         assert total == pytest.approx(1.0, abs=1e-6), (smoothing, order, ctx)
 
 

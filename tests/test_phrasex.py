@@ -35,12 +35,18 @@ def test_extract_no_links_no_pairs():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_extract_matches_bruteforce(seed):
+    # plain tokens, then morpheme tokens whose `+` flags classic extraction ignores
     rng = random.Random(seed)
     sl, tl = rng.randint(1, 6), rng.randint(1, 6)
     src = [f"s{i}" for i in range(sl)]
     tgt = [f"t{j}" for j in range(tl)]
     a = random_alignment(rng, sl, tl)
     max_len = rng.randint(1, 6)
+    assert phrasex.extract_phrases(src, tgt, a, max_len) == \
+        oracles.brute_force_phrases(src, tgt, a.links, max_len)
+    src = morpho.token_strings(random_morph_sentence(rng, max_words=3))
+    tgt = morpho.token_strings(random_morph_sentence(rng, max_words=3))
+    a = random_alignment(rng, len(src), len(tgt))
     assert phrasex.extract_phrases(src, tgt, a, max_len) == \
         oracles.brute_force_phrases(src, tgt, a.links, max_len)
 
@@ -56,7 +62,7 @@ def undemocratic_pair():
 
 def test_boundary_aware_all_pairs_linked_single_pair():
     src, tgt, a = undemocratic_pair()
-    pairs = phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
+    pairs = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
     assert len(pairs) == 1
     (pair,) = pairs
     assert pair.source == ("un/PRE+", "democratic/STM")
@@ -72,7 +78,7 @@ def test_boundary_aware_kills_spurious_prefix_phrase():
     spurious = ("epä/PRE+", "demokraat/STM+", "t/SUF+", "i/SUF+", "s/SUF+")
     classic = phrasex.extract_phrases(src, tgt, a, 10)
     assert any(p.target == spurious for p in classic)
-    boundary = phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
+    boundary = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
     assert not any(p.target == spurious for p in boundary)
     assert {p.target for p in boundary} == {(
         "epä/PRE+", "demokraat/STM+", "t/SUF+", "i/SUF+", "s/SUF+", "en/SUF"
@@ -90,7 +96,7 @@ def test_boundary_aware_monomorphemic_degeneracy():
             morpho.MorphToken(f"t{j}", morpho.MorphTag.STM, False) for j in range(m)
         )))
         a = random_alignment(rng, n, m)
-        ba = phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
+        ba = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
         cl = phrasex.extract_phrases(src, tgt, a, 7)
         assert ba == cl
 
@@ -103,7 +109,7 @@ def test_boundary_aware_long_morpheme_span_allowed():
     ))
     links = frozenset({(0, 0), (1, 3), (2, 6)})
     a = AlignmentMatrix(links, 3, 9)
-    pairs = phrasex.extract_phrases_boundary_aware(src, tgt, a, 7)
+    pairs = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
     assert any(len(p.target) == 9 for p in pairs)
     token_limited = phrasex.extract_phrases(src, tgt, a, 7)
     assert not any(len(p.target) == 9 for p in token_limited)
@@ -117,7 +123,7 @@ def test_boundary_aware_matches_filtered_bruteforce(seed):
     tgt = random_morph_sentence(rng, max_words=3)
     a = random_alignment(rng, len(src), len(tgt))
     src_tok, tgt_tok = morpho.token_strings(src), morpho.token_strings(tgt)
-    got = phrasex.extract_phrases_boundary_aware(src_tok, tgt_tok, a, 7)
+    got = phrasex.extract_phrases(src_tok, tgt_tok, a, 7, boundary_aware=True)
     want = oracles.brute_force_boundary_phrases(
         src_tok, tgt_tok, oracles.word_spans_of(src), oracles.word_spans_of(tgt), a.links, 7,
     )
@@ -148,14 +154,16 @@ def test_scoring_degenerate_single_pair():
 
 
 def test_lexical_weight_hand_example():
-    fwd, _ = lex_tables()
-    value = phrasex.lexical_weight(("x",), ("a", "b"), {(0, 0), (1, 0)}, fwd)
-    assert value == pytest.approx((0.5 + 0.25) / 2)
+    fwd, bwd = lex_tables()
+    lex_fwd, lex_bwd = phrasex.lexical_weights(("a", "b"), ("x",), {(0, 0), (1, 0)}, fwd, bwd)
+    assert lex_fwd == pytest.approx((0.5 + 0.25) / 2)
+    assert lex_bwd == pytest.approx(0.5 * 0.25)
 
 
 def test_lexical_weight_unlinked_uses_null():
-    table = LexicalTable({(None, "x"): 0.125})
-    assert phrasex.lexical_weight(("x",), ("a",), frozenset(), table) == pytest.approx(0.125)
+    table = LexicalTable({(None, "x"): 0.125, (None, "a"): 0.25})
+    assert phrasex.lexical_weights(("a",), ("x",), frozenset(), table, table) == \
+        pytest.approx((0.125, 0.25))
 
 
 def test_representative_alignment_most_frequent_then_lexicographic():
@@ -282,7 +290,7 @@ def test_extracted_alignment_sets_iterate_as_built_from_links(seed):
     src_tok, tgt_tok = morpho.token_strings(src), morpho.token_strings(tgt)
     a = random_alignment(rng, len(src), len(tgt), 1.5)
     got = phrasex.extract_phrases(src_tok, tgt_tok, a, 7) | \
-        phrasex.extract_phrases_boundary_aware(src_tok, tgt_tok, a, 7)
+        phrasex.extract_phrases(src_tok, tgt_tok, a, 7, boundary_aware=True)
     want = oracles.brute_force_phrases(src_tok, tgt_tok, a.links, 7) | \
         oracles.brute_force_boundary_phrases(
             src_tok, tgt_tok, oracles.word_spans_of(src), oracles.word_spans_of(tgt),
