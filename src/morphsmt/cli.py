@@ -55,11 +55,10 @@ PLANS = {
 }
 
 
-def words_as_sentence(words: Sequence[str]) -> mo.MorphSentence:
-    """Word-granularity input wrapped as monomorphemic tokens."""
-    return mo.MorphSentence(tuple(
-        mo.MorphToken(w, mo.MorphTag.STM, False) for w in words
-    ))
+def words_as_tokens(words: Sequence[str]) -> tuple[str, ...]:
+    """Word-granularity input wrapped as monomorphemic tokens, so that a word
+    shaped like a token (``x/STM+``) is still read as one whole word."""
+    return tuple(f"{w}/STM" for w in words)
 
 
 def _check_parallel(path_a, lines_a: list, path_b, lines_b: list) -> None:
@@ -103,7 +102,7 @@ def sha256_file(path) -> str:
 @dataclass
 class CorpusData:
     words: dict[str, list[list[str]]]  # e.g. "train_src" -> sentences
-    morphs: dict[str, list[mo.MorphSentence]]
+    morphs: dict[str, list[tuple[str, ...]]]
 
 
 def _load_data(cfg: PipelineConfig) -> CorpusData:
@@ -160,16 +159,15 @@ def _word_table(cfg: PipelineConfig, data: CorpusData):
 
 def _morph_table(cfg: PipelineConfig, data: CorpusData, boundary_aware: bool):
     return build_table(
-        [mo.token_strings(s) for s in data.morphs["train_src"]],
-        [mo.token_strings(t) for t in data.morphs["train_tgt"]],
-        "morpheme", boundary_aware, cfg.max_words if boundary_aware else cfg.max_morphemes,
+        data.morphs["train_src"], data.morphs["train_tgt"], "morpheme", boundary_aware,
+        cfg.max_words if boundary_aware else cfg.max_morphemes,
         cfg.align_iterations, cfg.align_heuristic,
     )
 
 
 def _segmentation_lexicon(data: CorpusData) -> mg.SegmentationLexicon:
     word_lines: list[list[str]] = []
-    morph_lines: list[mo.MorphSentence] = []
+    morph_lines: list[tuple[str, ...]] = []
     for split in ("train", "dev", "test"):
         for side in ("src", "tgt"):
             word_lines.extend(data.words[f"{split}_{side}"])
@@ -211,7 +209,7 @@ def _proximity(cfg: PipelineConfig, data: CorpusData, traces):
 
 
 def decode_corpus(
-    sources: Sequence[mo.MorphSentence],
+    sources: Sequence[tuple[str, ...]],
     table: px.PhraseTable,
     lm_m: Optional[lmod.NGramModel],
     lm_w: Optional[lmod.NGramModel],
@@ -255,10 +253,7 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     smoothing = cfg.lm_smoothing
     lm_m = lm_w = None
     if plan.morph_lm:
-        lm_m = lmod.train_lm(
-            [mo.token_strings(s) for s in data.morphs["train_tgt"]],
-            cfg.lm_morph_order, smoothing,
-        )
+        lm_m = lmod.train_lm(data.morphs["train_tgt"], cfg.lm_morph_order, smoothing)
         artifacts["lm_m"] = run_dir / "lm_m.arpa"
         lmod.write_arpa(artifacts["lm_m"], lm_m)
     if plan.word_lm:
@@ -273,8 +268,8 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     )
 
     if plan.granularity == "word":
-        dev_sources = [words_as_sentence(s) for s in data.words["dev_src"]]
-        test_sources = [words_as_sentence(s) for s in data.words["test_src"]]
+        dev_sources = [words_as_tokens(s) for s in data.words["dev_src"]]
+        test_sources = [words_as_tokens(s) for s in data.words["test_src"]]
     else:
         dev_sources = data.morphs["dev_src"]
         test_sources = data.morphs["test_src"]
@@ -318,8 +313,7 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     hyp_morphs = [
         [tok for w in words for tok in lexicon.segment(w)] for words in hyp_words
     ]
-    ref_morphs = [mo.token_strings(s) for s in data.morphs["test_tgt"]]
-    _fill_report(report, "m_bleu", ev.m_bleu(hyp_morphs, ref_morphs))
+    _fill_report(report, "m_bleu", ev.m_bleu(hyp_morphs, data.morphs["test_tgt"]))
     prox = _proximity(cfg, data, traces)
     report["triples"] = str(prox.total)
     report["exact_matches"] = str(prox.exact_matches)
@@ -365,10 +359,9 @@ def _write_manifest(path, system: str, cfg: PipelineConfig) -> None:
 
 def _cmd_segment_apply(args) -> int:
     suffixes = tuple(args.suffixes.split(",")) if args.suffixes else mo.DEFAULT_STUB_SUFFIXES
-    sentences = [
+    mo.write_word_lines(args.output, [
         mo.segment_words(words, suffixes) for words in mo.read_word_file(args.input)
-    ]
-    mo.write_sentences(args.output, sentences)
+    ])
     return 0
 
 
@@ -388,8 +381,6 @@ def _cmd_extract(args) -> int:
     # is reported with its file and line
     read = mo.read_segmented_file if args.boundary_aware else mo.read_word_file
     src, tgt = _read_parallel(read, args.source, args.target)
-    if args.boundary_aware:
-        src, tgt = [mo.token_strings(s) for s in src], [mo.token_strings(t) for t in tgt]
     table, _, _ = build_table(src, tgt, args.granularity, args.boundary_aware,
                               args.max_span, args.iterations, "grow-diag-final-and",
                               args.alignments)
@@ -415,7 +406,7 @@ def _load_search(args, source_path):
         table.n_extras, lm_m is not None, lm_w is not None
     )
     if args.granularity == "word":
-        sources = [words_as_sentence(w) for w in mo.read_word_file(source_path)]
+        sources = [words_as_tokens(w) for w in mo.read_word_file(source_path)]
     else:
         sources = mo.read_segmented_file(source_path)
     return table, lm_m, lm_w, weights, sources
@@ -483,7 +474,7 @@ def _cmd_merge_pt(args) -> int:
         primary = px.read_phrase_table(args.primary, args.granularity)
         secondary = px.read_phrase_table(args.secondary, args.granularity)
         merged = mg.merge_interpolate(primary, secondary, args.alpha)
-    elif args.method == "our-method":
+    else:  # our-method; argparse's choices admit no other
         needed = (args.pt_w, args.lex_m_fwd, args.lex_m_bwd,
                   args.lex_w_fwd, args.lex_w_bwd)
         if any(p is None for p in needed):
@@ -500,9 +491,6 @@ def _cmd_merge_pt(args) -> int:
             al.read_lexical_table(args.lex_w_fwd),
             al.read_lexical_table(args.lex_w_bwd),
         )
-    else:
-        print(f"unknown merge method: {args.method}", file=sys.stderr)
-        return 2
     px.write_phrase_table(args.output, merged)
     return 0
 

@@ -33,10 +33,7 @@ from .lm import (
     LOG_ZERO, LMMemo, NGramModel, TwinScorerState, floored_logprob,
     initial_twin_state, twin_extend, twin_finalize,
 )
-from .morpho import (
-    MorphSentence, parse_file, split_token_string, token_strings, word_spans,
-    words_from_tokens,
-)
+from .morpho import parse_file, split_token_string, word_spans, words_from_tokens
 from .phrasex import PhraseTable
 
 FEATURE_ORDER = (
@@ -139,7 +136,7 @@ def _span_mask(start: int, end: int) -> int:
 
 
 def build_options(
-    source: MorphSentence, table: PhraseTable, max_span: Optional[int] = None
+    source: tuple[str, ...], table: PhraseTable, max_span: Optional[int] = None
 ) -> list[TranslationOption]:
     """Phrase options over whole-word source spans, plus OOV pass-through.
 
@@ -148,10 +145,10 @@ def build_options(
     in the table's view of the source: its token strings, or their bare
     surfaces for a word table.
     """
-    tokens = token_strings(source)
-    spans = word_spans(tokens)
+    spans = word_spans(source)
+    tokens = source
     if table.granularity == "word":
-        tokens = tuple(split_token_string(t)[0] for t in tokens)
+        tokens = tuple(split_token_string(t)[0] for t in source)
     n_words = len(spans)
     limit = max_span or (table.max_span if table.max_span > 0 else n_words)
     options: list[TranslationOption] = []
@@ -193,7 +190,8 @@ def build_options(
 
 
 def _count_finals(tokens: Iterable[str]) -> int:
-    return sum(1 for t in tokens if split_token_string(t)[1])
+    # only a token that ends in "+" can be word-internal, as in word_spans
+    return sum(1 for t in tokens if not t.endswith("+") or split_token_string(t)[1])
 
 
 def _future_costs(
@@ -249,7 +247,7 @@ def _rest(coverage: int, n_words: int, future: list[list[float]], memo: dict) ->
 
 
 def search(
-    source: MorphSentence,
+    source: tuple[str, ...],
     table: PhraseTable,
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],
@@ -512,9 +510,9 @@ def target_tokens(hyp: Hypothesis) -> tuple[str, ...]:
     return tuple(out)
 
 
-def trace(hyp: Hypothesis, source: MorphSentence) -> list[tuple[int, int, tuple[str, ...], tuple[str, ...]]]:
+def trace(hyp: Hypothesis, source: tuple[str, ...]) -> list[tuple[int, int, tuple[str, ...], tuple[str, ...]]]:
     """(src word start, end exclusive, src words, out words) per applied phrase."""
-    src_words = words_from_tokens(token_strings(source))
+    src_words = words_from_tokens(source)
     items = []
     node: Optional[Hypothesis] = hyp
     while node is not None:
@@ -537,7 +535,7 @@ _last_search: Optional[tuple[tuple, tuple, list[Hypothesis]]] = None
 
 
 def _search_once(
-    source: MorphSentence,
+    source: tuple[str, ...],
     table: PhraseTable,
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],
@@ -561,7 +559,7 @@ def _search_once(
 
 
 def decode(
-    source: MorphSentence,
+    source: tuple[str, ...],
     table: PhraseTable,
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],
@@ -584,7 +582,7 @@ class NBestEntry:
 
 
 def nbest(
-    source: MorphSentence,
+    source: tuple[str, ...],
     table: PhraseTable,
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .align import LexicalTable
-from .morpho import MorphSentence, token_strings, word_spans, words_from_tokens
+from .morpho import split_token_string, word_spans, words_from_tokens
 from .phrasex import PHRASE_PENALTY, PhraseEntry, PhraseTable, lexical_weights
 
 # origin feature values for the add-feature merges
@@ -43,14 +43,13 @@ class SegmentationLexicon:
 
 def build_lexicon(
     word_sentences: Sequence[Sequence[str]],
-    morph_sentences: Sequence[MorphSentence],
+    morph_sentences: Sequence[tuple[str, ...]],
 ) -> SegmentationLexicon:
     """Collect each word's segmentation; most frequent wins, ties lexicographic."""
     seen: dict[str, Counter] = {}
-    for words, morphs in zip(word_sentences, morph_sentences, strict=True):
-        tokens = token_strings(morphs)
+    for words, tokens in zip(word_sentences, morph_sentences, strict=True):
         spans = word_spans(tokens)
-        surfaces = [t.surface for t in morphs.tokens]
+        surfaces = [split_token_string(t)[0] for t in tokens]
         if ["".join(surfaces[start : end + 1]) for start, end in spans] != list(words):
             raise ValueError(
                 "segmented line does not reassemble to its word line: "

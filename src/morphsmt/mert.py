@@ -42,36 +42,14 @@ class MertState:
         return [[p[k] for k in sorted(p)] for p in self.pool]
 
 
-def _as_candidate(entry, ref: Sequence[str]) -> tuple[tuple, Candidate]:
-    if isinstance(entry, NBestEntry):
-        tokens, feats = entry.tokens, entry.features
-    else:
-        tokens, feats = entry
-    words = tuple(words_from_tokens(tokens))
-    key = (words, tuple(sorted(feats.items())))
-    return key, Candidate(words, dict(feats), bleu_stats(words, ref))
-
-
-def _ensure_candidates(
-    pool: Sequence[Sequence], refs: Optional[Sequence[Sequence[str]]]
-) -> list[list[Candidate]]:
-    out = []
-    for s, cands in enumerate(pool):
-        row = []
-        for c in cands:
-            if isinstance(c, Candidate):
-                row.append(c)
-            else:
-                if refs is None:
-                    raise ValueError("refs required when candidates carry no stats")
-                row.append(_as_candidate(c, refs[s])[1])
-        out.append(row)
-    return out
+def _as_candidate(entry: NBestEntry, ref: Sequence[str]) -> tuple[tuple, Candidate]:
+    words = tuple(words_from_tokens(entry.tokens))
+    key = (words, tuple(sorted(entry.features.items())))
+    return key, Candidate(words, dict(entry.features), bleu_stats(words, ref))
 
 
 def line_search(
-    pool: Sequence[Sequence],
-    refs: Optional[Sequence[Sequence[str]]],
+    pool: Sequence[Sequence[Candidate]],
     weights: Mapping[str, float],
     direction: Mapping[str, float],
 ) -> tuple[float, float]:
@@ -80,8 +58,7 @@ def line_search(
     Returns (step, corpus BLEU at that step).  Candidate selection per
     sentence is the upper envelope of score(c) = dot(w,f) + step*dot(d,f).
     """
-    cand_lists = _ensure_candidates(pool, refs)
-    return _sweep(cand_lists, _dots(direction, cand_lists), _dots(weights, cand_lists))
+    return _sweep(pool, _dots(direction, pool), _dots(weights, pool))
 
 
 def _dots(
@@ -181,7 +158,7 @@ def select_bleu(
     return bleu_from_stats(total).score
 
 
-DecoderHandle = Callable[[Mapping[str, float]], Sequence[Sequence]]
+DecoderHandle = Callable[[Mapping[str, float]], Sequence[Sequence[NBestEntry]]]
 
 
 def mert_run(

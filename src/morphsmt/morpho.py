@@ -1,26 +1,20 @@
-"""Tagged morpheme representation: parsing, word boundaries, round-tripping.
+"""Tagged morpheme tokens: parsing, word boundaries, round-tripping.
 
 A segmented sentence is a stream of ``surface/TAG`` tokens where TAG is one
 of PRE, STM, SUF and a trailing ``+`` marks word-internal morphemes.  Word
 boundaries fall after every token without ``+``; every other module gets its
-notion of "word" from here.
+notion of "word" from here.  A sentence is the tuple of its token strings,
+from the parser to the writers: ``care/STM+`` and ``care/STM`` are different
+tokens everywhere downstream.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
-
-
-class MorphTag(Enum):
-    PRE = "PRE"
-    STM = "STM"
-    SUF = "SUF"
 
 
 class MorphParseError(ValueError):
@@ -31,70 +25,27 @@ class MorphParseError(ValueError):
         self.token_index = token_index
 
 
-@dataclass(frozen=True)
-class MorphToken:
-    """One morpheme with its tag and word-internal continuation flag.
-
-    Token identity is (surface, tag, continues): ``care/STM+`` and
-    ``care/STM`` are different tokens everywhere downstream.
-    """
-
-    surface: str
-    tag: MorphTag
-    continues: bool
-
-    def __post_init__(self):
-        if not self.surface or any(c.isspace() for c in self.surface):
-            raise ValueError(f"bad morph surface: {self.surface!r}")
-
-    def serialize(self) -> str:
-        return f"{self.surface}/{self.tag.value}{'+' if self.continues else ''}"
-
-
-@dataclass(frozen=True)
-class MorphSentence:
-    tokens: tuple[MorphToken, ...]
-
-    def __post_init__(self):
-        if self.tokens and self.tokens[-1].continues:
-            raise ValueError("sentence ends on a word-internal morpheme")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def serialize(self) -> str:
-        return " ".join(t.serialize() for t in self.tokens)
-
-
+# greedy surface group claims any "/" inside the surface itself
 _TOKEN_RE = re.compile(r"^(?P<surface>\S+)/(?P<tag>PRE|STM|SUF)(?P<plus>\+?)$")
 
 
-def parse_token(text: str, index: int = 0) -> MorphToken:
-    # greedy surface group claims any "/" inside the surface itself
-    m = _TOKEN_RE.match(text)
-    if m is None:
-        raise MorphParseError(f"not of form surface/TAG[+]: {text!r}", index)
-    return MorphToken(m.group("surface"), MorphTag(m.group("tag")), m.group("plus") == "+")
-
-
-def parse_segmented_line(line: str) -> MorphSentence:
-    """Parse one whitespace-separated segmented line into a MorphSentence.
+def parse_segmented_line(line: str) -> tuple[str, ...]:
+    """The validated token strings of one whitespace-separated segmented line.
 
     Raises MorphParseError on malformed tokens, and when the final token
     carries "+" (a dangling continuation is an upstream segmenter bug, not
     something to repair silently).
     """
-    pieces = line.split()
-    tokens = [parse_token(p, i) for i, p in enumerate(pieces)]
-    if tokens and tokens[-1].continues:
+    tokens = tuple(line.split())
+    for i, tok in enumerate(tokens):
+        if _TOKEN_RE.match(tok) is None:
+            raise MorphParseError(f"not of form surface/TAG[+]: {tok!r}", i)
+    if tokens and tokens[-1].endswith("+"):
         raise MorphParseError(
-            f"dangling continuation at end of sentence: {pieces[-1]!r}",
+            f"dangling continuation at end of sentence: {tokens[-1]!r}",
             len(tokens) - 1,
         )
-    return MorphSentence(tuple(tokens))
+    return tokens
 
 
 DEFAULT_STUB_SUFFIXES = ("ing", "ed", "s")
@@ -102,7 +53,7 @@ DEFAULT_STUB_SUFFIXES = ("ing", "ed", "s")
 
 def stub_segment(
     word: str, suffixes: Sequence[str] = DEFAULT_STUB_SUFFIXES
-) -> list[MorphToken]:
+) -> list[str]:
     """Deterministic test segmenter: strip at most one known suffix.
 
     Longest suffix wins; a word never loses its stem, so a pure-suffix word
@@ -112,35 +63,22 @@ def stub_segment(
         raise ValueError(f"bad word: {word!r}")
     for suf in sorted(suffixes, key=lambda s: (-len(s), s)):
         if suf and word.endswith(suf) and len(word) > len(suf):
-            stem = word[: -len(suf)]
-            return [
-                MorphToken(stem, MorphTag.STM, True),
-                MorphToken(suf, MorphTag.SUF, False),
-            ]
-    return [MorphToken(word, MorphTag.STM, False)]
+            return [f"{word[: -len(suf)]}/STM+", f"{suf}/SUF"]
+    return [f"{word}/STM"]
 
 
 def segment_words(
     words: Iterable[str], suffixes: Sequence[str] = DEFAULT_STUB_SUFFIXES
-) -> MorphSentence:
-    tokens: list[MorphToken] = []
-    for w in words:
-        tokens.extend(stub_segment(w, suffixes))
-    return MorphSentence(tuple(tokens))
+) -> tuple[str, ...]:
+    return tuple(tok for w in words for tok in stub_segment(w, suffixes))
 
 
 # ---------------------------------------------------------------------------
 # String-level helpers: the one word API.  Downstream modules (alignment,
 # tables, LMs, decoder) treat tokens as opaque strings; these recover word
 # structure leniently so that plain word tokens and OOV pass-through text
-# survive unharmed.  A MorphSentence passes its ``token_strings``: the
-# greedy surface group and the pattern anchored on ``/TAG\+?$`` give every
-# serialized token back its own surface and ``+`` flag.
+# survive unharmed.
 # ---------------------------------------------------------------------------
-
-
-def token_strings(sentence: MorphSentence) -> tuple[str, ...]:
-    return tuple(t.serialize() for t in sentence.tokens)
 
 
 @functools.cache
@@ -204,7 +142,7 @@ def parse_file(path, parse_line: Callable[[str], T]) -> list[T]:
     return out
 
 
-def read_segmented_file(path) -> list[MorphSentence]:
+def read_segmented_file(path) -> list[tuple[str, ...]]:
     """One sentence per line; a blank line is an empty sentence."""
     return parse_file(path, parse_segmented_line)
 
@@ -215,13 +153,8 @@ def read_word_file(path) -> list[list[str]]:
         return [line.split() for line in fh]
 
 
-def write_sentences(path, sentences: Iterable[MorphSentence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sentences:
-            fh.write(s.serialize() + "\n")
-
-
 def write_word_lines(path, lines: Iterable[Sequence[str]]) -> None:
+    """One line per sentence, its words or token strings joined by spaces."""
     with open(path, "w", encoding="utf-8") as fh:
         for words in lines:
             fh.write(" ".join(words) + "\n")

@@ -352,12 +352,22 @@ def read_phrase_table(
     max_span: int = 0,
     boundary_aware: bool = False,
 ) -> PhraseTable:
+    """A table file; a line that repeats an earlier line's source and target
+    is rejected, so no line's scores silently replace another's."""
     entries = {}
-    n_extras = 0
-    for entry in parse_file(path, _parse_phrase_line):
-        if entry is not None:
-            entries[(entry.source, entry.target)] = entry
-            n_extras = max(n_extras, len(entry.extras))
+    first_line = {}  # (source, target) -> line number
+    # parse_file gives one result per line, None for a blank one
+    for lineno, entry in enumerate(parse_file(path, _parse_phrase_line), 1):
+        if entry is None:
+            continue
+        key = (entry.source, entry.target)
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate phrase pair "
+                             f"{' '.join(key[0])!r} ||| {' '.join(key[1])!r}, "
+                             f"first on line {first_line[key]}")
+        first_line[key] = lineno
+        entries[key] = entry
+    n_extras = max((len(e.extras) for e in entries.values()), default=0)
     return PhraseTable(entries, granularity, max_span, boundary_aware, n_extras)
 
 

@@ -6,21 +6,20 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from morphsmt import morpho
 from morphsmt.align import AlignmentMatrix
 
 
 def random_morph_sentence(rng: random.Random, max_words=5, vocab=("ka", "lo", "mi", "ne", "tu")):
-    """Random valid tagged sentence: each word is PRE* STM SUF*."""
+    """Random valid tagged sentence, as token strings: each word is PRE* STM SUF*."""
     tokens = []
     for _ in range(rng.randint(1, max_words)):
         n_pre = rng.randint(0, 1)
         n_suf = rng.randint(0, 2)
         tags = ["PRE"] * n_pre + ["STM"] + ["SUF"] * n_suf
         for k, tag in enumerate(tags):
-            cont = k + 1 < len(tags)
-            tokens.append(morpho.MorphToken(rng.choice(vocab), morpho.MorphTag(tag), cont))
-    return morpho.MorphSentence(tuple(tokens))
+            plus = "+" if k + 1 < len(tags) else ""
+            tokens.append(f"{rng.choice(vocab)}/{tag}{plus}")
+    return tuple(tokens)
 
 
 def random_alignment(rng: random.Random, src_len: int, tgt_len: int, density=0.4):

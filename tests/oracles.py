@@ -46,21 +46,23 @@ def brute_force_phrases(src, tgt, links, max_len):
     return out
 
 
-def word_spans_of(sentence):
-    """Inclusive (start, end) word spans of a MorphSentence, read off each
-    token's ``continues`` flag rather than parsed from its serialized string."""
+def word_spans_of(tokens):
+    """Inclusive (start, end) word spans of a tagged token-string sentence,
+    read off each token's last character (``+`` is word-internal) rather
+    than through ``morpho``'s parser."""
     spans, start = [], 0
-    for i, tok in enumerate(sentence.tokens):
-        if not tok.continues:
+    for i, tok in enumerate(tokens):
+        if not tok.endswith("+"):
             spans.append((start, i))
             start = i + 1
     return spans
 
 
-def words_of(sentence):
-    """A MorphSentence's words: the surfaces of each ``word_spans_of`` span, joined."""
-    return ["".join(t.surface for t in sentence.tokens[start : end + 1])
-            for start, end in word_spans_of(sentence)]
+def words_of(tokens):
+    """A tagged sentence's words: the surfaces (each token up to its last
+    ``/``) of each ``word_spans_of`` span, joined."""
+    return ["".join(tok.rsplit("/", 1)[0] for tok in tokens[start : end + 1])
+            for start, end in word_spans_of(tokens)]
 
 
 def brute_force_boundary_phrases(src_tokens, tgt_tokens, src_spans, tgt_spans,
@@ -310,7 +312,7 @@ def reference_mert_run(dev_refs, initial_weights, decoder_handle, max_iters=10,
         for _ in range(max_passes):
             best_move = None
             for d in directions:
-                step, score = mert.line_search(pool_lists, None, state.weights, d)
+                step, score = mert.line_search(pool_lists, state.weights, d)
                 if score > current + 1e-12 and (best_move is None or score > best_move[0]):
                     best_move = (score, step, d)
             if best_move is None:

@@ -90,17 +90,16 @@ def test_criterion_2_boundary_oracle():
         src = random_morph_sentence(rng, max_words=3)
         tgt = random_morph_sentence(rng, max_words=3)
         a = random_alignment(rng, len(src), len(tgt))
-        src_tok, tgt_tok = morpho.token_strings(src), morpho.token_strings(tgt)
-        got = phrasex.extract_phrases(src_tok, tgt_tok, a, 7, boundary_aware=True)
+        got = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
         want = oracles.brute_force_boundary_phrases(
-            src_tok, tgt_tok, oracles.word_spans_of(src), oracles.word_spans_of(tgt),
+            src, tgt, oracles.word_spans_of(src), oracles.word_spans_of(tgt),
             a.links, 7,
         )
         assert got == want
-    src = morpho.token_strings(morpho.parse_segmented_line("un/PRE+ democratic/STM"))
-    full_word = morpho.token_strings(morpho.parse_segmented_line(
+    src = morpho.parse_segmented_line("un/PRE+ democratic/STM")
+    full_word = morpho.parse_segmented_line(
         "epä/PRE+ demokraat/STM+ t/SUF+ i/SUF+ s/SUF+ en/SUF"
-    ))
+    )
     spurious = full_word[:5]
     for links in (
         frozenset((i, j) for i in range(2) for j in range(6)),  # all pairs
@@ -118,12 +117,8 @@ def test_criterion_3_degeneracy():
     rng = random.Random(303)
     for _ in range(300):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
-        src = morpho.token_strings(morpho.MorphSentence(tuple(
-            morpho.MorphToken(f"s{i}", morpho.MorphTag.STM, False) for i in range(n)
-        )))
-        tgt = morpho.token_strings(morpho.MorphSentence(tuple(
-            morpho.MorphToken(f"t{j}", morpho.MorphTag.STM, False) for j in range(m)
-        )))
+        src = tuple(f"s{i}/STM" for i in range(n))
+        tgt = tuple(f"t{j}/STM" for j in range(m))
         a = random_alignment(rng, n, m)
         assert phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True) == \
             phrasex.extract_phrases(src, tgt, a, 7)
@@ -166,7 +161,7 @@ def test_criterion_4_normalization(synth_tables, synth_cfg):
 def test_criterion_5_twin_word_view():
     rng = random.Random(505)
     sentences = [random_morph_sentence(rng, max_words=6) for _ in range(40)]
-    lm_m = lm.train_lm([morpho.token_strings(s) for s in sentences], 3, "witten-bell")
+    lm_m = lm.train_lm(sentences, 3, "witten-bell")
     lm_w = lm.train_lm([oracles.words_of(s) for s in sentences], 2, "witten-bell")
 
     def run(tokens, chunks):
@@ -180,16 +175,15 @@ def test_criterion_5_twin_word_view():
         return state, m_total + fm, w_total + fw
 
     probes = [random_morph_sentence(rng, max_words=6) for _ in range(200)]
-    for probe in probes:
-        tokens = morpho.token_strings(probe)
+    for tokens in probes:
         _, m_total, w_total = run(tokens, [tokens])
         assert w_total == pytest.approx(
-            lm.sentence_logprob(lm_w, oracles.words_of(probe)), abs=1e-9
+            lm.sentence_logprob(lm_w, oracles.words_of(tokens)), abs=1e-9
         )
         assert m_total == pytest.approx(
             lm.sentence_logprob(lm_m, tokens), abs=1e-9
         )
-    rechunk_probe = morpho.token_strings(probes[0])
+    rechunk_probe = probes[0]
     base = run(rechunk_probe, [rechunk_probe])
     for _ in range(100):
         chunks = []
@@ -273,10 +267,8 @@ def test_criterion_7_mert(synth_cfg, synth_data):
 
     # 5 real iterations on the synthetic bitext
     table, _, _ = cli._morph_table(synth_cfg, synth_data, False)
-    lm_m = lm.train_lm(
-        [morpho.token_strings(s) for s in synth_data.morphs["train_tgt"]],
-        synth_cfg.lm_morph_order, synth_cfg.lm_smoothing,
-    )
+    lm_m = lm.train_lm(synth_data.morphs["train_tgt"], synth_cfg.lm_morph_order,
+                       synth_cfg.lm_smoothing)
     dev_sources = synth_data.morphs["dev_src"][:25]
     dev_refs = [tuple(r) for r in synth_data.words["dev_tgt"][:25]]
     initial = decoder.default_weights(with_word_lm=False)

@@ -215,6 +215,10 @@ MALFORMED_INPUTS = {
          "lex": "a/STM\tx/STM\t0.5\n"},
         "pt", 2, MERGE_OUR_METHOD,
     ),
+    "table-duplicate": (
+        {"pt": TABLE_LINE + TABLE_LINE.replace(" ||| 0-0", ""), "lex": "a/STM\tx/STM\t0.5\n"},
+        "pt", 2, MERGE_OUR_METHOD,
+    ),
     "alignment-link": (
         {"src": "a b\nc\n", "tgt": "x\ny z\n", "align": "0-0 1-0\n0-x\n"},
         "align", 2,
@@ -350,10 +354,12 @@ def test_unknown_system_fails(synth_dir, tmp_path):
                   "--run-dir", str(tmp_path)])
 
 
-def test_words_as_sentence_wraps_words():
-    s = cli.words_as_sentence(["hello", "world"])
-    assert morpho.words_from_tokens(morpho.token_strings(s)) == ["hello", "world"]
-    assert all(not t.continues for t in s.tokens)
+def test_words_as_tokens_wraps_words():
+    # a bare word shaped like a word-internal token is still one whole word
+    tokens = cli.words_as_tokens(["hello", "x/STM+", "world"])
+    assert tokens == ("hello/STM", "x/STM+/STM", "world/STM")
+    assert morpho.words_from_tokens(tokens) == ["hello", "x/STM+", "world"]
+    assert morpho.word_spans(tokens) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_system_names_map_to_their_enhancements():

@@ -153,9 +153,7 @@ def test_word_granularity_system():
 
 
 def cliless_words(words):
-    return morpho.MorphSentence(tuple(
-        morpho.MorphToken(w, morpho.MorphTag.STM, False) for w in words
-    ))
+    return tuple(f"{w}/STM" for w in words)
 
 
 def test_nbest_sorted_distinct_and_consistent():
@@ -324,8 +322,7 @@ def bundled_models(synth_config):
 
     data = cli._load_data(synth_config)
     tab, _, _ = cli._morph_table(synth_config, data, boundary_aware=True)
-    lm_m = lm.train_lm([morpho.token_strings(s) for s in data.morphs["train_tgt"]],
-                       synth_config.lm_morph_order, "witten-bell")
+    lm_m = lm.train_lm(data.morphs["train_tgt"], synth_config.lm_morph_order, "witten-bell")
     lm_w = lm.train_lm(data.words["train_tgt"], synth_config.lm_word_order, "witten-bell")
     return data.morphs["dev_src"], tab, lm_m, lm_w
 
@@ -355,7 +352,7 @@ def test_search_matches_reference_bit_for_bit(bundled_models, beam, lm_weights):
     weights = {**decoder.default_weights(), **LM_WEIGHTS[lm_weights]}
     distortion = 6
     if beam is None:  # an unpruned search grows exponentially: short and monotone
-        sources = [s for s in sources if len(morpho.word_spans(morpho.token_strings(s))) <= 3][:5]
+        sources = [s for s in sources if len(morpho.word_spans(s)) <= 3][:5]
         distortion = 0
     assert sources
     for src in sources:
@@ -658,7 +655,7 @@ def test_search_matches_references_on_merged_table(bundled_models, synth_config)
 def test_search_matches_references_when_first_word_is_oov(bundled_models):
     sources, tab, lm_m, lm_w = bundled_models
     oov = morpho.parse_segmented_line("qqq/STM+ zzz/SUF")
-    sources = [morpho.MorphSentence(oov.tokens + s.tokens) for s in sources[:12]]
+    sources = [oov + s for s in sources[:12]]
     weights = decoder.default_weights()
     for beam, distortion in ((5, 0), (5, 6)):
         assert_matches_references(sources, tab, lm_m, lm_w, weights, beam, distortion)
@@ -694,7 +691,7 @@ def test_search_matches_references_on_word_table(synth_config):
     data = cli._load_data(synth_config)
     tab, _, _ = cli._word_table(synth_config, data)
     lm_w = lm.train_lm(data.words["train_tgt"], synth_config.lm_word_order, "witten-bell")
-    sources = [cli.words_as_sentence(s) for s in data.words["dev_src"][:15]]
+    sources = [cli.words_as_tokens(s) for s in data.words["dev_src"][:15]]
     weights = decoder.default_weights(with_morph_lm=False)
     assert tab.granularity == "word"
     for beam, distortion in ((3, 6), (20, 0)):
@@ -705,7 +702,7 @@ def test_empty_sentence_touches_only_the_lm_slots(bundled_models):
     from oracles import reference_search
 
     _, tab, lm_m, lm_w = bundled_models
-    empty = morpho.MorphSentence(())
+    empty = ()
     weights = decoder.default_weights()
     for models, names in (((lm_m, lm_w), {"lm_morph", "lm_word"}), ((lm_m, None), {"lm_morph"}),
                           ((None, None), set())):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphsmt import lm, morpho
+from morphsmt import lm
 from morphsmt.lm import BOS, EOS, UNK
 
 import oracles
@@ -238,12 +238,10 @@ def _random_chunks(rng, tokens):
 def test_twin_word_view_and_chunking_invariance(seed):
     rng = random.Random(seed)
     sentences = [random_morph_sentence(rng) for _ in range(6)]
-    token_corpus = [morpho.token_strings(s) for s in sentences]
     word_corpus = [oracles.words_of(s) for s in sentences]
-    lm_m = lm.train_lm(token_corpus, 3, "witten-bell")
+    lm_m = lm.train_lm(sentences, 3, "witten-bell")
     lm_w = lm.train_lm(word_corpus, 2, "witten-bell")
-    probe = random_morph_sentence(rng)
-    tokens = morpho.token_strings(probe)
+    tokens = random_morph_sentence(rng)
 
     def run(chunks):
         state = lm.initial_twin_state(lm_m, lm_w)
@@ -257,7 +255,7 @@ def test_twin_word_view_and_chunking_invariance(seed):
 
     base_state, m_ref, w_ref = run([tokens])
     assert w_ref == pytest.approx(
-        lm.sentence_logprob(lm_w, oracles.words_of(probe)), abs=1e-9
+        lm.sentence_logprob(lm_w, oracles.words_of(tokens)), abs=1e-9
     )
     assert m_ref == pytest.approx(
         lm.sentence_logprob(lm_m, tokens), abs=1e-9

@@ -16,7 +16,7 @@ REF = ("a", "b", "c", "d")
 
 def test_constant_features_return_step_zero():
     pool = [[cand(["a", "b"], {"f": 1.0}, REF), cand(["a", "c"], {"f": 1.0}, REF)]]
-    step, _ = line_search(pool, None, {"f": 1.0}, {"f": 1.0})
+    step, _ = line_search(pool, {"f": 1.0}, {"f": 1.0})
     assert step == 0.0
 
 
@@ -24,7 +24,7 @@ def test_crossing_candidates_step_beyond_crossing():
     good = cand(REF, {"f": 1.0}, REF)
     bad = cand(["x", "y"], {"f": 0.0}, REF)
     # scores: good = -2 + step, bad = 0; they cross at step 2
-    step, bleu = line_search([[good, bad]], None, {"f": -2.0}, {"f": 1.0})
+    step, bleu = line_search([[good, bad]], {"f": -2.0}, {"f": 1.0})
     assert step > 2.0
     assert bleu == 1.0
 
@@ -36,16 +36,10 @@ def test_search_never_worse_than_step_zero():
     ]
     for pool in pools:
         weights = {"f": 0.5, "g": -0.25}
-        base = mert.select_bleu(mert._ensure_candidates(pool, None), weights)
+        base = mert.select_bleu(pool, weights)
         for direction in ({"f": 1.0}, {"g": 1.0}, {"f": -1.0, "g": 2.0}):
-            _, bleu = line_search(pool, None, weights, direction)
+            _, bleu = line_search(pool, weights, direction)
             assert bleu >= base - 1e-12
-
-
-def test_line_search_accepts_raw_pairs_with_refs():
-    pool = [[(("a/STM+", "b/SUF"), {"f": 1.0})]]
-    step, bleu = line_search(pool, [("ab",)], {"f": 0.0}, {"f": 1.0})
-    assert step == 0.0 and bleu > 0.0
 
 
 def fake_handle(per_iteration_lists):

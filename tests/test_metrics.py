@@ -77,7 +77,7 @@ def test_brevity_penalty_never_helps():
 
 
 def test_m_bleu_identity_and_guard():
-    s = morpho.token_strings(morpho.parse_segmented_line("a/STM+ b/SUF c/STM"))
+    s = morpho.parse_segmented_line("a/STM+ b/SUF c/STM")
     assert metrics.m_bleu([s], [s]).score == 1.0
     with pytest.raises(ValueError):
         metrics.m_bleu([], [])
@@ -92,7 +92,7 @@ def test_m_bleu_credits_partial_morpheme_matches():
         "talo/STM+ n/SUF kissa/STM talo/STM+ a/SUF kissa/STM"
     )
     word_r = metrics.bleu([oracles.words_of(hyp)], [oracles.words_of(ref)])
-    morph_r = metrics.m_bleu([morpho.token_strings(hyp)], [morpho.token_strings(ref)])
+    morph_r = metrics.m_bleu([hyp], [ref])
     assert morph_r.score > word_r.score
 
 

@@ -44,8 +44,8 @@ def test_extract_matches_bruteforce(seed):
     max_len = rng.randint(1, 6)
     assert phrasex.extract_phrases(src, tgt, a, max_len) == \
         oracles.brute_force_phrases(src, tgt, a.links, max_len)
-    src = morpho.token_strings(random_morph_sentence(rng, max_words=3))
-    tgt = morpho.token_strings(random_morph_sentence(rng, max_words=3))
+    src = random_morph_sentence(rng, max_words=3)
+    tgt = random_morph_sentence(rng, max_words=3)
     a = random_alignment(rng, len(src), len(tgt))
     assert phrasex.extract_phrases(src, tgt, a, max_len) == \
         oracles.brute_force_phrases(src, tgt, a.links, max_len)
@@ -57,7 +57,7 @@ def undemocratic_pair():
         "epä/PRE+ demokraat/STM+ t/SUF+ i/SUF+ s/SUF+ en/SUF"
     )
     links = frozenset((i, j) for i in range(2) for j in range(6))
-    return morpho.token_strings(src), morpho.token_strings(tgt), AlignmentMatrix(links, 2, 6)
+    return src, tgt, AlignmentMatrix(links, 2, 6)
 
 
 def test_boundary_aware_all_pairs_linked_single_pair():
@@ -89,12 +89,8 @@ def test_boundary_aware_monomorphemic_degeneracy():
     rng = random.Random(5)
     for _ in range(50):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
-        src = morpho.token_strings(morpho.MorphSentence(tuple(
-            morpho.MorphToken(f"s{i}", morpho.MorphTag.STM, False) for i in range(n)
-        )))
-        tgt = morpho.token_strings(morpho.MorphSentence(tuple(
-            morpho.MorphToken(f"t{j}", morpho.MorphTag.STM, False) for j in range(m)
-        )))
+        src = tuple(f"s{i}/STM" for i in range(n))
+        tgt = tuple(f"t{j}/STM" for j in range(m))
         a = random_alignment(rng, n, m)
         ba = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
         cl = phrasex.extract_phrases(src, tgt, a, 7)
@@ -103,10 +99,10 @@ def test_boundary_aware_monomorphemic_degeneracy():
 
 def test_boundary_aware_long_morpheme_span_allowed():
     # 3 target words / 9 morphemes: one pair may cover all 9 tokens
-    src = morpho.token_strings(morpho.parse_segmented_line("a/STM b/STM c/STM"))
-    tgt = morpho.token_strings(morpho.parse_segmented_line(
+    src = morpho.parse_segmented_line("a/STM b/STM c/STM")
+    tgt = morpho.parse_segmented_line(
         "p/STM+ q/SUF+ r/SUF s/STM+ t/SUF+ u/SUF v/STM+ w/SUF+ x/SUF"
-    ))
+    )
     links = frozenset({(0, 0), (1, 3), (2, 6)})
     a = AlignmentMatrix(links, 3, 9)
     pairs = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
@@ -122,10 +118,9 @@ def test_boundary_aware_matches_filtered_bruteforce(seed):
     src = random_morph_sentence(rng, max_words=3)
     tgt = random_morph_sentence(rng, max_words=3)
     a = random_alignment(rng, len(src), len(tgt))
-    src_tok, tgt_tok = morpho.token_strings(src), morpho.token_strings(tgt)
-    got = phrasex.extract_phrases(src_tok, tgt_tok, a, 7, boundary_aware=True)
+    got = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
     want = oracles.brute_force_boundary_phrases(
-        src_tok, tgt_tok, oracles.word_spans_of(src), oracles.word_spans_of(tgt), a.links, 7,
+        src, tgt, oracles.word_spans_of(src), oracles.word_spans_of(tgt), a.links, 7,
     )
     assert got == want
 
@@ -237,6 +232,50 @@ def test_table_without_counts_roundtrips_through_merge(tmp_path):
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
 
+# tokens may hold "/" and "+" but no "|" or whitespace, which the format reserves
+table_token = st.text(alphabet="ab/+STM", min_size=1, max_size=4)
+table_value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def phrase_tables(draw):
+    """Tables with or without counts and links per entry, and 0-2 extra scores."""
+    n_extras = draw(st.integers(0, 2))
+    entries = {}
+    for _ in range(draw(st.integers(0, 5))):
+        src = tuple(draw(st.lists(table_token, min_size=1, max_size=3)))
+        tgt = tuple(draw(st.lists(table_token, min_size=1, max_size=3)))
+        links = draw(st.frozensets(st.tuples(st.integers(0, len(src) - 1),
+                                             st.integers(0, len(tgt) - 1))))
+        scores = draw(st.lists(table_value, min_size=5 + n_extras, max_size=5 + n_extras))
+        count = draw(st.none() | table_value)
+        entries[(src, tgt)] = phrasex.PhraseEntry(src, tgt, *scores[:5], count, links,
+                                                  tuple(scores[5:]))
+    return phrasex.PhraseTable(entries, n_extras=n_extras)
+
+
+@settings(deadline=None)
+@given(phrase_tables())
+def test_table_write_read_write_is_byte_identical(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("pt") / "pt.txt"
+    phrasex.write_phrase_table(path, table)
+    first = path.read_bytes()
+    back = phrasex.read_phrase_table(path)
+    assert back.entries == table.entries
+    phrasex.write_phrase_table(path, back)
+    assert path.read_bytes() == first
+
+
+def test_duplicate_table_line_names_the_first(tmp_path):
+    line = f"a ||| x ||| 0.5 0.5 0.5 0.5 {math.e!r} ||| 1 ||| 0-0\n"
+    path = tmp_path / "pt.txt"
+    path.write_text(line + "\n" + line.replace(" ||| 0-0", ""), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"pt\.txt:3: duplicate phrase pair 'a' \|\|\| 'x', "
+                                         r"first on line 1$"):
+        phrasex.read_phrase_table(path)
+
+
 def test_empty_multiset_gives_empty_table():
     fwd, bwd = lex_tables()
     table = phrasex.score_phrase_table(Counter(), fwd, bwd)
@@ -287,13 +326,12 @@ def test_extracted_alignment_sets_iterate_as_built_from_links(seed):
     rng = random.Random(seed)
     src = random_morph_sentence(rng, max_words=4)
     tgt = random_morph_sentence(rng, max_words=4)
-    src_tok, tgt_tok = morpho.token_strings(src), morpho.token_strings(tgt)
     a = random_alignment(rng, len(src), len(tgt), 1.5)
-    got = phrasex.extract_phrases(src_tok, tgt_tok, a, 7) | \
-        phrasex.extract_phrases(src_tok, tgt_tok, a, 7, boundary_aware=True)
-    want = oracles.brute_force_phrases(src_tok, tgt_tok, a.links, 7) | \
+    got = phrasex.extract_phrases(src, tgt, a, 7) | \
+        phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
+    want = oracles.brute_force_phrases(src, tgt, a.links, 7) | \
         oracles.brute_force_boundary_phrases(
-            src_tok, tgt_tok, oracles.word_spans_of(src), oracles.word_spans_of(tgt),
+            src, tgt, oracles.word_spans_of(src), oracles.word_spans_of(tgt),
             a.links, 7,
         )
     order = {(p.source, p.target, p.alignment): list(p.alignment) for p in want}
