@@ -280,7 +280,10 @@ def _parse_lexical_line(line: str):
     if len(fields) != 3:
         raise ValueError(f"expected src<TAB>tgt<TAB>prob: {line.rstrip()!r}")
     src, tgt, p = fields
-    return (src or None, tgt), float(p)
+    prob = float(p)
+    if not math.isfinite(prob):
+        raise ValueError(f"probability must be finite: {line.rstrip()!r}")
+    return (src or None, tgt), prob
 
 
 # --- Pharaoh alignment file format: one line per pair, space-separated i-j ---

@@ -377,9 +377,10 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    # boundary-aware input is parsed as segmented text, so a malformed token
-    # is reported with its file and line
-    read = mo.read_segmented_file if args.boundary_aware else mo.read_word_file
+    # morpheme and boundary-aware input is parsed as segmented text, so a
+    # malformed token is reported with its file and line
+    segmented = args.granularity == "morpheme" or args.boundary_aware
+    read = mo.read_segmented_file if segmented else mo.read_word_file
     src, tgt = _read_parallel(read, args.source, args.target)
     table, _, _ = build_table(src, tgt, args.granularity, args.boundary_aware,
                               args.max_span, args.iterations, "grow-diag-final-and",

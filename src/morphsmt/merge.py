@@ -68,29 +68,35 @@ def retokenize_pt(pt_w: PhraseTable, lex: SegmentationLexicon) -> PhraseTable:
     """Map a word-granularity table to morpheme granularity.
 
     Scores and counts are carried unchanged; each word-level link expands to
-    the full product of the two words' morpheme positions.
+    the full product of the two words' morpheme positions.  Each word is
+    segmented once, and equal expanded link sets are one shared set.
     """
     if pt_w.granularity != "word":
         raise ValueError("retokenize_pt expects a word-granularity table")
+    words = {w for key in pt_w.entries for side in key for w in side}
+    segments = {w: lex.segment(w) for w in words}
+    shared: dict[frozenset, frozenset] = {}
     entries = {}
     for key in sorted(pt_w.entries):
         e = pt_w.entries[key]
-        src_segs = [lex.segment(w) for w in e.source]
-        tgt_segs = [lex.segment(w) for w in e.target]
+        src_segs = [segments[w] for w in e.source]
+        tgt_segs = [segments[w] for w in e.target]
         src_tokens = tuple(t for seg in src_segs for t in seg)
         tgt_tokens = tuple(t for seg in tgt_segs for t in seg)
         src_offsets = _offsets(src_segs)
         tgt_offsets = _offsets(tgt_segs)
-        links = set()
-        for wi, wj in e.alignment:
-            for mi in range(src_offsets[wi], src_offsets[wi] + len(src_segs[wi])):
-                for mj in range(tgt_offsets[wj], tgt_offsets[wj] + len(tgt_segs[wj])):
-                    links.add((mi, mj))
+        links = frozenset(
+            (mi, mj)
+            for wi, wj in e.alignment
+            for mi in range(src_offsets[wi], src_offsets[wi] + len(src_segs[wi]))
+            for mj in range(tgt_offsets[wj], tgt_offsets[wj] + len(tgt_segs[wj]))
+        )
         new_key = (src_tokens, tgt_tokens)
         if new_key in entries:
             raise ValueError(f"retokenization collision on {new_key}")
-        entries[new_key] = replace(
-            e, source=src_tokens, target=tgt_tokens, alignment=frozenset(links)
+        entries[new_key] = PhraseEntry(
+            src_tokens, tgt_tokens, e.phi_fwd, e.phi_bwd, e.lex_fwd, e.lex_bwd,
+            e.penalty, e.count_joint, shared.setdefault(links, links), e.extras,
         )
     return PhraseTable(entries, "morpheme", pt_w.max_span, True, pt_w.n_extras)
 
@@ -215,21 +221,22 @@ def merge_our_method(
             if e.count_joint is None:
                 raise ValueError(f"{name} entry {e.source}->{e.target} lacks counts")
 
-    keys = sorted(set(pt_m.entries) | set(pt_wm.entries))
+    found = []  # (key, pt_m entry or None, pt_wm entry or None, summed count)
     src_marginal: Counter = Counter()
     tgt_marginal: Counter = Counter()
-    for key in keys:
-        c = _count(pt_m, key) + _count(pt_wm, key)
+    for key in sorted(set(pt_m.entries) | set(pt_wm.entries)):
+        em, ewm = pt_m.entries.get(key), pt_wm.entries.get(key)
+        c = _count(em) + _count(ewm)
+        found.append((key, em, ewm, c))
         src_marginal[key[0]] += c
         tgt_marginal[key[1]] += c
+    sides = {side for key, *_ in found for side in key}
+    words = {side: tuple(words_from_tokens(side)) for side in sides}  # word views
 
     entries = {}
-    for key in keys:
+    for key, em, ewm, c in found:
         src, tgt = key
-        em = pt_m.entries.get(key)
-        ewm = pt_wm.entries.get(key)
         carrier = em if em is not None else ewm
-        c = _count(pt_m, key) + _count(pt_wm, key)
 
         if em is not None:
             lmf, lmb = em.lex_fwd, em.lex_bwd
@@ -237,8 +244,7 @@ def merge_our_method(
             # morpheme-side estimate over the retokenized entry's alignment
             lmf, lmb = lexical_weights(src, tgt, carrier.alignment, lex_m_fwd, lex_m_bwd)
 
-        src_words = tuple(words_from_tokens(src))
-        tgt_words = tuple(words_from_tokens(tgt))
+        src_words, tgt_words = words[src], words[tgt]
         ew = pt_w.entries.get((src_words, tgt_words))
         if ew is not None:
             lwf, lwb = ew.lex_fwd, ew.lex_bwd
@@ -262,6 +268,5 @@ def merge_our_method(
     )
 
 
-def _count(pt: PhraseTable, key) -> float:
-    e = pt.entries.get(key)
+def _count(e) -> float:
     return e.count_joint if e is not None else 0.0

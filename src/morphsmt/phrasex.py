@@ -22,7 +22,7 @@ from .morpho import parse_file, word_spans
 PHRASE_PENALTY = math.e  # constant fifth score, ln = 1 per applied phrase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhrasePair:
     source: tuple[str, ...]
     target: tuple[str, ...]
@@ -37,7 +37,7 @@ class PhrasePair:
                 raise ValueError("internal alignment out of phrase bounds")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhraseEntry:
     source: tuple[str, ...]
     target: tuple[str, ...]
@@ -129,6 +129,7 @@ def extract_phrases(
     a: AlignmentMatrix,
     max_len: int = 7,
     boundary_aware: bool = False,
+    shared: Optional[dict[frozenset, frozenset]] = None,
 ) -> set[PhrasePair]:
     """All alignment-consistent phrase pairs whose sides span <= max_len units.
 
@@ -137,6 +138,9 @@ def extract_phrases(
     tokens.  A box is consistent when it contains at least one link and no
     link leaves it; its target span snaps outward to unit boundaries over
     unaligned tokens only, then grows over adjacent fully-unaligned units.
+    ``shared`` maps each phrase-internal alignment seen so far to the one set
+    that stands for it, and gains the new ones, so a corpus loop that passes
+    one dict to every call holds one set per distinct alignment.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -180,13 +184,17 @@ def extract_phrases(
                     hi[j] >= 0 for j in (*range(snap1, j1), *range(j2 + 1, snap2 + 1))):
                 continue
             src_phrase = source[i1 : i2 + 1]
-            # the box's links in ``a.links`` order, so each phrase-relative
-            # alignment set iterates as if built from the links directly
+            # the box's links in ``a.links`` order, so a set built here
+            # iterates as if built from the links directly; a shared set may
+            # iterate otherwise, which no consumer reads (lexical_weights
+            # averages with fsum, the writers sort)
             inside = sorted(box)
             eu1 = tu1
             while tu2 - eu1 < max_len:
                 start = tgt_spans[eu1][0]
                 rel = frozenset((i - i1, j - start) for _, i, j in inside)
+                if shared is not None:
+                    rel = shared.setdefault(rel, rel)
                 eu2 = tu2
                 while True:
                     end = tgt_spans[eu2][1]
@@ -212,8 +220,9 @@ def lexical_weights(
     internal alignment: lex_fwd of the target given the source under
     ``fwd_table``, lex_bwd of the source given the target under ``bwd_table``.
 
-    Per token: average t(token|linked) over its links, in the alignment's
-    iteration order, or t(token|NULL) when unlinked; multiply over tokens.
+    Per token: average t(token|linked) over its links, or t(token|NULL) when
+    unlinked; multiply over tokens.  The average is an exact ``fsum``, so the
+    alignment's iteration order does not matter.
     """
     by_tgt: dict[int, list[int]] = {}
     by_src: dict[int, list[int]] = {}
@@ -272,6 +281,7 @@ def score_phrase_table(
         tgt_marginal[pair.target] += c
 
     entries = {}
+    shared: dict[frozenset, frozenset] = {}
     for key in sorted(joint):
         src, tgt = key
         c = joint[key]
@@ -299,7 +309,7 @@ def score_phrase_table(
             lex_bwd=lex_bwd,
             penalty=PHRASE_PENALTY,
             count_joint=c,
-            alignment=representative,
+            alignment=shared.setdefault(representative, representative),
         )
     return PhraseTable(entries, granularity, max_span, boundary_aware)
 
@@ -312,8 +322,9 @@ def extract_corpus(
 ) -> Counter:
     """Classic extraction counts over a corpus (one set per sentence pair)."""
     counts: Counter = Counter()
+    shared: dict[frozenset, frozenset] = {}
     for src, tgt, a in zip(sources, targets, alignments, strict=True):
-        counts.update(extract_phrases(src, tgt, a, max_len))
+        counts.update(extract_phrases(src, tgt, a, max_len, shared=shared))
     return counts
 
 
@@ -325,8 +336,9 @@ def extract_corpus_boundary_aware(
 ) -> Counter:
     """Boundary-aware extraction counts; ``max_words`` limits both sides in words."""
     counts: Counter = Counter()
+    shared: dict[frozenset, frozenset] = {}
     for src, tgt, a in zip(sources, targets, alignments, strict=True):
-        counts.update(extract_phrases(src, tgt, a, max_words, boundary_aware=True))
+        counts.update(extract_phrases(src, tgt, a, max_words, True, shared))
     return counts
 
 
@@ -353,11 +365,14 @@ def read_phrase_table(
     boundary_aware: bool = False,
 ) -> PhraseTable:
     """A table file; a line that repeats an earlier line's source and target
-    is rejected, so no line's scores silently replace another's."""
+    is rejected, so no line's scores silently replace another's.  Equal link
+    sets are read as one shared set."""
     entries = {}
     first_line = {}  # (source, target) -> line number
+    shared: dict[frozenset, frozenset] = {}
     # parse_file gives one result per line, None for a blank one
-    for lineno, entry in enumerate(parse_file(path, _parse_phrase_line), 1):
+    lines = parse_file(path, lambda line: _parse_phrase_line(line, shared))
+    for lineno, entry in enumerate(lines, 1):
         if entry is None:
             continue
         key = (entry.source, entry.target)
@@ -371,7 +386,7 @@ def read_phrase_table(
     return PhraseTable(entries, granularity, max_span, boundary_aware, n_extras)
 
 
-def _parse_phrase_line(line: str) -> Optional[PhraseEntry]:
+def _parse_phrase_line(line: str, shared: dict) -> Optional[PhraseEntry]:
     """One ``src ||| tgt ||| scores ||| count [||| links]`` line; None if blank."""
     if not line.strip():
         return None
@@ -392,5 +407,5 @@ def _parse_phrase_line(line: str) -> Optional[PhraseEntry]:
             raise ValueError(f"link {i}-{j} outside the {len(src)}x{len(tgt)} phrase pair")
     return PhraseEntry(
         src, tgt, scores[0], scores[1], scores[2], scores[3], scores[4],
-        count, links, tuple(scores[5:]),
+        count, shared.setdefault(links, links), tuple(scores[5:]),
     )

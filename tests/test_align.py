@@ -156,6 +156,57 @@ def test_lexical_table_roundtrip(tmp_path):
     assert back.probs == table.probs
 
 
+# tokens hold no tab, newline or other whitespace, which the formats reserve
+lex_token = st.text(alphabet="ab/+STM", min_size=1, max_size=4)
+lex_prob = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1.0]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def lexical_tables(draw):
+    """Tables with NULL and token sources; probabilities include 0.0 and subnormals."""
+    keys = draw(st.lists(st.tuples(st.none() | lex_token, lex_token), max_size=6,
+                         unique=True))
+    return LexicalTable({key: draw(lex_prob) for key in keys})
+
+
+@settings(deadline=None)
+@given(lexical_tables())
+def test_lexical_table_write_read_write_is_byte_identical(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("lex") / "lex.tsv"
+    align.write_lexical_table(path, table)
+    first = path.read_bytes()
+    back = align.read_lexical_table(path)
+    assert back.probs == table.probs
+    align.write_lexical_table(path, back)
+    assert path.read_bytes() == first
+
+
+@st.composite
+def alignment_lists(draw):
+    """Matrices of 0-4 x 0-4 tokens; an empty link set is an empty line."""
+    mats = []
+    for _ in range(draw(st.integers(0, 5))):
+        slen, tlen = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        links = draw(st.frozensets(st.tuples(st.integers(0, slen - 1),
+                                             st.integers(0, tlen - 1)))
+                     if slen and tlen else st.just(frozenset()))
+        mats.append(AlignmentMatrix(links, slen, tlen))
+    return mats
+
+
+@settings(deadline=None)
+@given(alignment_lists())
+def test_alignment_write_read_write_is_byte_identical(tmp_path_factory, mats):
+    path = tmp_path_factory.mktemp("align") / "a.txt"
+    align.write_alignments(path, mats)
+    first = path.read_bytes()
+    back = align.read_alignments(path, [(m.source_len, m.target_len) for m in mats])
+    assert back == mats
+    align.write_alignments(path, back)
+    assert path.read_bytes() == first
+
+
 def test_align_corpus_deterministic():
     corpus = toy_corpus()
     a1 = align.align_corpus(corpus, 3)

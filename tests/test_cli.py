@@ -205,6 +205,20 @@ MALFORMED_INPUTS = {
          "--pt-w", "{pt}", "--lex-m-fwd", "{lex}", "--lex-m-bwd", "{lex_ok}",
          "--lex-w-fwd", "{lex_ok}", "--lex-w-bwd", "{lex_ok}", "--output", "{out}"],
     ),
+    "lexical-nonfinite": (
+        {"pt": TABLE_LINE, "lex": "a/STM\tx/STM\t0.5\n\tx/STM\tnan\n",
+         "lex_ok": "a/STM\tx/STM\t0.5\n"},
+        "lex", 2,
+        ["merge-pt", "--method", "our-method", "--primary", "{pt}", "--secondary", "{pt}",
+         "--pt-w", "{pt}", "--lex-m-fwd", "{lex_ok}", "--lex-m-bwd", "{lex}",
+         "--lex-w-fwd", "{lex_ok}", "--lex-w-bwd", "{lex_ok}", "--output", "{out}"],
+    ),
+    "extract-classic-morpheme": (
+        {"src": "a/STM b/XYZ\n", "tgt": "x/STM\n"},
+        "src", 1,
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--granularity", "morpheme",
+         "--output", "{out}"],
+    ),
     "table-link-bounds": (
         {"pt": TABLE_LINE + TABLE_LINE.replace("x/STM", "y/STM").replace("0-0", "3-0"),
          "lex": "a/STM\tx/STM\t0.5\n"},

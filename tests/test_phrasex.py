@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphsmt import merge, morpho, phrasex
+from morphsmt import cli, merge, morpho, phrasex
 from morphsmt.align import AlignmentMatrix, LexicalTable
 from morphsmt.phrasex import PhrasePair
 
@@ -267,6 +267,45 @@ def test_table_write_read_write_is_byte_identical(tmp_path_factory, table):
     assert path.read_bytes() == first
 
 
+def test_phrase_records_have_no_instance_dict():
+    pair = PhrasePair(("a",), ("x",), frozenset({(0, 0)}))
+    entry = phrasex.PhraseEntry(("a",), ("x",), 0.5, 0.5, 0.5, 0.5, math.e, 1, frozenset())
+    for record in (pair, entry):
+        assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("source, target, links, message", [
+    ((), ("x",), frozenset(), "non-empty"),
+    (("a",), (), frozenset(), "non-empty"),
+    (("a",), ("x",), frozenset({(1, 0)}), "out of phrase bounds"),
+    (("a",), ("x", "y"), frozenset({(0, 2)}), "out of phrase bounds"),
+    (("a", "b"), ("x",), frozenset({(-1, 0)}), "out of phrase bounds"),
+])
+def test_phrase_pair_rejects_empty_side_and_out_of_bounds_link(source, target, links,
+                                                               message):
+    with pytest.raises(ValueError, match=message):
+        PhrasePair(source, target, links)
+
+
+def test_every_table_build_holds_one_set_per_alignment(tmp_path):
+    rng = random.Random(11)
+    src = [random_morph_sentence(rng, max_words=4) for _ in range(30)]
+    tgt = [random_morph_sentence(rng, max_words=4) for _ in range(30)]
+    src_w = [morpho.words_from_tokens(s) for s in src]
+    tgt_w = [morpho.words_from_tokens(t) for t in tgt]
+    heuristic = "grow-diag-final-and"
+    classic, _, _ = cli.build_table(src, tgt, "morpheme", False, 4, 2, heuristic)
+    aware, _, _ = cli.build_table(src, tgt, "morpheme", True, 3, 2, heuristic)
+    pt_w, _, _ = cli.build_table(src_w, tgt_w, "word", False, 3, 2, heuristic)
+    pt_wm = merge.retokenize_pt(pt_w, merge.build_lexicon(src_w + tgt_w, src + tgt))
+    phrasex.write_phrase_table(tmp_path / "pt.txt", aware)
+    read = phrasex.read_phrase_table(tmp_path / "pt.txt")
+    for table in (classic, aware, pt_wm, read):
+        alignments = [e.alignment for e in table.entries.values()]
+        # equal alignments recur across entries, and each is one object
+        assert len({id(al) for al in alignments}) == len(set(alignments)) < len(alignments)
+
+
 def test_duplicate_table_line_names_the_first(tmp_path):
     line = f"a ||| x ||| 0.5 0.5 0.5 0.5 {math.e!r} ||| 1 ||| 0-0\n"
     path = tmp_path / "pt.txt"
@@ -321,8 +360,8 @@ def test_scoring_matches_reference_bit_for_bit(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_extracted_alignment_sets_iterate_as_built_from_links(seed):
-    # lexical weights sum a token's links in the order its alignment set
-    # iterates, so each set must be built in a.links order, as the oracles do
+    # one call, with no shared dict, builds each alignment set in a.links
+    # order, as the oracles do; no consumer depends on that order
     rng = random.Random(seed)
     src = random_morph_sentence(rng, max_words=4)
     tgt = random_morph_sentence(rng, max_words=4)
