@@ -24,18 +24,11 @@ FLOOR_PROB = 1e-9
 @dataclass
 class ParallelCorpus:
     pairs: list[tuple[tuple[str, ...], tuple[str, ...]]]
-    granularity: Granularity = "word"
     dropped: int = 0  # empty-side pairs removed at load
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
     @classmethod
     def from_sentences(
-        cls,
-        source: Iterable[Sequence[str]],
-        target: Iterable[Sequence[str]],
-        granularity: Granularity = "word",
+        cls, source: Iterable[Sequence[str]], target: Iterable[Sequence[str]]
     ) -> "ParallelCorpus":
         pairs = []
         dropped = 0
@@ -44,15 +37,7 @@ class ParallelCorpus:
                 dropped += 1
                 continue
             pairs.append((tuple(src), tuple(tgt)))
-        return cls(pairs, granularity, dropped)
-
-    def concat(self, other: "ParallelCorpus") -> "ParallelCorpus":
-        """Corpus concatenation (e.g. appending a test set before aligning it)."""
-        if other.granularity != self.granularity:
-            raise ValueError("granularity mismatch in corpus concatenation")
-        return ParallelCorpus(
-            self.pairs + other.pairs, self.granularity, self.dropped + other.dropped
-        )
+        return cls(pairs, dropped)
 
 
 @dataclass
@@ -60,7 +45,6 @@ class LexicalTable:
     """t(target | source) with source=None acting as the NULL token."""
 
     probs: dict[tuple[Optional[str], str], float] = field(default_factory=dict)
-    granularity: Granularity = "word"
 
 
 @dataclass(frozen=True)
@@ -81,16 +65,9 @@ class AlignmentMatrix:
         )
 
 
-def train_model1(
-    corpus: ParallelCorpus,
-    iterations: int = 5,
-    initial: Optional[LexicalTable] = None,
-) -> LexicalTable:
-    """EM-train IBM Model 1 translation probabilities with a NULL source.
-
-    Passing the returned table back as ``initial`` continues training exactly
-    where it stopped, so k iterations twice equals 2k iterations once.
-    """
+def train_model1(corpus: ParallelCorpus, iterations: int = 5) -> LexicalTable:
+    """EM-train IBM Model 1 translation probabilities with a NULL source,
+    starting from uniform over each source token's observed targets."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not corpus.pairs:
@@ -118,15 +95,10 @@ def train_model1(
                 slots.append(slot)
             events.append((slots, ids))
 
-    if initial is not None:
-        prob = initial.probs.get
-        t = [prob(key, FLOOR_PROB) for key in keys]
-    else:
-        # uniform over each source token's observed targets
-        n_targets: dict[Optional[str], int] = defaultdict(int)
-        for e, _ in keys:
-            n_targets[e] += 1
-        t = [1.0 / n_targets[e] for e, _ in keys]
+    n_targets: dict[Optional[str], int] = defaultdict(int)
+    for e, _ in keys:
+        n_targets[e] += 1
+    t = [1.0 / n_targets[e] for e, _ in keys]
 
     owner = [src_ids[e] for e, _ in keys]
     for _ in range(iterations):
@@ -141,7 +113,7 @@ def train_model1(
                 totals[i] += c
         t = [c / totals[i] for c, i in zip(counts, owner)]
 
-    return LexicalTable(dict(zip(keys, t)), corpus.granularity)
+    return LexicalTable(dict(zip(keys, t)))
 
 
 def viterbi_align(
@@ -240,10 +212,7 @@ def align_corpus(
     Returns (alignments, forward lexical table t(tgt|src), backward t(src|tgt)).
     """
     fwd_table = train_model1(corpus, iterations)
-    rev_corpus = ParallelCorpus(
-        [(tgt, src) for src, tgt in corpus.pairs], corpus.granularity
-    )
-    bwd_table = train_model1(rev_corpus, iterations)
+    bwd_table = train_model1(ParallelCorpus([(t, s) for s, t in corpus.pairs]), iterations)
     alignments = []
     for src, tgt in corpus.pairs:
         fwd = viterbi_align(src, tgt, fwd_table)
@@ -263,13 +232,21 @@ def write_lexical_table(path, table: LexicalTable) -> None:
             fh.write(f"{src or ''}\t{tgt}\t{p!r}\n")
 
 
-def read_lexical_table(path, granularity: Granularity = "word") -> LexicalTable:
+def read_lexical_table(path) -> LexicalTable:
+    """A table file; a line that repeats an earlier line's source and target
+    is rejected, so no line's probability silently replaces another's."""
     probs = {}
-    for entry in parse_file(path, _parse_lexical_line):
-        if entry is not None:
-            key, p = entry
-            probs[key] = p
-    return LexicalTable(probs, granularity)
+    first_line = {}  # (source, target) -> line number
+    for lineno, entry in enumerate(parse_file(path, _parse_lexical_line), 1):
+        if entry is None:
+            continue
+        key, p = entry
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate lexical pair "
+                             f"{key[0] or ''!r} -> {key[1]!r}, first on line {first_line[key]}")
+        first_line[key] = lineno
+        probs[key] = p
+    return LexicalTable(probs)
 
 
 def _parse_lexical_line(line: str):

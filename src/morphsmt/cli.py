@@ -137,18 +137,18 @@ def build_table(
     pairs are aligned, or, given ``alignments`` (a Pharaoh file with one line
     per kept pair), Model 1 is trained in both directions for the lexical
     tables alone."""
-    corpus = al.ParallelCorpus.from_sentences(src, tgt, granularity)
+    corpus = al.ParallelCorpus.from_sentences(src, tgt)
     if alignments is None:
         links, lt_f, lt_b = al.align_corpus(corpus, iterations, heuristic)
     else:
         links = al.read_alignments(alignments, [(len(s), len(t)) for s, t in corpus.pairs])
         lt_f = al.train_model1(corpus, iterations)
-        rev = al.ParallelCorpus([(t, s) for s, t in corpus.pairs], granularity)
+        rev = al.ParallelCorpus([(t, s) for s, t in corpus.pairs])
         lt_b = al.train_model1(rev, iterations)
     extract = px.extract_corpus_boundary_aware if boundary_aware else px.extract_corpus
     counts = extract([s for s, _ in corpus.pairs], [t for _, t in corpus.pairs],
                      links, max_span)
-    table = px.score_phrase_table(counts, lt_f, lt_b, granularity, max_span, boundary_aware)
+    table = px.score_phrase_table(counts, lt_f, lt_b, granularity, max_span)
     return table, lt_f, lt_b
 
 
@@ -194,13 +194,10 @@ def _merged_table(cfg: PipelineConfig, data: CorpusData,
 
 def _proximity(cfg: PipelineConfig, data: CorpusData, traces):
     """Translation proximity via src-ref alignments on train+test concatenation."""
-    train = al.ParallelCorpus.from_sentences(
-        data.words["train_src"], data.words["train_tgt"], "word"
+    combined = al.ParallelCorpus.from_sentences(
+        data.words["train_src"] + data.words["test_src"],
+        data.words["train_tgt"] + data.words["test_tgt"],
     )
-    test = al.ParallelCorpus.from_sentences(
-        data.words["test_src"], data.words["test_tgt"], "word"
-    )
-    combined = train.concat(test)
     table = al.train_model1(combined, cfg.align_iterations)
     alignments = []
     for src, ref in zip(data.words["test_src"], data.words["test_tgt"]):

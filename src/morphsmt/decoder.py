@@ -30,7 +30,7 @@ from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lm import (
-    LOG_ZERO, LMMemo, NGramModel, TwinScorerState, floored_logprob,
+    LOG_ZERO, LMMemo, NGramModel, TwinScorerState, _roll, floored_logprob,
     initial_twin_state, twin_extend, twin_finalize,
 )
 from .morpho import parse_file, split_token_string, word_spans, words_from_tokens
@@ -213,7 +213,7 @@ def _future_costs(
             est = 0.0
             for tok in opt.target:
                 est += floored_logprob(lm_m, tok, ctx)
-                ctx = (ctx + (tok,))[-(lm_m.order - 1):] if lm_m.order > 1 else ()
+                ctx = _roll(ctx, tok, lm_m.order)
             score += w_lm * est
         if score > best[opt.start][opt.end]:
             best[opt.start][opt.end] = score

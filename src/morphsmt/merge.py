@@ -37,9 +37,6 @@ class SegmentationLexicon:
         """Known words map through the lexicon; unknown words become one STM."""
         return self.mapping.get(word, (f"{word}/STM",))
 
-    def __len__(self) -> int:
-        return len(self.mapping)
-
 
 def build_lexicon(
     word_sentences: Sequence[Sequence[str]],
@@ -98,7 +95,7 @@ def retokenize_pt(pt_w: PhraseTable, lex: SegmentationLexicon) -> PhraseTable:
             src_tokens, tgt_tokens, e.phi_fwd, e.phi_bwd, e.lex_fwd, e.lex_bwd,
             e.penalty, e.count_joint, shared.setdefault(links, links), e.extras,
         )
-    return PhraseTable(entries, "morpheme", pt_w.max_span, True, pt_w.n_extras)
+    return PhraseTable(entries, "morpheme", pt_w.max_span, pt_w.n_extras)
 
 
 def _offsets(segments: Sequence[Sequence[str]]) -> list[int]:
@@ -138,7 +135,6 @@ def merge_add_features(
         entries[key] = replace(base, extras=base.extras + feats)
     return PhraseTable(
         entries, primary.granularity, max(primary.max_span, secondary.max_span),
-        primary.boundary_aware and secondary.boundary_aware,
         primary.n_extras + n_features,
     )
 
@@ -168,10 +164,7 @@ def merge_interpolate(
             src, tgt, mix("phi_fwd"), mix("phi_bwd"), mix("lex_fwd"), mix("lex_bwd"),
             PHRASE_PENALTY, sum(counts) if counts else None, keeper.alignment,
         )
-    return PhraseTable(
-        entries, pt_a.granularity, max(pt_a.max_span, pt_b.max_span),
-        pt_a.boundary_aware and pt_b.boundary_aware, 0,
-    )
+    return PhraseTable(entries, pt_a.granularity, max(pt_a.max_span, pt_b.max_span))
 
 
 def induce_word_alignment(
@@ -262,10 +255,7 @@ def merge_our_method(
             count_joint=c,
             alignment=carrier.alignment,
         )
-    return PhraseTable(
-        entries, "morpheme", max(pt_m.max_span, pt_wm.max_span),
-        pt_m.boundary_aware and pt_wm.boundary_aware, 0,
-    )
+    return PhraseTable(entries, "morpheme", max(pt_m.max_span, pt_wm.max_span))
 
 
 def _count(e) -> float:

@@ -24,7 +24,6 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class Candidate:
-    words: tuple[str, ...]
     features: dict[str, float]
     stats: tuple[int, ...]  # word-level BLEU sufficient statistics vs the ref
 
@@ -33,7 +32,6 @@ class Candidate:
 class MertState:
     weights: dict[str, float]
     pool: list[dict]  # per dev sentence: dedup key -> Candidate
-    iteration: int = 0
     history: list[float] = field(default_factory=list)  # pooled dev BLEU per iteration
     best_bleu: float = -1.0
     best_weights: dict[str, float] = field(default_factory=dict)
@@ -45,7 +43,7 @@ class MertState:
 def _as_candidate(entry: NBestEntry, ref: Sequence[str]) -> tuple[tuple, Candidate]:
     words = tuple(words_from_tokens(entry.tokens))
     key = (words, tuple(sorted(entry.features.items())))
-    return key, Candidate(words, dict(entry.features), bleu_stats(words, ref))
+    return key, Candidate(dict(entry.features), bleu_stats(words, ref))
 
 
 def line_search(
@@ -183,7 +181,6 @@ def mert_run(
     names = sorted(initial_weights, key=lambda n: _feature_rank(n))
 
     for iteration in range(max_iters):
-        state.iteration = iteration
         nbests = decoder_handle(state.weights)
         for s, entries in enumerate(nbests):
             for entry in entries:

@@ -25,8 +25,6 @@ class BleuReport:
     brevity_penalty: float
     hyp_length: int
     ref_length: int
-    matches: tuple[int, ...]
-    totals: tuple[int, ...]
 
 
 def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
@@ -74,7 +72,7 @@ def bleu_from_stats(stats: Sequence[int], max_n: int = BLEU_MAX_N) -> BleuReport
         score = 0.0
     else:
         score = bp * math.exp(math.fsum(math.log(p) for p in precisions) / max_n)
-    return BleuReport(score, tuple(precisions), bp, hyp_len, ref_len, matches, totals)
+    return BleuReport(score, tuple(precisions), bp, hyp_len, ref_len)
 
 
 def bleu(

@@ -28,14 +28,6 @@ class PhrasePair:
     target: tuple[str, ...]
     alignment: frozenset[tuple[int, int]]  # phrase-relative (i, j) links
 
-    def __post_init__(self):
-        if not self.source or not self.target:
-            raise ValueError("phrase sides must be non-empty")
-        n_src, n_tgt = len(self.source), len(self.target)
-        for i, j in self.alignment:
-            if not (0 <= i < n_src and 0 <= j < n_tgt):
-                raise ValueError("internal alignment out of phrase bounds")
-
 
 @dataclass(frozen=True, slots=True)
 class PhraseEntry:
@@ -60,7 +52,6 @@ class PhraseTable:
     entries: dict[tuple[tuple[str, ...], tuple[str, ...]], PhraseEntry]
     granularity: Granularity = "morpheme"
     max_span: int = 0
-    boundary_aware: bool = False
     n_extras: int = 0
     _by_source: Optional[dict[tuple[str, ...], list[PhraseEntry]]] = field(
         default=None, init=False, repr=False, compare=False
@@ -89,14 +80,14 @@ class PhraseTable:
 
 
 def _link_index(a: AlignmentMatrix):
-    """Per source row, its links as (position, i, j) in the order ``a.links``
-    iterates; per target column, the min and max linked source index
-    (``source_len`` and -1 when the column is unaligned)."""
-    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(a.source_len)]
+    """Per source row, its links as (i, j); per target column, the min and
+    max linked source index (``source_len`` and -1 when the column is
+    unaligned)."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(a.source_len)]
     lo = [a.source_len] * a.target_len
     hi = [-1] * a.target_len
-    for pos, (i, j) in enumerate(a.links):
-        rows[i].append((pos, i, j))
+    for i, j in a.links:
+        rows[i].append((i, j))
         if i < lo[j]:
             lo[j] = i
         if i > hi[j]:
@@ -105,7 +96,7 @@ def _link_index(a: AlignmentMatrix):
 
 
 def _widen(row, j1: int, j2: int) -> tuple[int, int]:
-    for _, _, j in row:
+    for _, j in row:
         if j < j1:
             j1 = j
         if j > j2:
@@ -184,15 +175,12 @@ def extract_phrases(
                     hi[j] >= 0 for j in (*range(snap1, j1), *range(j2 + 1, snap2 + 1))):
                 continue
             src_phrase = source[i1 : i2 + 1]
-            # the box's links in ``a.links`` order, so a set built here
-            # iterates as if built from the links directly; a shared set may
-            # iterate otherwise, which no consumer reads (lexical_weights
-            # averages with fsum, the writers sort)
-            inside = sorted(box)
             eu1 = tu1
             while tu2 - eu1 < max_len:
                 start = tgt_spans[eu1][0]
-                rel = frozenset((i - i1, j - start) for _, i, j in inside)
+                # no consumer reads a link set's iteration order:
+                # lexical_weights averages with fsum, the writers sort
+                rel = frozenset((i - i1, j - start) for i, j in box)
                 if shared is not None:
                     rel = shared.setdefault(rel, rel)
                 eu2 = tu2
@@ -257,7 +245,6 @@ def score_phrase_table(
     lex_bwd_table: LexicalTable,
     granularity: Granularity = "morpheme",
     max_span: int = 0,
-    boundary_aware: bool = False,
 ) -> PhraseTable:
     """ML-estimate the five scores from extraction counts.
 
@@ -311,7 +298,7 @@ def score_phrase_table(
             count_joint=c,
             alignment=shared.setdefault(representative, representative),
         )
-    return PhraseTable(entries, granularity, max_span, boundary_aware)
+    return PhraseTable(entries, granularity, max_span)
 
 
 def extract_corpus(
@@ -358,12 +345,7 @@ def write_phrase_table(path, table: PhraseTable) -> None:
             )
 
 
-def read_phrase_table(
-    path,
-    granularity: Granularity = "morpheme",
-    max_span: int = 0,
-    boundary_aware: bool = False,
-) -> PhraseTable:
+def read_phrase_table(path, granularity: Granularity = "morpheme") -> PhraseTable:
     """A table file; a line that repeats an earlier line's source and target
     is rejected, so no line's scores silently replace another's.  Equal link
     sets are read as one shared set."""
@@ -383,7 +365,7 @@ def read_phrase_table(
         first_line[key] = lineno
         entries[key] = entry
     n_extras = max((len(e.extras) for e in entries.values()), default=0)
-    return PhraseTable(entries, granularity, max_span, boundary_aware, n_extras)
+    return PhraseTable(entries, granularity, n_extras=n_extras)
 
 
 def _parse_phrase_line(line: str, shared: dict) -> Optional[PhraseEntry]:

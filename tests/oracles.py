@@ -299,7 +299,6 @@ def reference_mert_run(dev_refs, initial_weights, decoder_handle, max_iters=10,
     rng = random.Random(seed)
     names = sorted(initial_weights, key=mert._feature_rank)
     for iteration in range(max_iters):
-        state.iteration = iteration
         for s, entries in enumerate(decoder_handle(state.weights)):
             for entry in entries:
                 key, cand = mert._as_candidate(entry, dev_refs[s])
@@ -353,7 +352,7 @@ def reference_logprob(model, token, context=()):
     return query(ctx + (w,))
 
 
-def reference_model1(corpus, iterations=5, initial=None):
+def reference_model1(corpus, iterations=5):
     """IBM Model 1 EM as a flat loop over tuple-keyed dicts: the E-step takes
     each denominator with ``fsum`` and adds the counts in the same order as
     the package, so every probability must agree bit for bit."""
@@ -361,20 +360,17 @@ def reference_model1(corpus, iterations=5, initial=None):
 
     from morphsmt.align import FLOOR_PROB, LexicalTable
 
-    if initial is not None:
-        t = dict(initial.probs)
-    else:
-        # uniform over each source token's observed targets
-        cooc = defaultdict(set)
-        for src, tgt in corpus.pairs:
-            for e in (None, *src):
-                cooc[e].update(tgt)
-        t = {}
-        for src, tgt in corpus.pairs:
-            for e in (None, *src):
-                u = 1.0 / len(cooc[e])
-                for f in tgt:
-                    t[(e, f)] = u
+    # uniform over each source token's observed targets
+    cooc = defaultdict(set)
+    for src, tgt in corpus.pairs:
+        for e in (None, *src):
+            cooc[e].update(tgt)
+    t = {}
+    for src, tgt in corpus.pairs:
+        for e in (None, *src):
+            u = 1.0 / len(cooc[e])
+            for f in tgt:
+                t[(e, f)] = u
 
     for _ in range(iterations):
         counts = defaultdict(float)
@@ -389,7 +385,7 @@ def reference_model1(corpus, iterations=5, initial=None):
                     totals[e] += c
         t = {pair: c / totals[pair[0]] for pair, c in counts.items()}
 
-    return LexicalTable(t, corpus.granularity)
+    return LexicalTable(t)
 
 
 def reference_lexical_weight(target, source, alignment, table):
@@ -413,8 +409,7 @@ def reference_lexical_weight(target, source, alignment, table):
 
 
 def reference_score_phrase_table(pairs, lex_fwd_table, lex_bwd_table,
-                                 granularity="morpheme", max_span=0,
-                                 boundary_aware=False):
+                                 granularity="morpheme", max_span=0):
     """Phrase scoring with a Counter of alignments per pair and max/min over
     them for every entry, and the backward weight over transposed links."""
     from collections import Counter
@@ -461,4 +456,4 @@ def reference_score_phrase_table(pairs, lex_fwd_table, lex_bwd_table,
             count_joint=c,
             alignment=representative,
         )
-    return PhraseTable(entries, granularity, max_span, boundary_aware)
+    return PhraseTable(entries, granularity, max_span)

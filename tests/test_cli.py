@@ -213,6 +213,14 @@ MALFORMED_INPUTS = {
          "--pt-w", "{pt}", "--lex-m-fwd", "{lex_ok}", "--lex-m-bwd", "{lex}",
          "--lex-w-fwd", "{lex_ok}", "--lex-w-bwd", "{lex_ok}", "--output", "{out}"],
     ),
+    "lexical-duplicate": (
+        {"pt": TABLE_LINE, "lex": "a/STM\tx/STM\t0.5\n\tx/STM\t0.25\na/STM\tx/STM\t0.125\n",
+         "lex_ok": "a/STM\tx/STM\t0.5\n"},
+        "lex", 3,
+        ["merge-pt", "--method", "our-method", "--primary", "{pt}", "--secondary", "{pt}",
+         "--pt-w", "{pt}", "--lex-m-fwd", "{lex_ok}", "--lex-m-bwd", "{lex_ok}",
+         "--lex-w-fwd", "{lex}", "--lex-w-bwd", "{lex_ok}", "--output", "{out}"],
+    ),
     "extract-classic-morpheme": (
         {"src": "a/STM b/XYZ\n", "tgt": "x/STM\n"},
         "src", 1,

@@ -246,6 +246,49 @@ def test_weights_file_roundtrip(tmp_path):
     assert decoder.read_weights(path) == weights
 
 
+file_value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+feature_names = st.one_of(st.sampled_from(decoder.FEATURE_ORDER),
+                          st.text(alphabet="abz_0", min_size=1, max_size=4))
+
+
+@st.composite
+def nbest_lists(draw):
+    """One non-empty list per sentence, as ``nbest`` returns; an entry may
+    have no tokens or no features."""
+    entry = st.builds(
+        decoder.NBestEntry,
+        st.lists(st.sampled_from(["x/STM", "y/SUF+", "z"]), max_size=3).map(tuple),
+        st.dictionaries(feature_names, file_value, max_size=3),
+        file_value,
+    )
+    return draw(st.lists(st.lists(entry, min_size=1, max_size=3), max_size=4))
+
+
+@settings(deadline=None)
+@given(nbest_lists())
+def test_nbest_write_read_write_is_byte_identical(tmp_path_factory, lists):
+    path = tmp_path_factory.mktemp("nbest") / "nbest.txt"
+    decoder.write_nbest(path, lists)
+    first = path.read_bytes()
+    back = decoder.read_nbest(path)
+    assert back == lists
+    decoder.write_nbest(path, back)
+    assert path.read_bytes() == first
+
+
+@settings(deadline=None)
+@given(st.dictionaries(feature_names, file_value, max_size=6))
+def test_weights_write_read_write_is_byte_identical(tmp_path_factory, weights):
+    path = tmp_path_factory.mktemp("weights") / "weights.tsv"
+    decoder.write_weights(path, weights)
+    first = path.read_bytes()
+    back = decoder.read_weights(path)
+    assert back == weights
+    decoder.write_weights(path, back)
+    assert path.read_bytes() == first
+
+
 def exhaustive_monotone_best(src_words, options, lm_m, lm_w, weights):
     """Independent oracle: enumerate all monotone segmentations, score offline."""
     n = len(src_words)

@@ -81,6 +81,50 @@ def test_arpa_roundtrip(tmp_path, smoothing):
             )
 
 
+@settings(deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c/STM", "d/SUF+"]), max_size=5),
+                min_size=1, max_size=6),
+       st.integers(1, 4), st.sampled_from(["mle", "witten-bell", "kneser-ney"]))
+def test_arpa_write_read_write_is_byte_identical(tmp_path_factory, corpus, order, smoothing):
+    path = tmp_path_factory.mktemp("arpa") / "model.arpa"
+    lm.write_arpa(path, lm.train_lm(corpus, order, smoothing))
+    first = path.read_bytes()
+    lm.write_arpa(path, lm.read_arpa(path))
+    assert path.read_bytes() == first
+
+
+ARPA_HEAD = "\\data\\\nngram 1=1\n\n\\1-grams:\n"
+MALFORMED_ARPA = {
+    # case: (text, bad line, message)
+    "unknown-smoothing": ("smoothing: good-turing\n\\data\\\n", 1,
+                          "unknown smoothing 'good-turing'"),
+    "no-count-line": ("\\data\\\n\n", 2, "no 'ngram N=M' line after \\data\\"),
+    "bad-count-line": ("\\data\\\nngram one=1\n", 2,
+                       "bad count line 'ngram one=1': expected 'ngram N=M'"),
+    "bad-section-header": ("\\data\\\nngram 1=1\n\n\\2-grams:\n", 4,
+                           "bad section header '\\\\2-grams:' for order 1"),
+    "outside-section": ("\\data\\\nngram 1=1\n\n-0.5\ta\n", 4,
+                        "n-gram line outside an n-gram section: '-0.5\\ta'"),
+    "field-count": (ARPA_HEAD + "-0.5\ta\t-0.1\t0\n", 5,
+                    "expected logprob<TAB>n-gram[<TAB>backoff]: '-0.5\\ta\\t-0.1\\t0'"),
+    "non-numeric": (ARPA_HEAD + "-0.5x\ta\n", 5,
+                    "non-numeric log-prob or backoff: '-0.5x\\ta'"),
+    "ngram-length": (ARPA_HEAD + "-0.5\ta b\n", 5,
+                     "2-gram in the 1-grams section: '-0.5\\ta b'"),
+    "no-data-line": ("smoothing: mle\n\n", 2, "no \\data\\ line"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARPA))
+def test_read_arpa_names_file_and_line_of_malformed_input(tmp_path, case):
+    text, line, message = MALFORMED_ARPA[case]
+    path = tmp_path / "model.arpa"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        lm.read_arpa(path)
+    assert str(info.value) == f"{path}:{line}: {message}"
+
+
 def _stream_model(tmp_path, order, smoothing, via_arpa, rng):
     tokens = ["a", "b", "c", "d", "e", "f"]
     corpus = [[rng.choice(tokens) for _ in range(rng.randint(0, 8))] for _ in range(12)]

@@ -8,7 +8,7 @@ from morphsmt.mert import Candidate, line_search, mert_run
 
 
 def cand(words, feats, ref):
-    return Candidate(tuple(words), dict(feats), metrics.bleu_stats(tuple(words), tuple(ref)))
+    return Candidate(dict(feats), metrics.bleu_stats(tuple(words), tuple(ref)))
 
 
 REF = ("a", "b", "c", "d")
