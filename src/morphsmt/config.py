@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NoReturn, Optional
+from typing import Mapping, NoReturn, Optional, get_args
+
+from .align import Heuristic
 
 DATA_KEYS = tuple(
     f"{split}_{side}_{kind}"
@@ -90,6 +92,8 @@ class PipelineConfig:
             fail("merge_primary", f"merge.primary must be wm or m: {self.merge_primary}")
         if self.lm_smoothing not in ("mle", "witten-bell", "kneser-ney"):
             fail("lm_smoothing", f"unknown smoothing: {self.lm_smoothing}")
+        if self.align_heuristic not in get_args(Heuristic):
+            fail("align_heuristic", f"unknown heuristic: {self.align_heuristic}")
         missing = [k for k in DATA_KEYS if k not in self.paths]
         if missing:
             raise ConfigError(f"{source}: missing data paths: {', '.join(missing)}")

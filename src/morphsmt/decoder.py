@@ -30,8 +30,8 @@ from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lm import (
-    LOG_ZERO, LMMemo, NGramModel, TwinScorerState, _roll, floored_logprob,
-    initial_twin_state, twin_extend, twin_finalize,
+    LOG_ZERO, LMMemo, NGramModel, TwinScorerState, initial_twin_state, step,
+    twin_extend, twin_finalize,
 )
 from .morpho import parse_file, split_token_string, word_spans, words_from_tokens
 from .phrasex import PhraseTable
@@ -55,9 +55,8 @@ DEFAULT_WEIGHTS = {
     "word_penalty": 0.9,
     "distortion": -0.3,
     "oov": 0.0,
-    "merge_feat_1": 0.3,
-    "merge_feat_2": 0.3,
 }
+MERGE_FEAT_WEIGHT = 0.3  # the start of every merge_feat_i
 
 # The cheap key of an offer (see ``search``) adds its terms left to right:
 # the parent's score, the jump term w*jump, the rest cost, the option's TM
@@ -89,8 +88,9 @@ def default_weights(
         names.insert(0, "lm_morph")
     if with_word_lm:
         names.insert(1 if with_morph_lm else 0, "lm_word")
-    names.extend(f"merge_feat_{i + 1}" for i in range(n_extras))
-    return {n: DEFAULT_WEIGHTS[n] for n in names}
+    weights = {n: DEFAULT_WEIGHTS[n] for n in names}
+    weights.update((f"merge_feat_{i + 1}", MERGE_FEAT_WEIGHT) for i in range(n_extras))
+    return weights
 
 
 def dot(weights: Mapping[str, float], features: Mapping[str, float]) -> float:
@@ -212,8 +212,8 @@ def _future_costs(
             ctx: tuple[str, ...] = ()
             est = 0.0
             for tok in opt.target:
-                est += floored_logprob(lm_m, tok, ctx)
-                ctx = _roll(ctx, tok, lm_m.order)
+                lp, ctx = step(lm_m, None, ctx, tok)
+                est += lp
             score += w_lm * est
         if score > best[opt.start][opt.end]:
             best[opt.start][opt.end] = score

@@ -130,14 +130,12 @@ def _collect_counts(
     return counts
 
 
-def _context_totals(table: dict[tuple[str, ...], int]):
-    totals: dict[tuple[str, ...], int] = {}
-    types: dict[tuple[str, ...], int] = {}
-    for gram, c in table.items():
-        ctx = gram[:-1]
-        totals[ctx] = totals.get(ctx, 0) + c
-        types[ctx] = types.get(ctx, 0) + 1
-    return totals, types
+# (m(h), z(h)) of a context h from its total count c(h) and its T(h)
+_MASS = {
+    "mle": lambda total, types: (0, total),
+    "witten-bell": lambda total, types: (types, total + types),
+    "kneser-ney": lambda total, types: (KN_DISCOUNT * types, total),
+}
 
 
 def train_lm(
@@ -145,123 +143,79 @@ def train_lm(
     order: int,
     smoothing: Smoothing = "witten-bell",
 ) -> NGramModel:
-    """Train a backoff n-gram model over token sequences."""
+    """Train a backoff n-gram model over token sequences.
+
+    Every order above the first interpolates the one below it:
+    p(w | h) = (c'(hw) + m(h) p(w | h[1:])) / z(h), with backoff weight
+    m(h)/z(h).  A smoothing chooses only its counts, c', m, z (``_MASS``) and
+    its unigram level.  T(h) is the number of distinct words seen after h, N
+    the sum of the unigram counts, D the Kneser-Ney discount:
+
+      MLE          raw counts    c' = c      m = 0       z = c(h)
+                   unigrams c/N
+      Witten-Bell  raw counts    c' = c      m = T(h)    z = c(h) + T(h)
+                   unigrams c/(N+T), <unk> T/(N+T)
+      Kneser-Ney   continuation counts below the top order
+                                 c' = c - D  m = D T(h)  z = c(h)
+                   unigrams (c-D)/N + share, <unk> share = D T/(T+1)/N
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     sentences = [tuple(s) for s in corpus]
     if not sentences:
         raise ValueError("cannot train on an empty corpus")
+    if smoothing not in _MASS:
+        raise ValueError(f"unknown smoothing: {smoothing}")
     counts = _collect_counts(sentences, order)
     vocab = frozenset(w for (w,) in counts[0] if w != BOS) | {EOS}
 
-    if smoothing == "mle":
-        logprobs = []
-        for k in range(1, order + 1):
-            totals, _ = _context_totals(counts[k - 1])
-            logprobs.append(
-                {g: math.log(c / totals[g[:-1]]) for g, c in counts[k - 1].items()}
-            )
-        return NGramModel(order, smoothing, vocab, logprobs, [{} for _ in range(order)])
-
-    if smoothing == "witten-bell":
-        return _train_witten_bell(order, counts, vocab)
+    discount = 0
     if smoothing == "kneser-ney":
-        return _train_kneser_ney(order, counts, vocab)
-    raise ValueError(f"unknown smoothing: {smoothing}")
-
-
-def _train_witten_bell(order, counts, vocab) -> NGramModel:
-    # interpolated Witten-Bell, stored in backoff form; the novel-event mass
-    # T/(c+T) at each context is exactly the ARPA backoff weight
-    probs: list[dict[tuple[str, ...], float]] = []
+        # below the top order, count each k-gram's distinct one-token left
+        # extensions instead of its occurrences
+        discount = KN_DISCOUNT
+        for k in range(1, order):
+            cont: dict[tuple[str, ...], int] = {}
+            for gram in counts[k]:
+                suffix = gram[1:]
+                cont[suffix] = cont.get(suffix, 0) + 1
+            counts[k - 1] = cont
     n_events = sum(counts[0].values())
     n_types = len(counts[0])
-    denom = n_events + n_types
-    level = {g: c / denom for g, c in counts[0].items()}
-    level[(UNK,)] = n_types / denom
-    probs.append(level)
-    backoffs: list[dict[tuple[str, ...], float]] = []
+    if smoothing == "mle":
+        level = {g: c / n_events for g, c in counts[0].items()}
+    elif smoothing == "witten-bell":
+        denom = n_events + n_types
+        level = {g: c / denom for g, c in counts[0].items()}
+        level[(UNK,)] = n_types / denom
+    else:
+        # the discounted mass D*T is split evenly over vocab + <unk>, which
+        # keeps every context distribution summing to exactly 1
+        share = discount * n_types / (n_types + 1) / n_events
+        level = {g: (c - discount) / n_events + share for g, c in counts[0].items()}
+        level[(UNK,)] = share
 
+    mass = _MASS[smoothing]
+    logprobs = [{g: math.log(p) for g, p in level.items()}]
+    backoffs: list[dict[tuple[str, ...], float]] = []
     for k in range(2, order + 1):
-        totals, types = _context_totals(counts[k - 1])
-        level = {}
-        bows = {}
+        lower = level
+        totals: dict[tuple[str, ...], int] = {}
+        types: dict[tuple[str, ...], int] = {}
         for gram, c in counts[k - 1].items():
             ctx = gram[:-1]
-            t = types[ctx]
-            lower = _interp_lookup(probs, gram[1:])
-            level[gram] = (c + t * lower) / (totals[ctx] + t)
-        for ctx in totals:
-            bows[ctx] = types[ctx] / (totals[ctx] + types[ctx])
-        probs.append(level)
-        backoffs.append(bows)
-
-    return _finish(order, "witten-bell", vocab, probs, backoffs)
-
-
-def _train_kneser_ney(order, counts, vocab) -> NGramModel:
-    # interpolated KN with fixed absolute discount; orders below the top use
-    # continuation counts (distinct one-token left extensions)
-    d = KN_DISCOUNT
-    level_counts: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
-    level_counts[order - 1] = dict(counts[order - 1])
-    for k in range(order - 1, 0, -1):
-        cont: dict[tuple[str, ...], int] = {}
-        for gram in counts[k]:  # (k+1)-grams
-            suffix = gram[1:]
-            cont[suffix] = cont.get(suffix, 0) + 1
-        level_counts[k - 1] = cont
-
-    uni = level_counts[0]
-    if not uni:  # order-1 model: no continuation counts exist, use raw
-        uni = dict(counts[0])
-    total = sum(uni.values())
-    n_types = len(uni)
-    # the discounted mass d*n_types is split evenly over vocab + unk, which
-    # keeps every context distribution summing to exactly 1
-    share = d * n_types / (n_types + 1) / total
-    level = {g: max(c - d, 0.0) / total + share for g, c in uni.items()}
-    level[(UNK,)] = share
-    probs = [level]
-    backoffs: list[dict[tuple[str, ...], float]] = []
-
-    for k in range(2, order + 1):
-        table = level_counts[k - 1]
-        totals, types = _context_totals(table)
-        lvl = {}
-        bows = {}
-        for gram, c in table.items():
-            ctx = gram[:-1]
-            lower = _interp_lookup(probs, gram[1:])
-            lvl[gram] = (max(c - d, 0.0) + d * types[ctx] * lower) / totals[ctx]
-        for ctx in totals:
-            bows[ctx] = d * types[ctx] / totals[ctx]
-        probs.append(lvl)
-        backoffs.append(bows)
-
-    return _finish(order, "kneser-ney", vocab, probs, backoffs)
-
-
-def _interp_lookup(prob_levels, gram):
-    """Probability of a lower-order gram during training (already interpolated)."""
-    for k in range(len(gram), 0, -1):
-        sub = gram[len(gram) - k :]
-        val = prob_levels[k - 1].get(sub)
-        if val is not None:
-            return val
-    return prob_levels[0][(UNK,)]
-
-
-def _finish(order, smoothing, vocab, prob_levels, backoff_levels) -> NGramModel:
-    logprobs = [
-        {g: math.log(p) for g, p in level.items()} for level in prob_levels
-    ]
-    logbows = [
-        {ctx: math.log(b) for ctx, b in level.items() if b > 0.0}
-        for level in backoff_levels
-    ]
-    logbows.append({})  # the top order has no outgoing backoff
-    return NGramModel(order, smoothing, vocab, logprobs, logbows)
+            totals[ctx] = totals.get(ctx, 0) + c
+            types[ctx] = types.get(ctx, 0) + 1
+        weights = {ctx: mass(total, types[ctx]) for ctx, total in totals.items()}
+        level = {}
+        for gram, c in counts[k - 1].items():
+            m, z = weights[gram[:-1]]
+            level[gram] = (c - discount + m * lower[gram[1:]]) / z
+        logprobs.append({g: math.log(p) for g, p in level.items()})
+        # MLE has no backoff mass: its weights are 0 and are not stored
+        backoffs.append({ctx: math.log(m / z) for ctx, (m, z) in weights.items() if m})
+    backoffs.append({})  # the top order has no outgoing backoff
+    return NGramModel(order, smoothing, vocab, logprobs, backoffs)
 
 
 def floored_logprob(model: NGramModel, token: str, context: Sequence[str]) -> float:
@@ -295,10 +249,11 @@ def next_context(model: NGramModel, ctx: tuple[str, ...], token: str) -> tuple[s
 LMMemo = dict[tuple[tuple[str, ...], str], tuple[float, tuple[str, ...]]]
 
 
-def _score(
+def step(
     model: NGramModel, memo: Optional[LMMemo], ctx: tuple[str, ...], token: str
 ) -> tuple[float, tuple[str, ...]]:
-    """(floored ln p(token | ctx), next context), looked up in ``memo`` first."""
+    """(floored ln p(token | ctx), next context), looked up in ``memo`` first:
+    the one way a scorer advances an LM context."""
     if memo is None:
         return floored_logprob(model, token, ctx), next_context(model, ctx, token)
     key = (ctx, token)
@@ -348,7 +303,7 @@ def twin_extend(
     word_delta = 0.0
     for tok in morphemes:
         if lm_m is not None:
-            lp, morph_ctx = _score(lm_m, memo_m, morph_ctx, tok)
+            lp, morph_ctx = step(lm_m, memo_m, morph_ctx, tok)
             morph_delta += lp
         surface, final = split_token_string(tok)
         pending.append(surface)
@@ -356,7 +311,7 @@ def twin_extend(
             word = "".join(pending)
             pending = []
             if lm_w is not None:
-                lp, word_ctx = _score(lm_w, memo_w, word_ctx, word)
+                lp, word_ctx = step(lm_w, memo_w, word_ctx, word)
                 word_delta += lp
     return TwinScorerState(morph_ctx, tuple(pending), word_ctx), morph_delta, word_delta
 
@@ -371,9 +326,7 @@ def twin_finalize(
     word_delta = 0.0
     word_ctx = state.word_ctx
     if state.pending and lm_w is not None:
-        word = "".join(state.pending)
-        word_delta += floored_logprob(lm_w, word, word_ctx)
-        word_ctx = _roll(word_ctx, word if word in lm_w.vocab else UNK, lm_w.order)
+        word_delta, word_ctx = step(lm_w, None, word_ctx, "".join(state.pending))
     if lm_m is not None:
         morph_delta += floored_logprob(lm_m, EOS, state.morph_ctx)
     if lm_w is not None:
@@ -420,7 +373,8 @@ def read_arpa(path) -> NGramModel:
     n_lines = len(parse_file(path, reader.feed))
     if reader.state != "body":
         missing = "\\data\\ line" if reader.state == "preamble" else "n-gram sections"
-        raise ValueError(f"{path}:{n_lines}: no {missing}")
+        where = f"{path}:{n_lines}" if n_lines else path  # an empty file has no line
+        raise ValueError(f"{where}: no {missing}")
     return reader.model()
 
 

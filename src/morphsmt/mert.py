@@ -20,6 +20,8 @@ from .metrics import add_stats, bleu_from_stats, bleu_stats, zero_stats
 from .morpho import words_from_tokens
 
 INF = math.inf
+N_RANDOM_DIRECTIONS = 1  # per iteration, besides one along each feature axis
+MAX_PASSES = 8  # line-search passes per iteration
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,6 @@ def mert_run(
     max_iters: int = 10,
     epsilon: float = 1e-4,
     seed: int = 0,
-    n_random_directions: int = 1,
-    max_passes: int = 8,
 ) -> MertState:
     """Full MERT loop; the returned state carries the argmax-BLEU weights."""
     if not dev_refs:
@@ -189,13 +189,13 @@ def mert_run(
         pool_lists = state.pool_lists()
 
         directions = [{n: 1.0} for n in names]
-        for _ in range(n_random_directions):
+        for _ in range(N_RANDOM_DIRECTIONS):
             directions.append({n: rng.gauss(0.0, 1.0) for n in names})
         # each line's slope is fixed for the iteration, its offset for a pass
         slopes = [_dots(d, pool_lists) for d in directions]
 
         current = select_bleu(pool_lists, state.weights)
-        for _ in range(max_passes):
+        for _ in range(MAX_PASSES):
             best_move = None
             offsets = _dots(state.weights, pool_lists)
             for d, d_slopes in zip(directions, slopes):

@@ -31,17 +31,15 @@ def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu_stats(
-    hyp: Sequence[str], ref: Sequence[str], max_n: int = BLEU_MAX_N
-) -> tuple[int, ...]:
+def bleu_stats(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, ...]:
     """Sufficient statistics (match_1..n, total_1..n, hyp_len, ref_len)."""
     stats = []
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         hyp_counts = ngram_counts(hyp, n)
         ref_counts = ngram_counts(ref, n)
         match = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
         stats.append(match)
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         stats.append(max(len(hyp) - n + 1, 0))
     stats.extend([len(hyp), len(ref)])
     return tuple(stats)
@@ -51,14 +49,15 @@ def add_stats(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def zero_stats(max_n: int = BLEU_MAX_N) -> tuple[int, ...]:
-    return (0,) * (2 * max_n + 2)
+def zero_stats() -> tuple[int, ...]:
+    return (0,) * (2 * BLEU_MAX_N + 2)
 
 
-def bleu_from_stats(stats: Sequence[int], max_n: int = BLEU_MAX_N) -> BleuReport:
-    matches = tuple(stats[:max_n])
-    totals = tuple(stats[max_n : 2 * max_n])
-    hyp_len, ref_len = stats[2 * max_n], stats[2 * max_n + 1]
+def bleu_from_stats(stats: Sequence[int]) -> BleuReport:
+    n = BLEU_MAX_N
+    matches = tuple(stats[:n])
+    totals = tuple(stats[n : 2 * n])
+    hyp_len, ref_len = stats[2 * n], stats[2 * n + 1]
     precisions = []
     for m, t in zip(matches, totals):
         precisions.append(m / t if t > 0 else 1.0)
@@ -71,33 +70,25 @@ def bleu_from_stats(stats: Sequence[int], max_n: int = BLEU_MAX_N) -> BleuReport
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = bp * math.exp(math.fsum(math.log(p) for p in precisions) / max_n)
+        score = bp * math.exp(math.fsum(math.log(p) for p in precisions) / n)
     return BleuReport(score, tuple(precisions), bp, hyp_len, ref_len)
 
 
-def bleu(
-    hyps: Sequence[Sequence[str]],
-    refs: Sequence[Sequence[str]],
-    max_n: int = BLEU_MAX_N,
-) -> BleuReport:
+def bleu(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> BleuReport:
     """Corpus BLEU over word sequences, one reference per sentence."""
     if len(hyps) != len(refs):
         raise ValueError(f"hypothesis/reference count mismatch: {len(hyps)} vs {len(refs)}")
     if not hyps:
         raise ValueError("empty corpus")
-    total = zero_stats(max_n)
+    total = zero_stats()
     for hyp, ref in zip(hyps, refs):
-        total = add_stats(total, bleu_stats(hyp, ref, max_n))
-    return bleu_from_stats(total, max_n)
+        total = add_stats(total, bleu_stats(hyp, ref))
+    return bleu_from_stats(total)
 
 
-def m_bleu(
-    hyps: Sequence[Sequence[str]],
-    refs: Sequence[Sequence[str]],
-    max_n: int = BLEU_MAX_N,
-) -> BleuReport:
+def m_bleu(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> BleuReport:
     """BLEU over morpheme tokens (tags and continuation markers included)."""
-    return bleu(hyps, refs, max_n)
+    return bleu(hyps, refs)
 
 
 def lcs_length(a: str, b: str) -> int:

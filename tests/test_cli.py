@@ -148,6 +148,21 @@ def test_decode_writes_one_line_per_input_line(tmp_path):
     assert len(lists) == 5 and lists[2][0].tokens == ()
 
 
+def test_decode_default_weights_cover_every_extra_score(tmp_path):
+    # 8 scores: the 5 standard ones and 3 merge features
+    pt = tmp_path / "pt.txt"
+    pt.write_text(f"a/STM ||| x/STM ||| 1.0 1.0 1.0 1.0 {math.e!r} 0.5 0.5 0.5 ||| 1 ||| 0-0\n",
+                  encoding="utf-8")
+    (tmp_path / "in.txt").write_text("a/STM\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    proc = run_morphsmt("decode", "--input", str(tmp_path / "in.txt"), "--table", str(pt),
+                        "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text(encoding="utf-8") == "x/STM\n"
+    weights = decoder.default_weights(3)
+    assert [weights[f"merge_feat_{i}"] for i in (1, 2, 3)] == [0.3, 0.3, 0.3]
+
+
 DECODE_MALFORMED = {
     # case: (bad file, its appended bad line)
     "input": ("input", "a/XYZ\n"),
@@ -489,6 +504,8 @@ CONFIG_ERRORS = {
                                "--set merge.alpha=1.5: merge_alpha must be in [0, 1]"),
     "set-without-equals": (None, ["--set", "decoder.beam"],
                            "--set expects KEY=VALUE: 'decoder.beam'"),
+    "unknown-heuristic": (None, ["--set", "align.heuristic=grow-diag"],
+                          "--set align.heuristic=grow-diag: unknown heuristic: grow-diag"),
 }
 
 

@@ -38,6 +38,21 @@ def test_witten_bell_discounts_and_smooths():
     assert math.exp(model.logprob("zz", ["a"])) > 0.0
 
 
+def test_kneser_ney_hand_counts():
+    model = lm.train_lm(TOY, 2, "kneser-ney")
+    # continuation counts (distinct left neighbours): a {<s>}, b {a}, c {a},
+    # </s> {b, c}; N = 5, T = 4, so the <unk> share is 0.75 * 4 / 5 / 5 = 0.12
+    assert set(model.logprobs[0]) == {("a",), ("b",), ("c",), (EOS,), (UNK,)}
+    # p(w) = (cont(w) - 0.75) / 5 + 0.12; an unknown word gets the share alone
+    for token, p in (("a", 0.17), ("b", 0.17), ("c", 0.17), (EOS, 0.37), ("zz", 0.12)):
+        assert math.exp(model.logprob(token)) == pytest.approx(p)
+    # c(a b) = 1, c(a) = 2, T(a) = 2: (1 - 0.75 + 0.75 * 2 * 0.17) / 2
+    assert math.exp(model.logprob("b", ["a"])) == pytest.approx(0.2525)
+    # backoff weight of context a: 0.75 * T(a) / c(a)
+    assert math.exp(model.backoffs[0][("a",)]) == pytest.approx(0.75)
+    assert math.exp(model.logprob("zz", ["a"])) == pytest.approx(0.75 * 0.12)
+
+
 def test_markov_truncation():
     model = lm.train_lm(TOY, 2, "witten-bell")
     assert model.logprob("b", ["x", "y", "a"]) == model.logprob("b", ["a"])
@@ -112,6 +127,7 @@ MALFORMED_ARPA = {
     "ngram-length": (ARPA_HEAD + "-0.5\ta b\n", 5,
                      "2-gram in the 1-grams section: '-0.5\\ta b'"),
     "no-data-line": ("smoothing: mle\n\n", 2, "no \\data\\ line"),
+    "empty-file": ("", None, "no \\data\\ line"),  # no line to name
 }
 
 
@@ -122,7 +138,8 @@ def test_read_arpa_names_file_and_line_of_malformed_input(tmp_path, case):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as info:
         lm.read_arpa(path)
-    assert str(info.value) == f"{path}:{line}: {message}"
+    where = path if line is None else f"{path}:{line}"
+    assert str(info.value) == f"{where}: {message}"
 
 
 def _stream_model(tmp_path, order, smoothing, via_arpa, rng):

@@ -171,7 +171,7 @@ def random_nbest_handle(rng, refs, names):
 
 
 @pytest.mark.parametrize("trial", range(12))
-def test_mert_run_matches_reference_bit_for_bit(trial):
+def test_mert_run_matches_reference_bit_for_bit(trial, monkeypatch):
     from oracles import reference_mert_run
 
     rng = random.Random(trial)
@@ -181,10 +181,12 @@ def test_mert_run_matches_reference_bit_for_bit(trial):
     initial = {n: rng.uniform(-1.0, 1.0) for n in names}
     max_iters = rng.randint(1, 3)
     n_random = rng.randint(1, 2)
+    monkeypatch.setattr(mert, "N_RANDOM_DIRECTIONS", n_random)
     states = [
-        run(refs, initial, random_nbest_handle(random.Random(trial), refs, names),
-            max_iters, 1e-12, trial, n_random)
-        for run in (mert_run, reference_mert_run)
+        mert_run(refs, initial, random_nbest_handle(random.Random(trial), refs, names),
+                 max_iters, 1e-12, trial),
+        reference_mert_run(refs, initial, random_nbest_handle(random.Random(trial), refs, names),
+                           max_iters, 1e-12, trial, n_random),
     ]
     got, want = ([sorted((k, v.hex()) for k, v in weights.items())
                   for weights in (st.weights, st.best_weights)]
