@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Optional, Sequence
 
-from .morpho import parse_file
+from .morpho import parse_file, parse_keyed_file
 
 Granularity = Literal["word", "morpheme"]
 
@@ -235,18 +235,8 @@ def write_lexical_table(path, table: LexicalTable) -> None:
 def read_lexical_table(path) -> LexicalTable:
     """A table file; a line that repeats an earlier line's source and target
     is rejected, so no line's probability silently replaces another's."""
-    probs = {}
-    first_line = {}  # (source, target) -> line number
-    for lineno, entry in enumerate(parse_file(path, _parse_lexical_line), 1):
-        if entry is None:
-            continue
-        key, p = entry
-        if key in first_line:
-            raise ValueError(f"{path}:{lineno}: duplicate lexical pair "
-                             f"{key[0] or ''!r} -> {key[1]!r}, first on line {first_line[key]}")
-        first_line[key] = lineno
-        probs[key] = p
-    return LexicalTable(probs)
+    return LexicalTable(parse_keyed_file(
+        path, _parse_lexical_line, lambda key: f"lexical pair {key[0] or ''!r} -> {key[1]!r}"))
 
 
 def _parse_lexical_line(line: str):

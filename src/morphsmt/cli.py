@@ -462,16 +462,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_merge_pt(args) -> int:
-    if args.method in ("add-1", "add-2"):
+    if args.method != "our-method":
         primary = px.read_phrase_table(args.primary, args.granularity)
         secondary = px.read_phrase_table(args.secondary, args.granularity)
-        merged = mg.merge_add_features(
-            primary, secondary, 1 if args.method == "add-1" else 2
-        )
-    elif args.method == "interpolation":
-        primary = px.read_phrase_table(args.primary, args.granularity)
-        secondary = px.read_phrase_table(args.secondary, args.granularity)
-        merged = mg.merge_interpolate(primary, secondary, args.alpha)
+        if args.method == "interpolation":
+            merged = mg.merge_interpolate(primary, secondary, args.alpha)
+        else:
+            merged = mg.merge_add_features(primary, secondary, 1 if args.method == "add-1" else 2)
     else:  # our-method; argparse's choices admit no other
         needed = (args.pt_w, args.lex_m_fwd, args.lex_m_bwd,
                   args.lex_w_fwd, args.lex_w_bwd)

@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Mapping, NoReturn, Optional, get_args
 
 from .align import Heuristic
+from .lm import Smoothing
 
 DATA_KEYS = tuple(
     f"{split}_{side}_{kind}"
@@ -90,7 +91,7 @@ class PipelineConfig:
             fail("merge_method", f"unknown merge method: {self.merge_method}")
         if self.merge_primary not in ("wm", "m"):
             fail("merge_primary", f"merge.primary must be wm or m: {self.merge_primary}")
-        if self.lm_smoothing not in ("mle", "witten-bell", "kneser-ney"):
+        if self.lm_smoothing not in get_args(Smoothing):
             fail("lm_smoothing", f"unknown smoothing: {self.lm_smoothing}")
         if self.align_heuristic not in get_args(Heuristic):
             fail("align_heuristic", f"unknown heuristic: {self.align_heuristic}")

@@ -30,10 +30,12 @@ from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lm import (
-    LOG_ZERO, LMMemo, NGramModel, TwinScorerState, initial_twin_state, step,
+    LOG_ZERO, NGramModel, TwinScorerState, initial_twin_state, step,
     twin_extend, twin_finalize,
 )
-from .morpho import parse_file, split_token_string, word_spans, words_from_tokens
+from .morpho import (
+    parse_file, parse_keyed_file, split_token_string, word_spans, words_from_tokens,
+)
 from .phrasex import PhraseTable
 
 FEATURE_ORDER = (
@@ -209,10 +211,10 @@ def _future_costs(
         score = fsum(weights.get(k, 0.0) * v for k, v in opt.tm_features)
         score += w_wp * opt.n_words
         if lm_m is not None and w_lm != 0.0:
-            ctx: tuple[str, ...] = ()
+            ctx = lm_m.context_id(())
             est = 0.0
             for tok in opt.target:
-                lp, ctx = step(lm_m, None, ctx, tok)
+                lp, ctx = step(lm_m, ctx, tok)
                 est += lp
             score += w_lm * est
         if score > best[opt.start][opt.end]:
@@ -296,8 +298,9 @@ def search(
     test decides.  An offer within ``SLACK * M`` of the minimum may take its
     LM lookup before its exact key rejects it.
 
-    Each distinct LM question is asked once per call: twin_extend results
-    are memoized per (state, target), and LM log-probs per (context, token).
+    Each twin_extend question is asked once per call (memoized per (state,
+    target id)), and each LM question once per model (``lm.step`` keeps its
+    answer in the model's transition table for the model's lifetime).
     """
     options = build_options(source, table, max_span)
     n_words = max((opt.end for opt in options), default=0)  # OOV pass-through covers every word
@@ -349,12 +352,9 @@ def search(
     offered = [0] * (n_words + 1)  # hypotheses offered per stack, rejected ones included
     offered[0] = 1
     best_keys: list[list[float]] = [[] for _ in range(n_words + 1)]  # min-heaps
-    # this search's memos: twin_extend results (with the weighted LM term and
-    # its magnitude) per state and target id, and floored log-probs (with the
-    # next context) per LM and (context, token)
+    # this search's memo: twin_extend results (with the weighted LM term and
+    # its magnitude) per state and target id
     lm_scores: dict[TwinScorerState, dict[int, tuple]] = {}
-    memo_m: LMMemo = {}
-    memo_w: LMMemo = {}
     extend = _extend  # looked up per search, so a wrapper set on the module is used
 
     for level in range(n_words):
@@ -402,7 +402,7 @@ def search(
                         scored = by_target.get(target_id)
                         if scored is None:
                             state, morph_delta, word_delta = twin_extend(
-                                hyp.state, opt.target, lm_m, lm_w, memo_m, memo_w)
+                                hyp.state, opt.target, lm_m, lm_w)
                             morph_term = w_morph * morph_delta
                             word_term = w_word * word_delta
                             scored = by_target[target_id] = (
@@ -660,7 +660,8 @@ def write_weights(path, weights: Mapping[str, float]) -> None:
 
 
 def read_weights(path) -> dict[str, float]:
-    return dict(pair for pair in parse_file(path, _parse_weight_line) if pair is not None)
+    """A weights file; a line that repeats an earlier line's name is rejected."""
+    return parse_keyed_file(path, _parse_weight_line, lambda name: f"weight {name!r}")
 
 
 def _parse_weight_line(line: str) -> Optional[tuple[str, float]]:

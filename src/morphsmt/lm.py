@@ -14,8 +14,9 @@ scoring invariant to how the decoder chunks its extensions.
 Scorer contexts are kept minimal, as in KenLM: a context that no stored
 n-gram starts with and that has no backoff weight backs every query off
 with weight 0.0, so its first token is dropped without changing any score.
-Hypotheses that differ only in such tokens then share one state, and a
-per-search memo keyed by (context, token) answers each query once.
+Hypotheses that differ only in such tokens then share one state.  Each model
+interns its minimal contexts as ints, and ``step`` keeps each (context id,
+token) answer in the model for as long as the model lives.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ class NGramModel:
     vocab: frozenset[str]  # predicted events, </s> included
     logprobs: list[dict[tuple[str, ...], float]]  # index k-1: k-gram -> ln p
     backoffs: list[dict[tuple[str, ...], float]]  # index k-1: context -> ln bow
+
+    def __post_init__(self):
+        # interned minimal contexts; per id, token -> (floored ln p, next id)
+        self.context_tuples: list[tuple[str, ...]] = []
+        self._context_ids: dict[tuple[str, ...], int] = {}
+        self._transitions: list[dict[str, tuple[float, int]]] = []
 
     def logprob(self, token: str, context: Sequence[str] = ()) -> float:
         """ln p(token | context); context is truncated to the last order-1 tokens.
@@ -113,6 +120,16 @@ class NGramModel:
         while context and context not in known:
             context = context[1:]
         return context
+
+    def context_id(self, context: tuple[str, ...]) -> int:
+        """The id of a vocab-mapped context's minimal form, interned on first use."""
+        context = self.minimal_context(context)
+        cid = self._context_ids.get(context)
+        if cid is None:
+            cid = self._context_ids[context] = len(self.context_tuples)
+            self.context_tuples.append(context)
+            self._transitions.append({})
+        return cid
 
 
 def _collect_counts(
@@ -246,21 +263,17 @@ def next_context(model: NGramModel, ctx: tuple[str, ...], token: str) -> tuple[s
     return model.minimal_context(_roll(ctx, event, model.order))
 
 
-LMMemo = dict[tuple[tuple[str, ...], str], tuple[float, tuple[str, ...]]]
-
-
-def step(
-    model: NGramModel, memo: Optional[LMMemo], ctx: tuple[str, ...], token: str
-) -> tuple[float, tuple[str, ...]]:
-    """(floored ln p(token | ctx), next context), looked up in ``memo`` first:
-    the one way a scorer advances an LM context."""
-    if memo is None:
-        return floored_logprob(model, token, ctx), next_context(model, ctx, token)
-    key = (ctx, token)
-    hit = memo.get(key)
+def step(model: NGramModel, ctx_id: int, token: str) -> tuple[float, int]:
+    """(floored ln p(token | context), next context id) for the context
+    interned as ``ctx_id``: the one way a scorer advances an LM context.  The
+    answer is kept in the model's transition table, so each (context, token)
+    is queried once per model."""
+    table = model._transitions[ctx_id]
+    hit = table.get(token)
     if hit is None:
-        hit = memo[key] = (floored_logprob(model, token, ctx),
-                           next_context(model, ctx, token))
+        ctx = model.context_tuples[ctx_id]
+        hit = table[token] = (floored_logprob(model, token, ctx),
+                              model.context_id(next_context(model, ctx, token)))
     return hit
 
 
@@ -270,16 +283,14 @@ def step(
 
 
 class TwinScorerState(NamedTuple):
-    morph_ctx: tuple[str, ...]  # minimal contexts (NGramModel.minimal_context)
+    morph_ctx: int  # context ids (NGramModel.context_id); 0 without that LM
     pending: tuple[str, ...]  # surfaces of the in-progress word
-    word_ctx: tuple[str, ...]
+    word_ctx: int
 
 
-def initial_twin_state(
-    lm_m: Optional[NGramModel], lm_w: Optional[NGramModel]
-) -> TwinScorerState:
-    morph_ctx = lm_m.minimal_context((BOS,) * (lm_m.order - 1)) if lm_m else ()
-    word_ctx = lm_w.minimal_context((BOS,) * (lm_w.order - 1)) if lm_w else ()
+def initial_twin_state(lm_m: Optional[NGramModel], lm_w: Optional[NGramModel]) -> TwinScorerState:
+    morph_ctx, word_ctx = (m.context_id((BOS,) * (m.order - 1)) if m else 0
+                           for m in (lm_m, lm_w))
     return TwinScorerState(morph_ctx, (), word_ctx)
 
 
@@ -288,22 +299,20 @@ def twin_extend(
     morphemes: Sequence[str],
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],
-    memo_m: Optional[LMMemo] = None,
-    memo_w: Optional[LMMemo] = None,
 ) -> tuple[TwinScorerState, float, float]:
     """Score one phrase application under both views.
 
     Returns (new state, morpheme-LM delta, word-LM delta).  The word LM only
     sees words completed within this extension; an unfinished word stays in
-    the pending buffer.  ``memo_m``/``memo_w`` are optional dicts, one per LM,
-    that remember each (context, token) query's answer; they change no result.
+    the pending buffer.  Each token's log-prob and next context come from
+    ``step``, so from its model's transition table once asked before.
     """
     morph_ctx, pending, word_ctx = state.morph_ctx, list(state.pending), state.word_ctx
     morph_delta = 0.0
     word_delta = 0.0
     for tok in morphemes:
         if lm_m is not None:
-            lp, morph_ctx = step(lm_m, memo_m, morph_ctx, tok)
+            lp, morph_ctx = step(lm_m, morph_ctx, tok)
             morph_delta += lp
         surface, final = split_token_string(tok)
         pending.append(surface)
@@ -311,7 +320,7 @@ def twin_extend(
             word = "".join(pending)
             pending = []
             if lm_w is not None:
-                lp, word_ctx = step(lm_w, memo_w, word_ctx, word)
+                lp, word_ctx = step(lm_w, word_ctx, word)
                 word_delta += lp
     return TwinScorerState(morph_ctx, tuple(pending), word_ctx), morph_delta, word_delta
 
@@ -322,15 +331,14 @@ def twin_finalize(
     lm_w: Optional[NGramModel],
 ) -> tuple[float, float]:
     """End-of-sentence deltas; a non-empty pending buffer is flushed as a word first."""
-    morph_delta = 0.0
-    word_delta = 0.0
+    morph_delta = word_delta = 0.0
     word_ctx = state.word_ctx
     if state.pending and lm_w is not None:
-        word_delta, word_ctx = step(lm_w, None, word_ctx, "".join(state.pending))
+        word_delta, word_ctx = step(lm_w, word_ctx, "".join(state.pending))
     if lm_m is not None:
-        morph_delta += floored_logprob(lm_m, EOS, state.morph_ctx)
+        morph_delta += step(lm_m, state.morph_ctx, EOS)[0]
     if lm_w is not None:
-        word_delta += floored_logprob(lm_w, EOS, word_ctx)
+        word_delta += step(lm_w, word_ctx, EOS)[0]
     return morph_delta, word_delta
 
 
@@ -375,23 +383,30 @@ def read_arpa(path) -> NGramModel:
         missing = "\\data\\ line" if reader.state == "preamble" else "n-gram sections"
         where = f"{path}:{n_lines}" if n_lines else path  # an empty file has no line
         raise ValueError(f"{where}: no {missing}")
-    return reader.model()
+    try:
+        return reader.model()
+    except ValueError as exc:  # the file ended inside a section
+        raise ValueError(f"{path}:{n_lines}: {exc}") from None
 
 
 class _ArpaReader:
     """ARPA parser state, fed one line at a time by ``morpho.parse_file``:
     a preamble, ``\\data\\`` with its ``ngram N=M`` counts up to a blank
-    line, then ``\\N-grams:`` sections of ``logp10<TAB>gram[<TAB>bow10]``."""
+    line, then ``\\N-grams:`` sections of ``logp10<TAB>gram[<TAB>bow10]``.
+    A section must hold its ``ngram N=M`` count of distinct n-grams."""
 
     def __init__(self):
         self.state = "preamble"
         self.smoothing: Smoothing = "witten-bell"
-        self.order = 0  # the highest N of the ngram N=M lines
+        self.counts: dict[int, int] = {}  # N -> M of the ngram N=M lines
         self.k = 0  # order of the current section; 0 outside one
+        self.first_line: dict[tuple[str, ...], int] = {}  # the section's n-grams
+        self.lineno = 0
         self.logprobs: list[dict[tuple[str, ...], float]] = []
         self.backoffs: list[dict[tuple[str, ...], float]] = []
 
     def feed(self, line: str) -> None:
+        self.lineno += 1
         if self.state == "preamble":
             line = line.rstrip("\n")
             if line == "\\data\\":
@@ -406,23 +421,25 @@ class _ArpaReader:
         if self.state == "counts":
             if line:
                 self._count(line)
-            elif not self.order:
+            elif not self.counts:
                 raise ValueError("no 'ngram N=M' line after \\data\\")
             else:
-                self.logprobs = [dict() for _ in range(self.order)]
-                self.backoffs = [dict() for _ in range(self.order)]
+                order = max(self.counts)
+                self.logprobs = [dict() for _ in range(order)]
+                self.backoffs = [dict() for _ in range(order)]
                 self.state = "body"
             return
         if not line:
             return
         if line == "\\end\\":
-            self.k = 0
+            self._end_section()
         elif line.endswith("-grams:"):
             k = line[1:].split("-")[0]
             if not line.startswith("\\") or not k.isdigit() \
                     or not 1 <= int(k) <= len(self.logprobs):
                 raise ValueError(f"bad section header {line!r} for order "
                                  f"{len(self.logprobs)}")
+            self._end_section()
             self.k = int(k)
         else:
             self._ngram(line)
@@ -433,7 +450,14 @@ class _ArpaReader:
         if not (sep and len(words) == 2 and words[0] == "ngram"
                 and words[1].isdigit() and int(words[1]) >= 1 and n.strip().isdigit()):
             raise ValueError(f"bad count line {line!r}: expected 'ngram N=M'")
-        self.order = max(self.order, int(words[1]))
+        self.counts[int(words[1])] = int(n)
+
+    def _end_section(self) -> None:
+        """Close the current section, if any, checking its n-gram count."""
+        k, n, m = self.k, len(self.first_line), self.counts.get(self.k, 0)
+        if k and n != m:
+            raise ValueError(f"{n} n-grams in the {k}-grams section, not {m} as 'ngram {k}={m}'")
+        self.k, self.first_line = 0, {}
 
     def _ngram(self, line: str) -> None:
         k = self.k
@@ -450,12 +474,17 @@ class _ArpaReader:
         gram = tuple(parts[1].split())
         if len(gram) != k:
             raise ValueError(f"{len(gram)}-gram in the {k}-grams section: {line!r}")
+        if gram in self.first_line:
+            raise ValueError(f"duplicate {k}-gram {' '.join(gram)!r}, "
+                             f"first on line {self.first_line[gram]}")
+        self.first_line[gram] = self.lineno
         if lp10 != _ARPA_NEG_INF:  # -99 lines are pure backoff carriers
             self.logprobs[k - 1][gram] = lp10 * _LN10
         if bow10 is not None:
             self.backoffs[k - 1][gram] = bow10 * _LN10
 
     def model(self) -> NGramModel:
+        self._end_section()
         logprobs = self.logprobs
         vocab = frozenset(w for (w,) in logprobs[0] if w not in (BOS, UNK))
         return NGramModel(len(logprobs), self.smoothing, vocab, logprobs, self.backoffs)

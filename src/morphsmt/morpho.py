@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -139,6 +139,24 @@ def parse_file(path, parse_line: Callable[[str], T]) -> list[T]:
                 out.append(parse_line(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+def parse_keyed_file(path, parse_line: Callable[[str], Optional[tuple]],
+                     describe: Callable[..., str]) -> dict:
+    """The (key, value) pairs ``parse_line`` gives for a file's lines, as a
+    dict in file order; a line it gives None for (a blank one) is skipped.
+    A line that repeats an earlier line's key is rejected, naming both
+    lines, so no value silently replaces another."""
+    out = {}
+    first_line = {}  # key -> line number
+    for lineno, pair in enumerate(parse_file(path, parse_line), 1):
+        if pair is not None:
+            key, out[key] = pair
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate {describe(key)}, "
+                                 f"first on line {first_line[key]}")
+            first_line[key] = lineno
     return out
 
 

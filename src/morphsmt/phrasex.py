@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .align import FLOOR_PROB, AlignmentMatrix, Granularity, LexicalTable, _parse_links
-from .morpho import parse_file, word_spans
+from .morpho import parse_keyed_file, word_spans
 
 PHRASE_PENALTY = math.e  # constant fifth score, ln = 1 per applied phrase
 
@@ -349,27 +349,17 @@ def read_phrase_table(path, granularity: Granularity = "morpheme") -> PhraseTabl
     """A table file; a line that repeats an earlier line's source and target
     is rejected, so no line's scores silently replace another's.  Equal link
     sets are read as one shared set."""
-    entries = {}
-    first_line = {}  # (source, target) -> line number
     shared: dict[frozenset, frozenset] = {}
-    # parse_file gives one result per line, None for a blank one
-    lines = parse_file(path, lambda line: _parse_phrase_line(line, shared))
-    for lineno, entry in enumerate(lines, 1):
-        if entry is None:
-            continue
-        key = (entry.source, entry.target)
-        if key in first_line:
-            raise ValueError(f"{path}:{lineno}: duplicate phrase pair "
-                             f"{' '.join(key[0])!r} ||| {' '.join(key[1])!r}, "
-                             f"first on line {first_line[key]}")
-        first_line[key] = lineno
-        entries[key] = entry
+    entries = parse_keyed_file(
+        path, lambda line: _parse_phrase_line(line, shared),
+        lambda key: f"phrase pair {' '.join(key[0])!r} ||| {' '.join(key[1])!r}")
     n_extras = max((len(e.extras) for e in entries.values()), default=0)
     return PhraseTable(entries, granularity, n_extras=n_extras)
 
 
-def _parse_phrase_line(line: str, shared: dict) -> Optional[PhraseEntry]:
-    """One ``src ||| tgt ||| scores ||| count [||| links]`` line; None if blank."""
+def _parse_phrase_line(line: str, shared: dict) -> Optional[tuple[tuple, PhraseEntry]]:
+    """((source, target), entry) of one ``src ||| tgt ||| scores ||| count
+    [||| links]`` line; None if blank."""
     if not line.strip():
         return None
     fields = [f.strip() for f in line.split("|||")]
@@ -387,7 +377,7 @@ def _parse_phrase_line(line: str, shared: dict) -> Optional[PhraseEntry]:
     for i, j in links:
         if i >= len(src) or j >= len(tgt):
             raise ValueError(f"link {i}-{j} outside the {len(src)}x{len(tgt)} phrase pair")
-    return PhraseEntry(
+    return (src, tgt), PhraseEntry(
         src, tgt, scores[0], scores[1], scores[2], scores[3], scores[4],
         count, shared.setdefault(links, links), tuple(scores[5:]),
     )

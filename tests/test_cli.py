@@ -212,6 +212,19 @@ MALFORMED_INPUTS = {
         ["decode", "--input", "{input}", "--table", "{table}", "--lm-morph", "{lm}",
          "--output", "{out}"],
     ),
+    "arpa-count": (
+        {"input": "a/STM\n", "table": TABLE_LINE,
+         "lm": "\\data\\\nngram 1=5\n\n\\1-grams:\n-0.5\tx/STM\n-0.5\ty/STM\n\n\\end\\\n"},
+        "lm", 8,
+        ["decode", "--input", "{input}", "--table", "{table}", "--lm-morph", "{lm}",
+         "--output", "{out}"],
+    ),
+    "weights-duplicate": (
+        {"input": "a/STM\n", "table": TABLE_LINE, "weights": "phi_fwd\t0.1\nphi_fwd\t0.5\n"},
+        "weights", 2,
+        ["decode", "--input", "{input}", "--table", "{table}", "--weights", "{weights}",
+         "--output", "{out}"],
+    ),
     "lexical-table": (
         {"pt": TABLE_LINE, "lex": "a/STM\tx/STM\t0.5\n\tx/STM\t0.25\na/STM\tx/STM\n",
          "lex_ok": "a/STM\tx/STM\t0.5\n"},

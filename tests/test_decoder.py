@@ -378,6 +378,43 @@ LM_WEIGHTS = {
 }
 
 
+def test_warm_and_fresh_lm_tables_give_the_same_nbest_lists(
+        bundled_models, tmp_path, monkeypatch):
+    # the LMs' transition tables live as long as the models: a second pass
+    # over the dev set runs on the tables the first one filled, a third on
+    # the same models read back from ARPA again, with empty tables (ARPA's
+    # base-10 log-probs round, so every pass uses models read from ARPA)
+    sources, tab, trained_m, trained_w = bundled_models
+    lm.write_arpa(tmp_path / "m.arpa", trained_m)
+    lm.write_arpa(tmp_path / "w.arpa", trained_w)
+    lm_m, lm_w = lm.read_arpa(tmp_path / "m.arpa"), lm.read_arpa(tmp_path / "w.arpa")
+    weights = decoder.default_weights()
+
+    def nbest_lists(lm_m, lm_w):
+        monkeypatch.setattr(decoder, "_last_search", None)  # search every sentence
+        return [[(e.tokens, [(k, v.hex()) for k, v in e.features.items()], e.score.hex())
+                 for e in decoder.nbest(src, tab, lm_m, lm_w, weights, 10, 6, 20)]
+                for src in sources]
+
+    def table_sizes():
+        return [(len(m.context_tuples), sum(map(len, m._transitions))) for m in (lm_m, lm_w)]
+
+    cold = nbest_lists(lm_m, lm_w)
+    sizes = table_sizes()
+    assert cold == nbest_lists(lm_m, lm_w)
+    assert table_sizes() == sizes  # the second pass found every answer in the tables
+    assert cold == nbest_lists(lm.read_arpa(tmp_path / "m.arpa"),
+                               lm.read_arpa(tmp_path / "w.arpa"))
+
+
+def test_read_weights_rejects_a_repeated_name(tmp_path):
+    path = tmp_path / "weights.tsv"
+    path.write_text("phi_fwd\t0.1\nlm_morph\t0.5\n\nphi_fwd\t0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        decoder.read_weights(path)
+    assert str(info.value) == f"{path}:4: duplicate weight 'phi_fwd', first on line 1"
+
+
 def fingerprint(hyps):
     return [
         (decoder.target_tokens(h), [(k, v.hex()) for k, v in sorted(h.features.items())],

@@ -127,6 +127,20 @@ MALFORMED_ARPA = {
     "ngram-length": (ARPA_HEAD + "-0.5\ta b\n", 5,
                      "2-gram in the 1-grams section: '-0.5\\ta b'"),
     "no-data-line": ("smoothing: mle\n\n", 2, "no \\data\\ line"),
+    "duplicate-ngram": ("\\data\\\nngram 1=2\n\n\\1-grams:\n-1.0\ta\n-1.0\ta\n", 6,
+                        "duplicate 1-gram 'a', first on line 5"),
+    "duplicate-backoff-carrier": (
+        "\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-99\t<s>\t-0.5\n-1.0\ta\n"
+        "-99\t<s>\t-0.25\n", 8, "duplicate 1-gram '<s>', first on line 6"),
+    # a section's count is checked where it ends: at the next section, at
+    # \end\, or at the file's last line
+    "count-at-end": ("\\data\\\nngram 1=5\n\n\\1-grams:\n-1.0\ta\n-1.0\tb\n\n\\end\\\n", 8,
+                     "2 n-grams in the 1-grams section, not 5 as 'ngram 1=5'"),
+    "count-at-next-section": (
+        "\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-1.0\ta\n-1.0\tb\n\n\\2-grams:\n", 9,
+        "2 n-grams in the 1-grams section, not 1 as 'ngram 1=1'"),
+    "count-at-file-end": ("\\data\\\nngram 1=3\n\n\\1-grams:\n-1.0\ta\n", 5,
+                          "1 n-grams in the 1-grams section, not 3 as 'ngram 1=3'"),
     "empty-file": ("", None, "no \\data\\ line"),  # no line to name
 }
 
@@ -242,6 +256,40 @@ def twin_fixture():
     return lm_m, lm_w
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c/STM", "c/SUF", "d/SUF+"]), max_size=6),
+                min_size=1, max_size=6),
+       st.integers(1, 5), st.sampled_from(["mle", "witten-bell", "kneser-ney"]), st.booleans(),
+       st.lists(st.lists(st.sampled_from(["a", "b", "c/STM", "c/SUF", "d/SUF+", "zz", BOS,
+                                          EOS, UNK]), max_size=10), min_size=2, max_size=5))
+def test_step_equals_direct_queries_on_warm_tables(tmp_path_factory, corpus, order,
+                                                   smoothing, via_arpa, walks):
+    model = lm.train_lm(corpus, order, smoothing)
+    if via_arpa:
+        path = tmp_path_factory.mktemp("arpa") / "model.arpa"
+        lm.write_arpa(path, model)
+        model = lm.read_arpa(path)
+    start = (BOS,) * (order - 1)
+    # every walk after the first runs on tables earlier walks have filled;
+    # the first walk is replayed last, so its steps are all table hits
+    for i, walk in enumerate(walks + walks[:1]):
+        if i == len(walks):
+            n_contexts = len(model.context_tuples)
+            n_answers = sum(map(len, model._transitions))
+        ctx_id = model.context_id(start)
+        ctx = model.minimal_context(start)
+        for tok in walk:
+            assert model.context_tuples[ctx_id] == ctx
+            lp, next_id = lm.step(model, ctx_id, tok)
+            assert lp.hex() == lm.floored_logprob(model, tok, ctx).hex(), (ctx, tok)
+            ctx = lm.next_context(model, ctx, tok)
+            assert model.context_tuples[next_id] == ctx
+            ctx_id = next_id
+    assert len(model.context_tuples) == n_contexts
+    assert sum(map(len, model._transitions)) == n_answers
+    assert len(set(model.context_tuples)) == len(model.context_tuples)  # one id each
+
+
 def test_twin_extend_pending_word():
     lm_m, lm_w = twin_fixture()
     state = lm.initial_twin_state(lm_m, lm_w)
@@ -263,8 +311,10 @@ def test_twin_monomorphemic_word_single_event():
     lm_m, lm_w = twin_fixture()
     state = lm.initial_twin_state(lm_m, lm_w)
     new_state, morph_delta, word_delta = lm.twin_extend(state, ["maa/STM"], lm_m, lm_w)
-    assert morph_delta == pytest.approx(lm_m.logprob("maa/STM", state.morph_ctx))
-    assert word_delta == pytest.approx(lm_w.logprob("maa", state.word_ctx))
+    morph_ctx = lm_m.context_tuples[state.morph_ctx]
+    word_ctx = lm_w.context_tuples[state.word_ctx]
+    assert morph_delta == pytest.approx(lm_m.logprob("maa/STM", morph_ctx))
+    assert word_delta == pytest.approx(lm_w.logprob("maa", word_ctx))
 
 
 def test_finalize_flushes_pending():
@@ -280,8 +330,10 @@ def test_finalize_empty_pending_is_eos_only():
     lm_m, lm_w = twin_fixture()
     state = lm.initial_twin_state(lm_m, lm_w)
     morph_delta, word_delta = lm.twin_finalize(state, lm_m, lm_w)
-    assert morph_delta == pytest.approx(lm_m.logprob(EOS, state.morph_ctx))
-    assert word_delta == pytest.approx(lm_w.logprob(EOS, state.word_ctx))
+    morph_ctx = lm_m.context_tuples[state.morph_ctx]
+    word_ctx = lm_w.context_tuples[state.word_ctx]
+    assert morph_delta == pytest.approx(lm_m.logprob(EOS, morph_ctx))
+    assert word_delta == pytest.approx(lm_w.logprob(EOS, word_ctx))
 
 
 def _random_chunks(rng, tokens):
