@@ -199,9 +199,8 @@ def _proximity(cfg: PipelineConfig, data: CorpusData, traces):
         data.words["train_tgt"] + data.words["test_tgt"],
     )
     table = al.train_model1(combined, cfg.align_iterations)
-    alignments = []
-    for src, ref in zip(data.words["test_src"], data.words["test_tgt"]):
-        alignments.append(al.viterbi_align(src, ref, table))
+    alignments = [al.viterbi_align(src, ref, table)
+                  for src, ref in zip(data.words["test_src"], data.words["test_tgt"])]
     return ev.proximity_triples(traces, data.words["test_tgt"], alignments)
 
 

@@ -158,7 +158,7 @@ def build_options(
     for w1 in range(n_words):
         for w2 in range(w1 + 1, min(w1 + limit, n_words) + 1):
             src = tokens[spans[w1][0] : spans[w2 - 1][1] + 1]
-            for entry in table.by_source().get(src, ()):
+            for entry in table.by_source.get(src, ()):
                 feats = [
                     ("phi_fwd", safe_ln(entry.phi_fwd)),
                     ("phi_bwd", safe_ln(entry.phi_bwd)),
@@ -372,7 +372,7 @@ def search(
             parent_score = hyp.score
             parent_mag = _magnitude(wvec, parent_values)
             by_target = lm_scores.setdefault(hyp.state, {})
-            first_free = _first_uncovered(coverage, n_words)
+            first_free = ((coverage + 1) & ~coverage).bit_length() - 1  # lowest clear bit
             for start in range(first_free, min(first_free + distortion_limit, n_words - 1) + 1):
                 if coverage >> start & 1:
                     continue
@@ -449,13 +449,6 @@ def _magnitude(wvec: Sequence[float], values: Sequence[float]) -> float:
     return sum(map(abs, map(mul, wvec, values)))
 
 
-def _first_uncovered(coverage: int, n_words: int) -> int:
-    for i in range(n_words):
-        if not (coverage >> i & 1):
-            return i
-    return n_words
-
-
 def _extend(
     hyp: Hypothesis,
     opt: TranslationOption,
@@ -504,10 +497,7 @@ def target_tokens(hyp: Hypothesis) -> tuple[str, ...]:
         if node.option is not None:
             parts.append(node.option.target)
         node = node.parent
-    out: list[str] = []
-    for part in reversed(parts):
-        out.extend(part)
-    return tuple(out)
+    return tuple(tok for part in reversed(parts) for tok in part)
 
 
 def trace(hyp: Hypothesis, source: tuple[str, ...]) -> list[tuple[int, int, tuple[str, ...], tuple[str, ...]]]:
@@ -620,6 +610,8 @@ def write_nbest(path, lists: Sequence[Sequence[NBestEntry]]) -> None:
 
 
 def read_nbest(path) -> list[list[NBestEntry]]:
+    """Inverse of ``write_nbest``.  No code in the package calls it; it is
+    kept as the tested reader of the n-best artifact."""
     lists: list[list[NBestEntry]] = []
     for parsed in parse_file(path, _parse_nbest_line):
         if parsed is not None:

@@ -393,7 +393,7 @@ class _ArpaReader:
     """ARPA parser state, fed one line at a time by ``morpho.parse_file``:
     a preamble, ``\\data\\`` with its ``ngram N=M`` counts up to a blank
     line, then ``\\N-grams:`` sections of ``logp10<TAB>gram[<TAB>bow10]``.
-    A section must hold its ``ngram N=M`` count of distinct n-grams."""
+    Each ``ngram N=M`` count needs one section holding M distinct n-grams."""
 
     def __init__(self):
         self.state = "preamble"
@@ -401,6 +401,7 @@ class _ArpaReader:
         self.counts: dict[int, int] = {}  # N -> M of the ngram N=M lines
         self.k = 0  # order of the current section; 0 outside one
         self.first_line: dict[tuple[str, ...], int] = {}  # the section's n-grams
+        self.header_line: dict[int, int] = {}  # N -> line of its \\N-grams: header
         self.lineno = 0
         self.logprobs: list[dict[tuple[str, ...], float]] = []
         self.backoffs: list[dict[tuple[str, ...], float]] = []
@@ -432,7 +433,7 @@ class _ArpaReader:
         if not line:
             return
         if line == "\\end\\":
-            self._end_section()
+            self._end_section(last=True)
         elif line.endswith("-grams:"):
             k = line[1:].split("-")[0]
             if not line.startswith("\\") or not k.isdigit() \
@@ -441,6 +442,9 @@ class _ArpaReader:
                                  f"{len(self.logprobs)}")
             self._end_section()
             self.k = int(k)
+            if self.header_line.setdefault(self.k, self.lineno) != self.lineno:
+                raise ValueError(f"repeated section header {line!r}, "
+                                 f"first on line {self.header_line[self.k]}")
         else:
             self._ngram(line)
 
@@ -452,12 +456,17 @@ class _ArpaReader:
             raise ValueError(f"bad count line {line!r}: expected 'ngram N=M'")
         self.counts[int(words[1])] = int(n)
 
-    def _end_section(self) -> None:
-        """Close the current section, if any, checking its n-gram count."""
+    def _end_section(self, last: bool = False) -> None:
+        """Close the current section, if any, checking its n-gram count; at
+        the ``last`` one, also check that every counted section appeared."""
         k, n, m = self.k, len(self.first_line), self.counts.get(self.k, 0)
         if k and n != m:
             raise ValueError(f"{n} n-grams in the {k}-grams section, not {m} as 'ngram {k}={m}'")
         self.k, self.first_line = 0, {}
+        missing = last and sorted(self.counts.keys() - self.header_line.keys())
+        if missing:
+            k = missing[0]
+            raise ValueError(f"no \\{k}-grams: section for 'ngram {k}={self.counts[k]}'")
 
     def _ngram(self, line: str) -> None:
         k = self.k
@@ -484,7 +493,7 @@ class _ArpaReader:
             self.backoffs[k - 1][gram] = bow10 * _LN10
 
     def model(self) -> NGramModel:
-        self._end_section()
+        self._end_section(last=True)
         logprobs = self.logprobs
         vocab = frozenset(w for (w,) in logprobs[0] if w not in (BOS, UNK))
         return NGramModel(len(logprobs), self.smoothing, vocab, logprobs, self.backoffs)

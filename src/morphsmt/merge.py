@@ -10,10 +10,13 @@ estimate from the stored alignment instead of a zero.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from itertools import accumulate, groupby
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .align import LexicalTable
 from .morpho import split_token_string, word_spans, words_from_tokens
@@ -66,45 +69,33 @@ def retokenize_pt(pt_w: PhraseTable, lex: SegmentationLexicon) -> PhraseTable:
 
     Scores and counts are carried unchanged; each word-level link expands to
     the full product of the two words' morpheme positions.  Each word is
-    segmented once, and equal expanded link sets are one shared set.
+    segmented once, and equal expanded link sets are one shared set.  Two
+    entries that map to one (source, target) pair are a ValueError.
     """
     if pt_w.granularity != "word":
         raise ValueError("retokenize_pt expects a word-granularity table")
-    words = {w for key in pt_w.entries for side in key for w in side}
+    words = {w for e in pt_w for side in (e.source, e.target) for w in side}
     segments = {w: lex.segment(w) for w in words}
     shared: dict[frozenset, frozenset] = {}
-    entries = {}
-    for key in sorted(pt_w.entries):
-        e = pt_w.entries[key]
+    entries = []
+    for e in pt_w:
         src_segs = [segments[w] for w in e.source]
         tgt_segs = [segments[w] for w in e.target]
         src_tokens = tuple(t for seg in src_segs for t in seg)
         tgt_tokens = tuple(t for seg in tgt_segs for t in seg)
-        src_offsets = _offsets(src_segs)
-        tgt_offsets = _offsets(tgt_segs)
+        src_offsets = list(accumulate(map(len, src_segs), initial=0))
+        tgt_offsets = list(accumulate(map(len, tgt_segs), initial=0))
         links = frozenset(
             (mi, mj)
             for wi, wj in e.alignment
             for mi in range(src_offsets[wi], src_offsets[wi] + len(src_segs[wi]))
             for mj in range(tgt_offsets[wj], tgt_offsets[wj] + len(tgt_segs[wj]))
         )
-        new_key = (src_tokens, tgt_tokens)
-        if new_key in entries:
-            raise ValueError(f"retokenization collision on {new_key}")
-        entries[new_key] = PhraseEntry(
+        entries.append(PhraseEntry(
             src_tokens, tgt_tokens, e.phi_fwd, e.phi_bwd, e.lex_fwd, e.lex_bwd,
             e.penalty, e.count_joint, shared.setdefault(links, links), e.extras,
-        )
-    return PhraseTable(entries, "morpheme", pt_w.max_span, pt_w.n_extras)
-
-
-def _offsets(segments: Sequence[Sequence[str]]) -> list[int]:
-    offsets = []
-    pos = 0
-    for seg in segments:
-        offsets.append(pos)
-        pos += len(seg)
-    return offsets
+        ))
+    return PhraseTable.of(entries, "morpheme", pt_w.max_span, pt_w.n_extras)
 
 
 def merge_add_features(
@@ -119,21 +110,19 @@ def merge_add_features(
         raise ValueError("n_features must be 1 or 2")
     if primary.granularity != secondary.granularity:
         raise ValueError("granularity mismatch in add-feature merge")
-    entries = {}
-    for key in sorted(set(primary.entries) | set(secondary.entries)):
-        in_p = key in primary.entries
-        in_s = key in secondary.entries
-        base = primary.entries[key] if in_p else secondary.entries[key]
+    entries = []
+    for _, _, p, s in _union(primary, secondary):
+        base = p or s
         if n_features == 1:
-            feats = (FEAT_BOTH,) if in_p and in_s else (FEAT_ONE,) if in_p else (FEAT_OTHER,)
+            feats = (FEAT_BOTH,) if p and s else (FEAT_ONE,) if p else (FEAT_OTHER,)
         else:
             feats = (
-                (FEAT_ON, FEAT_ON) if in_p and in_s
-                else (FEAT_ON, FEAT_OFF) if in_p
+                (FEAT_ON, FEAT_ON) if p and s
+                else (FEAT_ON, FEAT_OFF) if p
                 else (FEAT_OFF, FEAT_ON)
             )
-        entries[key] = replace(base, extras=base.extras + feats)
-    return PhraseTable(
+        entries.append(replace(base, extras=base.extras + feats))
+    return PhraseTable.of(
         entries, primary.granularity, max(primary.max_span, secondary.max_span),
         primary.n_extras + n_features,
     )
@@ -147,11 +136,8 @@ def merge_interpolate(
         raise ValueError("alpha must be in [0, 1]")
     if pt_a.granularity != pt_b.granularity:
         raise ValueError("granularity mismatch in interpolation merge")
-    entries = {}
-    for key in sorted(set(pt_a.entries) | set(pt_b.entries)):
-        a = pt_a.entries.get(key)
-        b = pt_b.entries.get(key)
-        src, tgt = key
+    entries = []
+    for src, tgt, a, b in _union(pt_a, pt_b):
 
         def mix(attr: str) -> float:
             va = getattr(a, attr) if a is not None else 0.0
@@ -159,12 +145,11 @@ def merge_interpolate(
             return alpha * va + (1.0 - alpha) * vb
 
         counts = [e.count_joint for e in (a, b) if e is not None and e.count_joint is not None]
-        keeper = a if a is not None else b
-        entries[key] = PhraseEntry(
+        entries.append(PhraseEntry(
             src, tgt, mix("phi_fwd"), mix("phi_bwd"), mix("lex_fwd"), mix("lex_bwd"),
-            PHRASE_PENALTY, sum(counts) if counts else None, keeper.alignment,
-        )
-    return PhraseTable(entries, pt_a.granularity, max(pt_a.max_span, pt_b.max_span))
+            PHRASE_PENALTY, sum(counts) if counts else None, (a or b).alignment,
+        ))
+    return PhraseTable.of(entries, pt_a.granularity, max(pt_a.max_span, pt_b.max_span))
 
 
 def induce_word_alignment(
@@ -210,25 +195,23 @@ def merge_our_method(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     for name, pt in (("pt_m", pt_m), ("pt_wm", pt_wm)):
-        for e in pt.entries.values():
+        for e in pt:
             if e.count_joint is None:
                 raise ValueError(f"{name} entry {e.source}->{e.target} lacks counts")
 
-    found = []  # (key, pt_m entry or None, pt_wm entry or None, summed count)
+    # (source, target, pt_m entry or None, pt_wm entry or None, summed count)
+    found = [(src, tgt, em, ewm, _count(em) + _count(ewm))
+             for src, tgt, em, ewm in _union(pt_m, pt_wm)]
     src_marginal: Counter = Counter()
     tgt_marginal: Counter = Counter()
-    for key in sorted(set(pt_m.entries) | set(pt_wm.entries)):
-        em, ewm = pt_m.entries.get(key), pt_wm.entries.get(key)
-        c = _count(em) + _count(ewm)
-        found.append((key, em, ewm, c))
-        src_marginal[key[0]] += c
-        tgt_marginal[key[1]] += c
-    sides = {side for key, *_ in found for side in key}
+    for src, tgt, *_, c in found:
+        src_marginal[src] += c
+        tgt_marginal[tgt] += c
+    sides = {side for src, tgt, *_ in found for side in (src, tgt)}
     words = {side: tuple(words_from_tokens(side)) for side in sides}  # word views
 
-    entries = {}
-    for key, em, ewm, c in found:
-        src, tgt = key
+    entries = []
+    for src, tgt, em, ewm, c in found:
         carrier = em if em is not None else ewm
 
         if em is not None:
@@ -238,25 +221,31 @@ def merge_our_method(
             lmf, lmb = lexical_weights(src, tgt, carrier.alignment, lex_m_fwd, lex_m_bwd)
 
         src_words, tgt_words = words[src], words[tgt]
-        ew = pt_w.entries.get((src_words, tgt_words))
+        ew = pt_w.get(src_words, tgt_words)
         if ew is not None:
             lwf, lwb = ew.lex_fwd, ew.lex_bwd
         else:
             word_links = induce_word_alignment(src, tgt, carrier.alignment)
             lwf, lwb = lexical_weights(src_words, tgt_words, word_links, lex_w_fwd, lex_w_bwd)
 
-        entries[key] = PhraseEntry(
-            src, tgt,
-            phi_fwd=c / src_marginal[src],
-            phi_bwd=c / tgt_marginal[tgt],
-            lex_fwd=alpha * lmf + (1.0 - alpha) * lwf,
-            lex_bwd=alpha * lmb + (1.0 - alpha) * lwb,
-            penalty=PHRASE_PENALTY,
-            count_joint=c,
-            alignment=carrier.alignment,
-        )
-    return PhraseTable(entries, "morpheme", max(pt_m.max_span, pt_wm.max_span))
+        entries.append(PhraseEntry(
+            src, tgt, c / src_marginal[src], c / tgt_marginal[tgt],
+            alpha * lmf + (1.0 - alpha) * lwf, alpha * lmb + (1.0 - alpha) * lwb,
+            PHRASE_PENALTY, c, carrier.alignment))
+    return PhraseTable.of(entries, "morpheme", max(pt_m.max_span, pt_wm.max_span))
 
 
 def _count(e) -> float:
     return e.count_joint if e is not None else 0.0
+
+
+def _union(a: PhraseTable, b: PhraseTable) -> Iterator[tuple]:
+    """(source, target, entry of ``a``, entry of ``b``) over the pairs of
+    either table, in (source, target) order; a table without the pair gives None."""
+    tagged = heapq.merge(((e.source, e.target, 0, e) for e in a),
+                         ((e.source, e.target, 1, e) for e in b))
+    for (src, tgt), group in groupby(tagged, key=itemgetter(0, 1)):
+        found: list = [None, None]
+        for *_, side, e in group:
+            found[side] = e
+        yield src, tgt, *found

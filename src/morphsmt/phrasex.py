@@ -12,9 +12,12 @@ proposed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from itertools import chain, groupby, pairwise
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .align import FLOOR_PROB, AlignmentMatrix, Granularity, LexicalTable, _parse_links
 from .morpho import parse_keyed_file, word_spans
@@ -49,28 +52,40 @@ class PhraseEntry:
 
 @dataclass
 class PhraseTable:
-    entries: dict[tuple[tuple[str, ...], tuple[str, ...]], PhraseEntry]
+    """Entries indexed by source phrase: sources in sorted order, each
+    source's entries sorted by target, so iteration runs in (source, target)
+    order.  Build it with ``PhraseTable.of``."""
+
+    by_source: dict[tuple[str, ...], tuple[PhraseEntry, ...]]
     granularity: Granularity = "morpheme"
     max_span: int = 0
     n_extras: int = 0
-    _by_source: Optional[dict[tuple[str, ...], list[PhraseEntry]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    @classmethod
+    def of(cls, entries: Iterable[PhraseEntry], granularity: Granularity = "morpheme",
+           max_span: int = 0, n_extras: int = 0) -> PhraseTable:
+        """The table of ``entries``; a repeated (source, target) pair is a ValueError."""
+        by_source = {}
+        source, target = attrgetter("source"), attrgetter("target")
+        for src, group in groupby(sorted(entries, key=source), key=source):
+            by_source[src] = group = tuple(sorted(group, key=target))
+            for a, b in pairwise(group):
+                if a.target == b.target:
+                    raise ValueError(f"repeated phrase pair {' '.join(src)!r} "
+                                     f"||| {' '.join(a.target)!r}")
+        return cls(by_source, granularity, max_span, n_extras)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.by_source.values()))
+
+    def __iter__(self) -> Iterator[PhraseEntry]:
+        return chain.from_iterable(self.by_source.values())
 
     def get(self, source, target) -> Optional[PhraseEntry]:
-        return self.entries.get((tuple(source), tuple(target)))
-
-    def by_source(self) -> dict[tuple[str, ...], list[PhraseEntry]]:
-        """Entries per source phrase, by target; built once (tables are immutable by convention)."""
-        if self._by_source is None:
-            out: dict[tuple[str, ...], list[PhraseEntry]] = {}
-            for (src, _), entry in sorted(self.entries.items()):
-                out.setdefault(src, []).append(entry)
-            self._by_source = out
-        return self._by_source
+        entries = self.by_source.get(tuple(source), ())
+        target = tuple(target)
+        i = bisect_left(entries, target, key=attrgetter("target"))
+        return entries[i] if i < len(entries) and entries[i].target == target else None
 
 
 # Extraction grows a box one source unit at a time (as Moses does, row by
@@ -267,12 +282,11 @@ def score_phrase_table(
         src_marginal[pair.source] += c
         tgt_marginal[pair.target] += c
 
-    entries = {}
+    entries = []
     shared: dict[frozenset, frozenset] = {}
-    for key in sorted(joint):
+    for key, c in joint.items():
         src, tgt = key
-        c = joint[key]
-        observed = aligns[key]
+        observed = aligns.pop(key)  # freed as entries are built, lowering the build's peak
         if len(observed) == 1:
             (representative,) = observed
             lex_fwd, lex_bwd = lexical_weights(
@@ -287,18 +301,10 @@ def score_phrase_table(
                 (al for al, n in observed.items() if n == top),
                 key=lambda al: sorted(al),
             )
-        entries[key] = PhraseEntry(
-            source=src,
-            target=tgt,
-            phi_fwd=c / src_marginal[src],
-            phi_bwd=c / tgt_marginal[tgt],
-            lex_fwd=lex_fwd,
-            lex_bwd=lex_bwd,
-            penalty=PHRASE_PENALTY,
-            count_joint=c,
-            alignment=shared.setdefault(representative, representative),
-        )
-    return PhraseTable(entries, granularity, max_span)
+        entries.append(PhraseEntry(
+            src, tgt, c / src_marginal[src], c / tgt_marginal[tgt], lex_fwd, lex_bwd,
+            PHRASE_PENALTY, c, shared.setdefault(representative, representative)))
+    return PhraseTable.of(entries, granularity, max_span)
 
 
 def extract_corpus(
@@ -334,8 +340,7 @@ def extract_corpus_boundary_aware(
 
 def write_phrase_table(path, table: PhraseTable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(table.entries):
-            e = table.entries[key]
+        for e in table:
             scores = " ".join(repr(s) for s in e.scores())
             links = " ".join(f"{i}-{j}" for i, j in sorted(e.alignment))
             count = "" if e.count_joint is None else repr(e.count_joint)
@@ -354,7 +359,7 @@ def read_phrase_table(path, granularity: Granularity = "morpheme") -> PhraseTabl
         path, lambda line: _parse_phrase_line(line, shared),
         lambda key: f"phrase pair {' '.join(key[0])!r} ||| {' '.join(key[1])!r}")
     n_extras = max((len(e.extras) for e in entries.values()), default=0)
-    return PhraseTable(entries, granularity, n_extras=n_extras)
+    return PhraseTable.of(entries.values(), granularity, n_extras=n_extras)
 
 
 def _parse_phrase_line(line: str, shared: dict) -> Optional[tuple[tuple, PhraseEntry]]:

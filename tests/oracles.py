@@ -456,4 +456,4 @@ def reference_score_phrase_table(pairs, lex_fwd_table, lex_bwd_table,
             count_joint=c,
             alignment=representative,
         )
-    return PhraseTable(entries, granularity, max_span)
+    return PhraseTable.of(entries.values(), granularity, max_span)

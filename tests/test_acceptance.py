@@ -60,9 +60,9 @@ def synth_tables(synth_cfg, synth_data):
 
 def _phi_sums(table):
     by_src, by_tgt = {}, {}
-    for (s, t), e in table.entries.items():
-        by_src[s] = by_src.get(s, 0.0) + e.phi_fwd
-        by_tgt[t] = by_tgt.get(t, 0.0) + e.phi_bwd
+    for e in table:
+        by_src[e.source] = by_src.get(e.source, 0.0) + e.phi_fwd
+        by_tgt[e.target] = by_tgt.get(e.target, 0.0) + e.phi_bwd
     return by_src, by_tgt
 
 
@@ -144,8 +144,8 @@ def test_criterion_4_normalization(synth_tables, synth_cfg):
     e2 = PhraseEntry(("s/STM",), ("y/STM",), 1.0, 1.0, 0.5, 0.5, math.e, 1,
                      frozenset({(0, 0)}))
     added = merge.merge_add_features(
-        PhraseTable({(e1.source, e1.target): e1}, "morpheme"),
-        PhraseTable({(e2.source, e2.target): e2}, "morpheme"), 1,
+        PhraseTable.of([e1], "morpheme"),
+        PhraseTable.of([e2], "morpheme"), 1,
     )
     by_src, _ = _phi_sums(added)
     assert any(abs(total - 1.0) > 1e-6 for total in by_src.values())
@@ -329,10 +329,10 @@ def test_criterion_9_merge_arithmetic(synth_tables, synth_cfg, tmp_path):
     self_merged = merge.merge_our_method(
         big, big, synth_tables["pt_w"], synth_cfg.merge_alpha, *synth_tables["lex"]
     )
-    assert set(self_merged.entries) == set(big.entries)
-    for key, e in big.entries.items():
-        assert self_merged.entries[key].phi_fwd == pytest.approx(e.phi_fwd, abs=1e-15)
-        assert self_merged.entries[key].phi_bwd == pytest.approx(e.phi_bwd, abs=1e-15)
+    assert {(e.source, e.target) for e in self_merged} == {(e.source, e.target) for e in big}
+    for e in big:
+        assert self_merged.get(e.source, e.target).phi_fwd == pytest.approx(e.phi_fwd, abs=1e-15)
+        assert self_merged.get(e.source, e.target).phi_bwd == pytest.approx(e.phi_bwd, abs=1e-15)
     # origin features as decimal text from the written file
     for n_features, expected in (
         (1, {math.e, math.exp(2 / 3), math.exp(1 / 3)}),

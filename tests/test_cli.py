@@ -388,7 +388,7 @@ def test_merge_pt_add1_empty_secondary(tmp_path):
     assert rc == 0
     merged = phrasex.read_phrase_table(out)
     assert len(merged) == 2
-    for entry in merged.entries.values():
+    for entry in merged:
         assert entry.extras == (math.exp(2 / 3),)
 
 

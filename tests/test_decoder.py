@@ -16,7 +16,7 @@ def entry(src, tgt, phi_f=1.0, phi_b=1.0, lex_f=1.0, lex_b=1.0, extras=()):
 
 
 def table(entries, granularity="morpheme", **kw):
-    return PhraseTable({(e.source, e.target): e for e in entries}, granularity, **kw)
+    return PhraseTable.of(entries, granularity, **kw)
 
 
 def tiny_lms(morph_corpus, word_corpus):
@@ -728,7 +728,7 @@ def test_search_matches_references_on_merged_table(bundled_models, synth_config)
                                      boundary_aware=False)
     merged = merge.merge_add_features(tab, classic, 2)
     weights = decoder.default_weights(n_extras=2)
-    assert any(e.extras for e in merged.entries.values())
+    assert any(e.extras for e in merged)
     assert_matches_references(sources[:12], merged, lm_m, lm_w, weights, 5, 6)
 
 

@@ -142,6 +142,17 @@ MALFORMED_ARPA = {
     "count-at-file-end": ("\\data\\\nngram 1=3\n\n\\1-grams:\n-1.0\ta\n", 5,
                           "1 n-grams in the 1-grams section, not 3 as 'ngram 1=3'"),
     "empty-file": ("", None, "no \\data\\ line"),  # no line to name
+    # every counted section must appear, once; a missing one is found at
+    # \end\ or at the file's last line
+    "missing-section-at-end": (
+        "\\data\\\nngram 1=2\nngram 2=3\n\n\\1-grams:\n-1.0\ta\n-1.0\tb\n\n\\end\\\n", 9,
+        "no \\2-grams: section for 'ngram 2=3'"),
+    "missing-section-at-file-end": (
+        "\\data\\\nngram 1=2\nngram 2=3\n\n\\1-grams:\n-1.0\ta\n-1.0\tb\n", 7,
+        "no \\2-grams: section for 'ngram 2=3'"),
+    "repeated-section": (
+        "\\data\\\nngram 1=1\n\n\\1-grams:\n-1.0\ta\n\n\\1-grams:\n-2.0\ta\n", 7,
+        "repeated section header '\\\\1-grams:', first on line 4"),
 }
 
 

@@ -18,7 +18,7 @@ def entry(src, tgt, phi=1.0, lex=0.5, count=1, links=((0, 0),), phi_b=None):
 
 
 def table(entries, granularity="morpheme"):
-    return PhraseTable({(e.source, e.target): e for e in entries}, granularity)
+    return PhraseTable.of(entries, granularity)
 
 
 # --- segmentation lexicon / retokenization -----------------------------------
@@ -64,6 +64,15 @@ def test_retokenize_monomorphemic_identity_up_to_tagging():
     assert got.alignment == frozenset({(0, 0)})
 
 
+def test_retokenize_rejects_two_words_with_one_segmentation():
+    lex = merge.SegmentationLexicon({"dogs": ("dog/STM+", "s/SUF"),
+                                     "doggs": ("dog/STM+", "s/SUF")})
+    pt_w = table([entry(("dogs",), ("x",)), entry(("doggs",), ("x",))], "word")
+    with pytest.raises(ValueError,
+                       match=r"^repeated phrase pair 'dog/STM\+ s/SUF' \|\|\| 'x/STM'$"):
+        merge.retokenize_pt(pt_w, lex)
+
+
 def test_retokenize_requires_word_granularity():
     with pytest.raises(ValueError):
         merge.retokenize_pt(table([entry(("a/STM",), ("x/STM",))]), merge.SegmentationLexicon({}))
@@ -76,8 +85,7 @@ def test_induced_alignment_roundtrip():
     )
     pt_w = table([entry(("ab", "cd"), ("xy",), links=((0, 0), (1, 0)))], "word")
     pt_wm = merge.retokenize_pt(pt_w, lex)
-    (key,) = pt_wm.entries
-    got = pt_wm.entries[key]
+    (got,) = pt_wm
     induced = merge.induce_word_alignment(got.source, got.target, got.alignment)
     assert induced == frozenset({(0, 0), (1, 0)})
 
@@ -117,13 +125,13 @@ def test_add1_empty_secondary_constant_column():
     primary, _ = shared_tables()
     merged = merge.merge_add_features(primary, table([]), 1)
     assert len(merged) == len(primary)
-    assert all(e.extras == (E_23,) for e in merged.entries.values())
+    assert all(e.extras == (E_23,) for e in merged)
 
 
 def test_add_features_break_normalization():
     primary, secondary = shared_tables()
     merged = merge.merge_add_features(primary, secondary, 1)
-    total = sum(e.phi_fwd for e in merged.entries.values())
+    total = sum(e.phi_fwd for e in merged)
     assert abs(total - 1.0) > 1e-6  # 0.5 + 0.5 + 1.0
 
 
@@ -218,9 +226,9 @@ def test_our_method_normalization_both_directions():
     pt_m, pt_wm, pt_w, lts = our_method_fixture()
     merged = merge.merge_our_method(pt_m, pt_wm, pt_w, 0.6, *lts)
     by_src, by_tgt = {}, {}
-    for (s, t), e in merged.entries.items():
-        by_src[s] = by_src.get(s, 0.0) + e.phi_fwd
-        by_tgt[t] = by_tgt.get(t, 0.0) + e.phi_bwd
+    for e in merged:
+        by_src[e.source] = by_src.get(e.source, 0.0) + e.phi_fwd
+        by_tgt[e.target] = by_tgt.get(e.target, 0.0) + e.phi_bwd
     for total in list(by_src.values()) + list(by_tgt.values()):
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -228,25 +236,23 @@ def test_our_method_normalization_both_directions():
 def test_our_method_idempotent_phi():
     pt_m, _, pt_w, lts = our_method_fixture()
     merged = merge.merge_our_method(pt_m, pt_m, pt_w, 0.6, *lts)
-    for key, e in pt_m.entries.items():
-        assert merged.entries[key].phi_fwd == pytest.approx(e.phi_fwd, abs=1e-15)
-        assert merged.entries[key].phi_bwd == pytest.approx(e.phi_bwd, abs=1e-15)
+    for e in pt_m:
+        assert merged.get(e.source, e.target).phi_fwd == pytest.approx(e.phi_fwd, abs=1e-15)
+        assert merged.get(e.source, e.target).phi_bwd == pytest.approx(e.phi_bwd, abs=1e-15)
 
 
 def test_our_method_requires_counts():
     pt_m, pt_wm, pt_w, lts = our_method_fixture()
     bad = PhraseEntry(("b/STM",), ("w/STM",), 1.0, 1.0, 0.5, 0.5, math.e,
                       None, frozenset({(0, 0)}))
-    pt_bad = PhraseTable({(bad.source, bad.target): bad}, "morpheme")
+    pt_bad = PhraseTable.of([bad], "morpheme")
     with pytest.raises(ValueError):
         merge.merge_our_method(pt_bad, pt_wm, pt_w, 0.6, *lts)
 
 
 def test_merges_are_key_order_independent():
     pt_m, pt_wm, pt_w, lts = our_method_fixture()
-    reversed_m = PhraseTable(dict(reversed(list(pt_m.entries.items()))), "morpheme")
+    reversed_m = PhraseTable.of(reversed(list(pt_m)), "morpheme")
     a = merge.merge_our_method(pt_m, pt_wm, pt_w, 0.6, *lts)
     b = merge.merge_our_method(reversed_m, pt_wm, pt_w, 0.6, *lts)
-    assert list(a.entries) == list(b.entries)
-    for key in a.entries:
-        assert a.entries[key] == b.entries[key]
+    assert list(a) == list(b)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphsmt import cli, merge, morpho, phrasex
+from morphsmt import cli, decoder, merge, morpho, phrasex
 from morphsmt.align import AlignmentMatrix, LexicalTable
 from morphsmt.phrasex import PhrasePair
 
@@ -194,9 +194,9 @@ def test_phi_normalization_per_side():
     fwd, bwd = lex_tables()
     table = phrasex.score_phrase_table(counts, fwd, bwd)
     by_src, by_tgt = {}, {}
-    for (s, t), e in table.entries.items():
-        by_src[s] = by_src.get(s, 0.0) + e.phi_fwd
-        by_tgt[t] = by_tgt.get(t, 0.0) + e.phi_bwd
+    for e in table:
+        by_src[e.source] = by_src.get(e.source, 0.0) + e.phi_fwd
+        by_tgt[e.target] = by_tgt.get(e.target, 0.0) + e.phi_bwd
     for total in list(by_src.values()) + list(by_tgt.values()):
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -209,9 +209,9 @@ def test_table_text_roundtrip(tmp_path):
     path = tmp_path / "pt.txt"
     phrasex.write_phrase_table(path, table)
     back = phrasex.read_phrase_table(path)
-    assert set(back.entries) == set(table.entries)
-    for key, entry in table.entries.items():
-        got = back.entries[key]
+    assert len(back) == len(table)
+    for entry in table:
+        got = back.get(entry.source, entry.target)
         assert got.scores() == entry.scores()
         assert got.count_joint == entry.count_joint
         assert got.alignment == entry.alignment
@@ -227,7 +227,7 @@ def test_table_without_counts_roundtrips_through_merge(tmp_path):
         path = tmp_path / f"{name}.txt"
         phrasex.write_phrase_table(path, original)
         back = phrasex.read_phrase_table(path)
-        assert back.entries == original.entries
+        assert list(back) == list(original)
         phrasex.write_phrase_table(tmp_path / "again.txt", back)
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
@@ -242,7 +242,7 @@ table_value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]),
 def phrase_tables(draw):
     """Tables with or without counts and links per entry, and 0-2 extra scores."""
     n_extras = draw(st.integers(0, 2))
-    entries = {}
+    entries = {}  # by (source, target): a drawn pair may repeat
     for _ in range(draw(st.integers(0, 5))):
         src = tuple(draw(st.lists(table_token, min_size=1, max_size=3)))
         tgt = tuple(draw(st.lists(table_token, min_size=1, max_size=3)))
@@ -252,7 +252,7 @@ def phrase_tables(draw):
         count = draw(st.none() | table_value)
         entries[(src, tgt)] = phrasex.PhraseEntry(src, tgt, *scores[:5], count, links,
                                                   tuple(scores[5:]))
-    return phrasex.PhraseTable(entries, n_extras=n_extras)
+    return phrasex.PhraseTable.of(entries.values(), n_extras=n_extras)
 
 
 @settings(deadline=None)
@@ -262,7 +262,7 @@ def test_table_write_read_write_is_byte_identical(tmp_path_factory, table):
     phrasex.write_phrase_table(path, table)
     first = path.read_bytes()
     back = phrasex.read_phrase_table(path)
-    assert back.entries == table.entries
+    assert list(back) == list(table)
     phrasex.write_phrase_table(path, back)
     assert path.read_bytes() == first
 
@@ -288,9 +288,59 @@ def test_every_table_build_holds_one_set_per_alignment(tmp_path):
     phrasex.write_phrase_table(tmp_path / "pt.txt", aware)
     read = phrasex.read_phrase_table(tmp_path / "pt.txt")
     for table in (classic, aware, pt_wm, read):
-        alignments = [e.alignment for e in table.entries.values()]
+        alignments = [e.alignment for e in table]
         # equal alignments recur across entries, and each is one object
         assert len({id(al) for al in alignments}) == len(set(alignments)) < len(alignments)
+
+
+def test_table_file_line_order_does_not_matter(tmp_path):
+    rng = random.Random(5)
+    src = [random_morph_sentence(rng, max_words=4) for _ in range(30)]
+    tgt = [random_morph_sentence(rng, max_words=4) for _ in range(30)]
+    table, _, _ = cli.build_table(src, tgt, "morpheme", True, 3, 2, "grow-diag-final-and")
+    phrasex.write_phrase_table(tmp_path / "pt.txt", table)
+    lines = (tmp_path / "pt.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    shuffled = lines.copy()
+    rng.shuffle(shuffled)
+    assert shuffled != lines
+    (tmp_path / "shuffled.txt").write_text("".join(shuffled), encoding="utf-8")
+    tables = [phrasex.read_phrase_table(tmp_path / name) for name in ("pt.txt", "shuffled.txt")]
+    for name, back in zip(("a.txt", "b.txt"), tables):
+        phrasex.write_phrase_table(tmp_path / name, back)
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    # the sentence with the most options, in which several share a source span
+    sentence = max(src, key=lambda s: len(decoder.build_options(s, tables[0])))
+    options = [decoder.build_options(sentence, back) for back in tables]
+    assert max(Counter((o.start, o.end) for o in options[0]).values()) > 1
+    assert options[0] == options[1]
+
+
+def test_table_is_sorted_by_source_then_target_and_rejects_a_repeated_pair():
+    def entry(src, tgt):
+        return phrasex.PhraseEntry(tuple(src), tuple(tgt), 0.5, 0.5, 0.5, 0.5, math.e, 1,
+                                   frozenset())
+    entries = [entry(s, t) for s, t in (("b", "x"), ("a", "z"), ("ab", "x"), ("a", "x"))]
+    table = phrasex.PhraseTable.of(entries)
+    assert [(e.source, e.target) for e in table] == [
+        (("a",), ("x",)), (("a",), ("z",)), (("a", "b"), ("x",)), (("b",), ("x",))]
+    assert list(table.by_source) == [("a",), ("a", "b"), ("b",)]
+    assert all(type(group) is tuple for group in table.by_source.values())
+    with pytest.raises(ValueError, match=r"^repeated phrase pair 'a' \|\|\| 'z'$"):
+        phrasex.PhraseTable.of(entries + [entry("a", "z")])
+
+
+def test_get_looks_up_a_pair_by_source_then_target():
+    entries = [phrasex.PhraseEntry(src, tgt, 0.5, 0.5, 0.5, 0.5, math.e, 1, frozenset())
+               for src, tgt in ((("a",), ("x",)), (("a",), ("y", "z")), (("a",), ("z",)),
+                                (("b",), ("y",)))]
+    table = phrasex.PhraseTable.of(entries)
+    assert table.get(("a",), ("x",)) is entries[0]  # first of its source's targets
+    assert table.get(["a"], ["z"]) is entries[2]  # last of them
+    assert table.get(("a",), ("y", "z")) is entries[1]
+    for target in (("w",), ("y",), ("zz",)):  # before, between and after them
+        assert table.get(("a",), target) is None
+    assert table.get(("c",), ("x",)) is None  # an absent source
+    assert table.get((), ()) is None
 
 
 def test_duplicate_table_line_names_the_first(tmp_path):
@@ -338,10 +388,9 @@ def test_scoring_matches_reference_bit_for_bit(seed):
     bwd = LexicalTable({(f, e): rng.random() for (e, f) in probs if e is not None})
     got = phrasex.score_phrase_table(counts, fwd, bwd, "word", 4)
     want = oracles.reference_score_phrase_table(counts, fwd, bwd, "word", 4)
-    assert list(got.entries) == list(want.entries)
-    for key, entry in want.entries.items():
-        assert got.entries[key] == entry
-        assert repr(got.entries[key].scores()) == repr(entry.scores())
+    assert list(got) == list(want)
+    for got_entry, entry in zip(got, want):
+        assert repr(got_entry.scores()) == repr(entry.scores())
     assert (got.granularity, got.max_span) == ("word", 4)
 
 
