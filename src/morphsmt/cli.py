@@ -14,7 +14,7 @@ import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, get_args
 
 from . import __version__
 from . import align as al
@@ -25,12 +25,7 @@ from . import mert as mt
 from . import metrics as ev
 from . import morpho as mo
 from . import phrasex as px
-from .config import PipelineConfig, load_config
-
-SYSTEMS = (
-    "w-system", "m-system", "m+phr", "m+lm", "m+tune",
-    "m+phr+lm", "m+phr+lm+tune", "merged",
-)
+from .config import BOUNDS, PipelineConfig, load_config
 
 
 @dataclass(frozen=True)
@@ -53,6 +48,7 @@ PLANS = {
     "m+phr+lm+tune": SystemPlan("morpheme", True, True, True, True, False),
     "merged": SystemPlan("morpheme", True, True, True, False, True),
 }
+SYSTEMS = tuple(PLANS)
 
 
 def words_as_tokens(words: Sequence[str]) -> tuple[str, ...]:
@@ -75,15 +71,21 @@ def _read_parallel(read, path_a, path_b) -> tuple[list, list]:
     return lines_a, lines_b
 
 
-def _check_search_options(args) -> None:
-    """ValueError naming the search option out of bounds, as Config.validate
-    checks them for the pipeline; ``--max-span`` is decode's only."""
-    for option in ("beam", "nbest", "max_span"):
-        value = getattr(args, option, None)
-        if value is not None and value <= 0:
-            raise ValueError(f"--{option.replace('_', '-')} must be positive")
-    if args.distortion_limit < 0:
-        raise ValueError("--distortion-limit must be >= 0")
+# each checked subcommand flag, by dest: the config setting whose bound it takes
+_FLAG_SETTINGS = {
+    "beam": "beam", "nbest": "nbest", "distortion_limit": "distortion_limit",
+    "max_iters": "mert_max_iters", "epsilon": "mert_epsilon", "iterations": "align_iterations",
+    "order": "lm_word_order", "max_span": "max_words", "alpha": "merge_alpha",
+}
+
+
+def _check_flags(args) -> None:
+    """ValueError naming the first given flag outside its setting's bound."""
+    for dest, setting in _FLAG_SETTINGS.items():
+        value = getattr(args, dest, None)
+        ok, must = BOUNDS[setting]
+        if value is not None and not ok(value):
+            raise ValueError(f"--{dest.replace('_', '-')} {must}")
 
 
 def sha256_file(path) -> str:
@@ -213,16 +215,13 @@ def decode_corpus(
     beam: int,
     distortion_limit: int,
     n: int,
-    max_span: Optional[int] = None,
 ) -> tuple[list[dec.Hypothesis], list[list[dec.NBestEntry]]]:
     """The best hypothesis and the ``n``-best list of each source sentence,
     from one search per sentence."""
     best, lists = [], []
     for source in sources:
-        lists.append(dec.nbest(source, table, lm_m, lm_w, weights, beam,
-                               distortion_limit, n, max_span))
-        best.append(dec.decode(source, table, lm_m, lm_w, weights, beam,
-                               distortion_limit, max_span))
+        lists.append(dec.nbest(source, table, lm_m, lm_w, weights, beam, distortion_limit, n))
+        best.append(dec.decode(source, table, lm_m, lm_w, weights, beam, distortion_limit))
     return best, lists
 
 
@@ -378,9 +377,8 @@ def _cmd_extract(args) -> int:
     segmented = args.granularity == "morpheme" or args.boundary_aware
     read = mo.read_segmented_file if segmented else mo.read_word_file
     src, tgt = _read_parallel(read, args.source, args.target)
-    table, _, _ = build_table(src, tgt, args.granularity, args.boundary_aware,
-                              args.max_span, args.iterations, "grow-diag-final-and",
-                              args.alignments)
+    table, _, _ = build_table(src, tgt, args.granularity, args.boundary_aware, args.max_span,
+                              args.iterations, PipelineConfig.align_heuristic, args.alignments)
     px.write_phrase_table(args.output, table)
     return 0
 
@@ -392,10 +390,9 @@ def _cmd_lm_train(args) -> int:
 
 
 def _load_search(args, source_path):
-    """What ``decode`` and ``mert`` search with, after their search options
-    are checked: the table, the optional LMs, the weights (the defaults for
-    that table and those LMs when no file is given) and the source sentences."""
-    _check_search_options(args)
+    """What ``decode`` and ``mert`` search with: the table, the optional LMs,
+    the weights (the defaults for that table and those LMs when no file is
+    given) and the source sentences."""
     table = px.read_phrase_table(args.table, args.granularity)
     lm_m = lmod.read_arpa(args.lm_morph) if args.lm_morph else None
     lm_w = lmod.read_arpa(args.lm_word) if args.lm_word else None
@@ -412,7 +409,7 @@ def _load_search(args, source_path):
 def _cmd_decode(args) -> int:
     table, lm_m, lm_w, weights, sources = _load_search(args, args.input)
     best, nbest_lists = decode_corpus(sources, table, lm_m, lm_w, weights, args.beam,
-                                      args.distortion_limit, args.nbest, args.max_span)
+                                      args.distortion_limit, args.nbest)
     mo.write_word_lines(args.output, [dec.target_tokens(h) for h in best])
     if args.nbest_output:
         dec.write_nbest(args.nbest_output, nbest_lists)
@@ -469,11 +466,8 @@ def _cmd_merge_pt(args) -> int:
         else:
             merged = mg.merge_add_features(primary, secondary, 1 if args.method == "add-1" else 2)
     else:  # our-method; argparse's choices admit no other
-        needed = (args.pt_w, args.lex_m_fwd, args.lex_m_bwd,
-                  args.lex_w_fwd, args.lex_w_bwd)
-        if any(p is None for p in needed):
-            print("our-method needs --pt-w and the four --lex-* tables",
-                  file=sys.stderr)
+        if None in (args.pt_w, args.lex_m_fwd, args.lex_m_bwd, args.lex_w_fwd, args.lex_w_bwd):
+            print("our-method needs --pt-w and the four --lex-* tables", file=sys.stderr)
             return 2
         pt_m = px.read_phrase_table(args.primary, "morpheme")
         pt_wm = px.read_phrase_table(args.secondary, "morpheme")
@@ -507,11 +501,13 @@ def _cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommands; a flag that mirrors a config setting takes its default from it."""
     parser = argparse.ArgumentParser(
         prog="morphsmt",
         description="desk-scale hybrid morpheme-word phrase-based SMT",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    granularities = get_args(al.Granularity)
 
     p = sub.add_parser("segment-apply", help="stub-segment plain text")
     p.add_argument("--input", required=True)
@@ -523,9 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--heuristic", default="grow-diag-final-and",
-                   choices=["intersection", "union", "grow-diag-final-and"])
+    p.add_argument("--iterations", type=int, default=PipelineConfig.align_iterations)
+    p.add_argument("--heuristic", default=PipelineConfig.align_heuristic,
+                   choices=get_args(al.Heuristic))
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("extract", help="extract and score a phrase table")
@@ -534,51 +530,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alignments", default=None,
                    help="Pharaoh file; omitted = align internally")
     p.add_argument("--output", required=True)
-    p.add_argument("--granularity", default="morpheme", choices=["word", "morpheme"])
+    p.add_argument("--granularity", default="morpheme", choices=granularities)
     p.add_argument("--boundary-aware", action="store_true")
-    p.add_argument("--max-span", type=int, default=7,
+    p.add_argument("--max-span", type=int, default=PipelineConfig.max_words,
                    help="words (boundary-aware/word) or tokens (classic)")
-    p.add_argument("--iterations", type=int, default=5)
+    p.add_argument("--iterations", type=int, default=PipelineConfig.align_iterations)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("lm-train", help="train a backoff n-gram LM, write ARPA")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--smoothing", default="witten-bell",
-                   choices=["mle", "witten-bell", "kneser-ney"])
+    p.add_argument("--smoothing", default=PipelineConfig.lm_smoothing,
+                   choices=get_args(lmod.Smoothing))
     p.set_defaults(func=_cmd_lm_train)
 
-    p = sub.add_parser("decode", help="translate a file with a phrase table")
+    # what decode and mert search with
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--table", required=True)
+    search.add_argument("--output", required=True)
+    search.add_argument("--granularity", default="morpheme", choices=granularities)
+    search.add_argument("--lm-morph", default=None)
+    search.add_argument("--lm-word", default=None)
+    search.add_argument("--weights", help="omitted = the defaults for the table and LMs")
+    search.add_argument("--beam", type=int, default=PipelineConfig.beam)
+    search.add_argument("--distortion-limit", type=int,
+                        default=PipelineConfig.distortion_limit)
+    search.add_argument("--nbest", type=int, default=PipelineConfig.nbest)
+
+    p = sub.add_parser("decode", parents=[search],
+                       help="translate a file with a phrase table")
     p.add_argument("--input", required=True)
-    p.add_argument("--table", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--granularity", default="morpheme", choices=["word", "morpheme"])
-    p.add_argument("--lm-morph", default=None)
-    p.add_argument("--lm-word", default=None)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--beam", type=int, default=100)
-    p.add_argument("--distortion-limit", type=int, default=6)
-    p.add_argument("--nbest", type=int, default=100)
     p.add_argument("--nbest-output", default=None)
-    p.add_argument("--max-span", type=int, default=None)
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("mert", help="tune weights on a dev set (word-level BLEU)")
+    p = sub.add_parser("mert", parents=[search],
+                       help="tune weights on a dev set (word-level BLEU)")
     p.add_argument("--dev-source", required=True)
     p.add_argument("--dev-refs", required=True, help="word-token references")
-    p.add_argument("--table", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--granularity", default="morpheme", choices=["word", "morpheme"])
-    p.add_argument("--lm-morph", default=None)
-    p.add_argument("--lm-word", default=None)
-    p.add_argument("--weights", default=None, help="initial weights file")
-    p.add_argument("--beam", type=int, default=100)
-    p.add_argument("--distortion-limit", type=int, default=6)
-    p.add_argument("--nbest", type=int, default=100)
-    p.add_argument("--max-iters", type=int, default=10)
-    p.add_argument("--epsilon", type=float, default=0.0001)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--max-iters", type=int, default=PipelineConfig.mert_max_iters)
+    p.add_argument("--epsilon", type=float, default=PipelineConfig.mert_epsilon)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--log", default=None)
     p.set_defaults(func=_cmd_mert)
 
@@ -592,15 +584,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("merge-pt", help="combine two phrase tables")
-    p.add_argument("--method", required=True,
-                   choices=["add-1", "add-2", "interpolation", "our-method"])
+    p.add_argument("--method", required=True, choices=get_args(mg.MergeMethod))
     p.add_argument("--primary", required=True,
                    help="primary table (pt_m for our-method)")
     p.add_argument("--secondary", required=True,
                    help="secondary table (retokenized pt_w->m for our-method)")
     p.add_argument("--output", required=True)
-    p.add_argument("--granularity", default="morpheme", choices=["word", "morpheme"])
-    p.add_argument("--alpha", type=float, default=0.6)
+    p.add_argument("--granularity", default="morpheme", choices=granularities)
+    p.add_argument("--alpha", type=float, default=PipelineConfig.merge_alpha)
     p.add_argument("--pt-w", default=None)
     p.add_argument("--lex-m-fwd", default=None)
     p.add_argument("--lex-m-bwd", default=None)
@@ -609,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_merge_pt)
 
     p = sub.add_parser("pipeline", help="run a named end-to-end system")
-    p.add_argument("system", choices=list(SYSTEMS))
+    p.add_argument("system", choices=SYSTEMS)
     p.add_argument("--config", required=True)
     p.add_argument("--run-dir", required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -623,6 +614,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from typing import Mapping, NoReturn, Optional, get_args
 
 from .align import Heuristic
 from .lm import Smoothing
+from .merge import MergeMethod
 
 DATA_KEYS = tuple(
     f"{split}_{side}_{kind}"
@@ -38,6 +39,15 @@ _SETTING_KEYS = {
     "merge.alpha": ("merge_alpha", float),
     "merge.primary": ("merge_primary", str),
     "seed": ("seed", int),
+}
+
+# each bounded setting: a test of its value, and what a value must be to pass
+BOUNDS = {
+    **dict.fromkeys(("max_words", "max_morphemes", "lm_word_order", "lm_morph_order",
+                     "align_iterations", "beam", "nbest", "mert_max_iters", "mert_epsilon",
+                     "seed"), (lambda v: v > 0, "must be positive")),
+    "distortion_limit": (lambda v: v >= 0, "must be >= 0"),
+    "merge_alpha": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
 }
 
 
@@ -74,20 +84,10 @@ class PipelineConfig:
             where = origins.get(name)
             raise ConfigError(f"{where}: {problem}" if where else problem)
 
-        positive = (
-            "max_words", "max_morphemes", "lm_word_order", "lm_morph_order",
-            "align_iterations", "beam", "nbest", "mert_max_iters", "seed",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                fail(name, f"{name} must be positive")
-        if self.distortion_limit < 0:
-            fail("distortion_limit", "distortion_limit must be >= 0")
-        if self.mert_epsilon <= 0:
-            fail("mert_epsilon", "mert_epsilon must be positive")
-        if not 0.0 <= self.merge_alpha <= 1.0:
-            fail("merge_alpha", "merge_alpha must be in [0, 1]")
-        if self.merge_method not in ("our-method", "interpolation", "add-1", "add-2"):
+        for name, (ok, must) in BOUNDS.items():
+            if not ok(getattr(self, name)):
+                fail(name, f"{name} {must}")
+        if self.merge_method not in get_args(MergeMethod):
             fail("merge_method", f"unknown merge method: {self.merge_method}")
         if self.merge_primary not in ("wm", "m"):
             fail("merge_primary", f"merge.primary must be wm or m: {self.merge_primary}")

@@ -137,10 +137,9 @@ def _span_mask(start: int, end: int) -> int:
     return ((1 << (end - start)) - 1) << start
 
 
-def build_options(
-    source: tuple[str, ...], table: PhraseTable, max_span: Optional[int] = None
-) -> list[TranslationOption]:
-    """Phrase options over whole-word source spans, plus OOV pass-through.
+def build_options(source: tuple[str, ...], table: PhraseTable) -> list[TranslationOption]:
+    """Phrase options over whole-word source spans of at most
+    ``table.max_span`` words (any length when 0), plus OOV pass-through.
 
     A source word no option covers is copied through as its own word with a
     unit oov feature and neutral translation scores.  Phrases are looked up
@@ -152,7 +151,7 @@ def build_options(
     if table.granularity == "word":
         tokens = tuple(split_token_string(t)[0] for t in source)
     n_words = len(spans)
-    limit = max_span or (table.max_span if table.max_span > 0 else n_words)
+    limit = table.max_span or n_words
     options: list[TranslationOption] = []
     covered = set()
     for w1 in range(n_words):
@@ -256,7 +255,6 @@ def search(
     weights: Mapping[str, float],
     beam_size: Optional[int] = 100,
     distortion_limit: int = 6,
-    max_span: Optional[int] = None,
 ) -> list[Hypothesis]:
     """All finalized complete hypotheses that survived the beam.
 
@@ -302,7 +300,7 @@ def search(
     target id)), and each LM question once per model (``lm.step`` keeps its
     answer in the model's transition table for the model's lifetime).
     """
-    options = build_options(source, table, max_span)
+    options = build_options(source, table)
     n_words = max((opt.end for opt in options), default=0)  # OOV pass-through covers every word
     names = (*dict.fromkeys(name for opt in options for name, _ in opt.tm_features),
              *(name for name, model in (("lm_morph", lm_m), ("lm_word", lm_w))
@@ -519,8 +517,8 @@ def trace(hyp: Hypothesis, source: tuple[str, ...]) -> list[tuple[int, int, tupl
 
 
 # The last search: (source, table, lm_m, lm_w), compared by identity and held
-# so their ids cannot be reused; (weights, beam, distortion limit, max span),
-# compared by value; and its complete hypotheses.
+# so their ids cannot be reused; (weights, beam, distortion limit), compared
+# by value; and its complete hypotheses.
 _last_search: Optional[tuple[tuple, tuple, list[Hypothesis]]] = None
 
 
@@ -532,18 +530,16 @@ def _search_once(
     weights: Mapping[str, float],
     beam_size: Optional[int],
     distortion_limit: int,
-    max_span: Optional[int],
 ) -> list[Hypothesis]:
     """search(), or its result from the previous call with the same arguments."""
     global _last_search
     objects = (source, table, lm_m, lm_w)
-    values = (dict(weights), beam_size, distortion_limit, max_span)
+    values = (dict(weights), beam_size, distortion_limit)
     last = _last_search
     if (last is not None and all(a is b for a, b in zip(last[0], objects))
             and last[1] == values):
         return last[2]
-    complete = search(source, table, lm_m, lm_w, weights, beam_size,
-                      distortion_limit, max_span)
+    complete = search(source, table, lm_m, lm_w, weights, beam_size, distortion_limit)
     _last_search = (objects, values, complete)
     return complete
 
@@ -556,11 +552,9 @@ def decode(
     weights: Mapping[str, float],
     beam_size: Optional[int] = 100,
     distortion_limit: int = 6,
-    max_span: Optional[int] = None,
 ) -> Hypothesis:
     """Highest-scoring complete hypothesis (ties broken by target string)."""
-    complete = _search_once(source, table, lm_m, lm_w, weights, beam_size,
-                            distortion_limit, max_span)
+    complete = _search_once(source, table, lm_m, lm_w, weights, beam_size, distortion_limit)
     return max(complete, key=lambda h: (h.score, target_tokens(h)))
 
 
@@ -580,11 +574,9 @@ def nbest(
     beam_size: Optional[int] = 100,
     distortion_limit: int = 6,
     n: int = 100,
-    max_span: Optional[int] = None,
 ) -> list[NBestEntry]:
     """Top-n distinct target token strings by score, descending."""
-    complete = _search_once(source, table, lm_m, lm_w, weights, beam_size,
-                            distortion_limit, max_span)
+    complete = _search_once(source, table, lm_m, lm_w, weights, beam_size, distortion_limit)
     best: dict[tuple[str, ...], Hypothesis] = {}
     for hyp in complete:
         key = target_tokens(hyp)

@@ -16,11 +16,13 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .align import LexicalTable
 from .morpho import split_token_string, word_spans, words_from_tokens
 from .phrasex import PHRASE_PENALTY, PhraseEntry, PhraseTable, lexical_weights
+
+MergeMethod = Literal["add-1", "add-2", "interpolation", "our-method"]
 
 # origin feature values for the add-feature merges
 FEAT_BOTH = math.e
@@ -108,8 +110,6 @@ def merge_add_features(
     """
     if n_features not in (1, 2):
         raise ValueError("n_features must be 1 or 2")
-    if primary.granularity != secondary.granularity:
-        raise ValueError("granularity mismatch in add-feature merge")
     entries = []
     for _, _, p, s in _union(primary, secondary):
         base = p or s
@@ -134,8 +134,6 @@ def merge_interpolate(
     """Linear interpolation of the four probability scores; missing side is 0."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    if pt_a.granularity != pt_b.granularity:
-        raise ValueError("granularity mismatch in interpolation merge")
     entries = []
     for src, tgt, a, b in _union(pt_a, pt_b):
 
@@ -241,7 +239,10 @@ def _count(e) -> float:
 
 def _union(a: PhraseTable, b: PhraseTable) -> Iterator[tuple]:
     """(source, target, entry of ``a``, entry of ``b``) over the pairs of
-    either table, in (source, target) order; a table without the pair gives None."""
+    either table, in (source, target) order; a table without the pair gives
+    None.  Tables of two granularities are a ValueError."""
+    if a.granularity != b.granularity:
+        raise ValueError(f"cannot merge a {a.granularity} table with a {b.granularity} table")
     tagged = heapq.merge(((e.source, e.target, 0, e) for e in a),
                          ((e.source, e.target, 1, e) for e in b))
     for (src, tgt), group in groupby(tagged, key=itemgetter(0, 1)):

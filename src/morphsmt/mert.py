@@ -172,6 +172,8 @@ def mert_run(
     """Full MERT loop; the returned state carries the argmax-BLEU weights."""
     if not dev_refs:
         raise ValueError("empty dev set")
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
     state = MertState(
         weights=dict(initial_weights),
         pool=[dict() for _ in dev_refs],

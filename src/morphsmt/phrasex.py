@@ -353,13 +353,16 @@ def write_phrase_table(path, table: PhraseTable) -> None:
 def read_phrase_table(path, granularity: Granularity = "morpheme") -> PhraseTable:
     """A table file; a line that repeats an earlier line's source and target
     is rejected, so no line's scores silently replace another's.  Equal link
-    sets are read as one shared set."""
+    sets are read as one shared set.  ``max_span`` is the longest source
+    phrase in words; a word table's tokens are words."""
     shared: dict[frozenset, frozenset] = {}
     entries = parse_keyed_file(
         path, lambda line: _parse_phrase_line(line, shared),
         lambda key: f"phrase pair {' '.join(key[0])!r} ||| {' '.join(key[1])!r}")
+    n_words = len if granularity == "word" else (lambda src: len(word_spans(src)))
+    max_span = max((n_words(src) for src, _ in entries), default=0)
     n_extras = max((len(e.extras) for e in entries.values()), default=0)
-    return PhraseTable.of(entries.values(), granularity, n_extras=n_extras)
+    return PhraseTable.of(entries.values(), granularity, max_span, n_extras)
 
 
 def _parse_phrase_line(line: str, shared: dict) -> Optional[tuple[tuple, PhraseEntry]]:

@@ -206,7 +206,7 @@ def finalized_features(feats, state, lm_m, lm_w):
 
 
 def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
-                     distortion_limit=6, max_span=None):
+                     distortion_limit=6):
     """The plain stack search: build every extension, then sort and cut each
     stack; no memo and no early rejection.  Each node holds its features as
     a dict, filled by ``extended_features`` and scored by ``dot``.  It shares
@@ -216,7 +216,7 @@ def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
     from morphsmt.lm import initial_twin_state
 
     n_words = len(word_spans_of(source))
-    options = dec.build_options(source, table, max_span)
+    options = dec.build_options(source, table)
     future = dec._future_costs(options, n_words, weights, lm_m)
     by_start = sorted(options, key=lambda o: o.start)  # stable: table order per start
     rest_memo = {}

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 import os
@@ -102,6 +103,48 @@ def test_extract_writes_the_pipelines_table(tmp_path, system, given_alignments):
         argv += ["--alignments", links]
     assert cli.main(argv) == 0
     assert (tmp_path / "pt.txt").read_bytes() == pt.read_bytes()
+
+
+@pytest.mark.parametrize("system", ["w-system", "m-system", "m+phr+lm", "m+phr+lm+tune",
+                                    "merged"])
+def test_decoding_a_runs_artifacts_gives_its_output(tmp_path, monkeypatch, system):
+    tables = []  # the pipeline's in-memory table, as it is written
+    write = phrasex.write_phrase_table
+    monkeypatch.setattr(phrasex, "write_phrase_table",
+                        lambda path, table: tables.append(table) or write(path, table))
+    cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=7, sizes=(60, 8, 8)))
+    run = cli.run_pipeline(system, cfg, tmp_path / "run")
+    plan = cli.PLANS[system]
+    kind = "words" if plan.granularity == "word" else "morphs"
+    argv = ["decode", "--input", str(cfg.paths[f"test_src_{kind}"]), "--table", str(run["pt"]),
+            "--granularity", plan.granularity, "--weights", str(run["weights"]),
+            "--beam", str(cfg.beam), "--distortion-limit", str(cfg.distortion_limit),
+            "--nbest", str(cfg.nbest), "--output", str(tmp_path / "out.txt"),
+            "--nbest-output", str(tmp_path / "nbest.txt")]
+    for name, flag in (("lm_m", "--lm-morph"), ("lm_w", "--lm-word")):
+        if name in run:
+            argv += [flag, str(run[name])]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "out.txt").read_bytes() == run["output"].read_bytes()
+    # ARPA files hold log10 values, so scores may differ in their last bits
+    got, want = decoder.read_nbest(tmp_path / "nbest.txt"), decoder.read_nbest(run["nbest"])
+    assert [[e.tokens for e in lst] for lst in got] == [[e.tokens for e in lst] for lst in want]
+    for got_list, want_list in zip(got, want, strict=True):
+        for a, b in zip(got_list, want_list, strict=True):
+            assert abs(a.score - b.score) <= 1e-12
+    # the read-back table spans only its longest source phrase, and gives
+    # the options of the pipeline's table, which spans the config's limit
+    read_back = phrasex.read_phrase_table(run["pt"], plan.granularity)
+    assert 0 < read_back.max_span <= tables[0].max_span
+    if plan.granularity == "word":
+        sources = [cli.words_as_tokens(words) for split in ("dev", "test")
+                   for words in morpho.read_word_file(cfg.paths[f"{split}_src_words"])]
+    else:
+        sources = [source for split in ("dev", "test")
+                   for source in morpho.read_segmented_file(cfg.paths[f"{split}_src_morphs"])]
+    assert len(sources) == 16
+    for source in sources:
+        assert decoder.build_options(source, read_back) == decoder.build_options(source, tables[0])
 
 
 def test_lm_train_subcommand(tmp_path):
@@ -515,6 +558,8 @@ CONFIG_ERRORS = {
                          "--set decoder.beam=ten: bad value for decoder.beam: 'ten'"),
     "out-of-range-set-value": (None, ["--set", "merge.alpha=1.5"],
                                "--set merge.alpha=1.5: merge_alpha must be in [0, 1]"),
+    "nan-set-value": (None, ["--set", "mert.epsilon=nan"],
+                      "--set mert.epsilon=nan: mert_epsilon must be positive"),
     "set-without-equals": (None, ["--set", "decoder.beam"],
                            "--set expects KEY=VALUE: 'decoder.beam'"),
     "unknown-heuristic": (None, ["--set", "align.heuristic=grow-diag"],
@@ -547,29 +592,50 @@ SEARCH_OPTIONS = {
     # case: (subcommand, option, bad value, message)
     "decode-beam": ("decode", "--beam", "0", "--beam must be positive"),
     "decode-nbest": ("decode", "--nbest", "0", "--nbest must be positive"),
-    "decode-max-span": ("decode", "--max-span", "0", "--max-span must be positive"),
     "decode-distortion-limit": ("decode", "--distortion-limit", "-1",
                                 "--distortion-limit must be >= 0"),
     "mert-beam": ("mert", "--beam", "-3", "--beam must be positive"),
     "mert-nbest": ("mert", "--nbest", "0", "--nbest must be positive"),
     "mert-distortion-limit": ("mert", "--distortion-limit", "-2",
                               "--distortion-limit must be >= 0"),
+    "mert-max-iters": ("mert", "--max-iters", "0", "--max-iters must be positive"),
+    "mert-epsilon": ("mert", "--epsilon", "0", "--epsilon must be positive"),
+    "extract-max-span": ("extract", "--max-span", "0", "--max-span must be positive"),
+    "align-iterations": ("align", "--iterations", "0", "--iterations must be positive"),
+    "lm-train-order": ("lm-train", "--order", "0", "--order must be positive"),
+    "merge-pt-alpha": ("merge-pt", "--alpha", "1.5", "--alpha must be in [0, 1]"),
+    "mert-nan-epsilon": ("mert", "--epsilon", "nan", "--epsilon must be positive"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_OPTIONS))
 def test_search_options_are_checked_before_loading(tmp_path, case):
-    # the table does not exist: a checked option is reported before any read
+    # no input exists: a checked option is reported before any read
     command, option, value, message = SEARCH_OPTIONS[case]
-    (tmp_path / "src").write_text("a/STM\n", encoding="utf-8")
-    (tmp_path / "refs").write_text("x\n", encoding="utf-8")
-    files = {
-        "decode": ["--input", str(tmp_path / "src"), "--nbest-output",
+    missing = str(tmp_path / "missing")
+    inputs = {
+        "decode": ["--input", missing, "--table", missing, "--nbest-output",
                    str(tmp_path / "nbest.txt")],
-        "mert": ["--dev-source", str(tmp_path / "src"), "--dev-refs", str(tmp_path / "refs")],
+        "mert": ["--dev-source", missing, "--dev-refs", missing, "--table", missing,
+                 "--log", str(tmp_path / "log.txt")],
+        "extract": ["--source", missing, "--target", missing],
+        "align": ["--source", missing, "--target", missing],
+        "lm-train": ["--input", missing],
+        "merge-pt": ["--method", "add-1", "--primary", missing, "--secondary", missing],
     }[command]
-    proc = run_morphsmt(command, *files, "--table", str(tmp_path / "missing"),
-                        "--output", str(tmp_path / "out.txt"), option, value)
+    proc = run_morphsmt(command, *inputs, "--output", str(tmp_path / "out.txt"), option, value)
     assert proc.returncode == 1
     assert proc.stderr == f"error: {message}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["refs", "src"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_subcommand_prints_its_help(capsys):
+    parser = cli.build_parser()
+    names = next(action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert {"decode", "mert", "extract", "pipeline"} <= set(names)
+    for name in names:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: morphsmt {name} ")

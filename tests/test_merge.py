@@ -250,6 +250,20 @@ def test_our_method_requires_counts():
         merge.merge_our_method(pt_bad, pt_wm, pt_w, 0.6, *lts)
 
 
+@pytest.mark.parametrize("method", ["add-1", "interpolation", "our-method"])
+def test_merges_reject_a_word_table_with_a_morpheme_table(method):
+    pt_m, _, pt_w, lts = our_method_fixture()
+    merged = {
+        "add-1": lambda a, b: merge.merge_add_features(a, b, 1),
+        "interpolation": lambda a, b: merge.merge_interpolate(a, b, 0.6),
+        "our-method": lambda a, b: merge.merge_our_method(a, b, pt_w, 0.6, *lts),
+    }[method]
+    for a, b in ((pt_m, pt_w), (pt_w, pt_m)):
+        with pytest.raises(ValueError, match=f"^cannot merge a {a.granularity} table "
+                                             f"with a {b.granularity} table$"):
+            merged(a, b)
+
+
 def test_merges_are_key_order_independent():
     pt_m, pt_wm, pt_w, lts = our_method_fixture()
     reversed_m = PhraseTable.of(reversed(list(pt_m)), "morpheme")

@@ -193,3 +193,12 @@ def test_mert_run_matches_reference_bit_for_bit(trial, monkeypatch):
                  + [[b.hex() for b in st.history], st.best_bleu.hex()]
                  for st in states)
     assert got == want
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_mert_needs_an_iteration(max_iters):
+    # no iteration would leave the unset best BLEU (-1) for the log
+    calls = []
+    with pytest.raises(ValueError, match="^max_iters must be positive$"):
+        mert_run([("a",)], {"f": 1.0}, lambda w: calls.append(w) or [[]], max_iters=max_iters)
+    assert calls == []

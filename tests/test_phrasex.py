@@ -315,6 +315,19 @@ def test_table_file_line_order_does_not_matter(tmp_path):
     assert options[0] == options[1]
 
 
+def test_read_table_spans_its_longest_source_phrase_in_words(tmp_path):
+    scores = f"0.5 0.5 0.5 0.5 {math.e!r} ||| 1"
+    path = tmp_path / "pt.txt"
+    # word table: each token is a word, even one shaped like a word-internal token
+    path.write_text(f"x/STM+ y ||| z ||| {scores}\nx ||| z ||| {scores}\n", encoding="utf-8")
+    assert phrasex.read_phrase_table(path, "word").max_span == 2
+    path.write_text(f"a/STM+ b/SUF c/STM ||| z/STM ||| {scores}\nd/STM ||| z/STM ||| {scores}\n",
+                    encoding="utf-8")
+    assert phrasex.read_phrase_table(path, "morpheme").max_span == 2
+    path.write_text("", encoding="utf-8")
+    assert phrasex.read_phrase_table(path).max_span == 0
+
+
 def test_table_is_sorted_by_source_then_target_and_rejects_a_repeated_pair():
     def entry(src, tgt):
         return phrasex.PhraseEntry(tuple(src), tuple(tgt), 0.5, 0.5, 0.5, 0.5, math.e, 1,
