@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Literal, Optional, Sequence
 
 from .morpho import parse_file, parse_keyed_file
 
 Granularity = Literal["word", "morpheme"]
+
+# t(target | source) by (source, target), with source None as the NULL token
+LexicalTable = dict[tuple[Optional[str], str], float]
 
 # fallback translation probability for pairs absent from a trained table;
 # keeps Viterbi total and lexical weighting finite on held-out data
@@ -38,13 +41,6 @@ class ParallelCorpus:
                 continue
             pairs.append((tuple(src), tuple(tgt)))
         return cls(pairs, dropped)
-
-
-@dataclass
-class LexicalTable:
-    """t(target | source) with source=None acting as the NULL token."""
-
-    probs: dict[tuple[Optional[str], str], float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ def train_model1(corpus: ParallelCorpus, iterations: int = 5) -> LexicalTable:
                 totals[i] += c
         t = [c / totals[i] for c, i in zip(counts, owner)]
 
-    return LexicalTable(dict(zip(keys, t)))
+    return dict(zip(keys, t))
 
 
 def viterbi_align(
@@ -126,7 +122,7 @@ def viterbi_align(
     token) or when NULL is strictly more probable than every source.
     """
     links = set()
-    prob = table.probs.get  # table.prob without a method call per pair
+    prob = table.get
     for j, f in enumerate(target):
         best_i, best_p = 0, -1.0
         for i, e in enumerate(source):
@@ -227,7 +223,7 @@ def align_corpus(
 def write_lexical_table(path, table: LexicalTable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for (src, tgt), p in sorted(
-            table.probs.items(), key=lambda kv: (kv[0][0] or "", kv[0][1])
+            table.items(), key=lambda kv: (kv[0][0] or "", kv[0][1])
         ):
             fh.write(f"{src or ''}\t{tgt}\t{p!r}\n")
 
@@ -235,8 +231,8 @@ def write_lexical_table(path, table: LexicalTable) -> None:
 def read_lexical_table(path) -> LexicalTable:
     """A table file; a line that repeats an earlier line's source and target
     is rejected, so no line's probability silently replaces another's."""
-    return LexicalTable(parse_keyed_file(
-        path, _parse_lexical_line, lambda key: f"lexical pair {key[0] or ''!r} -> {key[1]!r}"))
+    return parse_keyed_file(
+        path, _parse_lexical_line, lambda key: f"lexical pair {key[0] or ''!r} -> {key[1]!r}")
 
 
 def _parse_lexical_line(line: str):

@@ -150,7 +150,7 @@ def build_table(
     extract = px.extract_corpus_boundary_aware if boundary_aware else px.extract_corpus
     counts = extract([s for s, _ in corpus.pairs], [t for _, t in corpus.pairs],
                      links, max_span)
-    table = px.score_phrase_table(counts, lt_f, lt_b, granularity, max_span)
+    table = px.score_phrase_table(counts, lt_f, lt_b, granularity)
     return table, lt_f, lt_b
 
 
@@ -182,16 +182,11 @@ def _merged_table(cfg: PipelineConfig, data: CorpusData,
     pt_m, ltm_f, ltm_b = _morph_table(cfg, data, boundary_aware=True)
     pt_w, ltw_f, ltw_b = _word_table(cfg, data)
     pt_wm = mg.retokenize_pt(pt_w, lexicon)
-    method = cfg.merge_method
-    if method == "our-method":
-        return mg.merge_our_method(
-            pt_m, pt_wm, pt_w, cfg.merge_alpha, ltm_f, ltm_b, ltw_f, ltw_b
-        )
-    if method == "interpolation":
-        return mg.merge_interpolate(pt_m, pt_wm, cfg.merge_alpha)
-    n_features = 1 if method == "add-1" else 2
-    primary, secondary = (pt_wm, pt_m) if cfg.merge_primary == "wm" else (pt_m, pt_wm)
-    return mg.merge_add_features(primary, secondary, n_features)
+    # merge.primary picks the primary table of add-1 and add-2 only
+    wm_first = cfg.merge_method in ("add-1", "add-2") and cfg.merge_primary == "wm"
+    a, b = (pt_wm, pt_m) if wm_first else (pt_m, pt_wm)
+    return mg.merge_tables(cfg.merge_method, a, b, cfg.merge_alpha, pt_w,
+                           (ltm_f, ltm_b, ltw_f, ltw_b))
 
 
 def _proximity(cfg: PipelineConfig, data: CorpusData, traces):
@@ -433,10 +428,12 @@ def _cmd_mert(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if (args.hyp_morphs is None) != (args.ref_morphs is None):
+        raise ValueError("--hyp-morphs and --ref-morphs must be given together")
     hyps, refs = _read_parallel(mo.read_word_file, args.hyp, args.ref)
     report: dict[str, str] = {}
     _fill_report(report, "bleu", ev.bleu(hyps, refs))
-    if args.hyp_morphs and args.ref_morphs:
+    if args.hyp_morphs is not None:
         hyp_m, ref_m = _read_parallel(mo.read_word_file, args.hyp_morphs, args.ref_morphs)
         _fill_report(report, "m_bleu", ev.m_bleu(hyp_m, ref_m))
     if args.compare:
@@ -458,27 +455,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_merge_pt(args) -> int:
-    if args.method != "our-method":
-        primary = px.read_phrase_table(args.primary, args.granularity)
-        secondary = px.read_phrase_table(args.secondary, args.granularity)
-        if args.method == "interpolation":
-            merged = mg.merge_interpolate(primary, secondary, args.alpha)
-        else:
-            merged = mg.merge_add_features(primary, secondary, 1 if args.method == "add-1" else 2)
-    else:  # our-method; argparse's choices admit no other
-        if None in (args.pt_w, args.lex_m_fwd, args.lex_m_bwd, args.lex_w_fwd, args.lex_w_bwd):
-            print("our-method needs --pt-w and the four --lex-* tables", file=sys.stderr)
-            return 2
-        pt_m = px.read_phrase_table(args.primary, "morpheme")
-        pt_wm = px.read_phrase_table(args.secondary, "morpheme")
-        pt_w = px.read_phrase_table(args.pt_w, "word")
-        merged = mg.merge_our_method(
-            pt_m, pt_wm, pt_w, args.alpha,
-            al.read_lexical_table(args.lex_m_fwd),
-            al.read_lexical_table(args.lex_m_bwd),
-            al.read_lexical_table(args.lex_w_fwd),
-            al.read_lexical_table(args.lex_w_bwd),
-        )
+    pt_w, lexical, granularity = None, (), args.granularity
+    if args.method == "our-method":  # which merges morpheme tables
+        lex_paths = (args.lex_m_fwd, args.lex_m_bwd, args.lex_w_fwd, args.lex_w_bwd)
+        if None in (args.pt_w, *lex_paths):
+            raise ValueError("--method our-method needs --pt-w and the four --lex-* tables")
+        pt_w, granularity = px.read_phrase_table(args.pt_w, "word"), "morpheme"
+        lexical = [al.read_lexical_table(path) for path in lex_paths]
+    a, b = (px.read_phrase_table(path, granularity) for path in (args.primary, args.secondary))
+    merged = mg.merge_tables(args.method, a, b, args.alpha, pt_w, lexical)
     px.write_phrase_table(args.output, merged)
     return 0
 

@@ -139,7 +139,7 @@ def _span_mask(start: int, end: int) -> int:
 
 def build_options(source: tuple[str, ...], table: PhraseTable) -> list[TranslationOption]:
     """Phrase options over whole-word source spans of at most
-    ``table.max_span`` words (any length when 0), plus OOV pass-through.
+    ``table.max_span`` words, plus OOV pass-through.
 
     A source word no option covers is copied through as its own word with a
     unit oov feature and neutral translation scores.  Phrases are looked up
@@ -151,11 +151,10 @@ def build_options(source: tuple[str, ...], table: PhraseTable) -> list[Translati
     if table.granularity == "word":
         tokens = tuple(split_token_string(t)[0] for t in source)
     n_words = len(spans)
-    limit = table.max_span or n_words
     options: list[TranslationOption] = []
     covered = set()
     for w1 in range(n_words):
-        for w2 in range(w1 + 1, min(w1 + limit, n_words) + 1):
+        for w2 in range(w1 + 1, min(w1 + table.max_span, n_words) + 1):
             src = tokens[spans[w1][0] : spans[w2 - 1][1] + 1]
             for entry in table.by_source.get(src, ()):
                 feats = [

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Optional, Sequence
 
 from .align import LexicalTable
 from .morpho import split_token_string, word_spans, words_from_tokens
@@ -97,7 +97,21 @@ def retokenize_pt(pt_w: PhraseTable, lex: SegmentationLexicon) -> PhraseTable:
             src_tokens, tgt_tokens, e.phi_fwd, e.phi_bwd, e.lex_fwd, e.lex_bwd,
             e.penalty, e.count_joint, shared.setdefault(links, links), e.extras,
         ))
-    return PhraseTable.of(entries, "morpheme", pt_w.max_span, pt_w.n_extras)
+    return PhraseTable.of(entries, "morpheme")
+
+
+def merge_tables(method: MergeMethod, a: PhraseTable, b: PhraseTable, alpha: float,
+                 pt_w: Optional[PhraseTable] = None,
+                 lexical: Sequence[LexicalTable] = ()) -> PhraseTable:
+    """``a`` and ``b`` combined by ``method``.  ``a`` is the primary table of
+    add-1/add-2, the ``alpha`` side of interpolation and our-method's
+    ``pt_m``; our-method also takes the word table ``pt_w`` and the four
+    ``lexical`` tables (morpheme forward, backward, word forward, backward)."""
+    if method == "our-method":
+        return merge_our_method(a, b, pt_w, alpha, *lexical)
+    if method == "interpolation":
+        return merge_interpolate(a, b, alpha)
+    return merge_add_features(a, b, {"add-1": 1, "add-2": 2}[method])
 
 
 def merge_add_features(
@@ -122,10 +136,7 @@ def merge_add_features(
                 else (FEAT_OFF, FEAT_ON)
             )
         entries.append(replace(base, extras=base.extras + feats))
-    return PhraseTable.of(
-        entries, primary.granularity, max(primary.max_span, secondary.max_span),
-        primary.n_extras + n_features,
-    )
+    return PhraseTable.of(entries, primary.granularity)
 
 
 def merge_interpolate(
@@ -147,7 +158,7 @@ def merge_interpolate(
             src, tgt, mix("phi_fwd"), mix("phi_bwd"), mix("lex_fwd"), mix("lex_bwd"),
             PHRASE_PENALTY, sum(counts) if counts else None, (a or b).alignment,
         ))
-    return PhraseTable.of(entries, pt_a.granularity, max(pt_a.max_span, pt_b.max_span))
+    return PhraseTable.of(entries, pt_a.granularity)
 
 
 def induce_word_alignment(
@@ -230,7 +241,7 @@ def merge_our_method(
             src, tgt, c / src_marginal[src], c / tgt_marginal[tgt],
             alpha * lmf + (1.0 - alpha) * lwf, alpha * lmb + (1.0 - alpha) * lwb,
             PHRASE_PENALTY, c, carrier.alignment))
-    return PhraseTable.of(entries, "morpheme", max(pt_m.max_span, pt_wm.max_span))
+    return PhraseTable.of(entries, "morpheme")
 
 
 def _count(e) -> float:

@@ -26,13 +26,6 @@ PHRASE_PENALTY = math.e  # constant fifth score, ln = 1 per applied phrase
 
 
 @dataclass(frozen=True, slots=True)
-class PhrasePair:
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    alignment: frozenset[tuple[int, int]]  # phrase-relative (i, j) links
-
-
-@dataclass(frozen=True, slots=True)
 class PhraseEntry:
     source: tuple[str, ...]
     target: tuple[str, ...]
@@ -57,22 +50,28 @@ class PhraseTable:
     order.  Build it with ``PhraseTable.of``."""
 
     by_source: dict[tuple[str, ...], tuple[PhraseEntry, ...]]
-    granularity: Granularity = "morpheme"
-    max_span: int = 0
-    n_extras: int = 0
+    granularity: Granularity
+    max_span: int  # the longest source phrase in words
+    n_extras: int  # the most extra scores of an entry
 
     @classmethod
-    def of(cls, entries: Iterable[PhraseEntry], granularity: Granularity = "morpheme",
-           max_span: int = 0, n_extras: int = 0) -> PhraseTable:
-        """The table of ``entries``; a repeated (source, target) pair is a ValueError."""
+    def of(cls, entries: Iterable[PhraseEntry],
+           granularity: Granularity = "morpheme") -> PhraseTable:
+        """The table of ``entries``; a repeated (source, target) pair is a
+        ValueError.  A word table's tokens are its words."""
         by_source = {}
         source, target = attrgetter("source"), attrgetter("target")
+        n_words = len if granularity == "word" else (lambda src: len(word_spans(src)))
+        max_span = n_extras = 0
         for src, group in groupby(sorted(entries, key=source), key=source):
             by_source[src] = group = tuple(sorted(group, key=target))
             for a, b in pairwise(group):
                 if a.target == b.target:
                     raise ValueError(f"repeated phrase pair {' '.join(src)!r} "
                                      f"||| {' '.join(a.target)!r}")
+            if len(src) > max_span:  # no fewer tokens than words
+                max_span = max(max_span, n_words(src))
+            n_extras = max(n_extras, *(len(e.extras) for e in group))
         return cls(by_source, granularity, max_span, n_extras)
 
     def __len__(self) -> int:
@@ -136,8 +135,9 @@ def extract_phrases(
     max_len: int = 7,
     boundary_aware: bool = False,
     shared: Optional[dict[frozenset, frozenset]] = None,
-) -> set[PhrasePair]:
-    """All alignment-consistent phrase pairs whose sides span <= max_len units.
+) -> set[tuple[tuple[str, ...], tuple[str, ...], frozenset[tuple[int, int]]]]:
+    """All alignment-consistent phrase pairs whose sides span <= max_len
+    units, as (source, target, phrase-relative (i, j) links).
 
     Units are tokens, or with ``boundary_aware`` the words of
     ``morpho.word_spans``, so a phrase may then run to any number of morpheme
@@ -168,7 +168,7 @@ def extract_phrases(
         unaligned = [h < 0 for h in hi]
     n_units = len(tgt_spans)
 
-    pairs: set[PhrasePair] = set()
+    pairs = set()
     for u1, (i1, _) in enumerate(src_spans):
         j1, j2, box = len(target), -1, []
         for u2 in range(u1, min(u1 + max_len, len(src_spans))):
@@ -201,7 +201,7 @@ def extract_phrases(
                 eu2 = tu2
                 while True:
                     end = tgt_spans[eu2][1]
-                    pairs.add(PhrasePair(src_phrase, target[start : end + 1], rel))
+                    pairs.add((src_phrase, target[start : end + 1], rel))
                     if (eu2 - eu1 + 1 == max_len or eu2 + 1 == n_units
                             or not unaligned[eu2 + 1]):
                         break
@@ -232,13 +232,13 @@ def lexical_weights(
     for i, j in alignment:
         by_tgt.setdefault(j, []).append(i)
         by_src.setdefault(i, []).append(j)
-    return (_weight(target, source, by_tgt, fwd_table.probs.get),
-            _weight(source, target, by_src, bwd_table.probs.get))
+    return (_weight(target, source, by_tgt, fwd_table.get),
+            _weight(source, target, by_src, bwd_table.get))
 
 
 def _weight(target, source, linked, prob) -> float:
     """One direction's weight from the links per target index, with ``prob``
-    the lexical table's ``probs.get``.  A one-link average is the probability
+    the lexical table's ``get``.  A one-link average is the probability
     itself (0 + p and p / 1 are exact), so it is taken as is."""
     weight = 1.0
     for j, t_tok in enumerate(target):
@@ -259,34 +259,28 @@ def score_phrase_table(
     lex_fwd_table: LexicalTable,
     lex_bwd_table: LexicalTable,
     granularity: Granularity = "morpheme",
-    max_span: int = 0,
 ) -> PhraseTable:
-    """ML-estimate the five scores from extraction counts.
+    """ML-estimate the five scores from extraction counts of (source, target,
+    alignment) keys.
 
-    phi are relative frequencies over the joint counts; lexical weights take
-    the max over the internal alignments a pair was extracted with; the stored
+    phi are relative frequencies over the joint counts, a pair's joint count
+    being the sum of its alignments' counts; lexical weights take the max
+    over the internal alignments a pair was extracted with; the stored
     representative alignment is the most frequent one (ties lexicographic).
     """
-    joint: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
     aligns: dict[tuple, dict[frozenset, int]] = {}
     src_marginal: Counter = Counter()
     tgt_marginal: Counter = Counter()
-    for pair, c in counts.items():
-        key = (pair.source, pair.target)
-        joint[key] = joint.get(key, 0) + c
-        observed = aligns.get(key)
-        if observed is None:
-            aligns[key] = {pair.alignment: c}
-        else:
-            observed[pair.alignment] = observed.get(pair.alignment, 0) + c
-        src_marginal[pair.source] += c
-        tgt_marginal[pair.target] += c
+    for (src, tgt, alignment), c in counts.items():
+        aligns.setdefault((src, tgt), {})[alignment] = c  # each key occurs once
+        src_marginal[src] += c
+        tgt_marginal[tgt] += c
 
     entries = []
     shared: dict[frozenset, frozenset] = {}
-    for key, c in joint.items():
-        src, tgt = key
-        observed = aligns.pop(key)  # freed as entries are built, lowering the build's peak
+    while aligns:  # popped as entries are built, lowering the build's peak
+        (src, tgt), observed = aligns.popitem()
+        c = sum(observed.values())
         if len(observed) == 1:
             (representative,) = observed
             lex_fwd, lex_bwd = lexical_weights(
@@ -304,7 +298,7 @@ def score_phrase_table(
         entries.append(PhraseEntry(
             src, tgt, c / src_marginal[src], c / tgt_marginal[tgt], lex_fwd, lex_bwd,
             PHRASE_PENALTY, c, shared.setdefault(representative, representative)))
-    return PhraseTable.of(entries, granularity, max_span)
+    return PhraseTable.of(entries, granularity)
 
 
 def extract_corpus(
@@ -353,16 +347,12 @@ def write_phrase_table(path, table: PhraseTable) -> None:
 def read_phrase_table(path, granularity: Granularity = "morpheme") -> PhraseTable:
     """A table file; a line that repeats an earlier line's source and target
     is rejected, so no line's scores silently replace another's.  Equal link
-    sets are read as one shared set.  ``max_span`` is the longest source
-    phrase in words; a word table's tokens are words."""
+    sets are read as one shared set."""
     shared: dict[frozenset, frozenset] = {}
     entries = parse_keyed_file(
         path, lambda line: _parse_phrase_line(line, shared),
         lambda key: f"phrase pair {' '.join(key[0])!r} ||| {' '.join(key[1])!r}")
-    n_words = len if granularity == "word" else (lambda src: len(word_spans(src)))
-    max_span = max((n_words(src) for src, _ in entries), default=0)
-    n_extras = max((len(e.extras) for e in entries.values()), default=0)
-    return PhraseTable.of(entries.values(), granularity, max_span, n_extras)
+    return PhraseTable.of(entries.values(), granularity)
 
 
 def _parse_phrase_line(line: str, shared: dict) -> Optional[tuple[tuple, PhraseEntry]]:

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, fsum, log
 
-from morphsmt.phrasex import PhrasePair
-
 
 def consistent_boxes(src_len, tgt_len, links, max_src, max_tgt):
     """All alignment-consistent boxes (i1, i2, j1, j2), inclusive bounds."""
@@ -36,13 +34,13 @@ def consistent_boxes(src_len, tgt_len, links, max_src, max_tgt):
 
 
 def brute_force_phrases(src, tgt, links, max_len):
-    """Set of PhrasePair from consistent boxes with both sides <= max_len."""
+    """Set of (source, target, links) from consistent boxes with both sides <= max_len."""
     out = set()
     for i1, i2, j1, j2 in consistent_boxes(len(src), len(tgt), links, max_len, max_len):
         rel = frozenset(
             (i - i1, j - j1) for (i, j) in links if i1 <= i <= i2 and j1 <= j <= j2
         )
-        out.add(PhrasePair(tuple(src[i1:i2 + 1]), tuple(tgt[j1:j2 + 1]), rel))
+        out.add((tuple(src[i1:i2 + 1]), tuple(tgt[j1:j2 + 1]), rel))
     return out
 
 
@@ -91,9 +89,7 @@ def brute_force_boundary_phrases(src_tokens, tgt_tokens, src_spans, tgt_spans,
         rel = frozenset(
             (i - i1, j - j1) for (i, j) in links if i1 <= i <= i2 and j1 <= j <= j2
         )
-        out.add(PhrasePair(
-            tuple(src_tokens[i1:i2 + 1]), tuple(tgt_tokens[j1:j2 + 1]), rel
-        ))
+        out.add((tuple(src_tokens[i1:i2 + 1]), tuple(tgt_tokens[j1:j2 + 1]), rel))
     return out
 
 
@@ -358,7 +354,7 @@ def reference_model1(corpus, iterations=5):
     the package, so every probability must agree bit for bit."""
     from collections import defaultdict
 
-    from morphsmt.align import FLOOR_PROB, LexicalTable
+    from morphsmt.align import FLOOR_PROB
 
     # uniform over each source token's observed targets
     cooc = defaultdict(set)
@@ -385,15 +381,15 @@ def reference_model1(corpus, iterations=5):
                     totals[e] += c
         t = {pair: c / totals[pair[0]] for pair, c in counts.items()}
 
-    return LexicalTable(t)
+    return t
 
 
 def reference_lexical_weight(target, source, alignment, table):
-    """Koehn lexical weight read from ``table.probs``, one token at a time."""
+    """Koehn lexical weight read from ``table``, one token at a time."""
     from morphsmt.align import FLOOR_PROB
 
     def prob(t_tok, s_tok):
-        return table.probs.get((s_tok, t_tok), FLOOR_PROB)
+        return table.get((s_tok, t_tok), FLOOR_PROB)
 
     linked = {}
     for i, j in alignment:
@@ -409,7 +405,7 @@ def reference_lexical_weight(target, source, alignment, table):
 
 
 def reference_score_phrase_table(pairs, lex_fwd_table, lex_bwd_table,
-                                 granularity="morpheme", max_span=0):
+                                 granularity="morpheme"):
     """Phrase scoring with a Counter of alignments per pair and max/min over
     them for every entry, and the backward weight over transposed links."""
     from collections import Counter
@@ -421,12 +417,11 @@ def reference_score_phrase_table(pairs, lex_fwd_table, lex_bwd_table,
     aligns = {}
     src_marginal = Counter()
     tgt_marginal = Counter()
-    for pair, c in counts.items():
-        key = (pair.source, pair.target)
-        joint[key] = joint.get(key, 0) + c
-        aligns.setdefault(key, Counter())[pair.alignment] += c
-        src_marginal[pair.source] += c
-        tgt_marginal[pair.target] += c
+    for (src, tgt, alignment), c in counts.items():
+        joint[src, tgt] = joint.get((src, tgt), 0) + c
+        aligns.setdefault((src, tgt), Counter())[alignment] += c
+        src_marginal[src] += c
+        tgt_marginal[tgt] += c
 
     entries = {}
     for key in sorted(joint):
@@ -456,4 +451,4 @@ def reference_score_phrase_table(pairs, lex_fwd_table, lex_bwd_table,
             count_joint=c,
             alignment=representative,
         )
-    return PhraseTable.of(entries.values(), granularity, max_span)
+    return PhraseTable.of(entries.values(), granularity)

@@ -108,8 +108,8 @@ def test_criterion_2_boundary_oracle():
         pairs = phrasex.extract_phrases(
             src, full_word, AlignmentMatrix(links, 2, 6), 7, boundary_aware=True
         )
-        assert any(p.target == full_word for p in pairs)
-        assert not any(p.target == spurious for p in pairs)
+        assert any(tgt == full_word for _, tgt, _ in pairs)
+        assert not any(tgt == spurious for _, tgt, _ in pairs)
 
 
 @criterion(3, "monomorphemic degeneracy: boundary(7 words) == classic(7 tokens)")

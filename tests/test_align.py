@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphsmt import align
-from morphsmt.align import AlignmentMatrix, LexicalTable, ParallelCorpus
+from morphsmt.align import AlignmentMatrix, ParallelCorpus
 
 import oracles
 from conftest import random_alignment
@@ -17,13 +17,13 @@ def toy_corpus():
 
 def test_model1_concentrates_mass():
     table = align.train_model1(toy_corpus(), 10)
-    assert table.probs[("a", "x")] > table.probs[("a", "y")]
+    assert table[("a", "x")] > table[("a", "y")]
 
 
 def test_model1_normalization():
     table = align.train_model1(toy_corpus(), 5)
     sums = {}
-    for (src, _), p in table.probs.items():
+    for (src, _), p in table.items():
         sums[src] = sums.get(src, 0.0) + p
     for src, total in sums.items():
         assert total == pytest.approx(1.0, abs=1e-6), src
@@ -31,8 +31,8 @@ def test_model1_normalization():
 
 def test_model1_single_pair_single_iteration():
     table = align.train_model1(ParallelCorpus([(("a",), ("x",))]), 1)
-    assert table.probs[("a", "x")] == pytest.approx(1.0, abs=1e-9)
-    assert table.probs[(None, "x")] == pytest.approx(1.0, abs=1e-9)
+    assert table[("a", "x")] == pytest.approx(1.0, abs=1e-9)
+    assert table[(None, "x")] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_model1_errors():
@@ -44,7 +44,7 @@ def test_model1_errors():
 
 def model1_logprob(corpus, table):
     """Model 1 log-likelihood (uniform alignment prior dropped)."""
-    return sum(math.log(sum(table.probs.get((e, f), align.FLOOR_PROB) for e in (None, *src)))
+    return sum(math.log(sum(table.get((e, f), align.FLOOR_PROB) for e in (None, *src)))
                for src, tgt in corpus.pairs for f in tgt)
 
 
@@ -70,20 +70,19 @@ def test_corpus_loader_drops_empty_pairs():
 
 
 def test_viterbi_dominant_diagonal():
-    table = LexicalTable({("a", "x"): 0.9, ("a", "y"): 0.05,
-                          ("b", "x"): 0.05, ("b", "y"): 0.9})
+    table = {("a", "x"): 0.9, ("a", "y"): 0.05, ("b", "x"): 0.05, ("b", "y"): 0.9}
     m = align.viterbi_align(["a", "b"], ["x", "y"], table)
     assert m.links == {(0, 0), (1, 1)}
 
 
 def test_viterbi_uniform_ties_pick_smallest_index():
-    table = LexicalTable({(s, t): 0.5 for s in "ab" for t in "xy"})
+    table = {(s, t): 0.5 for s in "ab" for t in "xy"}
     m = align.viterbi_align(["a", "b"], ["x", "y"], table)
     assert m.links == {(0, 0), (0, 1)}
 
 
 def test_viterbi_unseen_target_gets_no_link():
-    table = LexicalTable({("a", "x"): 0.9})
+    table = {("a", "x"): 0.9}
     m = align.viterbi_align(["a"], ["unseen"], table)
     assert m.links == frozenset()
 
@@ -139,11 +138,11 @@ def test_alignment_file_roundtrip(tmp_path):
 
 
 def test_lexical_table_roundtrip(tmp_path):
-    table = LexicalTable({("a", "x"): 0.25, (None, "x"): 0.5, ("b", "y"): 1.0})
+    table = {("a", "x"): 0.25, (None, "x"): 0.5, ("b", "y"): 1.0}
     path = tmp_path / "lex.tsv"
     align.write_lexical_table(path, table)
     back = align.read_lexical_table(path)
-    assert back.probs == table.probs
+    assert back == table
 
 
 # tokens hold no tab, newline or other whitespace, which the formats reserve
@@ -157,7 +156,7 @@ def lexical_tables(draw):
     """Tables with NULL and token sources; probabilities include 0.0 and subnormals."""
     keys = draw(st.lists(st.tuples(st.none() | lex_token, lex_token), max_size=6,
                          unique=True))
-    return LexicalTable({key: draw(lex_prob) for key in keys})
+    return {key: draw(lex_prob) for key in keys}
 
 
 @settings(deadline=None)
@@ -167,7 +166,7 @@ def test_lexical_table_write_read_write_is_byte_identical(tmp_path_factory, tabl
     align.write_lexical_table(path, table)
     first = path.read_bytes()
     back = align.read_lexical_table(path)
-    assert back.probs == table.probs
+    assert back == table
     align.write_lexical_table(path, back)
     assert path.read_bytes() == first
 
@@ -202,7 +201,7 @@ def test_align_corpus_deterministic():
     a1 = align.align_corpus(corpus, 3)
     a2 = align.align_corpus(corpus, 3)
     assert [m.links for m in a1[0]] == [m.links for m in a2[0]]
-    assert a1[1].probs == a2[1].probs
+    assert a1[1] == a2[1]
 
 
 def _random_corpus(rng, n_pairs):
@@ -222,6 +221,6 @@ def test_model1_matches_reference_bit_for_bit(seed, iterations):
     corpus = _random_corpus(rng, rng.randint(1, 12))
     got = align.train_model1(corpus, iterations)
     want = oracles.reference_model1(corpus, iterations)
-    assert list(got.probs) == list(want.probs)  # same keys, same order
-    assert {k: p.hex() for k, p in got.probs.items()} == \
-        {k: p.hex() for k, p in want.probs.items()}
+    assert list(got) == list(want)  # same keys, same order
+    assert {k: p.hex() for k, p in got.items()} == \
+        {k: p.hex() for k, p in want.items()}

@@ -132,10 +132,10 @@ def test_decoding_a_runs_artifacts_gives_its_output(tmp_path, monkeypatch, syste
     for got_list, want_list in zip(got, want, strict=True):
         for a, b in zip(got_list, want_list, strict=True):
             assert abs(a.score - b.score) <= 1e-12
-    # the read-back table spans only its longest source phrase, and gives
-    # the options of the pipeline's table, which spans the config's limit
+    # the read-back table spans what the pipeline's table spans, and gives its options
     read_back = phrasex.read_phrase_table(run["pt"], plan.granularity)
-    assert 0 < read_back.max_span <= tables[0].max_span
+    assert read_back.max_span == tables[0].max_span > 0
+    assert read_back.n_extras == tables[0].n_extras
     if plan.granularity == "word":
         sources = [cli.words_as_tokens(words) for split in ("dev", "test")
                    for words in morpho.read_word_file(cfg.paths[f"{split}_src_words"])]
@@ -433,6 +433,31 @@ def test_merge_pt_add1_empty_secondary(tmp_path):
     assert len(merged) == 2
     for entry in merged:
         assert entry.extras == (math.exp(2 / 3),)
+
+
+@pytest.mark.parametrize("omitted", ["--pt-w", "--lex-m-fwd", "--lex-w-bwd"])
+def test_merge_pt_our_method_needs_the_word_and_lexical_tables(tmp_path, omitted):
+    # no input exists: the missing flag is reported before any read
+    missing = str(tmp_path / "missing")
+    flags = ["--pt-w", "--lex-m-fwd", "--lex-m-bwd", "--lex-w-fwd", "--lex-w-bwd"]
+    given = [arg for flag in flags if flag != omitted for arg in (flag, missing)]
+    proc = run_morphsmt("merge-pt", "--method", "our-method", "--primary", missing,
+                        "--secondary", missing, *given, "--output", str(tmp_path / "out.txt"))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: --method our-method needs --pt-w and the four --lex-* tables\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("given", ["--hyp-morphs", "--ref-morphs"])
+def test_eval_needs_both_morpheme_files(tmp_path, given):
+    ref = tmp_path / "ref.txt"
+    ref.write_text("a b\n", encoding="utf-8")
+    out = tmp_path / "report.txt"
+    proc = run_morphsmt("eval", "--hyp", str(ref), "--ref", str(ref), given, str(ref),
+                        "--output", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: --hyp-morphs and --ref-morphs must be given together\n"
+    assert not out.exists()
 
 
 def test_unknown_subcommand_fails():

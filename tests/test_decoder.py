@@ -15,8 +15,8 @@ def entry(src, tgt, phi_f=1.0, phi_b=1.0, lex_f=1.0, lex_b=1.0, extras=()):
                        math.e, 1, frozenset({(0, 0)}), tuple(extras))
 
 
-def table(entries, granularity="morpheme", **kw):
-    return PhraseTable.of(entries, granularity, **kw)
+def table(entries, granularity="morpheme"):
+    return PhraseTable.of(entries, granularity)
 
 
 def tiny_lms(morph_corpus, word_corpus):

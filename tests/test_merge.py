@@ -3,7 +3,6 @@ import math
 import pytest
 
 from morphsmt import merge, morpho
-from morphsmt.align import LexicalTable
 from morphsmt.phrasex import PhraseEntry, PhraseTable
 
 E_1 = math.e
@@ -191,12 +190,12 @@ def our_method_fixture():
         entry(("a",), ("x",), phi=0.5, phi_b=1.0, lex=0.25, count=2),
         entry(("a",), ("z",), phi=0.5, phi_b=1.0, lex=0.25, count=2),
     ], "word")
-    lex_m_f = LexicalTable({("a/STM", "x/STM"): 0.5, ("a/STM", "y/STM"): 0.3,
-                            ("a/STM", "z/STM"): 0.2})
-    lex_m_b = LexicalTable({("x/STM", "a/STM"): 0.5, ("y/STM", "a/STM"): 0.3,
-                            ("z/STM", "a/STM"): 0.2})
-    lex_w_f = LexicalTable({("a", "x"): 0.5, ("a", "y"): 0.3, ("a", "z"): 0.2})
-    lex_w_b = LexicalTable({("x", "a"): 0.5, ("y", "a"): 0.3, ("z", "a"): 0.2})
+    lex_m_f = {("a/STM", "x/STM"): 0.5, ("a/STM", "y/STM"): 0.3,
+                            ("a/STM", "z/STM"): 0.2}
+    lex_m_b = {("x/STM", "a/STM"): 0.5, ("y/STM", "a/STM"): 0.3,
+                            ("z/STM", "a/STM"): 0.2}
+    lex_w_f = {("a", "x"): 0.5, ("a", "y"): 0.3, ("a", "z"): 0.2}
+    lex_w_b = {("x", "a"): 0.5, ("y", "a"): 0.3, ("z", "a"): 0.2}
     return pt_m, pt_wm, pt_w, (lex_m_f, lex_m_b, lex_w_f, lex_w_b)
 
 

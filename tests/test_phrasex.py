@@ -1,13 +1,14 @@
 import math
 import random
 from collections import Counter
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morphsmt import cli, decoder, merge, morpho, phrasex
-from morphsmt.align import AlignmentMatrix, LexicalTable
-from morphsmt.phrasex import PhrasePair
+from morphsmt import cli, decoder, merge, morpho, phrasex, synth
+from morphsmt.align import AlignmentMatrix
+from morphsmt.config import load_config
 
 import oracles
 from conftest import random_alignment, random_morph_sentence
@@ -16,7 +17,7 @@ from conftest import random_alignment, random_morph_sentence
 def test_extract_simple_diagonal():
     a = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 2)
     pairs = phrasex.extract_phrases(["a", "b"], ["x", "y"], a, 2)
-    assert {(p.source, p.target) for p in pairs} == {
+    assert {(src, tgt) for src, tgt, _ in pairs} == {
         (("a",), ("x",)), (("b",), ("y",)), (("a", "b"), ("x", "y")),
     }
 
@@ -24,7 +25,7 @@ def test_extract_simple_diagonal():
 def test_extract_single_link():
     a = AlignmentMatrix(frozenset({(0, 0)}), 1, 1)
     pairs = phrasex.extract_phrases(["a"], ["x"], a, 1)
-    assert pairs == {PhrasePair(("a",), ("x",), frozenset({(0, 0)}))}
+    assert pairs == {(("a",), ("x",), frozenset({(0, 0)}))}
 
 
 def test_extract_no_links_no_pairs():
@@ -64,9 +65,9 @@ def test_boundary_aware_all_pairs_linked_single_pair():
     src, tgt, a = undemocratic_pair()
     pairs = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
     assert len(pairs) == 1
-    (pair,) = pairs
-    assert pair.source == ("un/PRE+", "democratic/STM")
-    assert pair.target == (
+    ((src, tgt, _),) = pairs
+    assert src == ("un/PRE+", "democratic/STM")
+    assert tgt == (
         "epä/PRE+", "demokraat/STM+", "t/SUF+", "i/SUF+", "s/SUF+", "en/SUF"
     )
 
@@ -77,10 +78,10 @@ def test_boundary_aware_kills_spurious_prefix_phrase():
     a = AlignmentMatrix(frozenset({(0, 0), (1, 1)}), 2, 6)
     spurious = ("epä/PRE+", "demokraat/STM+", "t/SUF+", "i/SUF+", "s/SUF+")
     classic = phrasex.extract_phrases(src, tgt, a, 10)
-    assert any(p.target == spurious for p in classic)
+    assert any(tgt == spurious for _, tgt, _ in classic)
     boundary = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
-    assert not any(p.target == spurious for p in boundary)
-    assert {p.target for p in boundary} == {(
+    assert not any(tgt == spurious for _, tgt, _ in boundary)
+    assert {tgt for _, tgt, _ in boundary} == {(
         "epä/PRE+", "demokraat/STM+", "t/SUF+", "i/SUF+", "s/SUF+", "en/SUF"
     )}
 
@@ -106,9 +107,9 @@ def test_boundary_aware_long_morpheme_span_allowed():
     links = frozenset({(0, 0), (1, 3), (2, 6)})
     a = AlignmentMatrix(links, 3, 9)
     pairs = phrasex.extract_phrases(src, tgt, a, 7, boundary_aware=True)
-    assert any(len(p.target) == 9 for p in pairs)
+    assert any(len(tgt) == 9 for _, tgt, _ in pairs)
     token_limited = phrasex.extract_phrases(src, tgt, a, 7)
-    assert not any(len(p.target) == 9 for p in token_limited)
+    assert not any(len(tgt) == 9 for _, tgt, _ in token_limited)
 
 
 @settings(max_examples=100, deadline=None)
@@ -126,15 +127,15 @@ def test_boundary_aware_matches_filtered_bruteforce(seed):
 
 
 def lex_tables():
-    fwd = LexicalTable({("a", "x"): 0.5, ("b", "x"): 0.25, ("a", "y"): 0.1})
-    bwd = LexicalTable({("x", "a"): 0.5, ("x", "b"): 0.25, ("y", "a"): 0.1})
+    fwd = {("a", "x"): 0.5, ("b", "x"): 0.25, ("a", "y"): 0.1}
+    bwd = {("x", "a"): 0.5, ("x", "b"): 0.25, ("y", "a"): 0.1}
     return fwd, bwd
 
 
 def test_scoring_relative_frequencies():
     fwd, bwd = lex_tables()
-    p1 = PhrasePair(("a",), ("x",), frozenset({(0, 0)}))
-    p2 = PhrasePair(("a",), ("y",), frozenset({(0, 0)}))
+    p1 = (("a",), ("x",), frozenset({(0, 0)}))
+    p2 = (("a",), ("y",), frozenset({(0, 0)}))
     table = phrasex.score_phrase_table(Counter({p1: 2, p2: 2}), fwd, bwd)
     assert table.get(("a",), ("x",)).phi_fwd == pytest.approx(0.5)
     assert table.get(("a",), ("x",)).count_joint == 2
@@ -142,7 +143,7 @@ def test_scoring_relative_frequencies():
 
 def test_scoring_degenerate_single_pair():
     fwd, bwd = lex_tables()
-    p = PhrasePair(("a",), ("x",), frozenset({(0, 0)}))
+    p = (("a",), ("x",), frozenset({(0, 0)}))
     entry = phrasex.score_phrase_table(Counter({p: 1}), fwd, bwd).get(("a",), ("x",))
     assert entry.phi_fwd == 1.0 and entry.phi_bwd == 1.0
     assert entry.penalty == pytest.approx(math.e)
@@ -156,7 +157,7 @@ def test_lexical_weight_hand_example():
 
 
 def test_lexical_weight_unlinked_uses_null():
-    table = LexicalTable({(None, "x"): 0.125, (None, "a"): 0.25})
+    table = {(None, "x"): 0.125, (None, "a"): 0.25}
     assert phrasex.lexical_weights(("a",), ("x",), frozenset(), table, table) == \
         pytest.approx((0.125, 0.25))
 
@@ -165,8 +166,8 @@ def test_representative_alignment_most_frequent_then_lexicographic():
     fwd, bwd = lex_tables()
     a1 = frozenset({(0, 0)})
     a2 = frozenset({(0, 0), (1, 0)})
-    pair1 = PhrasePair(("a", "b"), ("x",), a1)
-    pair2 = PhrasePair(("a", "b"), ("x",), a2)
+    pair1 = (("a", "b"), ("x",), a1)
+    pair2 = (("a", "b"), ("x",), a2)
     t = phrasex.score_phrase_table(Counter({pair1: 3, pair2: 1}), fwd, bwd)
     assert t.get(("a", "b"), ("x",)).alignment == a1
     t2 = phrasex.score_phrase_table(Counter({pair1: 1, pair2: 1}), fwd, bwd)
@@ -175,8 +176,8 @@ def test_representative_alignment_most_frequent_then_lexicographic():
 
 def test_lex_scores_take_max_over_alignments():
     fwd, bwd = lex_tables()
-    p_both = PhrasePair(("a", "b"), ("x",), frozenset({(0, 0), (1, 0)}))  # mean 0.375
-    p_single = PhrasePair(("a", "b"), ("x",), frozenset({(0, 0)}))  # 0.5, b unlinked
+    p_both = (("a", "b"), ("x",), frozenset({(0, 0), (1, 0)}))  # mean 0.375
+    p_single = (("a", "b"), ("x",), frozenset({(0, 0)}))  # 0.5, b unlinked
     table = phrasex.score_phrase_table(Counter({p_both: 1, p_single: 1}), fwd, bwd)
     entry = table.get(("a", "b"), ("x",))
     assert entry.lex_fwd == pytest.approx(max(0.375, 0.5))
@@ -203,8 +204,8 @@ def test_phi_normalization_per_side():
 
 def test_table_text_roundtrip(tmp_path):
     fwd, bwd = lex_tables()
-    p1 = PhrasePair(("a", "b"), ("x",), frozenset({(0, 0), (1, 0)}))
-    p2 = PhrasePair(("a",), ("y",), frozenset({(0, 0)}))
+    p1 = (("a", "b"), ("x",), frozenset({(0, 0), (1, 0)}))
+    p2 = (("a",), ("y",), frozenset({(0, 0)}))
     table = phrasex.score_phrase_table(Counter({p1: 2, p2: 3}), fwd, bwd)
     path = tmp_path / "pt.txt"
     phrasex.write_phrase_table(path, table)
@@ -252,7 +253,7 @@ def phrase_tables(draw):
         count = draw(st.none() | table_value)
         entries[(src, tgt)] = phrasex.PhraseEntry(src, tgt, *scores[:5], count, links,
                                                   tuple(scores[5:]))
-    return phrasex.PhraseTable.of(entries.values(), n_extras=n_extras)
+    return phrasex.PhraseTable.of(entries.values())
 
 
 @settings(deadline=None)
@@ -268,10 +269,8 @@ def test_table_write_read_write_is_byte_identical(tmp_path_factory, table):
 
 
 def test_phrase_records_have_no_instance_dict():
-    pair = PhrasePair(("a",), ("x",), frozenset({(0, 0)}))
     entry = phrasex.PhraseEntry(("a",), ("x",), 0.5, 0.5, 0.5, 0.5, math.e, 1, frozenset())
-    for record in (pair, entry):
-        assert not hasattr(record, "__dict__")
+    assert not hasattr(entry, "__dict__")
 
 
 def test_every_table_build_holds_one_set_per_alignment(tmp_path):
@@ -386,21 +385,20 @@ def test_scoring_matches_reference_bit_for_bit(seed):
     # count ties between alignments of one key, and a pair seen with a larger count
     key_pairs = {}
     for pair in counts:
-        key_pairs.setdefault((pair.source, pair.target), []).append(pair)
+        key_pairs.setdefault(pair[:2], []).append(pair)
     tied = [pairs for pairs in key_pairs.values() if len(pairs) > 1]
     assert tied
     for pairs in tied[::2]:
         for pair in pairs:
             counts[pair] = 2
-    probs = {}
+    fwd = {}
     for e in [None, *src_words]:
         for f in tgt_words:
             if rng.random() < 0.7:
-                probs[(e, f)] = rng.random()
-    fwd = LexicalTable(probs)
-    bwd = LexicalTable({(f, e): rng.random() for (e, f) in probs if e is not None})
-    got = phrasex.score_phrase_table(counts, fwd, bwd, "word", 4)
-    want = oracles.reference_score_phrase_table(counts, fwd, bwd, "word", 4)
+                fwd[(e, f)] = rng.random()
+    bwd = {(f, e): rng.random() for (e, f) in fwd if e is not None}
+    got = phrasex.score_phrase_table(counts, fwd, bwd, "word")
+    want = oracles.reference_score_phrase_table(counts, fwd, bwd, "word")
     assert list(got) == list(want)
     for got_entry, entry in zip(got, want):
         assert repr(got_entry.scores()) == repr(entry.scores())
@@ -423,3 +421,35 @@ def test_extracted_alignment_sets_iterate_as_built_from_links(seed):
             a.links, 7,
         )
     assert got == want
+
+
+def test_every_table_builder_works_out_its_span_and_extras(tmp_path):
+    # counted here with the oracles' word spans, not through morpho
+    def metadata(table):
+        n_words = len if table.granularity == "word" else (
+            lambda src: len(oracles.word_spans_of(src)))
+        return (max((n_words(e.source) for e in table), default=0),
+                max((len(e.extras) for e in table), default=0))
+
+    cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=5, sizes=(60, 8, 6)))
+    data = cli._load_data(cfg)
+    pt_w, lwf, lwb = cli._word_table(cfg, data)
+    pt_c, _, _ = cli._morph_table(cfg, data, boundary_aware=False)
+    pt_m, lmf, lmb = cli._morph_table(cfg, data, boundary_aware=True)
+    pt_wm = merge.retokenize_pt(pt_w, cli._segmentation_lexicon(data))
+    tables = {"word": pt_w, "classic": pt_c, "boundary-aware": pt_m, "retokenized": pt_wm}
+    for method in get_args(merge.MergeMethod):
+        tables[method] = merge.merge_tables(method, pt_m, pt_wm, 0.6, pt_w,
+                                            (lmf, lmb, lwf, lwb))
+    # primary-only entries get one extra score, secondary-only ones three
+    tables["add-1 over add-2"] = merge.merge_add_features(pt_c, tables["add-2"], 1)
+    for name, table in list(tables.items()):
+        path = tmp_path / "pt.txt"
+        phrasex.write_phrase_table(path, table)
+        tables[f"read {name}"] = phrasex.read_phrase_table(path, table.granularity)
+    for name, table in tables.items():
+        assert (table.max_span, table.n_extras) == metadata(table), name
+        assert table.max_span > 0, name
+    # a classic table's longest phrase in tokens spans fewer words
+    assert tables["classic"].max_span < max(len(e.source) for e in pt_c)
+    assert [tables[name].n_extras for name in ("add-1", "add-2", "add-1 over add-2")] == [1, 2, 3]
