@@ -457,10 +457,13 @@ def _cmd_eval(args) -> int:
 def _cmd_merge_pt(args) -> int:
     pt_w, lexical, granularity = None, (), args.granularity
     if args.method == "our-method":  # which merges morpheme tables
+        if granularity == "word":
+            raise ValueError("--method our-method merges morpheme tables, "
+                             "not --granularity word")
         lex_paths = (args.lex_m_fwd, args.lex_m_bwd, args.lex_w_fwd, args.lex_w_bwd)
         if None in (args.pt_w, *lex_paths):
             raise ValueError("--method our-method needs --pt-w and the four --lex-* tables")
-        pt_w, granularity = px.read_phrase_table(args.pt_w, "word"), "morpheme"
+        pt_w = px.read_phrase_table(args.pt_w, "word")
         lexical = [al.read_lexical_table(path) for path in lex_paths]
     a, b = (px.read_phrase_table(path, granularity) for path in (args.primary, args.secondary))
     merged = mg.merge_tables(args.method, a, b, args.alpha, pt_w, lexical)

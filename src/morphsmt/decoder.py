@@ -30,7 +30,7 @@ from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lm import (
-    LOG_ZERO, NGramModel, TwinScorerState, initial_twin_state, step,
+    LOG_ZERO, NGramModel, TwinScorerState, compile_target, initial_twin_state, step,
     twin_extend, twin_finalize,
 )
 from .morpho import (
@@ -205,11 +205,12 @@ def _future_costs(
     w_lm = weights.get("lm_morph", 0.0)
     w_wp = weights.get("word_penalty", 0.0)
     best = [[-math.inf] * (n_words + 1) for _ in range(n_words + 1)]
+    empty = lm_m.context_id(()) if lm_m is not None else 0
     for opt in options:
         score = fsum(weights.get(k, 0.0) * v for k, v in opt.tm_features)
         score += w_wp * opt.n_words
         if lm_m is not None and w_lm != 0.0:
-            ctx = lm_m.context_id(())
+            ctx = empty
             est = 0.0
             for tok in opt.target:
                 lp, ctx = step(lm_m, ctx, tok)
@@ -295,7 +296,9 @@ def search(
     test decides.  An offer within ``SLACK * M`` of the minimum may take its
     LM lookup before its exact key rejects it.
 
-    Each twin_extend question is asked once per call (memoized per (state,
+    Each distinct target is numbered and compiled (``lm.compile_target``)
+    once per call, so ``twin_extend`` never splits its tokens again.  Each
+    twin_extend question is asked once per call (memoized per (state,
     target id)), and each LM question once per model (``lm.step`` keeps its
     answer in the model's transition table for the model's lifetime).
     """
@@ -316,9 +319,10 @@ def search(
                     if name in slot)
     # per start, one group per span in option order: (mask, width, members,
     # best TM score, largest magnitude); per member: (option, target id,
-    # template, touched bits, weighted TM score, its magnitude)
+    # compiled target, template, touched bits, weighted TM score, its magnitude)
     by_start: dict[int, list[tuple[int, int, list[tuple], float, float]]] = {}
     targets: dict[tuple[str, ...], int] = {}
+    compiled = []  # by target id
     for (start, end), span_options in groupby(options, key=lambda o: (o.start, o.end)):
         members = []
         for opt in span_options:
@@ -328,8 +332,11 @@ def search(
                 template[slot[name]] = value
                 bits |= 1 << slot[name]
             template[slot["word_penalty"]] = float(opt.n_words)
-            members.append((opt, targets.setdefault(opt.target, len(targets)), template,
-                            bits, *_tm_score(wvec, template)))
+            target_id = targets.setdefault(opt.target, len(targets))
+            if target_id == len(compiled):
+                compiled.append(compile_target(opt.target))
+            members.append((opt, target_id, compiled[target_id], template, bits,
+                            *_tm_score(wvec, template)))
         tms = [tm for *_, tm, _ in members]
         by_start.setdefault(start, []).append((
             _span_mask(start, end), end - start, members,
@@ -388,7 +395,7 @@ def search(
                         if (reject_pre_lm and len(heap) == beam_size
                                 and base + best_tm + SLACK * (base_mag + best_mag) < heap[0]):
                             continue  # the group's best offer fails, so every one does
-                    for opt, target_id, template, bits, tm, mag in members:
+                    for opt, target_id, phrase, template, bits, tm, mag in members:
                         full = reject and len(heap) == beam_size
                         if full:
                             lowest = heap[0]
@@ -399,7 +406,7 @@ def search(
                         scored = by_target.get(target_id)
                         if scored is None:
                             state, morph_delta, word_delta = twin_extend(
-                                hyp.state, opt.target, lm_m, lm_w)
+                                hyp.state, phrase, lm_m, lm_w)
                             morph_term = w_morph * morph_delta
                             word_term = w_word * word_delta
                             scored = by_target[target_id] = (

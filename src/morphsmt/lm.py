@@ -9,14 +9,18 @@ The twin scorer walks a morpheme-token hypothesis once and produces two score
 streams: the morpheme LM sees every token, the word LM sees each word the
 moment its final morpheme arrives (surfaces concatenated, tags and "+"
 stripped).  Carrying the pending-morphemes buffer in the state makes the
-scoring invariant to how the decoder chunks its extensions.
+scoring invariant to how the decoder chunks its extensions.  A phrase target
+is split into its word structure once (``compile_target``), so scoring it
+joins only the pending buffer with its first word.
 
 Scorer contexts are kept minimal, as in KenLM: a context that no stored
 n-gram starts with and that has no backoff weight backs every query off
 with weight 0.0, so its first token is dropped without changing any score.
 Hypotheses that differ only in such tokens then share one state.  Each model
-interns its minimal contexts as ints, and ``step`` keeps each (context id,
-token) answer in the model for as long as the model lives.
+interns its minimal contexts as ints, each with its backoff weight and the id
+of its suffix's minimal form, and ``step`` keeps each (context id, token)
+answer in the model for as long as the model lives.  A first question is
+answered from one n-gram lookup and the suffix context's answer.
 """
 
 from __future__ import annotations
@@ -50,10 +54,13 @@ class NGramModel:
     backoffs: list[dict[tuple[str, ...], float]]  # index k-1: context -> ln bow
 
     def __post_init__(self):
-        # interned minimal contexts; per id, token -> (floored ln p, next id)
+        # interned minimal contexts; per id, token -> (floored ln p, next id),
+        # the id of its suffix's minimal form and its ln backoff weight
         self.context_tuples: list[tuple[str, ...]] = []
         self._context_ids: dict[tuple[str, ...], int] = {}
         self._transitions: list[dict[str, tuple[float, int]]] = []
+        self._suffixes: list[int] = []
+        self._bows: list[float] = []
 
     def logprob(self, token: str, context: Sequence[str] = ()) -> float:
         """ln p(token | context); context is truncated to the last order-1 tokens.
@@ -123,12 +130,21 @@ class NGramModel:
 
     def context_id(self, context: tuple[str, ...]) -> int:
         """The id of a vocab-mapped context's minimal form, interned on first use."""
-        context = self.minimal_context(context)
+        return self._intern(self.minimal_context(context))
+
+    def _intern(self, context: tuple[str, ...]) -> int:
+        """The id of a minimal context; interning it interns its suffix's
+        minimal form too (the empty context is its own suffix)."""
         cid = self._context_ids.get(context)
         if cid is None:
+            suffix = (self._intern(self.minimal_context(context[1:])) if context
+                      else len(self.context_tuples))
             cid = self._context_ids[context] = len(self.context_tuples)
             self.context_tuples.append(context)
             self._transitions.append({})
+            self._suffixes.append(suffix)
+            self._bows.append(self.backoffs[len(context) - 1].get(context, 0.0)
+                              if context else 0.0)
         return cid
 
 
@@ -235,12 +251,6 @@ def train_lm(
     return NGramModel(order, smoothing, vocab, logprobs, backoffs)
 
 
-def floored_logprob(model: NGramModel, token: str, context: Sequence[str]) -> float:
-    """model.logprob clamped at LOG_ZERO, so an unseen event (as under MLE) stays finite."""
-    lp = model.logprob(token, context)
-    return lp if lp > LOG_ZERO else LOG_ZERO
-
-
 def sentence_logprob(model: NGramModel, tokens: Sequence[str]) -> float:
     """ln p(tokens </s>) with <s> padding, the offline whole-sentence score."""
     ctx = (BOS,) * (model.order - 1)
@@ -257,24 +267,57 @@ def _roll(ctx: tuple[str, ...], event: str, order: int) -> tuple[str, ...]:
     return (ctx + (event,))[-(order - 1):]
 
 
-def next_context(model: NGramModel, ctx: tuple[str, ...], token: str) -> tuple[str, ...]:
-    """The minimal context after ``token`` is appended to ``ctx``."""
-    event = token if token in model.vocab else UNK
-    return model.minimal_context(_roll(ctx, event, model.order))
-
-
 def step(model: NGramModel, ctx_id: int, token: str) -> tuple[float, int]:
-    """(floored ln p(token | context), next context id) for the context
-    interned as ``ctx_id``: the one way a scorer advances an LM context.  The
-    answer is kept in the model's transition table, so each (context, token)
-    is queried once per model."""
+    """(ln p(token | context) floored at LOG_ZERO, next context id) for the
+    context interned as ``ctx_id``: the one way a scorer advances an LM
+    context.  The answer is kept in the model's transition table, so each
+    (context, token) is queried once per model."""
     table = model._transitions[ctx_id]
     hit = table.get(token)
     if hit is None:
-        ctx = model.context_tuples[ctx_id]
-        hit = table[token] = (floored_logprob(model, token, ctx),
-                              model.context_id(next_context(model, ctx, token)))
+        lp, next_id = _miss(model, ctx_id, token, token if token in model.vocab else UNK)
+        hit = table[token] = (lp if lp > LOG_ZERO else LOG_ZERO, next_id)
     return hit
+
+
+def _miss(model: NGramModel, ctx_id: int, token: str, event: str) -> tuple[float, int]:
+    """(unfloored ln p(event | h), next context id) for the context h
+    interned as ``ctx_id``, from one n-gram lookup and the answer for h's
+    suffix s.  Exact because tokens that s drops from h[1:] have neither
+    n-grams nor backoff weights:
+      - an absent n-gram gives bow(h) + lp(event | s), added as
+        ``NGramModel.logprob`` adds them (under MLE, no backoff: -inf);
+      - the next context is h + event if that is a known context shorter
+        than the order (under MLE contexts are whole, so every one is
+        known), else s's next context, as known contexts are closed under
+        prefixes.
+    s's answer is read from its table, or worked out here without being
+    stored, so a miss adds one table entry.  A stored answer at the
+    LOG_ZERO floor may have been clipped, so then the raw log-prob is asked
+    of the model."""
+    ctx = model.context_tuples[ctx_id]
+    gram = ctx + (event,)
+    lp = model.logprobs[len(ctx)].get(gram)
+    mle = model.smoothing == "mle"
+    extends = len(gram) < model.order and (mle or gram in model.contexts)
+    backs_off = lp is None and bool(ctx) and not mle
+    if lp is None and not backs_off:
+        lp = NEG_INF
+    if extends and not backs_off:
+        return lp, model._intern(gram)
+    if not ctx:
+        return lp, ctx_id
+    suffix = model._suffixes[ctx_id]
+    hit = model._transitions[suffix].get(token)
+    if hit is None:
+        suffix_lp, next_id = _miss(model, suffix, token, event)
+    else:
+        suffix_lp, next_id = hit
+        if backs_off and suffix_lp <= LOG_ZERO:
+            suffix_lp = model.logprob(event, model.context_tuples[suffix])
+    if backs_off:
+        lp = model._bows[ctx_id] + suffix_lp
+    return lp, model._intern(gram) if extends else next_id
 
 
 # ---------------------------------------------------------------------------
@@ -294,35 +337,69 @@ def initial_twin_state(lm_m: Optional[NGramModel], lm_w: Optional[NGramModel]) -
     return TwinScorerState(morph_ctx, (), word_ctx)
 
 
+class Target(tuple):
+    """A phrase target's tokens, split once into what ``twin_extend`` needs:
+    ``head``, the surfaces up to and including the first word-final token
+    (all of them if none is final); ``closes``, whether that token exists;
+    ``words``, the whole words after it; and ``tail``, the surfaces after
+    the last word-final token.  It is equal to its token tuple."""
+
+    head: tuple[str, ...]
+    closes: bool
+    words: tuple[str, ...]
+    tail: tuple[str, ...]
+
+
+def compile_target(tokens: Sequence[str]) -> Target:
+    target = Target(tokens)
+    words: list[tuple[str, ...]] = []  # the surfaces of each whole word
+    surfaces: list[str] = []
+    for tok in target:
+        surface, final = split_token_string(tok)
+        surfaces.append(surface)
+        if final:
+            words.append(tuple(surfaces))
+            surfaces = []
+    target.closes = bool(words)
+    target.head = words[0] if words else tuple(surfaces)
+    target.words = tuple("".join(word) for word in words[1:])
+    target.tail = tuple(surfaces) if words else ()
+    return target
+
+
 def twin_extend(
     state: TwinScorerState,
-    morphemes: Sequence[str],
+    target: Sequence[str],
     lm_m: Optional[NGramModel],
     lm_w: Optional[NGramModel],
 ) -> tuple[TwinScorerState, float, float]:
     """Score one phrase application under both views.
 
     Returns (new state, morpheme-LM delta, word-LM delta).  The word LM only
-    sees words completed within this extension; an unfinished word stays in
-    the pending buffer.  Each token's log-prob and next context come from
-    ``step``, so from its model's transition table once asked before.
+    sees words completed within this extension: the pending buffer joined
+    with the target's head, then its inner words; an unfinished word stays
+    in the pending buffer.  Each token's log-prob and next context come from
+    ``step``, so from its model's transition table once asked before.  A
+    plain token sequence is compiled first.
     """
-    morph_ctx, pending, word_ctx = state.morph_ctx, list(state.pending), state.word_ctx
-    morph_delta = 0.0
-    word_delta = 0.0
-    for tok in morphemes:
-        if lm_m is not None:
+    if not isinstance(target, Target):
+        target = compile_target(target)
+    morph_ctx, word_ctx = state.morph_ctx, state.word_ctx
+    morph_delta = word_delta = 0.0
+    if lm_m is not None:
+        for tok in target:
             lp, morph_ctx = step(lm_m, morph_ctx, tok)
             morph_delta += lp
-        surface, final = split_token_string(tok)
-        pending.append(surface)
-        if final:
-            word = "".join(pending)
-            pending = []
-            if lm_w is not None:
+    pending = state.pending + target.head
+    if target.closes:
+        if lm_w is not None:
+            lp, word_ctx = step(lm_w, word_ctx, "".join(pending))
+            word_delta += lp
+            for word in target.words:
                 lp, word_ctx = step(lm_w, word_ctx, word)
                 word_delta += lp
-    return TwinScorerState(morph_ctx, tuple(pending), word_ctx), morph_delta, word_delta
+        pending = target.tail
+    return TwinScorerState(morph_ctx, pending, word_ctx), morph_delta, word_delta
 
 
 def twin_finalize(

@@ -348,6 +348,46 @@ def reference_logprob(model, token, context=()):
     return query(ctx + (w,))
 
 
+def floored_logprob(model, token, context):
+    """``model.logprob`` clamped at ``LOG_ZERO``: the answer ``lm.step``
+    keeps, asked of the model directly."""
+    from morphsmt import lm
+
+    lp = model.logprob(token, context)
+    return lp if lp > lm.LOG_ZERO else lm.LOG_ZERO
+
+
+def next_context(model, ctx, token):
+    """The minimal context after ``token`` is appended to ``ctx``: rolled
+    and minimized directly, not through the suffix ids ``lm.step`` uses."""
+    from morphsmt.lm import UNK, _roll
+
+    event = token if token in model.vocab else UNK
+    return model.minimal_context(_roll(ctx, event, model.order))
+
+
+def reference_twin_extend(state, tokens, lm_m, lm_w):
+    """``lm.twin_extend`` token by token: each token is split again, and the
+    pending buffer is joined at every word-final one."""
+    from morphsmt.lm import TwinScorerState, step
+    from morphsmt.morpho import split_token_string
+
+    morph_ctx, pending, word_ctx = state.morph_ctx, list(state.pending), state.word_ctx
+    morph_delta = word_delta = 0.0
+    for tok in tokens:
+        if lm_m is not None:
+            lp, morph_ctx = step(lm_m, morph_ctx, tok)
+            morph_delta += lp
+        surface, final = split_token_string(tok)
+        pending.append(surface)
+        if final:
+            if lm_w is not None:
+                lp, word_ctx = step(lm_w, word_ctx, "".join(pending))
+                word_delta += lp
+            pending = []
+    return TwinScorerState(morph_ctx, tuple(pending), word_ctx), morph_delta, word_delta
+
+
 def reference_model1(corpus, iterations=5):
     """IBM Model 1 EM as a flat loop over tuple-keyed dicts: the E-step takes
     each denominator with ``fsum`` and adds the counts in the same order as

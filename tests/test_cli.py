@@ -448,6 +448,23 @@ def test_merge_pt_our_method_needs_the_word_and_lexical_tables(tmp_path, omitted
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("inputs_exist", [True, False])
+def test_merge_pt_our_method_refuses_word_granularity(tmp_path, inputs_exist):
+    # our-method merges morpheme tables: a word granularity is refused, with
+    # readable inputs or with none (so before any read), and nothing is written
+    paths = {"out": str(tmp_path / "out.txt")}
+    for name, text in {"pt": TABLE_LINE, "lex": "a/STM\tx/STM\t0.5\n"}.items():
+        paths[name] = str(tmp_path / name)
+        if inputs_exist:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    proc = run_morphsmt(*(arg.format(**paths) for arg in MERGE_OUR_METHOD),
+                        "--granularity", "word")
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: --method our-method merges morpheme tables, "
+                           "not --granularity word\n")
+    assert not (tmp_path / "out.txt").exists()
+
+
 @pytest.mark.parametrize("given", ["--hyp-morphs", "--ref-morphs"])
 def test_eval_needs_both_morpheme_files(tmp_path, given):
     ref = tmp_path / "ref.txt"

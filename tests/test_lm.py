@@ -195,7 +195,7 @@ def test_minimal_context_keeps_every_logprob(tmp_path, order, smoothing, via_arp
                 assert model.logprob(w, short).hex() == model.logprob(w, full).hex(), (
                     full, short, w)
             full = lm._roll(full, tok if tok in model.vocab else UNK, order)
-            short = lm.next_context(model, short, tok)
+            short = oracles.next_context(model, short, tok)
     assert shortened > 0 or order <= 2  # the property is not tested vacuously
 
 
@@ -218,7 +218,7 @@ def test_logprob_matches_recursive_backoff_bit_for_bit(tmp_path, order, smoothin
             # minimized contexts, one too long, and one with a raw OOV token
             contexts.update({full, short, ("a",) + full, ("zz",) + full[1:]})
             full = lm._roll(full, tok if tok in model.vocab else UNK, order)
-            short = lm.next_context(model, short, tok)
+            short = oracles.next_context(model, short, tok)
     for ctx in sorted(contexts):
         for w in events:
             want = reference_logprob(model, w, ctx).hex()
@@ -247,7 +247,7 @@ def test_mle_contexts_are_not_minimized(order):
     assert model.minimal_context(full) == full
     for tok in [rng.choice(stream_tokens) for _ in range(30)]:
         rolled = lm._roll(full, tok if tok in model.vocab else UNK, order)
-        assert lm.next_context(model, full, tok) == rolled
+        assert oracles.next_context(model, full, tok) == rolled
         full = rolled
 
 
@@ -292,13 +292,94 @@ def test_step_equals_direct_queries_on_warm_tables(tmp_path_factory, corpus, ord
         for tok in walk:
             assert model.context_tuples[ctx_id] == ctx
             lp, next_id = lm.step(model, ctx_id, tok)
-            assert lp.hex() == lm.floored_logprob(model, tok, ctx).hex(), (ctx, tok)
-            ctx = lm.next_context(model, ctx, tok)
+            assert lp.hex() == oracles.floored_logprob(model, tok, ctx).hex(), (ctx, tok)
+            ctx = oracles.next_context(model, ctx, tok)
             assert model.context_tuples[next_id] == ctx
             ctx_id = next_id
     assert len(model.context_tuples) == n_contexts
     assert sum(map(len, model._transitions)) == n_answers
     assert len(set(model.context_tuples)) == len(model.context_tuples)  # one id each
+
+
+STEP_TOKENS = ["a", "b", "c/STM", "c/SUF", "d/SUF+", "zz", BOS, EOS, UNK]
+
+
+@pytest.mark.parametrize("floor", [None, -2.0])
+@pytest.mark.parametrize("smoothing", ["mle", "witten-bell", "kneser-ney"])
+def test_first_step_answers_are_exact_on_cold_tables(tmp_path_factory, smoothing, floor):
+    # a miss is answered from one n-gram lookup and the suffix context's
+    # answer; it must equal the direct query bit for bit and store one entry.
+    # With the floor raised, stored suffix answers are often clipped, so the
+    # raw log-prob must then be asked of the model
+    fallbacks = []
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.lists(st.sampled_from(STEP_TOKENS[:5]), max_size=6),
+                    min_size=1, max_size=6),
+           st.integers(1, 5), st.booleans(),
+           st.lists(st.lists(st.sampled_from(STEP_TOKENS), max_size=10),
+                    min_size=1, max_size=5))
+    def check(corpus, order, via_arpa, walks):
+        model = lm.train_lm(corpus, order, smoothing)
+        if via_arpa:
+            path = tmp_path_factory.mktemp("arpa") / "model.arpa"
+            lm.write_arpa(path, model)
+            model = lm.read_arpa(path)
+        real_logprob = model.logprob
+        calls = []
+        model.logprob = lambda *a: calls.append(a) or real_logprob(*a)
+        # each walk from <s> contexts of every length, shortest first, so
+        # that longer contexts find their suffixes' answers in the tables
+        for walk, start in ((w, (BOS,) * n) for w in walks for n in range(order)):
+            ctx_id = model.context_id(start)
+            ctx = model.minimal_context(start)
+            for tok in walk:
+                cold = tok not in model._transitions[ctx_id]
+                n_answers = sum(map(len, model._transitions))
+                n_calls = len(calls)
+                lp, next_id = lm.step(model, ctx_id, tok)
+                fallbacks.append(len(calls) - n_calls)
+                assert sum(map(len, model._transitions)) == n_answers + cold
+                assert lp.hex() == oracles.floored_logprob(model, tok, ctx).hex(), (ctx, tok)
+                ctx = oracles.next_context(model, ctx, tok)
+                assert model.context_tuples[next_id] == ctx, (ctx, tok)
+                ctx_id = next_id
+        for cid, ctx in enumerate(model.context_tuples):
+            suffix = model.context_tuples[model._suffixes[cid]]
+            assert suffix == model.minimal_context(ctx[1:]), ctx
+
+    with pytest.MonkeyPatch.context() as patch:
+        if floor is not None:
+            patch.setattr(lm, "LOG_ZERO", floor)
+        check()
+    # the fallback is taken only where a floor can clip a backoff's suffix
+    assert (sum(fallbacks) > 0) == (floor is not None and smoothing != "mle")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c/STM", "c/STM+", "d/SUF", "d/SUF+"]),
+                         max_size=6), min_size=1, max_size=6),
+       st.integers(1, 4), st.sampled_from(["mle", "witten-bell", "kneser-ney"]),
+       st.sampled_from(["both", "morph", "word"]),
+       st.lists(st.sampled_from(["", "a", "c", "zz"]), max_size=3),
+       st.lists(st.lists(st.sampled_from(["a", "c/STM", "c/STM+", "d/SUF", "d/SUF+", "zz",
+                                          "zz/PRE+"]), max_size=6), min_size=1, max_size=6))
+def test_compiled_targets_score_as_plain_tokens(corpus, order, smoothing, models, pending,
+                                                 targets):
+    # targets with no word-final token, all-final ones, and either LM absent
+    lm_m = lm.train_lm(corpus, order, smoothing) if models != "word" else None
+    lm_w = (lm.train_lm([oracles.words_of(s) for s in corpus], order, smoothing)
+            if models != "morph" else None)
+    state = lm.initial_twin_state(lm_m, lm_w)._replace(pending=tuple(pending))
+    for tokens in targets:
+        want = oracles.reference_twin_extend(state, tokens, lm_m, lm_w)
+        compiled = lm.compile_target(tokens)
+        assert compiled == tuple(tokens)
+        for target in (compiled, tokens, tuple(tokens)):
+            got = lm.twin_extend(state, target, lm_m, lm_w)
+            assert got[0] == want[0], (state, tokens)
+            assert [d.hex() for d in got[1:]] == [d.hex() for d in want[1:]], (state, tokens)
+        state = want[0]
 
 
 def test_twin_extend_pending_word():
