@@ -154,6 +154,12 @@ def build_table(
     return table, lt_f, lt_b
 
 
+def _span_limit(cfg, granularity: al.Granularity, boundary_aware: bool) -> int:
+    """Extraction's limit in ``cfg``, a config or ``PipelineConfig`` for the
+    defaults: tokens for classic morpheme extraction, else words."""
+    return cfg.max_morphemes if granularity == "morpheme" and not boundary_aware else cfg.max_words
+
+
 def _word_table(cfg: PipelineConfig, data: CorpusData):
     return build_table(data.words["train_src"], data.words["train_tgt"], "word", False,
                        cfg.max_words, cfg.align_iterations, cfg.align_heuristic)
@@ -162,8 +168,7 @@ def _word_table(cfg: PipelineConfig, data: CorpusData):
 def _morph_table(cfg: PipelineConfig, data: CorpusData, boundary_aware: bool):
     return build_table(
         data.morphs["train_src"], data.morphs["train_tgt"], "morpheme", boundary_aware,
-        cfg.max_words if boundary_aware else cfg.max_morphemes,
-        cfg.align_iterations, cfg.align_heuristic,
+        _span_limit(cfg, "morpheme", boundary_aware), cfg.align_iterations, cfg.align_heuristic,
     )
 
 
@@ -372,7 +377,8 @@ def _cmd_extract(args) -> int:
     segmented = args.granularity == "morpheme" or args.boundary_aware
     read = mo.read_segmented_file if segmented else mo.read_word_file
     src, tgt = _read_parallel(read, args.source, args.target)
-    table, _, _ = build_table(src, tgt, args.granularity, args.boundary_aware, args.max_span,
+    max_span = args.max_span or _span_limit(PipelineConfig, args.granularity, args.boundary_aware)
+    table, _, _ = build_table(src, tgt, args.granularity, args.boundary_aware, max_span,
                               args.iterations, PipelineConfig.align_heuristic, args.alignments)
     px.write_phrase_table(args.output, table)
     return 0
@@ -456,11 +462,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_merge_pt(args) -> int:
     pt_w, lexical, granularity = None, (), args.granularity
+    lex_paths = (args.lex_m_fwd, args.lex_m_bwd, args.lex_w_fwd, args.lex_w_bwd)
+    if args.method != "our-method" and any(p is not None for p in (args.pt_w, *lex_paths)):
+        raise ValueError("--pt-w and --lex-* are used only by --method our-method")
     if args.method == "our-method":  # which merges morpheme tables
         if granularity == "word":
             raise ValueError("--method our-method merges morpheme tables, "
                              "not --granularity word")
-        lex_paths = (args.lex_m_fwd, args.lex_m_bwd, args.lex_w_fwd, args.lex_w_bwd)
         if None in (args.pt_w, *lex_paths):
             raise ValueError("--method our-method needs --pt-w and the four --lex-* tables")
         pt_w = px.read_phrase_table(args.pt_w, "word")
@@ -520,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--granularity", default="morpheme", choices=granularities)
     p.add_argument("--boundary-aware", action="store_true")
-    p.add_argument("--max-span", type=int, default=PipelineConfig.max_words,
-                   help="words (boundary-aware/word) or tokens (classic)")
+    p.add_argument("--max-span", type=int, default=None,
+                   help="tokens (classic morpheme) or words; omitted = the pipeline's limit")
     p.add_argument("--iterations", type=int, default=PipelineConfig.align_iterations)
     p.set_defaults(func=_cmd_extract)
 

@@ -111,18 +111,17 @@ class PipelineConfig:
         return items
 
 
-def parse_config_text(
-    text: str,
-    filename: str,
-    base_dir: Path,
-    overrides: Optional[Mapping[str, str]] = None,
+def load_config(
+    path, overrides: Optional[Mapping[str, str]] = None
 ) -> PipelineConfig:
-    """The config in ``text``, then ``overrides``.  A malformed line, an
-    unknown key, a bad or out-of-range value and a missing data file are
-    reported as ``<filename>:<line>:``, or as the ``--set KEY=VALUE``
-    override they came from."""
+    """The config file at ``path``, then ``overrides``.  A malformed line,
+    an unknown key, a bad or out-of-range value and a missing data file are
+    reported as ``<file>:<line>:``, or as the ``--set KEY=VALUE`` override
+    they came from."""
+    path = Path(path)
+    filename, base_dir = str(path), path.resolve().parent
     raw: dict[str, tuple[str, str]] = {}  # key: (value, where it was set)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -153,12 +152,3 @@ def parse_config_text(
             raise ConfigError(f"{where}: unknown config key: {key}")
     cfg.validate(origins, filename)
     return cfg
-
-
-def load_config(
-    path, overrides: Optional[Mapping[str, str]] = None
-) -> PipelineConfig:
-    path = Path(path)
-    return parse_config_text(
-        path.read_text(encoding="utf-8"), str(path), path.resolve().parent, overrides
-    )

@@ -84,15 +84,16 @@ _MAG_FLOOR = 2.0 ** -900
 def default_weights(
     n_extras: int = 0, with_morph_lm: bool = True, with_word_lm: bool = True
 ) -> dict[str, float]:
-    names = ["phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd", "phrase_penalty",
-             "word_penalty", "distortion", "oov"]
-    if with_morph_lm:
-        names.insert(0, "lm_morph")
-    if with_word_lm:
-        names.insert(1 if with_morph_lm else 0, "lm_word")
-    weights = {n: DEFAULT_WEIGHTS[n] for n in names}
+    absent = {"lm_morph": not with_morph_lm, "lm_word": not with_word_lm}
+    weights = {n: w for n, w in DEFAULT_WEIGHTS.items() if not absent.get(n)}
     weights.update((f"merge_feat_{i + 1}", MERGE_FEAT_WEIGHT) for i in range(n_extras))
     return weights
+
+
+def feature_rank(name: str) -> int:
+    """A feature's place in a weights file and in MERT's direction order:
+    its index in FEATURE_ORDER, and after all of those when not listed."""
+    return FEATURE_ORDER.index(name) if name in FEATURE_ORDER else len(FEATURE_ORDER)
 
 
 def dot(weights: Mapping[str, float], features: Mapping[str, float]) -> float:
@@ -643,9 +644,8 @@ def _parse_nbest_line(line: str) -> Optional[tuple[int, NBestEntry]]:
 
 
 def write_weights(path, weights: Mapping[str, float]) -> None:
-    order = {name: i for i, name in enumerate(FEATURE_ORDER)}
     with open(path, "w", encoding="utf-8") as fh:
-        for name in sorted(weights, key=lambda n: order.get(n, len(order))):
+        for name in sorted(weights, key=feature_rank):
             fh.write(f"{name}\t{weights[name]!r}\n")
 
 

@@ -251,22 +251,6 @@ def train_lm(
     return NGramModel(order, smoothing, vocab, logprobs, backoffs)
 
 
-def sentence_logprob(model: NGramModel, tokens: Sequence[str]) -> float:
-    """ln p(tokens </s>) with <s> padding, the offline whole-sentence score."""
-    ctx = (BOS,) * (model.order - 1)
-    total = 0.0
-    for tok in tokens:
-        total += model.logprob(tok, ctx)
-        ctx = _roll(ctx, tok if tok in model.vocab else UNK, model.order)
-    return total + model.logprob(EOS, ctx)
-
-
-def _roll(ctx: tuple[str, ...], event: str, order: int) -> tuple[str, ...]:
-    if order <= 1:
-        return ()
-    return (ctx + (event,))[-(order - 1):]
-
-
 def step(model: NGramModel, ctx_id: int, token: str) -> tuple[float, int]:
     """(ln p(token | context) floored at LOG_ZERO, next context id) for the
     context interned as ``ctx_id``: the one way a scorer advances an LM
@@ -429,16 +413,17 @@ def write_arpa(path, model: NGramModel) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"smoothing: {model.smoothing}\n\n")  # ARPA readers skip the preamble
         fh.write("\\data\\\n")
+        # contexts that are never events (pure <s> prefixes) still need
+        # their backoff weight carried; SRILM writes them as -99 lines
+        sections = []  # per order: its sorted n-grams and backoff weights
         for k in range(1, model.order + 1):
             bows = model.backoffs[k - 1] if k < model.order else {}
-            fh.write(f"ngram {k}={len(set(model.logprobs[k - 1]) | set(bows))}\n")
+            sections.append((sorted(set(model.logprobs[k - 1]) | set(bows)), bows))
+        for k, (grams, _) in enumerate(sections, start=1):
+            fh.write(f"ngram {k}={len(grams)}\n")
         fh.write("\n")
-        for k in range(1, model.order + 1):
+        for k, (grams, bows) in enumerate(sections, start=1):
             fh.write(f"\\{k}-grams:\n")
-            bows = model.backoffs[k - 1] if k < model.order else {}
-            # contexts that are never events (pure <s> prefixes) still need
-            # their backoff weight carried; SRILM writes them as -99 lines
-            grams = sorted(set(model.logprobs[k - 1]) | set(bows))
             for gram in grams:
                 lp = model.logprobs[k - 1].get(gram, NEG_INF)
                 lp10 = _ARPA_NEG_INF if lp == NEG_INF else lp / _LN10

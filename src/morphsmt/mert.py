@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
-from .decoder import FEATURE_ORDER, NBestEntry, dot
+from .decoder import NBestEntry, dot, feature_rank
 from .metrics import add_stats, bleu_from_stats, bleu_stats, zero_stats
 from .morpho import words_from_tokens
 
@@ -180,7 +180,7 @@ def mert_run(
         best_weights=dict(initial_weights),
     )
     rng = random.Random(seed)
-    names = sorted(initial_weights, key=lambda n: _feature_rank(n))
+    names = sorted(initial_weights, key=feature_rank)
 
     for iteration in range(max_iters):
         nbests = decoder_handle(state.weights)
@@ -220,13 +220,6 @@ def mert_run(
         if iteration > 0 and state.history[-1] - state.history[-2] < epsilon:
             break
     return state
-
-
-def _feature_rank(name: str) -> int:
-    try:
-        return FEATURE_ORDER.index(name)
-    except ValueError:
-        return len(FEATURE_ORDER)
 
 
 def write_mert_log(path, state: MertState) -> None:

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, groupby, pairwise
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -306,27 +307,20 @@ def extract_corpus(
     targets: Sequence[Sequence[str]],
     alignments: Sequence[AlignmentMatrix],
     max_len: int = 7,
+    boundary_aware: bool = False,
 ) -> Counter:
-    """Classic extraction counts over a corpus (one set per sentence pair)."""
+    """Extraction counts over a corpus (one set per sentence pair); with
+    ``boundary_aware``, ``max_len`` limits both sides in words."""
     counts: Counter = Counter()
     shared: dict[frozenset, frozenset] = {}
     for src, tgt, a in zip(sources, targets, alignments, strict=True):
-        counts.update(extract_phrases(src, tgt, a, max_len, shared=shared))
+        counts.update(extract_phrases(src, tgt, a, max_len, boundary_aware, shared))
     return counts
 
 
-def extract_corpus_boundary_aware(
-    sources: Sequence[Sequence[str]],
-    targets: Sequence[Sequence[str]],
-    alignments: Sequence[AlignmentMatrix],
-    max_words: int = 7,
-) -> Counter:
-    """Boundary-aware extraction counts; ``max_words`` limits both sides in words."""
-    counts: Counter = Counter()
-    shared: dict[frozenset, frozenset] = {}
-    for src, tgt, a in zip(sources, targets, alignments, strict=True):
-        counts.update(extract_phrases(src, tgt, a, max_words, True, shared))
-    return counts
+# a name of its own so that a tracer can time and count boundary-aware
+# extraction apart; the partial holds this module's unwrapped function
+extract_corpus_boundary_aware = partial(extract_corpus, boundary_aware=True)
 
 
 # --- text format: src ||| tgt ||| scores ||| count ||| i-j i-j ---------------

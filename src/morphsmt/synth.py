@@ -68,6 +68,16 @@ def make_pair(rng: random.Random):
     return src_words, src_morphs, tgt_words, tgt_morphs
 
 
+def bundled_dir() -> Path:
+    """Location of the corpus shipped inside the package."""
+    return Path(__file__).resolve().parent / "data" / "synth"
+
+
+# the bundled corpus's config, read once: its data paths are relative, so it
+# serves every workspace unchanged
+SYNTH_CONFIG = (bundled_dir() / "synth.cfg").read_text(encoding="utf-8")
+
+
 def generate(seed: int = DEFAULT_SEED, sizes: tuple[int, int, int] = DEFAULT_SIZES):
     """{'train'|'dev'|'test': list of (src words, src morphs, tgt words, tgt morphs)}."""
     rng = random.Random(seed)
@@ -100,39 +110,6 @@ def write_corpus(
     return paths
 
 
-SYNTH_CONFIG = """\
-# bundled synthetic bitext, desk-scale settings
-data.train_src_words = train.src.words
-data.train_src_morphs = train.src.morphs
-data.train_tgt_words = train.tgt.words
-data.train_tgt_morphs = train.tgt.morphs
-data.dev_src_words = dev.src.words
-data.dev_src_morphs = dev.src.morphs
-data.dev_tgt_words = dev.tgt.words
-data.dev_tgt_morphs = dev.tgt.morphs
-data.test_src_words = test.src.words
-data.test_src_morphs = test.src.morphs
-data.test_tgt_words = test.tgt.words
-data.test_tgt_morphs = test.tgt.morphs
-granularity.max_words = 7
-granularity.max_morphemes = 10
-lm.word_order = 4
-lm.morph_order = 5
-lm.smoothing = witten-bell
-align.iterations = 5
-align.heuristic = grow-diag-final-and
-decoder.beam = 20
-decoder.distortion_limit = 6
-decoder.nbest = 50
-mert.max_iters = 3
-mert.epsilon = 0.0001
-merge.method = our-method
-merge.alpha = 0.6
-merge.primary = wm
-seed = 42
-"""
-
-
 def write_workspace(outdir, seed: int = DEFAULT_SEED,
                     sizes: tuple[int, int, int] = DEFAULT_SIZES) -> Path:
     """Corpus files plus a ready-to-run config; returns the config path."""
@@ -141,8 +118,3 @@ def write_workspace(outdir, seed: int = DEFAULT_SEED,
     cfg = outdir / "synth.cfg"
     cfg.write_text(SYNTH_CONFIG, encoding="utf-8")
     return cfg
-
-
-def bundled_dir() -> Path:
-    """Location of the corpus shipped inside the package."""
-    return Path(__file__).resolve().parent / "data" / "synth"

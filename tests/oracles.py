@@ -287,13 +287,13 @@ def reference_mert_run(dev_refs, initial_weights, decoder_handle, max_iters=10,
     afresh each time.  The returned state must agree bit for bit."""
     import random
 
-    from morphsmt import mert
+    from morphsmt import decoder, mert
 
     state = mert.MertState(weights=dict(initial_weights),
                            pool=[dict() for _ in dev_refs],
                            best_weights=dict(initial_weights))
     rng = random.Random(seed)
-    names = sorted(initial_weights, key=mert._feature_rank)
+    names = sorted(initial_weights, key=decoder.feature_rank)
     for iteration in range(max_iters):
         for s, entries in enumerate(decoder_handle(state.weights)):
             for entry in entries:
@@ -357,13 +357,34 @@ def floored_logprob(model, token, context):
     return lp if lp > lm.LOG_ZERO else lm.LOG_ZERO
 
 
+def roll(ctx, event, order):
+    """``ctx`` with ``event`` appended, cut to its last ``order - 1`` tokens."""
+    if order <= 1:
+        return ()
+    return (ctx + (event,))[-(order - 1):]
+
+
 def next_context(model, ctx, token):
     """The minimal context after ``token`` is appended to ``ctx``: rolled
     and minimized directly, not through the suffix ids ``lm.step`` uses."""
-    from morphsmt.lm import UNK, _roll
+    from morphsmt.lm import UNK
 
     event = token if token in model.vocab else UNK
-    return model.minimal_context(_roll(ctx, event, model.order))
+    return model.minimal_context(roll(ctx, event, model.order))
+
+
+def sentence_logprob(model, tokens):
+    """ln p(tokens </s>) with <s> padding, the offline whole-sentence score
+    that a scorer's deltas must sum to: one ``model.logprob`` per token over
+    the full rolled context, with no interned contexts or tables."""
+    from morphsmt.lm import BOS, EOS, UNK
+
+    ctx = (BOS,) * (model.order - 1)
+    total = 0.0
+    for tok in tokens:
+        total += model.logprob(tok, ctx)
+        ctx = roll(ctx, tok if tok in model.vocab else UNK, model.order)
+    return total + model.logprob(EOS, ctx)
 
 
 def reference_twin_extend(state, tokens, lm_m, lm_w):

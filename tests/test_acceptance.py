@@ -178,10 +178,10 @@ def test_criterion_5_twin_word_view():
     for tokens in probes:
         _, m_total, w_total = run(tokens, [tokens])
         assert w_total == pytest.approx(
-            lm.sentence_logprob(lm_w, oracles.words_of(tokens)), abs=1e-9
+            oracles.sentence_logprob(lm_w, oracles.words_of(tokens)), abs=1e-9
         )
         assert m_total == pytest.approx(
-            lm.sentence_logprob(lm_m, tokens), abs=1e-9
+            oracles.sentence_logprob(lm_m, tokens), abs=1e-9
         )
     rechunk_probe = probes[0]
     base = run(rechunk_probe, [rechunk_probe])

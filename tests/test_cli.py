@@ -105,6 +105,23 @@ def test_extract_writes_the_pipelines_table(tmp_path, system, given_alignments):
     assert (tmp_path / "pt.txt").read_bytes() == pt.read_bytes()
 
 
+@pytest.mark.parametrize("system", ["w-system", "m-system", "m+phr"])
+def test_extract_defaults_write_the_pipelines_table(tmp_path, system):
+    # classic morpheme extraction is limited in tokens: this corpus's m-system
+    # table has a source phrase longer than the 7-word limit of the others
+    cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=5, sizes=(60, 8, 6)))
+    pt = cli.run_pipeline(system, cfg, tmp_path / "run")["pt"]
+    plan = cli.PLANS[system]
+    kind = "words" if plan.granularity == "word" else "morphs"
+    src, tgt = (str(cfg.paths[f"train_{side}_{kind}"]) for side in ("src", "tgt"))
+    argv = ["extract", "--source", src, "--target", tgt, "--output", str(tmp_path / "pt.txt"),
+            "--granularity", plan.granularity] + ["--boundary-aware"] * plan.boundary_aware
+    assert cli.main(argv) == 0
+    assert (tmp_path / "pt.txt").read_bytes() == pt.read_bytes()
+    if system == "m-system":
+        assert max(map(len, phrasex.read_phrase_table(pt).by_source)) > cfg.max_words
+
+
 @pytest.mark.parametrize("system", ["w-system", "m-system", "m+phr+lm", "m+phr+lm+tune",
                                     "merged"])
 def test_decoding_a_runs_artifacts_gives_its_output(tmp_path, monkeypatch, system):
@@ -463,6 +480,18 @@ def test_merge_pt_our_method_refuses_word_granularity(tmp_path, inputs_exist):
     assert proc.stderr == ("error: --method our-method merges morpheme tables, "
                            "not --granularity word\n")
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--pt-w", "--lex-w-bwd"])
+@pytest.mark.parametrize("method", ["add-1", "add-2", "interpolation"])
+def test_merge_pt_refuses_our_method_tables_under_other_methods(tmp_path, method, flag):
+    # no input exists: the unused flag is reported before any read
+    missing = str(tmp_path / "missing")
+    proc = run_morphsmt("merge-pt", "--method", method, "--primary", missing, "--secondary",
+                        missing, flag, missing, "--output", str(tmp_path / "out.txt"))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: --pt-w and --lex-* are used only by --method our-method\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("given", ["--hyp-morphs", "--ref-morphs"])

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from morphsmt import decoder, lm, morpho
 from morphsmt.phrasex import PhraseEntry, PhraseTable
 
+import oracles
+
 
 def entry(src, tgt, phi_f=1.0, phi_b=1.0, lex_f=1.0, lex_b=1.0, extras=()):
     return PhraseEntry(tuple(src), tuple(tgt), phi_f, phi_b, lex_f, lex_b,
@@ -58,8 +60,8 @@ def test_score_decomposes_over_extensions():
     # recompute features offline from the target token stream
     tokens = decoder.target_tokens(best)
     offline = {
-        "lm_morph": lm.sentence_logprob(lm_m, tokens),
-        "lm_word": lm.sentence_logprob(lm_w, morpho.words_from_tokens(tokens)),
+        "lm_morph": oracles.sentence_logprob(lm_m, tokens),
+        "lm_word": oracles.sentence_logprob(lm_w, morpho.words_from_tokens(tokens)),
         "phi_fwd": math.log(0.5) * 2,
         "phi_bwd": 0.0,
         "lex_fwd": 0.0,
@@ -246,6 +248,18 @@ def test_weights_file_roundtrip(tmp_path):
     assert decoder.read_weights(path) == weights
 
 
+@pytest.mark.parametrize("n_extras", [0, 3])
+@pytest.mark.parametrize("with_morph_lm", [True, False])
+@pytest.mark.parametrize("with_word_lm", [True, False])
+def test_default_weights_list_the_present_features_in_order(n_extras, with_morph_lm,
+                                                            with_word_lm):
+    want = [("lm_morph", 0.5)] * with_morph_lm + [("lm_word", 0.15)] * with_word_lm + [
+        ("phi_fwd", 0.4), ("phi_bwd", 0.4), ("lex_fwd", 0.2), ("lex_bwd", 0.2),
+        ("phrase_penalty", -0.2), ("word_penalty", 0.9), ("distortion", -0.3), ("oov", 0.0),
+    ] + [(f"merge_feat_{i}", 0.3) for i in range(1, n_extras + 1)]
+    assert list(decoder.default_weights(n_extras, with_morph_lm, with_word_lm).items()) == want
+
+
 file_value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0]),
                        st.floats(allow_nan=False, allow_infinity=False))
 feature_names = st.one_of(st.sampled_from(decoder.FEATURE_ORDER),
@@ -303,9 +317,9 @@ def exhaustive_monotone_best(src_words, options, lm_m, lm_w, weights):
                 feats[k] = feats.get(k, 0.0) + v
         feats["word_penalty"] = float(len(morpho.words_from_tokens(tokens)))
         if lm_m is not None:
-            feats["lm_morph"] = lm.sentence_logprob(lm_m, tokens)
+            feats["lm_morph"] = oracles.sentence_logprob(lm_m, tokens)
         if lm_w is not None:
-            feats["lm_word"] = lm.sentence_logprob(
+            feats["lm_word"] = oracles.sentence_logprob(
                 lm_w, morpho.words_from_tokens(tokens))
         return decoder.dot(weights, feats)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from morphsmt import mert, metrics
+from morphsmt import decoder, mert, metrics
 from morphsmt.decoder import NBestEntry
 from morphsmt.mert import Candidate, line_search, mert_run
 
@@ -202,3 +202,21 @@ def test_mert_needs_an_iteration(max_iters):
     with pytest.raises(ValueError, match="^max_iters must be positive$"):
         mert_run([("a",)], {"f": 1.0}, lambda w: calls.append(w) or [[]], max_iters=max_iters)
     assert calls == []
+
+
+def test_weights_files_and_mert_directions_rank_features_alike(tmp_path, monkeypatch):
+    # listed features in FEATURE_ORDER, then the rest in the weights' order
+    weights = {"merge_feat_3": 0.3, "oov": 0.0, "zz": 1.0, "merge_feat_2": 0.3, "lm_word": 0.1}
+    ranked = ["lm_word", "oov", "merge_feat_2", "merge_feat_3", "zz"]
+    path = tmp_path / "weights.tsv"
+    decoder.write_weights(path, weights)
+    assert [line.split("\t")[0] for line in path.read_text().splitlines()] == ranked
+    directions = []
+    dots = mert._dots
+    monkeypatch.setattr(mert, "_dots",
+                        lambda d, pools: directions.append(list(d)) or dots(d, pools))
+    mert_run([REF], weights, fake_handle([[NBestEntry(("a",), {"oov": 1.0}, 0.0)]]),
+             max_iters=1)
+    # the slopes of the axis directions are worked out first, then a random one's
+    assert directions[:len(ranked)] == [[name] for name in ranked]
+    assert directions[len(ranked)] == ranked

@@ -126,6 +126,22 @@ def test_boundary_aware_matches_filtered_bruteforce(seed):
     assert got == want
 
 
+@pytest.mark.parametrize("boundary_aware", [False, True])
+def test_corpus_extraction_counts_each_sentences_pairs(boundary_aware):
+    rng = random.Random(11)
+    sources = [random_morph_sentence(rng, 2, ("ka",)) for _ in range(40)]
+    targets = [random_morph_sentence(rng, 2, ("ka",)) for _ in range(40)]
+    alignments = [random_alignment(rng, len(s), len(t)) for s, t in zip(sources, targets)]
+    want = Counter()
+    for src, tgt, a in zip(sources, targets, alignments):
+        want.update(phrasex.extract_phrases(src, tgt, a, 3, boundary_aware))
+    got = phrasex.extract_corpus(sources, targets, alignments, 3, boundary_aware=boundary_aware)
+    assert got == want
+    assert max(got.values()) > 1  # some pair is counted in more than one sentence
+    if boundary_aware:
+        assert phrasex.extract_corpus_boundary_aware(sources, targets, alignments, 3) == want
+
+
 def lex_tables():
     fwd = {("a", "x"): 0.5, ("b", "x"): 0.25, ("a", "y"): 0.1}
     bwd = {("x", "a"): 0.5, ("x", "b"): 0.25, ("y", "a"): 0.1}
