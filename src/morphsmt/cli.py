@@ -220,8 +220,10 @@ def decode_corpus(
     from one search per sentence."""
     best, lists = [], []
     for source in sources:
-        lists.append(dec.nbest(source, table, lm_m, lm_w, weights, beam, distortion_limit, n))
-        best.append(dec.decode(source, table, lm_m, lm_w, weights, beam, distortion_limit))
+        entries, complete = dec.nbest(source, table, lm_m, lm_w, weights, beam,
+                                      distortion_limit, n)
+        lists.append(entries)
+        best.append(dec.decode(complete))
     return best, lists
 
 

@@ -6,8 +6,8 @@ search directly comparable to a word system's.  Scoring is log-linear; the
 word LM contributes only for words completed so far, so pruning uses a rest
 cost built from phrase scores plus a context-free morpheme-LM estimate.
 
-nbest() and decode() share one search per sentence through a one-entry memo
-of the last search, so the usual n-best-then-1-best pair costs one search.
+nbest() runs a sentence's one search and returns, with its n-best list, the
+complete hypotheses it ranked; decode() picks the 1-best from those.
 
 Each search fixes one order of feature slots: the options' TM feature
 names, ``lm_morph`` and ``lm_word`` for the LMs present, ``word_penalty`` and
@@ -523,45 +523,9 @@ def trace(hyp: Hypothesis, source: tuple[str, ...]) -> list[tuple[int, int, tupl
     return items
 
 
-# The last search: (source, table, lm_m, lm_w), compared by identity and held
-# so their ids cannot be reused; (weights, beam, distortion limit), compared
-# by value; and its complete hypotheses.
-_last_search: Optional[tuple[tuple, tuple, list[Hypothesis]]] = None
-
-
-def _search_once(
-    source: tuple[str, ...],
-    table: PhraseTable,
-    lm_m: Optional[NGramModel],
-    lm_w: Optional[NGramModel],
-    weights: Mapping[str, float],
-    beam_size: Optional[int],
-    distortion_limit: int,
-) -> list[Hypothesis]:
-    """search(), or its result from the previous call with the same arguments."""
-    global _last_search
-    objects = (source, table, lm_m, lm_w)
-    values = (dict(weights), beam_size, distortion_limit)
-    last = _last_search
-    if (last is not None and all(a is b for a, b in zip(last[0], objects))
-            and last[1] == values):
-        return last[2]
-    complete = search(source, table, lm_m, lm_w, weights, beam_size, distortion_limit)
-    _last_search = (objects, values, complete)
-    return complete
-
-
-def decode(
-    source: tuple[str, ...],
-    table: PhraseTable,
-    lm_m: Optional[NGramModel],
-    lm_w: Optional[NGramModel],
-    weights: Mapping[str, float],
-    beam_size: Optional[int] = 100,
-    distortion_limit: int = 6,
-) -> Hypothesis:
-    """Highest-scoring complete hypothesis (ties broken by target string)."""
-    complete = _search_once(source, table, lm_m, lm_w, weights, beam_size, distortion_limit)
+def decode(complete: Sequence[Hypothesis]) -> Hypothesis:
+    """The highest-scoring of a search's complete hypotheses (ties broken by
+    the larger target string)."""
     return max(complete, key=lambda h: (h.score, target_tokens(h)))
 
 
@@ -581,9 +545,11 @@ def nbest(
     beam_size: Optional[int] = 100,
     distortion_limit: int = 6,
     n: int = 100,
-) -> list[NBestEntry]:
-    """Top-n distinct target token strings by score, descending."""
-    complete = _search_once(source, table, lm_m, lm_w, weights, beam_size, distortion_limit)
+) -> tuple[list[NBestEntry], list[Hypothesis]]:
+    """The sentence's one search: its top-n distinct target token strings by
+    score, descending (ties by the smaller string), and the complete
+    hypotheses they were ranked from, for ``decode``."""
+    complete = search(source, table, lm_m, lm_w, weights, beam_size, distortion_limit)
     best: dict[tuple[str, ...], Hypothesis] = {}
     for hyp in complete:
         key = target_tokens(hyp)
@@ -591,10 +557,8 @@ def nbest(
         if old is None or hyp.score > old.score:
             best[key] = hyp
     ranked = sorted(best.items(), key=lambda kv: (-kv[1].score, kv[0]))
-    return [
-        NBestEntry(tokens, dict(sorted(hyp.features.items())), hyp.score)
-        for tokens, hyp in ranked[:n]
-    ]
+    return [NBestEntry(tokens, dict(sorted(hyp.features.items())), hyp.score)
+            for tokens, hyp in ranked[:n]], complete
 
 
 # --- n-best file format: sent_id ||| tokens ||| name=value ... ||| score -----

@@ -552,6 +552,8 @@ class _ArpaReader:
         if lp10 != _ARPA_NEG_INF:  # -99 lines are pure backoff carriers
             self.logprobs[k - 1][gram] = lp10 * _LN10
         if bow10 is not None:
+            if k == len(self.backoffs):  # a top-order n-gram is never a context
+                raise ValueError(f"backoff weight on a top-order {k}-gram: {line!r}")
             self.backoffs[k - 1][gram] = bow10 * _LN10
 
     def model(self) -> NGramModel:

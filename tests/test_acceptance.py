@@ -230,7 +230,7 @@ def test_criterion_6_decoder_oracle():
             [[morpho.split_token_string(v)[0]] for v in vocab], 2, "witten-bell"
         )
         weights = decoder.default_weights()
-        got = decoder.decode(src, tab, lm_m, lm_w, weights, None, 0)
+        got = decoder.decode(decoder.search(src, tab, lm_m, lm_w, weights, None, 0))
         want = exhaustive_monotone_best(
             words, decoder.build_options(src, tab), lm_m, lm_w, weights
         )
@@ -276,7 +276,7 @@ def test_criterion_7_mert(synth_cfg, synth_data):
     def handle(wts):
         return [
             decoder.nbest(s, table, lm_m, None, wts, synth_cfg.beam,
-                          synth_cfg.distortion_limit, synth_cfg.nbest)
+                          synth_cfg.distortion_limit, synth_cfg.nbest)[0]
             for s in dev_sources
         ]
 

@@ -1,14 +1,16 @@
 import argparse
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
-from morphsmt import cli, decoder, morpho, phrasex, synth
+from morphsmt import cli, decoder, lm, morpho, phrasex, synth
 from morphsmt.config import ConfigError, load_config
 
 
@@ -170,7 +172,6 @@ def test_lm_train_subcommand(tmp_path):
     rc = cli.main(["lm-train", "--input", str(tmp_path / "c.txt"),
                    "--output", str(out), "--order", "2"])
     assert rc == 0
-    from morphsmt import lm
     model = lm.read_arpa(out)
     assert model.order == 2
     assert math.exp(model.logprob("b", ["a"])) == pytest.approx(0.3)
@@ -710,3 +711,24 @@ def test_every_subcommand_prints_its_help(capsys):
             cli.main([name, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: morphsmt {name} ")
+
+
+@pytest.mark.parametrize("system,n_built", [("m+phr+lm+tune", 3), ("merged", 4)])
+def test_a_finished_pipeline_holds_no_model_or_table(tmp_path, monkeypatch, system, n_built):
+    # once run_pipeline returns, nothing keeps the LMs and tables it built alive
+    built = []
+
+    def keep_weakrefs(build):
+        def wrapped(*args, **kwargs):
+            result = build(*args, **kwargs)
+            built.append(weakref.ref(result[0] if isinstance(result, tuple) else result))
+            return result
+        return wrapped
+
+    monkeypatch.setattr(lm, "train_lm", keep_weakrefs(lm.train_lm))
+    monkeypatch.setattr(cli, "build_table", keep_weakrefs(cli.build_table))
+    cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=7, sizes=(30, 4, 4)))
+    cli.run_pipeline(system, cfg, tmp_path / "run")
+    gc.collect()
+    assert len(built) == n_built
+    assert [type(ref()).__name__ for ref in built if ref() is not None] == []

@@ -31,7 +31,7 @@ def test_single_option():
     src = morpho.parse_segmented_line("a/STM")
     tab = table([entry(("a/STM",), ("x/STM",))])
     lm_m, lm_w = tiny_lms([["x/STM"]], [["x"]])
-    h = decoder.decode(src, tab, lm_m, lm_w, decoder.default_weights())
+    h = decoder.decode(decoder.search(src, tab, lm_m, lm_w, decoder.default_weights()))
     assert decoder.target_tokens(h) == ("x/STM",)
 
 
@@ -56,7 +56,7 @@ def test_score_decomposes_over_extensions():
     ])
     lm_m, lm_w = tiny_lms([["x/STM+", "q/SUF", "y/STM"]], [["xq", "y"]])
     weights = decoder.default_weights()
-    best = decoder.decode(src, tab, lm_m, lm_w, weights, None, 0)
+    best = decoder.decode(decoder.search(src, tab, lm_m, lm_w, weights, None, 0))
     # recompute features offline from the target token stream
     tokens = decoder.target_tokens(best)
     offline = {
@@ -77,7 +77,7 @@ def test_oov_copies_through_as_own_word():
     src = morpho.parse_segmented_line("zz/STM+ q/SUF")
     tab = table([entry(("a/STM",), ("x/STM",))])
     lm_m, lm_w = tiny_lms([["x/STM"]], [["x"]])
-    h = decoder.decode(src, tab, lm_m, lm_w, decoder.default_weights(), None, 0)
+    h = decoder.decode(decoder.search(src, tab, lm_m, lm_w, decoder.default_weights(), None, 0))
     assert decoder.target_tokens(h) == ("zz/STM+", "q/SUF")
     assert h.features["oov"] == 1.0
     assert morpho.words_from_tokens(decoder.target_tokens(h)) == ["zzq"]
@@ -93,7 +93,7 @@ def test_phi_only_weights_pick_per_word_argmax():
     ])
     lm_m, lm_w = tiny_lms([["x1/STM"]], [["x1"]])
     weights = {"phi_fwd": 1.0}
-    h = decoder.decode(src, tab, None, None, weights, None, 0)
+    h = decoder.decode(decoder.search(src, tab, None, None, weights, None, 0))
     assert decoder.target_tokens(h) == ("x1/STM", "y2/STM")
     assert h.score == pytest.approx(math.log(0.8) + math.log(0.7))
 
@@ -105,8 +105,8 @@ def test_word_lm_weight_zero_makes_grouping_irrelevant():
     t2 = table([entry(("a/STM",), ("x/STM", "y/STM"))])
     lm_m, lm_w = tiny_lms([["x/STM+", "y/SUF"], ["x/STM", "y/STM"]], [["xy"], ["x", "y"]])
     weights = {"lm_morph": 1.0, "lm_word": 0.0, "phi_fwd": 1.0, "word_penalty": 0.0}
-    h1 = decoder.decode(src, t1, lm_m, lm_w, weights, None, 0)
-    h2 = decoder.decode(src, t2, lm_m, lm_w, weights, None, 0)
+    h1 = decoder.decode(decoder.search(src, t1, lm_m, lm_w, weights, None, 0))
+    h2 = decoder.decode(decoder.search(src, t2, lm_m, lm_w, weights, None, 0))
     m1 = h1.features["lm_morph"]
     m2 = h2.features["lm_morph"]
     # the twin state is carried but inert: scores agree iff morph streams agree
@@ -122,7 +122,7 @@ def test_distortion_limit_zero_is_monotone():
         entry(("a/STM",), ("x/STM",)),
         entry(("b/STM",), ("y/STM",)),
     ])
-    h = decoder.decode(src, tab, None, None, {"phi_fwd": 1.0}, None, 0)
+    h = decoder.decode(decoder.search(src, tab, None, None, {"phi_fwd": 1.0}, None, 0))
     assert h.features.get("distortion", 0.0) == 0.0
     assert decoder.target_tokens(h) == ("x/STM", "y/STM")
 
@@ -130,7 +130,7 @@ def test_distortion_limit_zero_is_monotone():
 def test_coverage_strictly_grows():
     src = morpho.parse_segmented_line("a/STM b/STM c/STM")
     tab = table([entry((f"{w}/STM",), (f"{w}{w}/STM",)) for w in "abc"])
-    h = decoder.decode(src, tab, None, None, {"phi_fwd": 1.0}, None, 6)
+    h = decoder.decode(decoder.search(src, tab, None, None, {"phi_fwd": 1.0}, None, 6))
     seen = []
     node = h
     while node is not None:
@@ -149,7 +149,7 @@ def test_word_granularity_system():
     ], granularity="word")
     lm_w = lm.train_lm([["moi", "maailma"]], 2, "witten-bell")
     weights = decoder.default_weights(with_morph_lm=False)
-    h = decoder.decode(src, tab, None, lm_w, weights, None, 0)
+    h = decoder.decode(decoder.search(src, tab, None, lm_w, weights, None, 0))
     assert decoder.target_tokens(h) == ("moi", "maailma")
     assert morpho.words_from_tokens(decoder.target_tokens(h)) == ["moi", "maailma"]
 
@@ -168,7 +168,7 @@ def test_nbest_sorted_distinct_and_consistent():
     ])
     lm_m, lm_w = tiny_lms([["x1/STM", "y1/STM"]], [["x1", "y1"]])
     weights = decoder.default_weights()
-    lists = decoder.nbest(src, tab, lm_m, lm_w, weights, None, 0, 10)
+    lists, _ = decoder.nbest(src, tab, lm_m, lm_w, weights, None, 0, 10)
     assert len(lists) == 4
     surfaces = [e.tokens for e in lists]
     assert len(set(surfaces)) == len(surfaces)
@@ -181,7 +181,7 @@ def test_nbest_sorted_distinct_and_consistent():
 def test_nbest_single_option_list_of_one():
     src = morpho.parse_segmented_line("a/STM")
     tab = table([entry(("a/STM",), ("x/STM",))])
-    lists = decoder.nbest(src, tab, None, None, {"phi_fwd": 1.0}, None, 0, 5)
+    lists, _ = decoder.nbest(src, tab, None, None, {"phi_fwd": 1.0}, None, 0, 5)
     assert len(lists) == 1
 
 
@@ -191,7 +191,7 @@ def test_trace_reports_word_spans():
         entry(("aa/STM+", "b/SUF"), ("x/STM",)),
         entry(("c/STM",), ("y/STM+", "z/SUF")),
     ])
-    h = decoder.decode(src, tab, None, None, {"phi_fwd": 1.0}, None, 0)
+    h = decoder.decode(decoder.search(src, tab, None, None, {"phi_fwd": 1.0}, None, 0))
     got = decoder.trace(h, src)
     assert got == [
         (0, 1, ("aab",), ("x",)),
@@ -203,7 +203,7 @@ def test_nbest_file_roundtrip(tmp_path):
     src = morpho.parse_segmented_line("a/STM")
     tab = table([entry(("a/STM",), ("x/STM",), 0.5)])
     lm_m, lm_w = tiny_lms([["x/STM"]], [["x"]])
-    lists = [decoder.nbest(src, tab, lm_m, lm_w, decoder.default_weights(), None, 0, 5)]
+    lists = [decoder.nbest(src, tab, lm_m, lm_w, decoder.default_weights(), None, 0, 5)[0]]
     path = tmp_path / "nbest.txt"
     decoder.write_nbest(path, lists)
     back = decoder.read_nbest(path)
@@ -364,7 +364,7 @@ def test_matches_exhaustive_search_on_random_instances():
         lm_w = lm.train_lm([[morpho.split_token_string(v)[0]] for v in vocab], 2,
                            "witten-bell")
         weights = decoder.default_weights()
-        got = decoder.decode(src, tab, lm_m, lm_w, weights, None, 0)
+        got = decoder.decode(decoder.search(src, tab, lm_m, lm_w, weights, None, 0))
         want = exhaustive_monotone_best(words, decoder.build_options(src, tab),
                                         lm_m, lm_w, weights)
         assert got.score == pytest.approx(want, abs=1e-9)
@@ -392,8 +392,7 @@ LM_WEIGHTS = {
 }
 
 
-def test_warm_and_fresh_lm_tables_give_the_same_nbest_lists(
-        bundled_models, tmp_path, monkeypatch):
+def test_warm_and_fresh_lm_tables_give_the_same_nbest_lists(bundled_models, tmp_path):
     # the LMs' transition tables live as long as the models: a second pass
     # over the dev set runs on the tables the first one filled, a third on
     # the same models read back from ARPA again, with empty tables (ARPA's
@@ -405,9 +404,8 @@ def test_warm_and_fresh_lm_tables_give_the_same_nbest_lists(
     weights = decoder.default_weights()
 
     def nbest_lists(lm_m, lm_w):
-        monkeypatch.setattr(decoder, "_last_search", None)  # search every sentence
         return [[(e.tokens, [(k, v.hex()) for k, v in e.features.items()], e.score.hex())
-                 for e in decoder.nbest(src, tab, lm_m, lm_w, weights, 10, 6, 20)]
+                 for e in decoder.nbest(src, tab, lm_m, lm_w, weights, 10, 6, 20)[0]]
                 for src in sources]
 
     def table_sizes():
@@ -507,27 +505,16 @@ def test_real_key_rejection_skips_extensions_for_every_lm_weight_sign(
     assert n_search < n_reference
 
 
-def test_nbest_then_decode_share_one_search(monkeypatch):
-    src = morpho.parse_segmented_line("a/STM b/STM")
-    tab = table([
-        entry(("a/STM",), ("x1/STM",), 0.8),
-        entry(("a/STM",), ("x2/STM",), 0.2),
-        entry(("b/STM",), ("y1/STM",), 0.6),
-    ])
-    lm_m, lm_w = tiny_lms([["x1/STM", "y1/STM"]], [["x1", "y1"]])
-    calls = []
-    real = decoder.search
-    monkeypatch.setattr(decoder, "search", lambda *a: calls.append(a) or real(*a))
-    weights = decoder.default_weights()
-    lists = decoder.nbest(src, tab, lm_m, lm_w, weights, 5, 6, 10)
-    best = decoder.decode(src, tab, lm_m, lm_w, weights, 5, 6)
-    assert len(calls) == 1
-    assert best.score == lists[0].score
-    weights["phi_fwd"] = 0.41  # the memo keeps its own copy of the weights
-    decoder.decode(src, tab, lm_m, lm_w, weights, 5, 6)
-    assert len(calls) == 2
-    decoder.decode(src, tab, lm_m, lm_w, weights, 4, 6)
-    assert len(calls) == 3
+@pytest.mark.parametrize("n", [1, 5])
+def test_tied_targets_decode_picks_the_larger_and_nbest_ranks_the_smaller_first(n):
+    # two targets of one source with exactly the same score: decode breaks
+    # the tie towards the larger target string, nbest lists the smaller first
+    src = morpho.parse_segmented_line("a/STM")
+    tab = table([entry(("a/STM",), ("x1/STM",), 0.5), entry(("a/STM",), ("x2/STM",), 0.5)])
+    entries, complete = decoder.nbest(src, tab, None, None, {"phi_fwd": 1.0}, None, 0, n)
+    assert [h.score for h in complete] == [math.log(0.5)] * 2
+    assert [e.tokens for e in entries] == [("x1/STM",), ("x2/STM",)][:n]
+    assert decoder.target_tokens(decoder.decode(complete)) == ("x2/STM",)
 
 
 def test_stack_offered_more_than_beam_is_sorted_even_after_rejections():

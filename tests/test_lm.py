@@ -124,6 +124,8 @@ MALFORMED_ARPA = {
                     "expected logprob<TAB>n-gram[<TAB>backoff]: '-0.5\\ta\\t-0.1\\t0'"),
     "non-numeric": (ARPA_HEAD + "-0.5x\ta\n", 5,
                     "non-numeric log-prob or backoff: '-0.5x\\ta'"),
+    "top-order-backoff": (ARPA_HEAD + "-0.5\ta\t-0.1\n", 5,
+                          "backoff weight on a top-order 1-gram: '-0.5\\ta\\t-0.1'"),
     "ngram-length": (ARPA_HEAD + "-0.5\ta b\n", 5,
                      "2-gram in the 1-grams section: '-0.5\\ta b'"),
     "no-data-line": ("smoothing: mle\n\n", 2, "no \\data\\ line"),

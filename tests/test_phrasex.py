@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -12,6 +13,7 @@ from morphsmt.config import load_config
 
 import oracles
 from conftest import random_alignment, random_morph_sentence
+from test_golden import GOLDEN
 
 
 def test_extract_simple_diagonal():
@@ -469,3 +471,20 @@ def test_every_table_builder_works_out_its_span_and_extras(tmp_path):
     # a classic table's longest phrase in tokens spans fewer words
     assert tables["classic"].max_span < max(len(e.source) for e in pt_c)
     assert [tables[name].n_extras for name in ("add-1", "add-2", "add-1 over add-2")] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("system", ["m-system", "merged"])
+def test_pipeline_tables_write_read_write_byte_identical(tmp_path, system):
+    # the golden workspace's pt.txt, whose counts are written from ints
+    cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=5, sizes=(60, 8, 6)))
+    data = cli._load_data(cfg)
+    if system == "merged":
+        table = cli._merged_table(cfg, data, cli._segmentation_lexicon(data))
+    else:
+        table, _, _ = cli._morph_table(cfg, data, boundary_aware=False)
+    path = tmp_path / "pt.txt"
+    phrasex.write_phrase_table(path, table)
+    first = path.read_bytes()
+    assert hashlib.sha256(first).hexdigest() == GOLDEN[system]["pt"]
+    phrasex.write_phrase_table(path, phrasex.read_phrase_table(path, table.granularity))
+    assert path.read_bytes() == first
