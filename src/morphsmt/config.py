@@ -114,13 +114,14 @@ class PipelineConfig:
 def load_config(
     path, overrides: Optional[Mapping[str, str]] = None
 ) -> PipelineConfig:
-    """The config file at ``path``, then ``overrides``.  A malformed line,
-    an unknown key, a bad or out-of-range value and a missing data file are
-    reported as ``<file>:<line>:``, or as the ``--set KEY=VALUE`` override
-    they came from."""
+    """The config file at ``path``, then ``overrides`` (which may reset its
+    keys).  A malformed line, a repeated or unknown key, a bad or out-of-range
+    value and a missing data file are reported as ``<file>:<line>:``, or as
+    the ``--set KEY=VALUE`` override they came from."""
     path = Path(path)
     filename, base_dir = str(path), path.resolve().parent
     raw: dict[str, tuple[str, str]] = {}  # key: (value, where it was set)
+    first_line: dict[str, int] = {}  # key: the file line that set it
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -128,6 +129,10 @@ def load_config(
         if "=" not in stripped:
             raise ConfigError(f"{filename}:{lineno}: expected key = value: {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{filename}:{lineno}: duplicate key {key}, "
+                              f"first on line {first_line[key]}")
+        first_line[key] = lineno
         raw[key] = (value, f"{filename}:{lineno}")
     for key, value in (overrides or {}).items():
         raw[key] = (value, f"--set {key}={value}")

@@ -20,7 +20,8 @@ Hypotheses that differ only in such tokens then share one state.  Each model
 interns its minimal contexts as ints, each with its backoff weight and the id
 of its suffix's minimal form, and ``step`` keeps each (context id, token)
 answer in the model for as long as the model lives.  A first question is
-answered from one n-gram lookup and the suffix context's answer.
+answered from one n-gram lookup and the suffix context's answer, and
+``NGramModel.logprob`` is answered the same way without storing it.
 """
 
 from __future__ import annotations
@@ -63,42 +64,13 @@ class NGramModel:
         self._bows: list[float] = []
 
     def logprob(self, token: str, context: Sequence[str] = ()) -> float:
-        """ln p(token | context); context is truncated to the last order-1 tokens.
-
-        A query that misses drops the context's first token until a stored
-        n-gram ends in ``token``; the backoff weights of the contexts it left
-        are added to that log-prob from the right, ``bow1 + (bow2 + lp)``, as
-        a recursive query adds them."""
-        n = self.order - 1
-        ctx = tuple(context[len(context) - n:] if len(context) > n else context)
-        known = self._context_tokens
-        if not known.issuperset(ctx):
-            ctx = tuple(c if c in known else UNK for c in ctx)
-        gram = ctx + (token if token in self.vocab else UNK,)
-        levels = self.logprobs
-        lp = levels[len(ctx)].get(gram)
-        if lp is not None:
-            return lp
-        if not ctx or self.smoothing == "mle":  # no backoff mass under plain ML
-            return NEG_INF
-        backoffs = self.backoffs
-        bows = []
-        for k in range(len(ctx), 0, -1):  # k: length of the context backed off from
-            bows.append(backoffs[k - 1].get(gram[:-1], 0.0))
-            gram = gram[1:]
-            lp = levels[k - 1].get(gram)
-            if lp is not None:
-                break
-        else:
-            lp = NEG_INF
-        for bow in reversed(bows):
-            lp = bow + lp
-        return lp
-
-    @cached_property
-    def _context_tokens(self) -> frozenset[str]:
-        """Tokens a context keeps as they are; any other maps to <unk>."""
-        return self.vocab | {BOS, UNK}
+        """ln p(token | context), unfloored; context is truncated to the last
+        order-1 tokens, and a context token outside the vocabulary, <s> and
+        <unk> reads as <unk>.  Answered as a table miss is, storing no answer."""
+        ctx = tuple(c if c in self.vocab or c in (BOS, UNK) else UNK
+                    for c in context[max(0, len(context) - self.order + 1):])
+        event = token if token in self.vocab else UNK
+        return _miss(self, self.context_id(ctx), token, event)[0]
 
     @cached_property
     def contexts(self) -> frozenset[tuple[str, ...]]:
@@ -269,16 +241,17 @@ def _miss(model: NGramModel, ctx_id: int, token: str, event: str) -> tuple[float
     interned as ``ctx_id``, from one n-gram lookup and the answer for h's
     suffix s.  Exact because tokens that s drops from h[1:] have neither
     n-grams nor backoff weights:
-      - an absent n-gram gives bow(h) + lp(event | s), added as
-        ``NGramModel.logprob`` adds them (under MLE, no backoff: -inf);
+      - an absent n-gram gives bow(h) + lp(event | s), so the backoff
+        weights are added from the right, ``bow1 + (bow2 + lp)``, as a
+        recursive query adds them (under MLE, no backoff: -inf);
       - the next context is h + event if that is a known context shorter
         than the order (under MLE contexts are whole, so every one is
         known), else s's next context, as known contexts are closed under
         prefixes.
     s's answer is read from its table, or worked out here without being
     stored, so a miss adds one table entry.  A stored answer at the
-    LOG_ZERO floor may have been clipped, so then the raw log-prob is asked
-    of the model."""
+    LOG_ZERO floor may have been clipped, so then s's raw answer is worked
+    out again the same way, in at most ``order`` nested calls."""
     ctx = model.context_tuples[ctx_id]
     gram = ctx + (event,)
     lp = model.logprobs[len(ctx)].get(gram)
@@ -298,7 +271,7 @@ def _miss(model: NGramModel, ctx_id: int, token: str, event: str) -> tuple[float
     else:
         suffix_lp, next_id = hit
         if backs_off and suffix_lp <= LOG_ZERO:
-            suffix_lp = model.logprob(event, model.context_tuples[suffix])
+            suffix_lp = _miss(model, suffix, token, event)[0]
     if backs_off:
         lp = model._bows[ctx_id] + suffix_lp
     return lp, model._intern(gram) if extends else next_id

@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Iterator, Literal, Optional, Sequence
 
 from .align import LexicalTable
-from .morpho import split_token_string, word_spans, words_from_tokens
+from .morpho import word_spans, words_from_tokens
 from .phrasex import PHRASE_PENALTY, PhraseEntry, PhraseTable, lexical_weights
 
 MergeMethod = Literal["add-1", "add-2", "interpolation", "our-method"]
@@ -50,14 +50,12 @@ def build_lexicon(
     """Collect each word's segmentation; most frequent wins, ties lexicographic."""
     seen: dict[str, Counter] = {}
     for words, tokens in zip(word_sentences, morph_sentences, strict=True):
-        spans = word_spans(tokens)
-        surfaces = [split_token_string(t)[0] for t in tokens]
-        if ["".join(surfaces[start : end + 1]) for start, end in spans] != list(words):
+        if words_from_tokens(tokens) != list(words):
             raise ValueError(
                 "segmented line does not reassemble to its word line: "
                 f"{' '.join(words)!r}"
             )
-        for word, (start, end) in zip(words, spans):
+        for word, (start, end) in zip(words, word_spans(tokens)):
             seen.setdefault(word, Counter())[tokens[start : end + 1]] += 1
     mapping = {}
     for word in sorted(seen):

@@ -349,11 +349,11 @@ def reference_logprob(model, token, context=()):
 
 
 def floored_logprob(model, token, context):
-    """``model.logprob`` clamped at ``LOG_ZERO``: the answer ``lm.step``
-    keeps, asked of the model directly."""
+    """``reference_logprob`` clamped at ``LOG_ZERO``: the answer ``lm.step``
+    keeps, worked out without the model's tables."""
     from morphsmt import lm
 
-    lp = model.logprob(token, context)
+    lp = reference_logprob(model, token, context)
     return lp if lp > lm.LOG_ZERO else lm.LOG_ZERO
 
 
@@ -375,16 +375,16 @@ def next_context(model, ctx, token):
 
 def sentence_logprob(model, tokens):
     """ln p(tokens </s>) with <s> padding, the offline whole-sentence score
-    that a scorer's deltas must sum to: one ``model.logprob`` per token over
-    the full rolled context, with no interned contexts or tables."""
+    that a scorer's deltas must sum to: one ``reference_logprob`` per token
+    over the full rolled context, with no interned contexts or tables."""
     from morphsmt.lm import BOS, EOS, UNK
 
     ctx = (BOS,) * (model.order - 1)
     total = 0.0
     for tok in tokens:
-        total += model.logprob(tok, ctx)
+        total += reference_logprob(model, tok, ctx)
         ctx = roll(ctx, tok if tok in model.vocab else UNK, model.order)
-    return total + model.logprob(EOS, ctx)
+    return total + reference_logprob(model, EOS, ctx)
 
 
 def reference_twin_extend(state, tokens, lm_m, lm_w):

@@ -611,13 +611,18 @@ def test_pipeline_checks_parallel_files_before_training(tmp_path):
 
 
 CONFIG_ERRORS = {
-    # case: (line added to the config, "-KEY" to delete the line that sets
-    # KEY, or None; --set arguments; message)
+    # case: (edit, --set arguments, message).  The edit is None; "-KEY" to
+    # delete the line that sets KEY; "KEY = VALUE" to replace the line that
+    # sets KEY, or to append if none does; or "+KEY = VALUE" to append even
+    # if a line sets KEY.  {line} is the edited line, {first} the line the
+    # file first set its key on
     "malformed-line": ("oops no equals", [],
                        "{cfg}:{line}: expected key = value: 'oops no equals'"),
     "unknown-key": ("decoder.bogus = 3", [], "{cfg}:{line}: unknown config key: decoder.bogus"),
     "unknown-data-key": ("data.extra = x.txt", [],
                          "{cfg}:{line}: unknown data key: data.extra"),
+    "duplicate-key": ("+decoder.beam = 3", [],
+                      "{cfg}:{line}: duplicate key decoder.beam, first on line {first}"),
     "bad-value": ("decoder.beam = ten", [], "{cfg}:{line}: bad value for decoder.beam: 'ten'"),
     "out-of-range-value": ("decoder.beam = -4", [], "{cfg}:{line}: beam must be positive"),
     "missing-data-file": ("data.dev_src_words = nowhere.txt", [],
@@ -641,21 +646,27 @@ CONFIG_ERRORS = {
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
 def test_pipeline_config_errors_say_where(tmp_path, case):
-    added, overrides, message = CONFIG_ERRORS[case]
+    edit, overrides, message = CONFIG_ERRORS[case]
     cfg = synth.write_workspace(tmp_path / "ws", seed=3, sizes=(5, 2, 2))
-    text = cfg.read_text(encoding="utf-8")
-    if added is not None and added.startswith("-"):
-        kept = [line for line in text.splitlines(True)
-                if line.partition("=")[0].strip() != added[1:]]
-        assert len(kept) == text.count("\n") - 1
-        cfg.write_text("".join(kept), encoding="utf-8")
-    elif added is not None:
-        cfg.write_text(text + added + "\n", encoding="utf-8")
+    lines = cfg.read_text(encoding="utf-8").splitlines(True)
+    key = edit.lstrip("+-").partition("=")[0].strip() if edit else None
+    first = next((i for i, line in enumerate(lines)
+                  if line.partition("=")[0].strip() == key), None)
+    where = {"cfg": cfg, "line": len(lines) + 1, "dir": cfg.resolve().parent}
+    if first is not None:
+        where["first"] = first + 1
+    if edit is not None and edit.startswith("-"):
+        del lines[first]
+    elif edit is not None and first is not None and not edit.startswith("+"):
+        lines[first] = edit + "\n"
+        where["line"] = first + 1
+    elif edit is not None:
+        lines.append(edit.lstrip("+") + "\n")
+    cfg.write_text("".join(lines), encoding="utf-8")
     run_dir = tmp_path / "run"
     proc = run_morphsmt("pipeline", "m-system", "--config", str(cfg), "--run-dir", str(run_dir),
                         *overrides)
     assert proc.returncode == 1
-    where = {"cfg": cfg, "line": text.count("\n") + 1, "dir": cfg.resolve().parent}
     assert proc.stderr == f"error: {message.format(**where)}\n"
     assert not run_dir.exists()
 

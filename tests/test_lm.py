@@ -194,8 +194,8 @@ def test_minimal_context_keeps_every_logprob(tmp_path, order, smoothing, via_arp
             assert full[len(full) - len(short):] == short
             shortened += len(short) < len(full)
             for w in events:
-                assert model.logprob(w, short).hex() == model.logprob(w, full).hex(), (
-                    full, short, w)
+                assert (oracles.reference_logprob(model, w, short).hex()
+                        == oracles.reference_logprob(model, w, full).hex()), (full, short, w)
             full = oracles.roll(full, tok if tok in model.vocab else UNK, order)
             short = oracles.next_context(model, short, tok)
     assert shortened > 0 or order <= 2  # the property is not tested vacuously
@@ -312,8 +312,17 @@ def test_first_step_answers_are_exact_on_cold_tables(tmp_path_factory, smoothing
     # a miss is answered from one n-gram lookup and the suffix context's
     # answer; it must equal the direct query bit for bit and store one entry.
     # With the floor raised, stored suffix answers are often clipped, so the
-    # raw log-prob must then be asked of the model
-    fallbacks = []
+    # miss must then work out the suffix's raw log-prob again, without
+    # asking NGramModel.logprob
+    fallbacks = []  # per _miss call: whether its context had answered the token
+    real_miss = lm._miss
+
+    def counted_miss(model, ctx_id, token, event):
+        fallbacks.append(token in model._transitions[ctx_id])
+        return real_miss(model, ctx_id, token, event)
+
+    def no_logprob(*args):
+        raise AssertionError("a miss asked NGramModel.logprob")
 
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.lists(st.sampled_from(STEP_TOKENS[:5]), max_size=6),
@@ -327,9 +336,6 @@ def test_first_step_answers_are_exact_on_cold_tables(tmp_path_factory, smoothing
             path = tmp_path_factory.mktemp("arpa") / "model.arpa"
             lm.write_arpa(path, model)
             model = lm.read_arpa(path)
-        real_logprob = model.logprob
-        calls = []
-        model.logprob = lambda *a: calls.append(a) or real_logprob(*a)
         # each walk from <s> contexts of every length, shortest first, so
         # that longer contexts find their suffixes' answers in the tables
         for walk, start in ((w, (BOS,) * n) for w in walks for n in range(order)):
@@ -338,9 +344,7 @@ def test_first_step_answers_are_exact_on_cold_tables(tmp_path_factory, smoothing
             for tok in walk:
                 cold = tok not in model._transitions[ctx_id]
                 n_answers = sum(map(len, model._transitions))
-                n_calls = len(calls)
                 lp, next_id = lm.step(model, ctx_id, tok)
-                fallbacks.append(len(calls) - n_calls)
                 assert sum(map(len, model._transitions)) == n_answers + cold
                 assert lp.hex() == oracles.floored_logprob(model, tok, ctx).hex(), (ctx, tok)
                 ctx = oracles.next_context(model, ctx, tok)
@@ -353,9 +357,37 @@ def test_first_step_answers_are_exact_on_cold_tables(tmp_path_factory, smoothing
     with pytest.MonkeyPatch.context() as patch:
         if floor is not None:
             patch.setattr(lm, "LOG_ZERO", floor)
+        patch.setattr(lm, "_miss", counted_miss)
+        patch.setattr(lm.NGramModel, "logprob", no_logprob)
         check()
     # the fallback is taken only where a floor can clip a backoff's suffix
     assert (sum(fallbacks) > 0) == (floor is not None and smoothing != "mle")
+
+
+@pytest.mark.parametrize("floor", [None, -2.0])
+@pytest.mark.parametrize("smoothing", ["mle", "witten-bell", "kneser-ney"])
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_logprob_on_warm_tables_is_exact_and_stores_no_answer(order, smoothing, floor):
+    # logprob reads the tables step has filled, clipped answers included,
+    # and must still give the raw log-prob without adding an entry
+    rng = random.Random(order * 13 + len(smoothing))
+    model, stream_tokens = _stream_model(None, order, smoothing, False, rng)
+    events = sorted(model.vocab | {UNK, EOS, "zz"})
+    with pytest.MonkeyPatch.context() as patch:
+        if floor is not None:
+            patch.setattr(lm, "LOG_ZERO", floor)
+        contexts = set()
+        for _ in range(6):
+            ctx_id = model.context_id((BOS,) * (order - 1))
+            for tok in [rng.choice(stream_tokens) for _ in range(15)]:
+                contexts.add(model.context_tuples[ctx_id])
+                ctx_id = lm.step(model, ctx_id, tok)[1]
+        n_answers = sum(map(len, model._transitions))
+        for ctx in sorted(contexts):
+            for w in events:
+                want = oracles.reference_logprob(model, w, ctx).hex()
+                assert model.logprob(w, ctx).hex() == want, (ctx, w)
+    assert sum(map(len, model._transitions)) == n_answers > 0
 
 
 @settings(deadline=None, max_examples=60)
