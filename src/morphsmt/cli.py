@@ -486,8 +486,11 @@ def _cmd_pipeline(args) -> int:
     for kv in args.set or []:
         if "=" not in kv:
             raise ValueError(f"--set expects KEY=VALUE: {kv!r}")
-        key, value = kv.split("=", 1)
-        overrides[key.strip()] = value.strip()  # as a config file line is read
+        key, value = (part.strip() for part in kv.split("=", 1))  # as a config line is read
+        if key in overrides:
+            raise ValueError(f"--set {key}={value}: duplicate key {key}, "
+                             f"first set by --set {key}={overrides[key]}")
+        overrides[key] = value
     cfg = load_config(args.config, overrides)
     artifacts = run_pipeline(args.system, cfg, args.run_dir)
     for name in sorted(artifacts):

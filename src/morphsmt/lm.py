@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, NamedTuple, Optional, Sequence, get_args
+from typing import Iterable, Literal, NamedTuple, NoReturn, Optional, Sequence, get_args
 
-from .morpho import parse_file, split_token_string
+from .morpho import split_token_string
 
 BOS = "<s>"
 EOS = "</s>"
@@ -410,127 +410,101 @@ def write_arpa(path, model: NGramModel) -> None:
 
 
 def read_arpa(path) -> NGramModel:
-    """Inverse of ``write_arpa``; a malformed line raises ValueError naming
-    ``<path>:<line>:``."""
-    reader = _ArpaReader()
-    n_lines = len(parse_file(path, reader.feed))
-    if reader.state != "body":
-        missing = "\\data\\ line" if reader.state == "preamble" else "n-gram sections"
-        where = f"{path}:{n_lines}" if n_lines else path  # an empty file has no line
-        raise ValueError(f"{where}: no {missing}")
-    try:
-        return reader.model()
-    except ValueError as exc:  # the file ended inside a section
-        raise ValueError(f"{path}:{n_lines}: {exc}") from None
+    """Inverse of ``write_arpa``, read in order: a preamble (its ``smoothing:``
+    line, if any), ``\\data\\`` with ``ngram N=M`` counts up to a blank line,
+    then for each count a ``\\N-grams:`` section of M distinct n-grams, one
+    ``logp10<TAB>gram[<TAB>bow10]`` a line.  Raises ValueError at ``<path>:<line>:``."""
+    smoothing: Smoothing = "witten-bell"
+    counts: dict[int, int] = {}  # N -> M of the ngram N=M lines
+    lineno = 0
 
+    def fail(message: str) -> NoReturn:
+        where = f"{path}:{lineno}" if lineno else path  # an empty file has no line
+        raise ValueError(f"{where}: {message}")
 
-class _ArpaReader:
-    """ARPA parser state, fed one line at a time by ``morpho.parse_file``:
-    a preamble, ``\\data\\`` with its ``ngram N=M`` counts up to a blank
-    line, then ``\\N-grams:`` sections of ``logp10<TAB>gram[<TAB>bow10]``.
-    Each ``ngram N=M`` count needs one section holding M distinct n-grams."""
-
-    def __init__(self):
-        self.state = "preamble"
-        self.smoothing: Smoothing = "witten-bell"
-        self.counts: dict[int, int] = {}  # N -> M of the ngram N=M lines
-        self.k = 0  # order of the current section; 0 outside one
-        self.first_line: dict[tuple[str, ...], int] = {}  # the section's n-grams
-        self.header_line: dict[int, int] = {}  # N -> line of its \\N-grams: header
-        self.lineno = 0
-        self.logprobs: list[dict[tuple[str, ...], float]] = []
-        self.backoffs: list[dict[tuple[str, ...], float]] = []
-
-    def feed(self, line: str) -> None:
-        self.lineno += 1
-        if self.state == "preamble":
+    with open(path, encoding="utf-8") as fh:
+        lines = enumerate(fh, 1)
+        for lineno, line in lines:
             line = line.rstrip("\n")
             if line == "\\data\\":
-                self.state = "counts"
-            elif line.startswith("smoothing:"):
-                smoothing = line.split(":", 1)[1].strip()
+                break
+            if line.startswith("smoothing:"):
+                smoothing = line.split(":", 1)[1].strip()  # type: ignore[assignment]
                 if smoothing not in get_args(Smoothing):
-                    raise ValueError(f"unknown smoothing {smoothing!r}")
-                self.smoothing = smoothing  # type: ignore[assignment]
-            return
-        line = line.strip()
-        if self.state == "counts":
-            if line:
-                self._count(line)
-            elif not self.counts:
-                raise ValueError("no 'ngram N=M' line after \\data\\")
-            else:
-                order = max(self.counts)
-                self.logprobs = [dict() for _ in range(order)]
-                self.backoffs = [dict() for _ in range(order)]
-                self.state = "body"
-            return
-        if not line:
-            return
-        if line == "\\end\\":
-            self._end_section(last=True)
-        elif line.endswith("-grams:"):
-            k = line[1:].split("-")[0]
-            if not line.startswith("\\") or not k.isdigit() \
-                    or not 1 <= int(k) <= len(self.logprobs):
-                raise ValueError(f"bad section header {line!r} for order "
-                                 f"{len(self.logprobs)}")
-            self._end_section()
-            self.k = int(k)
-            if self.header_line.setdefault(self.k, self.lineno) != self.lineno:
-                raise ValueError(f"repeated section header {line!r}, "
-                                 f"first on line {self.header_line[self.k]}")
+                    fail(f"unknown smoothing {smoothing!r}")
         else:
-            self._ngram(line)
+            fail("no \\data\\ line")
+        for lineno, line in lines:
+            line = line.strip()
+            if not line:
+                break
+            name, sep, n = line.partition("=")
+            words = name.split()
+            if not (sep and len(words) == 2 and words[0] == "ngram" and words[1].isdecimal()
+                    and int(words[1]) >= 1 and n.strip().isdecimal()):
+                fail(f"bad count line {line!r}: expected 'ngram N=M'")
+            counts[int(words[1])] = int(n)
+        else:
+            fail("no n-gram sections")
+        if not counts:
+            fail("no 'ngram N=M' line after \\data\\")
 
-    def _count(self, line: str) -> None:
-        name, sep, n = line.partition("=")
-        words = name.split()
-        if not (sep and len(words) == 2 and words[0] == "ngram"
-                and words[1].isdigit() and int(words[1]) >= 1 and n.strip().isdigit()):
-            raise ValueError(f"bad count line {line!r}: expected 'ngram N=M'")
-        self.counts[int(words[1])] = int(n)
+        order = max(counts)
+        logprobs: list[dict[tuple[str, ...], float]] = [{} for _ in range(order)]
+        backoffs: list[dict[tuple[str, ...], float]] = [{} for _ in range(order)]
+        header_line: dict[int, int] = {}  # N -> line of its \\N-grams: header
+        k, first_line = 0, {}  # the open section's order (0 if none) and its n-grams' lines
 
-    def _end_section(self, last: bool = False) -> None:
-        """Close the current section, if any, checking its n-gram count; at
-        the ``last`` one, also check that every counted section appeared."""
-        k, n, m = self.k, len(self.first_line), self.counts.get(self.k, 0)
-        if k and n != m:
-            raise ValueError(f"{n} n-grams in the {k}-grams section, not {m} as 'ngram {k}={m}'")
-        self.k, self.first_line = 0, {}
-        missing = last and sorted(self.counts.keys() - self.header_line.keys())
-        if missing:
-            k = missing[0]
-            raise ValueError(f"no \\{k}-grams: section for 'ngram {k}={self.counts[k]}'")
+        def end_section(last: bool) -> None:  # the last also finds a missing section
+            got, want = len(first_line), counts.get(k, 0)
+            if k and got != want:
+                fail(f"{got} n-grams in the {k}-grams section, not {want} as 'ngram {k}={want}'")
+            missing = sorted(counts.keys() - header_line.keys()) if last else []
+            if missing:
+                n = missing[0]
+                fail(f"no \\{n}-grams: section for 'ngram {n}={counts[n]}'")
 
-    def _ngram(self, line: str) -> None:
-        k = self.k
-        if k == 0:
-            raise ValueError(f"n-gram line outside an n-gram section: {line!r}")
-        parts = line.split("\t")
-        if not 2 <= len(parts) <= 3 or not parts[1].split():
-            raise ValueError(f"expected logprob<TAB>n-gram[<TAB>backoff]: {line!r}")
-        try:
-            lp10 = float(parts[0])
-            bow10 = float(parts[2]) if len(parts) > 2 else None
-        except ValueError:
-            raise ValueError(f"non-numeric log-prob or backoff: {line!r}") from None
-        gram = tuple(parts[1].split())
-        if len(gram) != k:
-            raise ValueError(f"{len(gram)}-gram in the {k}-grams section: {line!r}")
-        if gram in self.first_line:
-            raise ValueError(f"duplicate {k}-gram {' '.join(gram)!r}, "
-                             f"first on line {self.first_line[gram]}")
-        self.first_line[gram] = self.lineno
-        if lp10 != _ARPA_NEG_INF:  # -99 lines are pure backoff carriers
-            self.logprobs[k - 1][gram] = lp10 * _LN10
-        if bow10 is not None:
-            if k == len(self.backoffs):  # a top-order n-gram is never a context
-                raise ValueError(f"backoff weight on a top-order {k}-gram: {line!r}")
-            self.backoffs[k - 1][gram] = bow10 * _LN10
-
-    def model(self) -> NGramModel:
-        self._end_section(last=True)
-        logprobs = self.logprobs
-        vocab = frozenset(w for (w,) in logprobs[0] if w not in (BOS, UNK))
-        return NGramModel(len(logprobs), self.smoothing, vocab, logprobs, self.backoffs)
+        for lineno, line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            if line == "\\end\\":
+                end_section(last=True)
+                k, first_line = 0, {}
+            elif line.endswith("-grams:"):
+                digits = line[1:].split("-")[0]
+                if not line.startswith("\\") or not digits.isdecimal() \
+                        or not 1 <= int(digits) <= order:
+                    fail(f"bad section header {line!r} for order {order}")
+                end_section(last=False)
+                k, first_line = int(digits), {}
+                if header_line.setdefault(k, lineno) != lineno:
+                    fail(f"repeated section header {line!r}, first on line {header_line[k]}")
+            else:
+                if k == 0:
+                    fail(f"n-gram line outside an n-gram section: {line!r}")
+                parts = line.split("\t")
+                if not 2 <= len(parts) <= 3 or not parts[1].split():
+                    fail(f"expected logprob<TAB>n-gram[<TAB>backoff]: {line!r}")
+                try:
+                    lp10 = float(parts[0])
+                    bow10 = float(parts[2]) if len(parts) > 2 else None
+                except ValueError:
+                    fail(f"non-numeric log-prob or backoff: {line!r}")
+                if not (math.isfinite(lp10) and math.isfinite(bow10 or 0.0)):
+                    fail(f"non-finite log-prob or backoff: {line!r}")
+                gram = tuple(parts[1].split())
+                if len(gram) != k:
+                    fail(f"{len(gram)}-gram in the {k}-grams section: {line!r}")
+                if gram in first_line:
+                    fail(f"duplicate {k}-gram {' '.join(gram)!r}, first on line {first_line[gram]}")
+                first_line[gram] = lineno
+                if lp10 != _ARPA_NEG_INF:  # -99 lines are pure backoff carriers
+                    logprobs[k - 1][gram] = lp10 * _LN10
+                if bow10 is not None:
+                    if k == order:  # a top-order n-gram is never a context
+                        fail(f"backoff weight on a top-order {k}-gram: {line!r}")
+                    backoffs[k - 1][gram] = bow10 * _LN10
+    end_section(last=True)
+    vocab = frozenset(w for (w,) in logprobs[0] if w not in (BOS, UNK))
+    return NGramModel(order, smoothing, vocab, logprobs, backoffs)

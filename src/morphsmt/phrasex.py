@@ -365,6 +365,8 @@ def _parse_phrase_line(line: str, shared: dict) -> Optional[tuple[tuple, PhraseE
     count = float(fields[3]) if fields[3] else None
     if not all(map(math.isfinite, scores + [count or 0.0])):
         raise ValueError(f"scores and count must be finite: {line.rstrip()!r}")
+    if count is not None and count <= 0:
+        raise ValueError(f"count must be positive: {line.rstrip()!r}")
     if fields[3].isdecimal():  # a count written from an int reads back as one
         count = int(fields[3])
     links = _parse_links(fields[4]) if len(fields) > 4 else frozenset()

@@ -330,6 +330,15 @@ MALFORMED_INPUTS = {
         {"pt": TABLE_LINE + TABLE_LINE.replace(" ||| 0-0", ""), "lex": "a/STM\tx/STM\t0.5\n"},
         "pt", 2, MERGE_OUR_METHOD,
     ),
+    "table-negative-count": (  # would divide by the source's summed count, 0
+        {"pt": TABLE_LINE + TABLE_LINE.replace("x/STM", "y/STM").replace("||| 1 |||", "||| -1 |||"),
+         "lex": "a/STM\tx/STM\t0.5\n"},
+        "pt", 2, MERGE_OUR_METHOD,
+    ),
+    "table-zero-count": (
+        {"pt": TABLE_LINE.replace("||| 1 |||", "||| 0 |||"), "lex": "a/STM\tx/STM\t0.5\n"},
+        "pt", 1, MERGE_OUR_METHOD,
+    ),
     "alignment-link": (
         {"src": "a b\nc\n", "tgt": "x\ny z\n", "align": "0-0 1-0\n0-x\n"},
         "align", 2,
@@ -639,6 +648,9 @@ CONFIG_ERRORS = {
                       "--set mert.epsilon=nan: mert_epsilon must be positive"),
     "set-without-equals": (None, ["--set", "decoder.beam"],
                            "--set expects KEY=VALUE: 'decoder.beam'"),
+    "duplicate-set-key": (None, ["--set", "decoder.beam=0", "--set", "decoder.beam = 5"],
+                          "--set decoder.beam=5: duplicate key decoder.beam, "
+                          "first set by --set decoder.beam=0"),
     "unknown-heuristic": (None, ["--set", "align.heuristic=grow-diag"],
                           "--set align.heuristic=grow-diag: unknown heuristic: grow-diag"),
 }

@@ -155,6 +155,10 @@ MALFORMED_ARPA = {
     "repeated-section": (
         "\\data\\\nngram 1=1\n\n\\1-grams:\n-1.0\ta\n\n\\1-grams:\n-2.0\ta\n", 7,
         "repeated section header '\\\\1-grams:', first on line 4"),
+    # -99 stands for log 0; any other value must be finite
+    "infinite-logprob": (ARPA_HEAD + "inf\ta\n", 5, "non-finite log-prob or backoff: 'inf\\ta'"),
+    "nan-backoff": ("\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.5\ta\tnan\n", 6,
+                    "non-finite log-prob or backoff: '-0.5\\ta\\tnan'"),
 }
 
 
@@ -167,6 +171,23 @@ def test_read_arpa_names_file_and_line_of_malformed_input(tmp_path, case):
         lm.read_arpa(path)
     where = path if line is None else f"{path}:{line}"
     assert str(info.value) == f"{where}: {message}"
+
+
+def test_read_arpa_reads_a_file_written_by_another_toolkit(tmp_path):
+    # free text and no smoothing: line before \data\, blank lines inside
+    # sections, a -99 carrier with a backoff weight, and no \end\ line
+    path = tmp_path / "model.arpa"
+    path.write_text("Built by another toolkit.\nNo smoothing line here.\n\n"
+                    "\\data\\\nngram 1=4\nngram 2=2\n\n"
+                    "\\1-grams:\n-0.5\ta\t-0.25\n\n-99\t<s>\t-0.125\n-0.75\tb\n-1\t</s>\n\n"
+                    "\\2-grams:\n\n-0.25\t<s> a\n\n-0.5\ta b\n", encoding="utf-8")
+    model = lm.read_arpa(path)
+    ln10 = math.log(10.0)
+    assert (model.order, model.smoothing) == (2, "witten-bell")
+    assert model.vocab == {"a", "b", EOS}
+    assert model.logprobs == [{("a",): -0.5 * ln10, ("b",): -0.75 * ln10, (EOS,): -1 * ln10},
+                              {(BOS, "a"): -0.25 * ln10, ("a", "b"): -0.5 * ln10}]
+    assert model.backoffs == [{("a",): -0.25 * ln10, (BOS,): -0.125 * ln10}, {}]
 
 
 def _stream_model(tmp_path, order, smoothing, via_arpa, rng):

@@ -268,7 +268,7 @@ def phrase_tables(draw):
         links = draw(st.frozensets(st.tuples(st.integers(0, len(src) - 1),
                                              st.integers(0, len(tgt) - 1))))
         scores = draw(st.lists(table_value, min_size=5 + n_extras, max_size=5 + n_extras))
-        count = draw(st.none() | table_value)
+        count = draw(st.none() | table_value.filter(lambda x: x > 0))  # a count is positive
         entries[(src, tgt)] = phrasex.PhraseEntry(src, tgt, *scores[:5], count, links,
                                                   tuple(scores[5:]))
     return phrasex.PhraseTable.of(entries.values())
