@@ -246,6 +246,14 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
         table, _, _ = _morph_table(cfg, data, plan.boundary_aware)
     artifacts["pt"] = run_dir / "pt.txt"
     px.write_phrase_table(artifacts["pt"], table)
+    if plan.granularity == "word":
+        dev_sources = [words_as_tokens(s) for s in data.words["dev_src"]]
+        test_sources = [words_as_tokens(s) for s in data.words["test_src"]]
+    else:
+        dev_sources = data.morphs["dev_src"]
+        test_sources = data.morphs["test_src"]
+    # the run searches only what its sentences can look up: free the rest now
+    table = dec.restrict_table(table, (dev_sources if plan.tune else []) + test_sources)
 
     smoothing = cfg.lm_smoothing
     lm_m = lm_w = None
@@ -263,13 +271,6 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
         with_morph_lm=plan.morph_lm,
         with_word_lm=plan.word_lm,
     )
-
-    if plan.granularity == "word":
-        dev_sources = [words_as_tokens(s) for s in data.words["dev_src"]]
-        test_sources = [words_as_tokens(s) for s in data.words["test_src"]]
-    else:
-        dev_sources = data.morphs["dev_src"]
-        test_sources = data.morphs["test_src"]
 
     if plan.tune:
         state = mt.mert_run(
@@ -393,9 +394,9 @@ def _cmd_lm_train(args) -> int:
 
 
 def _load_search(args, source_path):
-    """What ``decode`` and ``mert`` search with: the table, the optional LMs,
-    the weights (the defaults for that table and those LMs when no file is
-    given) and the source sentences."""
+    """What ``decode`` and ``mert`` search with: the table cut to the source
+    sentences, the optional LMs, the weights (the defaults for that table and
+    those LMs when no file is given) and the source sentences."""
     table = px.read_phrase_table(args.table, args.granularity)
     lm_m = lmod.read_arpa(args.lm_morph) if args.lm_morph else None
     lm_w = lmod.read_arpa(args.lm_word) if args.lm_word else None
@@ -406,7 +407,7 @@ def _load_search(args, source_path):
         sources = [words_as_tokens(w) for w in mo.read_word_file(source_path)]
     else:
         sources = mo.read_segmented_file(source_path)
-    return table, lm_m, lm_w, weights, sources
+    return dec.restrict_table(table, sources), lm_m, lm_w, weights, sources
 
 
 def _cmd_decode(args) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from math import fsum
 from operator import add, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .lm import (
     LOG_ZERO, NGramModel, TwinScorerState, compile_target, initial_twin_state, step,
@@ -59,6 +59,8 @@ DEFAULT_WEIGHTS = {
     "oov": 0.0,
 }
 MERGE_FEAT_WEIGHT = 0.3  # the start of every merge_feat_i
+# the features of PhraseEntry.scores(), in its order; merge_feat_i follow
+TM_SCORES = ("phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd", "phrase_penalty")
 
 # The cheap key of an offer (see ``search``) adds its terms left to right:
 # the parent's score, the jump term w*jump, the rest cost, the option's TM
@@ -138,49 +140,55 @@ def _span_mask(start: int, end: int) -> int:
     return ((1 << (end - start)) - 1) << start
 
 
-def build_options(source: tuple[str, ...], table: PhraseTable) -> list[TranslationOption]:
-    """Phrase options over whole-word source spans of at most
-    ``table.max_span`` words, plus OOV pass-through.
-
-    A source word no option covers is copied through as its own word with a
-    unit oov feature and neutral translation scores.  Phrases are looked up
-    in the table's view of the source: its token strings, or their bare
-    surfaces for a word table.
-    """
+def lookup_keys(source: tuple[str, ...], table: PhraseTable) -> Iterator[tuple[int, int, tuple]]:
+    """(w1, w2, key) for each whole-word span [w1, w2) of ``source`` of at
+    most ``table.max_span`` words, and each one-word span, by w1 then w2.
+    The key is the span in the table's view of the source: its token
+    strings, or their bare surfaces for a word table."""
     spans = word_spans(source)
     tokens = source
     if table.granularity == "word":
         tokens = tuple(split_token_string(t)[0] for t in source)
-    n_words = len(spans)
+    for w1 in range(len(spans)):
+        for w2 in range(w1 + 1, min(w1 + max(table.max_span, 1), len(spans)) + 1):
+            yield w1, w2, tokens[spans[w1][0] : spans[w2 - 1][1] + 1]
+
+
+def restrict_table(table: PhraseTable, sources: Iterable[tuple[str, ...]]) -> PhraseTable:
+    """``table`` cut to the sources ``build_options`` can look up in
+    ``sources``.  It keeps the whole table's ``max_span`` and ``n_extras``:
+    the search's span limit and the default weights come from them."""
+    keys = {key for source in sources for _, _, key in lookup_keys(source, table)}
+    by_source = table.by_source
+    return PhraseTable({key: by_source[key] for key in sorted(keys) if key in by_source},
+                       table.granularity, table.max_span, table.n_extras)
+
+
+def build_options(source: tuple[str, ...], table: PhraseTable) -> list[TranslationOption]:
+    """Phrase options over the spans of ``lookup_keys``, plus OOV pass-through.
+
+    A source word no option covers is copied through as its own word with a
+    unit oov feature and neutral translation scores.
+    """
     options: list[TranslationOption] = []
     covered = set()
-    for w1 in range(n_words):
-        for w2 in range(w1 + 1, min(w1 + table.max_span, n_words) + 1):
-            src = tokens[spans[w1][0] : spans[w2 - 1][1] + 1]
-            for entry in table.by_source.get(src, ()):
-                feats = [
-                    ("phi_fwd", safe_ln(entry.phi_fwd)),
-                    ("phi_bwd", safe_ln(entry.phi_bwd)),
-                    ("lex_fwd", safe_ln(entry.lex_fwd)),
-                    ("lex_bwd", safe_ln(entry.lex_bwd)),
-                    ("phrase_penalty", safe_ln(entry.penalty)),
-                ]
-                feats.extend(
-                    (f"merge_feat_{i + 1}", safe_ln(x))
-                    for i, x in enumerate(entry.extras)
-                )
-                options.append(TranslationOption(
-                    start=w1, end=w2, target=entry.target,
-                    tm_features=tuple(feats),
-                    n_words=_count_finals(entry.target),
-                    mask=_span_mask(w1, w2),
-                ))
-                covered.update(range(w1, w2))
-    for w in range(n_words):
+    words = []  # each word's one-word key, its pass-through target
+    # no entry has more extras than the table's n_extras, so zip names them all
+    names = (*TM_SCORES, *(f"merge_feat_{i + 1}" for i in range(table.n_extras)))
+    for w1, w2, src in lookup_keys(source, table):
+        if w2 == w1 + 1:
+            words.append(src)
+        for entry in table.by_source.get(src, ()):
+            options.append(TranslationOption(
+                start=w1, end=w2, target=entry.target,
+                tm_features=tuple(zip(names, map(safe_ln, entry.scores()))),
+                n_words=_count_finals(entry.target),
+                mask=_span_mask(w1, w2),
+            ))
+            covered.update(range(w1, w2))
+    for w, tgt in enumerate(words):
         if w in covered:
             continue
-        start, end = spans[w]
-        tgt = tokens[start : end + 1]
         options.append(TranslationOption(
             start=w, end=w + 1, target=tgt,
             tm_features=(("phrase_penalty", 1.0), ("oov", 1.0)),

@@ -416,6 +416,7 @@ def read_arpa(path) -> NGramModel:
     ``logp10<TAB>gram[<TAB>bow10]`` a line.  Raises ValueError at ``<path>:<line>:``."""
     smoothing: Smoothing = "witten-bell"
     counts: dict[int, int] = {}  # N -> M of the ngram N=M lines
+    count_line: dict[int, int] = {}  # N -> line of its ngram N=M line
     lineno = 0
 
     def fail(message: str) -> NoReturn:
@@ -443,7 +444,10 @@ def read_arpa(path) -> NGramModel:
             if not (sep and len(words) == 2 and words[0] == "ngram" and words[1].isdecimal()
                     and int(words[1]) >= 1 and n.strip().isdecimal()):
                 fail(f"bad count line {line!r}: expected 'ngram N=M'")
-            counts[int(words[1])] = int(n)
+            k = int(words[1])
+            if count_line.setdefault(k, lineno) != lineno:
+                fail(f"repeated count line {line!r}, first on line {count_line[k]}")
+            counts[k] = int(n)
         else:
             fail("no n-gram sections")
         if not counts:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -126,20 +126,24 @@ def word_spans(tokens: Sequence[str]) -> list[tuple[int, int]]:
     return spans
 
 
-def parse_file(path, parse_line: Callable[[str], T]) -> list[T]:
-    """``parse_line`` applied to every line of a UTF-8 text file, in order.
+def _parsed_lines(path, parse_line: Callable[[str], T]) -> Iterator[T]:
+    """``parse_line`` of each line of a UTF-8 text file, in order.
 
     A ValueError it raises is raised again with the file and the 1-based
     line number in front, so malformed input says where it is.
     """
-    out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
-                out.append(parse_line(line))
+                parsed = parse_line(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out
+            yield parsed
+
+
+def parse_file(path, parse_line: Callable[[str], T]) -> list[T]:
+    """Every line of a UTF-8 text file through ``parse_line``, as a list."""
+    return list(_parsed_lines(path, parse_line))
 
 
 def parse_keyed_file(path, parse_line: Callable[[str], Optional[tuple]],
@@ -147,10 +151,10 @@ def parse_keyed_file(path, parse_line: Callable[[str], Optional[tuple]],
     """The (key, value) pairs ``parse_line`` gives for a file's lines, as a
     dict in file order; a line it gives None for (a blank one) is skipped.
     A line that repeats an earlier line's key is rejected, naming both
-    lines, so no value silently replaces another."""
+    lines, so no value silently replaces another.  No list of lines is held."""
     out = {}
     first_line = {}  # key -> line number
-    for lineno, pair in enumerate(parse_file(path, parse_line), 1):
+    for lineno, pair in enumerate(_parsed_lines(path, parse_line), 1):
         if pair is not None:
             key, out[key] = pair
             if key in first_line:

@@ -48,7 +48,7 @@ class PhraseEntry:
 class PhraseTable:
     """Entries indexed by source phrase: sources in sorted order, each
     source's entries sorted by target, so iteration runs in (source, target)
-    order.  Build it with ``PhraseTable.of``."""
+    order.  Build it with ``PhraseTable.of``; ``decoder.restrict_table`` cuts one."""
 
     by_source: dict[tuple[str, ...], tuple[PhraseEntry, ...]]
     granularity: Granularity

@@ -166,6 +166,45 @@ def test_decoding_a_runs_artifacts_gives_its_output(tmp_path, monkeypatch, syste
         assert decoder.build_options(source, read_back) == decoder.build_options(source, tables[0])
 
 
+def whole_word_spans(source):
+    """Every whole-word span of a morpheme sentence, as its token strings."""
+    spans = morpho.word_spans(source)
+    return {source[spans[i][0] : spans[j - 1][1] + 1]
+            for i in range(len(spans)) for j in range(i + 1, len(spans) + 1)}
+
+
+@pytest.mark.parametrize("system", ["m-system", "m+phr+lm+tune"])
+def test_pipeline_and_decode_search_only_what_their_sentences_can_look_up(
+        tmp_path, monkeypatch, system):
+    searched = []  # (source, table) of each search
+    search = decoder.search
+    monkeypatch.setattr(decoder, "search", lambda source, table, *rest: (
+        searched.append((source, table)) or search(source, table, *rest)))
+    cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=7, sizes=(60, 8, 8)))
+    run = cli.run_pipeline(system, cfg, tmp_path / "run")
+    whole = phrasex.read_phrase_table(run["pt"])
+    n_lines = len(run["pt"].read_text(encoding="utf-8").splitlines())
+    assert len(whole) == n_lines
+
+    def check_searches(splits):
+        # one table for every search, cut to the spans of the decoded sentences
+        sources = [source for split in splits
+                   for source in morpho.read_segmented_file(cfg.paths[f"{split}_src_morphs"])]
+        assert {source for source, _ in searched} == set(sources)  # MERT decodes dev again
+        (table,) = {id(table): table for _, table in searched}.values()
+        assert table.by_source and set(table.by_source) <= set().union(
+            *map(whole_word_spans, sources))
+        assert len(table) < n_lines
+        assert (table.max_span, table.n_extras) == (whole.max_span, whole.n_extras)
+        searched.clear()
+
+    check_searches(("dev", "test") if cli.PLANS[system].tune else ("test",))
+    assert cli.main(["decode", "--input", str(cfg.paths["test_src_morphs"]),
+                     "--table", str(run["pt"]), "--weights", str(run["weights"]),
+                     "--output", str(tmp_path / "out.txt")]) == 0
+    check_searches(("test",))
+
+
 def test_lm_train_subcommand(tmp_path):
     (tmp_path / "c.txt").write_text("a b\na c\n", encoding="utf-8")
     out = tmp_path / "lm.arpa"

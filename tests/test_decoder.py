@@ -303,6 +303,63 @@ def test_weights_write_read_write_is_byte_identical(tmp_path_factory, weights):
     assert path.read_bytes() == first
 
 
+@st.composite
+def morph_word(draw, vocab="ab"):
+    """One word as token strings: an optional prefix, a stem, an optional suffix."""
+    tags = ["PRE"] * draw(st.integers(0, 1)) + ["STM"] + ["SUF"] * draw(st.integers(0, 1))
+    return tuple(f"{draw(st.sampled_from(vocab))}/{tag}{'+' * (k + 1 < len(tags))}"
+                 for k, tag in enumerate(tags))
+
+
+@st.composite
+def tables_and_inputs(draw):
+    """A random table of either granularity with one entry that no input can
+    look up, which has the longest source and the most extras, and input
+    sentences of words drawn from the table's vocabulary."""
+    granularity = draw(st.sampled_from(["morpheme", "word"]))
+    if granularity == "word":  # words_as_tokens input, a table of bare surfaces
+        word = st.sampled_from("abc").map(lambda w: (f"{w}/STM",))
+    else:
+        word = morph_word()
+    phrase = st.lists(word, min_size=1, max_size=3).map(lambda ws: sum(ws, ()))
+    view = (lambda p: tuple(morpho.words_from_tokens(p))) if granularity == "word" else tuple
+    pairs = draw(st.lists(st.tuples(phrase, st.sampled_from(["x/STM", "y/STM", "z/STM"]),
+                                    st.integers(0, 2)),
+                          max_size=25, unique_by=lambda p: (view(p[0]), p[1])))
+    entries = [entry(view(src), (tgt,), extras=[0.5] * n) for src, tgt, n in pairs]
+    longest = max((len(morpho.word_spans(src)) for src, _, _ in pairs), default=0) + 1
+    most = max((n for _, _, n in pairs), default=0) + 1
+    far = ("q/STM",) * longest if granularity == "morpheme" else ("q",) * longest
+    entries.append(entry(far, ("x/STM",), extras=[0.5] * most))
+    sentences = draw(st.lists(st.lists(word, max_size=6).map(lambda ws: sum(ws, ())),
+                              min_size=1, max_size=4))
+    return table(entries, granularity), sentences, far
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_and_inputs())
+def test_restricted_table_gives_every_input_sentence_the_same_options(case):
+    full, sentences, far = case
+    restricted = decoder.restrict_table(full, sentences)
+    for source in sentences:
+        assert decoder.build_options(source, restricted) == decoder.build_options(source, full)
+    # the entry with the longest source and the most extras is dropped, and
+    # the span limit and the extras count stay the whole table's
+    assert far in full.by_source and far not in restricted.by_source
+    assert (restricted.granularity, restricted.max_span, restricted.n_extras) == (
+        full.granularity, full.max_span, full.n_extras)
+    assert list(restricted.by_source) == sorted(restricted.by_source)
+    assert all(full.by_source[src] is entries for src, entries in restricted.by_source.items())
+
+
+def test_restricted_word_table_is_keyed_by_bare_surfaces():
+    full = table([entry(["a"], ["x"]), entry(["a", "b"], ["y"]), entry(["c"], ["z"])], "word")
+    source = ("a/STM", "b/STM")  # as words_as_tokens wraps the words a b
+    restricted = decoder.restrict_table(full, [source])
+    assert list(restricted.by_source) == [("a",), ("a", "b")]
+    assert decoder.build_options(source, restricted) == decoder.build_options(source, full)
+
+
 def exhaustive_monotone_best(src_words, options, lm_m, lm_w, weights):
     """Independent oracle: enumerate all monotone segmentations, score offline."""
     n = len(src_words)

@@ -152,6 +152,8 @@ MALFORMED_ARPA = {
     "missing-section-at-file-end": (
         "\\data\\\nngram 1=2\nngram 2=3\n\n\\1-grams:\n-1.0\ta\n-1.0\tb\n", 7,
         "no \\2-grams: section for 'ngram 2=3'"),
+    "repeated-count": ("\\data\\\nngram 1=5\nngram 1=1\n\n\\1-grams:\n-1\ta\n", 3,
+                       "repeated count line 'ngram 1=1', first on line 2"),
     "repeated-section": (
         "\\data\\\nngram 1=1\n\n\\1-grams:\n-1.0\ta\n\n\\1-grams:\n-2.0\ta\n", 7,
         "repeated section header '\\\\1-grams:', first on line 4"),
