@@ -277,7 +277,7 @@ def _parse_links(line: str) -> frozenset[tuple[int, int]]:
     links = set()
     for piece in line.split():
         i, sep, j = piece.partition("-")
-        if not (sep and i.isdigit() and j.isdigit()):
+        if not (sep and i.isdecimal() and j.isdecimal()):
             raise ValueError(f"bad link {piece!r}: expected i-j")
         links.add((int(i), int(j)))
     return frozenset(links)

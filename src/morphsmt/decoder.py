@@ -7,7 +7,8 @@ word LM contributes only for words completed so far, so pruning uses a rest
 cost built from phrase scores plus a context-free morpheme-LM estimate.
 
 nbest() runs a sentence's one search and returns, with its n-best list, the
-complete hypotheses it ranked; decode() picks the 1-best from those.
+complete hypotheses it ranked; decode() picks the 1-best from those.  Both
+rank by score, then the larger target, so the 1-best heads the n-best list.
 
 Each search fixes one order of feature slots: the options' TM feature
 names, ``lm_morph`` and ``lm_word`` for the LMs present, ``word_penalty`` and
@@ -24,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from math import fsum
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -503,38 +504,34 @@ def _finalize(
     )
 
 
+def _applied(hyp: Hypothesis) -> Iterator[TranslationOption]:
+    """The options applied on ``hyp``'s path, root first."""
+    options = []
+    while hyp.option is not None:
+        options.append(hyp.option)
+        hyp = hyp.parent
+    return reversed(options)
+
+
 def target_tokens(hyp: Hypothesis) -> tuple[str, ...]:
-    parts: list[tuple[str, ...]] = []
-    node: Optional[Hypothesis] = hyp
-    while node is not None:
-        if node.option is not None:
-            parts.append(node.option.target)
-        node = node.parent
-    return tuple(tok for part in reversed(parts) for tok in part)
+    return tuple(tok for opt in _applied(hyp) for tok in opt.target)
 
 
 def trace(hyp: Hypothesis, source: tuple[str, ...]) -> list[tuple[int, int, tuple[str, ...], tuple[str, ...]]]:
     """(src word start, end exclusive, src words, out words) per applied phrase."""
     src_words = words_from_tokens(source)
-    items = []
-    node: Optional[Hypothesis] = hyp
-    while node is not None:
-        if node.option is not None:
-            o = node.option
-            items.append((
-                o.start, o.end,
-                tuple(src_words[o.start : o.end]),
-                tuple(words_from_tokens(o.target)),
-            ))
-        node = node.parent
-    items.reverse()
-    return items
+    return [(o.start, o.end, tuple(src_words[o.start : o.end]),
+             tuple(words_from_tokens(o.target))) for o in _applied(hyp)]
+
+
+def _rank(hyp: Hypothesis) -> tuple[float, tuple[str, ...]]:
+    """The one ranking of complete hypotheses: by score, ties by the larger target."""
+    return hyp.score, target_tokens(hyp)
 
 
 def decode(complete: Sequence[Hypothesis]) -> Hypothesis:
-    """The highest-scoring of a search's complete hypotheses (ties broken by
-    the larger target string)."""
-    return max(complete, key=lambda h: (h.score, target_tokens(h)))
+    """The first complete hypothesis by ``_rank``: the head of ``nbest``'s list."""
+    return max(complete, key=_rank)
 
 
 @dataclass(frozen=True)
@@ -555,18 +552,14 @@ def nbest(
     n: int = 100,
 ) -> tuple[list[NBestEntry], list[Hypothesis]]:
     """The sentence's one search: its top-n distinct target token strings by
-    score, descending (ties by the smaller string), and the complete
+    ``_rank``, each with its first best-scoring hypothesis, and the complete
     hypotheses they were ranked from, for ``decode``."""
     complete = search(source, table, lm_m, lm_w, weights, beam_size, distortion_limit)
     best: dict[tuple[str, ...], Hypothesis] = {}
-    for hyp in complete:
-        key = target_tokens(hyp)
-        old = best.get(key)
-        if old is None or hyp.score > old.score:
-            best[key] = hyp
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1].score, kv[0]))
+    for hyp in sorted(complete, key=_rank, reverse=True):  # stable: equal keys keep their order
+        best.setdefault(target_tokens(hyp), hyp)
     return [NBestEntry(tokens, dict(sorted(hyp.features.items())), hyp.score)
-            for tokens, hyp in ranked[:n]], complete
+            for tokens, hyp in islice(best.items(), n)], complete
 
 
 # --- n-best file format: sent_id ||| tokens ||| name=value ... ||| score -----

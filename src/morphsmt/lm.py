@@ -2,6 +2,8 @@
 
 Models are stored ARPA-style: one table per order mapping the n-gram to its
 (natural-log) conditional probability, plus log backoff weights per context.
+``train_lm`` keeps each value on the ARPA grid, the ln of a log10 float, so
+a model read back from its ARPA file holds exactly the trained values.
 Witten-Bell and Kneser-Ney are built in interpolated form, which makes every
 context distribution sum to exactly 1 over vocabulary + <unk> + </s>.
 
@@ -39,6 +41,7 @@ UNK = "<unk>"
 
 NEG_INF = float("-inf")
 LOG_ZERO = -100.0  # finite stand-in for ln(0) wherever a log-prob enters a score
+_LN10 = math.log(10.0)  # ARPA files hold log10 values
 
 Smoothing = Literal["mle", "witten-bell", "kneser-ney"]
 
@@ -201,7 +204,7 @@ def train_lm(
         level[(UNK,)] = share
 
     mass = _MASS[smoothing]
-    logprobs = [{g: math.log(p) for g, p in level.items()}]
+    logprobs = [{g: _on_grid(p) for g, p in level.items()}]
     backoffs: list[dict[tuple[str, ...], float]] = []
     for k in range(2, order + 1):
         lower = level
@@ -216,11 +219,16 @@ def train_lm(
         for gram, c in counts[k - 1].items():
             m, z = weights[gram[:-1]]
             level[gram] = (c - discount + m * lower[gram[1:]]) / z
-        logprobs.append({g: math.log(p) for g, p in level.items()})
+        logprobs.append({g: _on_grid(p) for g, p in level.items()})
         # MLE has no backoff mass: its weights are 0 and are not stored
-        backoffs.append({ctx: math.log(m / z) for ctx, (m, z) in weights.items() if m})
+        backoffs.append({ctx: _on_grid(m / z) for ctx, (m, z) in weights.items() if m})
     backoffs.append({})  # the top order has no outgoing backoff
     return NGramModel(order, smoothing, vocab, logprobs, backoffs)
+
+
+def _on_grid(p: float) -> float:
+    """ln p as ``write_arpa`` then ``read_arpa`` carry it: via log10 and back."""
+    return math.log(p) / _LN10 * _LN10
 
 
 def step(model: NGramModel, ctx_id: int, token: str) -> tuple[float, int]:
@@ -378,7 +386,6 @@ def twin_finalize(
 
 # --- ARPA-style persistence -------------------------------------------------
 
-_LN10 = math.log(10.0)
 _ARPA_NEG_INF = -99.0  # conventional stand-in for ln p = -inf
 
 

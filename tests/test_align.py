@@ -137,6 +137,15 @@ def test_alignment_file_roundtrip(tmp_path):
     assert [m.links for m in back] == [m.links for m in mats]
 
 
+def test_read_alignments_rejects_a_link_that_is_not_decimal(tmp_path):
+    # '²'.isdigit() is true, but int('²') raises
+    path = tmp_path / "a.txt"
+    path.write_text("0-0 0-²\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        align.read_alignments(path, [(1, 3)])
+    assert str(info.value) == f"{path}:1: bad link '0-²': expected i-j"
+
+
 def test_lexical_table_roundtrip(tmp_path):
     table = {("a", "x"): 0.25, (None, "x"): 0.5, ("b", "y"): 1.0}
     path = tmp_path / "lex.tsv"

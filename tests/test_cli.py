@@ -124,8 +124,7 @@ def test_extract_defaults_write_the_pipelines_table(tmp_path, system):
         assert max(map(len, phrasex.read_phrase_table(pt).by_source)) > cfg.max_words
 
 
-@pytest.mark.parametrize("system", ["w-system", "m-system", "m+phr+lm", "m+phr+lm+tune",
-                                    "merged"])
+@pytest.mark.parametrize("system", sorted(cli.SYSTEMS))
 def test_decoding_a_runs_artifacts_gives_its_output(tmp_path, monkeypatch, system):
     tables = []  # the pipeline's in-memory table, as it is written
     write = phrasex.write_phrase_table
@@ -145,12 +144,7 @@ def test_decoding_a_runs_artifacts_gives_its_output(tmp_path, monkeypatch, syste
             argv += [flag, str(run[name])]
     assert cli.main(argv) == 0
     assert (tmp_path / "out.txt").read_bytes() == run["output"].read_bytes()
-    # ARPA files hold log10 values, so scores may differ in their last bits
-    got, want = decoder.read_nbest(tmp_path / "nbest.txt"), decoder.read_nbest(run["nbest"])
-    assert [[e.tokens for e in lst] for lst in got] == [[e.tokens for e in lst] for lst in want]
-    for got_list, want_list in zip(got, want, strict=True):
-        for a, b in zip(got_list, want_list, strict=True):
-            assert abs(a.score - b.score) <= 1e-12
+    assert (tmp_path / "nbest.txt").read_bytes() == run["nbest"].read_bytes()
     # the read-back table spans what the pipeline's table spans, and gives its options
     read_back = phrasex.read_phrase_table(run["pt"], plan.granularity)
     assert read_back.max_span == tables[0].max_span > 0

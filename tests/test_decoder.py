@@ -563,15 +563,17 @@ def test_real_key_rejection_skips_extensions_for_every_lm_weight_sign(
 
 
 @pytest.mark.parametrize("n", [1, 5])
-def test_tied_targets_decode_picks_the_larger_and_nbest_ranks_the_smaller_first(n):
-    # two targets of one source with exactly the same score: decode breaks
-    # the tie towards the larger target string, nbest lists the smaller first
+def test_tied_targets_rank_the_larger_first_and_decode_returns_the_first_nbest_entry(n):
+    # two targets of one source with exactly the same score: both selections
+    # break the tie towards the larger target string
     src = morpho.parse_segmented_line("a/STM")
     tab = table([entry(("a/STM",), ("x1/STM",), 0.5), entry(("a/STM",), ("x2/STM",), 0.5)])
     entries, complete = decoder.nbest(src, tab, None, None, {"phi_fwd": 1.0}, None, 0, n)
     assert [h.score for h in complete] == [math.log(0.5)] * 2
-    assert [e.tokens for e in entries] == [("x1/STM",), ("x2/STM",)][:n]
-    assert decoder.target_tokens(decoder.decode(complete)) == ("x2/STM",)
+    assert [e.tokens for e in entries] == [("x2/STM",), ("x1/STM",)][:n]
+    best = decoder.decode(complete)
+    assert (decoder.target_tokens(best), best.features, best.score) == (
+        entries[0].tokens, entries[0].features, entries[0].score)
 
 
 def test_stack_offered_more_than_beam_is_sorted_even_after_rejections():

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from morphsmt import cli, synth
+from morphsmt import cli, decoder, synth
 from morphsmt.config import load_config
 
 GOLDEN = {
@@ -121,6 +121,14 @@ def test_artifacts_match_golden_digests(workspace, system):
     got = {name: hashlib.sha256(path.read_bytes()).hexdigest()
            for name, path in artifacts.items() if name != "manifest"}
     assert got == GOLDEN[system]
+
+
+@pytest.mark.parametrize("system", sorted(GOLDEN))
+def test_output_is_the_first_nbest_entry(workspace, system):
+    root, cfg = workspace
+    artifacts = cli.run_pipeline(system, cfg, root / "first" / system)
+    outputs = [tuple(line.split()) for line in artifacts["output"].read_text("utf-8").splitlines()]
+    assert [entries[0].tokens for entries in decoder.read_nbest(artifacts["nbest"])] == outputs
 
 
 def test_golden_covers_every_system():

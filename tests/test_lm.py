@@ -89,11 +89,9 @@ def test_arpa_roundtrip(tmp_path, smoothing):
     assert back.order == model.order
     assert back.smoothing == model.smoothing
     assert back.vocab == model.vocab
-    for ctx in [(), ("a",), ("b", "a"), ("zz", "b"), (BOS, BOS)]:
-        for w in sorted(model.vocab | {UNK, "junk"}):
-            assert back.logprob(w, ctx) == pytest.approx(
-                model.logprob(w, ctx), abs=1e-12
-            )
+    # train_lm keeps its values on the grid that the file's log10 values carry
+    assert back.logprobs == model.logprobs
+    assert back.backoffs == model.backoffs
 
 
 @settings(deadline=None)
