@@ -30,7 +30,7 @@ GOLDEN = {
     "m+lm": {
         "lm_m": "00b455d4560c2b3eb7601df6e1d6735d9526066302513ef38bb4382c6601a6b8",
         "lm_w": "127a483176e06eb7d71d0d5a1fb7968b2cd93a0665e3a65621aca7cec2754fd4",
-        "nbest": "cb909253810307fa2980427418f67be50299236f0fffdd9c1dc285912056a921",
+        "nbest": "c0b32a7552b6b0f8a1df7bceb2fc4de668f8f6e9288658528d66f6a53c7665dd",
         "output": "35a243607f91e7a151fc52ba588282407cb17874963f01bcc6373df03c54241c",
         "pt": "cd3e8d036df5533e68e5b5204a985717f85c89c7241c90b1f21e9d801912b3ca",
         "report": "a98f06bbcb2adf5da73ff0ed5323338574582c43607ad0f207891c4ba30ba6a9",
@@ -39,7 +39,7 @@ GOLDEN = {
     },
     "m+phr": {
         "lm_m": "00b455d4560c2b3eb7601df6e1d6735d9526066302513ef38bb4382c6601a6b8",
-        "nbest": "18d319f67fdb5f4b02ac6e3deaf7a59f5cde4f211a49f916c59d9b07f7d4f6ef",
+        "nbest": "58a330c37b9fe462b95b11aeb91143c15ab53381e648666ffb96271b6d06f579",
         "output": "ebcd30b6b8fa0491ada09be5cc7031a710a934879dc76ffe2d4bb54104226dc0",
         "pt": "2f45cd0dcc038deb452e22daeef90644be9ec57e29e51dfa2f363e175dfa7d6c",
         "report": "8003a3e5659419939446be347e70d332daee594be6db7579506ccd4364e4834b",
@@ -49,7 +49,7 @@ GOLDEN = {
     "m+phr+lm": {
         "lm_m": "00b455d4560c2b3eb7601df6e1d6735d9526066302513ef38bb4382c6601a6b8",
         "lm_w": "127a483176e06eb7d71d0d5a1fb7968b2cd93a0665e3a65621aca7cec2754fd4",
-        "nbest": "b949494f2bedfe156626d3178871edd509086f4b24f29190b9c5c9538f50df21",
+        "nbest": "8cf99df0bc3665217c2a509fc2f900ca02bc20ff5528531e998273bfd2428f0f",
         "output": "732b1d70bd99f29fcd8f23b680533f2ad6d3f6c3da0002d8f1a3dbe8c129324d",
         "pt": "2f45cd0dcc038deb452e22daeef90644be9ec57e29e51dfa2f363e175dfa7d6c",
         "report": "e1258587e9f575e11e52fa3cbdc6341a520ec909e503b6e0381f830b05a02696",
@@ -60,7 +60,7 @@ GOLDEN = {
         "lm_m": "00b455d4560c2b3eb7601df6e1d6735d9526066302513ef38bb4382c6601a6b8",
         "lm_w": "127a483176e06eb7d71d0d5a1fb7968b2cd93a0665e3a65621aca7cec2754fd4",
         "mert_log": "9900670ce27f2ff5f29a664656bb719d2cb1a900e9fc69171d95744085fe70fc",
-        "nbest": "48e5c782d91974b5da4daa19d35fe8ac3ab7800f97a7d1cfd01ee1430d3d9937",
+        "nbest": "3da8371b233f38708d18a28644c2d1db5b8d1d96037aabfd367ee90767c3c4f2",
         "output": "33a7000aff70ee8992b7bd4ea995f59f70b10a19a98ccb3c843465bb21bb7fcf",
         "pt": "2f45cd0dcc038deb452e22daeef90644be9ec57e29e51dfa2f363e175dfa7d6c",
         "report": "e65ac64b94ef6a0f2cff679baf50991062de41e9a7c89605f0b3ef6050b587a2",
@@ -69,17 +69,17 @@ GOLDEN = {
     },
     "m+tune": {
         "lm_m": "00b455d4560c2b3eb7601df6e1d6735d9526066302513ef38bb4382c6601a6b8",
-        "mert_log": "9af5cc3794990b99348fd72ed85ab0f882405cf75771b8e19fa5a8981142579a",
-        "nbest": "2f896f4920307d47c6d8e2d0af652178cbeed2c4daacd6e841596765259df0c1",
-        "output": "c1948b59677ab0d79a3c7ccab4460c6a71da9dd4c381df99d78366b7142822b2",
+        "mert_log": "99e0ec8876c14155605b7e31a65363cf3bdbc303506ef9eea188bba5af378ab6",
+        "nbest": "38eb38910719fa5cccc1413ce590bff09913abf8a39860b8370c2f912760b33d",
+        "output": "913017c0e42b24f331aaa4338f9b524e8dd1303f6b42d08830bc3b316171f4d4",
         "pt": "cd3e8d036df5533e68e5b5204a985717f85c89c7241c90b1f21e9d801912b3ca",
-        "report": "afb767b863b8d6d57512e99efc15e472f4669e8e6bc7917dc1d0d6597eaca0f5",
-        "trace": "772184748da60fa8e9dbe51c2df92282de9fd489b76b609b799d8656e495adc9",
-        "weights": "f36c8d7471c451bc2f1bf70991e6f96aa76e50ed9653726383e6dfb9534759fc",
+        "report": "01b1aa201cd4d4acee75d0077f6a6c1f76bba5e438a0674153d3c6a2c96fe503",
+        "trace": "ce4e6be26b1e36cb7280f10db3be99f5f9edea374471ed517540b3ff7cb7c086",
+        "weights": "4045bf99235fbf91f054a09f184115530a59d741a76cd4311b3518508aa0900f",
     },
     "m-system": {
         "lm_m": "00b455d4560c2b3eb7601df6e1d6735d9526066302513ef38bb4382c6601a6b8",
-        "nbest": "d6daa32d9cfcb243846bd7860583177a727114dafcccb9b8efbceee8361abbb7",
+        "nbest": "1938323554498f69a60e99d8b2d3655368de8d27a698565e9d793ec480029044",
         "output": "6e45602195eb25f207e6e40b8fc069565885a384453701b4ff819c04b15970e5",
         "pt": "cd3e8d036df5533e68e5b5204a985717f85c89c7241c90b1f21e9d801912b3ca",
         "report": "e2e426ebfbb91c80c963d57e2d9ecb877ee6037aad5766eb860757e5e11fe552",
@@ -89,7 +89,7 @@ GOLDEN = {
     "merged": {
         "lm_m": "00b455d4560c2b3eb7601df6e1d6735d9526066302513ef38bb4382c6601a6b8",
         "lm_w": "127a483176e06eb7d71d0d5a1fb7968b2cd93a0665e3a65621aca7cec2754fd4",
-        "nbest": "d81bf716e0d994e8900995f998c0e4e340780158f81222273e772599a4ab4b82",
+        "nbest": "e674812d22d69d47df018be5c82278c7cc0fef70fbe6002b5db22a1199c330f6",
         "output": "83adb713adad21bb465a2a606abec40abea535493fe3b0e2542035aeeed6084c",
         "pt": "134dc1bea708c8e32e41c46e051688288274d3815abc8159814f64347873062f",
         "report": "23567d048f3b0c149bc70de0abb4a213a984ecef47e522b284bb3d047c4ad09e",
@@ -98,7 +98,7 @@ GOLDEN = {
     },
     "w-system": {
         "lm_w": "127a483176e06eb7d71d0d5a1fb7968b2cd93a0665e3a65621aca7cec2754fd4",
-        "nbest": "b2a5216b5732329d23ffd5f86b8ec5d84d7beaf503bc2ade14be55c7dbecb7b1",
+        "nbest": "eb6acc6c1dc9ebd54d47abf1182eb3deae4aa72cec6a03e2b73f4db9cc8d07b3",
         "output": "b3704082f60cb6f901dd548475fcf2510fb100bc50eba8456498f18f25aaeec3",
         "pt": "9150d97c7457650e95afaff903bc5cf3008bd95f2d45f176137d2128de79dfbf",
         "report": "e035ee39cc60fe1c79aecb93d443cd9fdcd0ae3b34f8f619bd41ef170d3125ac",
