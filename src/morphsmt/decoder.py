@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from itertools import groupby, islice
 from math import fsum
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .lm import (
@@ -530,7 +530,7 @@ def _rank(hyp: Hypothesis) -> tuple[float, tuple[str, ...]]:
 
 
 def decode(complete: Sequence[Hypothesis]) -> Hypothesis:
-    """The first complete hypothesis by ``_rank``: the head of ``nbest``'s list."""
+    """The complete hypothesis that ``_rank`` puts first: the head of ``nbest``'s list."""
     return max(complete, key=_rank)
 
 
@@ -552,12 +552,12 @@ def nbest(
     n: int = 100,
 ) -> tuple[list[NBestEntry], list[Hypothesis]]:
     """The sentence's one search: its top-n distinct target token strings by
-    ``_rank``, each with its first best-scoring hypothesis, and the complete
-    hypotheses they were ranked from, for ``decode``."""
+    ``_rank``, and the complete hypotheses they were ranked from, for ``decode``."""
     complete = search(source, table, lm_m, lm_w, weights, beam_size, distortion_limit)
+    ranked = sorted(zip(map(_rank, complete), complete), key=itemgetter(0), reverse=True)
     best: dict[tuple[str, ...], Hypothesis] = {}
-    for hyp in sorted(complete, key=_rank, reverse=True):  # stable: equal keys keep their order
-        best.setdefault(target_tokens(hyp), hyp)
+    for (_, tokens), hyp in ranked:  # a stable sort: the first of equal keys stays first
+        best.setdefault(tokens, hyp)
     return [NBestEntry(tokens, dict(sorted(hyp.features.items())), hyp.score)
             for tokens, hyp in islice(best.items(), n)], complete
 
