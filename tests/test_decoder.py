@@ -563,7 +563,7 @@ def test_real_key_rejection_skips_extensions_for_every_lm_weight_sign(
 
 
 @pytest.mark.parametrize("n", [1, 5])
-def test_tied_targets_rank_the_larger_first_and_decode_returns_the_first_nbest_entry(n):
+def test_tied_targets_rank_the_larger_first_and_decode_returns_nbest_head(n):
     # two targets of one source with exactly the same score: both selections
     # break the tie towards the larger target string
     src = morpho.parse_segmented_line("a/STM")
