@@ -103,25 +103,20 @@ def sha256_file(path) -> str:
 
 @dataclass
 class CorpusData:
-    words: dict[str, list[list[str]]]  # e.g. "train_src" -> sentences
+    words: dict[str, list[list[str]]]  # the word view of each sentence in morphs
     morphs: dict[str, list[tuple[str, ...]]]
 
 
 def _load_data(cfg: PipelineConfig) -> CorpusData:
-    """The twelve corpus files; the four files of each split must be parallel."""
-    words = {}
+    """The six segmented corpus files, each split's two sides parallel, and
+    each sentence's word view, joined from its tokens."""
     morphs = {}
     for split in ("train", "dev", "test"):
-        for side in ("src", "tgt"):
-            key = f"{split}_{side}"
-            words[key] = mo.read_word_file(cfg.paths[f"{key}_words"])
-            morphs[key] = mo.read_segmented_file(cfg.paths[f"{key}_morphs"])
-        src = f"{split}_src"
-        for name, lines in ((f"{src}_morphs", morphs[src]),
-                            (f"{split}_tgt_words", words[f"{split}_tgt"]),
-                            (f"{split}_tgt_morphs", morphs[f"{split}_tgt"])):
-            _check_parallel(cfg.paths[f"{src}_words"], words[src], cfg.paths[name], lines)
-    return CorpusData(words, morphs)
+        src, tgt = (cfg.paths[f"{split}_{side}_morphs"] for side in ("src", "tgt"))
+        morphs[f"{split}_src"], morphs[f"{split}_tgt"] = _read_parallel(
+            mo.read_segmented_file, src, tgt)
+    return CorpusData({key: list(map(mo.words_from_tokens, sentences))
+                       for key, sentences in morphs.items()}, morphs)
 
 
 def build_table(
@@ -173,13 +168,7 @@ def _morph_table(cfg: PipelineConfig, data: CorpusData, boundary_aware: bool):
 
 
 def _segmentation_lexicon(data: CorpusData) -> mg.SegmentationLexicon:
-    word_lines: list[list[str]] = []
-    morph_lines: list[tuple[str, ...]] = []
-    for split in ("train", "dev", "test"):
-        for side in ("src", "tgt"):
-            word_lines.extend(data.words[f"{split}_{side}"])
-            morph_lines.extend(data.morphs[f"{split}_{side}"])
-    return mg.build_lexicon(word_lines, morph_lines)
+    return mg.build_lexicon([s for sentences in data.morphs.values() for s in sentences])
 
 
 def _merged_table(cfg: PipelineConfig, data: CorpusData,
@@ -231,9 +220,9 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     if system not in PLANS:
         raise ValueError(f"unknown system {system!r}; expected one of {', '.join(SYSTEMS)}")
     plan = PLANS[system]
+    data = _load_data(cfg)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    data = _load_data(cfg)
     artifacts: dict[str, Path] = {}
     # the merged system retokenizes with the lexicon that evaluation uses
     lexicon = _segmentation_lexicon(data) if plan.merged else None

@@ -2,7 +2,8 @@
 
 Paths are resolved against the config file's own directory, so a config can
 sit next to its corpus.  Every numeric setting is validated and every data
-path must exist at load time.
+path must name a file at load time.  The corpus is the six segmented files;
+the pipeline derives each sentence's word view from its tokens.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from .lm import Smoothing
 from .merge import MergeMethod
 
 DATA_KEYS = tuple(
-    f"{split}_{side}_{kind}"
-    for split in ("train", "dev", "test")
-    for side in ("src", "tgt")
-    for kind in ("words", "morphs")
+    f"{split}_{side}_morphs" for split in ("train", "dev", "test") for side in ("src", "tgt")
 )
 
 _SETTING_KEYS = {
@@ -99,7 +97,7 @@ class PipelineConfig:
         if missing:
             raise ConfigError(f"{source}: missing data paths: {', '.join(missing)}")
         for key, path in self.paths.items():
-            if not path.exists():
+            if not path.is_file():
                 fail(f"data.{key}", f"data.{key}: no such file: {path}")
 
     def settings_items(self) -> list[tuple[str, str]]:
@@ -116,8 +114,8 @@ def load_config(
 ) -> PipelineConfig:
     """The config file at ``path``, then ``overrides`` (which may reset its
     keys).  A malformed line, a repeated or unknown key, a bad or out-of-range
-    value and a missing data file are reported as ``<file>:<line>:``, or as
-    the ``--set KEY=VALUE`` override they came from."""
+    value and a data path that names no file are reported as
+    ``<file>:<line>:``, or as the ``--set KEY=VALUE`` override they came from."""
     path = Path(path)
     filename, base_dir = str(path), path.resolve().parent
     raw: dict[str, tuple[str, str]] = {}  # key: (value, where it was set)

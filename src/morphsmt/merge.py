@@ -43,19 +43,12 @@ class SegmentationLexicon:
         return self.mapping.get(word, (f"{word}/STM",))
 
 
-def build_lexicon(
-    word_sentences: Sequence[Sequence[str]],
-    morph_sentences: Sequence[tuple[str, ...]],
-) -> SegmentationLexicon:
-    """Collect each word's segmentation; most frequent wins, ties lexicographic."""
+def build_lexicon(morph_sentences: Sequence[tuple[str, ...]]) -> SegmentationLexicon:
+    """Each word's segmentation in the segmented sentences, where a word is
+    its tokens' surfaces joined; most frequent wins, ties lexicographic."""
     seen: dict[str, Counter] = {}
-    for words, tokens in zip(word_sentences, morph_sentences, strict=True):
-        if words_from_tokens(tokens) != list(words):
-            raise ValueError(
-                "segmented line does not reassemble to its word line: "
-                f"{' '.join(words)!r}"
-            )
-        for word, (start, end) in zip(words, word_spans(tokens)):
+    for tokens in morph_sentences:
+        for word, (start, end) in zip(words_from_tokens(tokens), word_spans(tokens)):
             seen.setdefault(word, Counter())[tokens[start : end + 1]] += 1
     mapping = {}
     for word in sorted(seen):

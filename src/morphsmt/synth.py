@@ -89,25 +89,16 @@ def generate(seed: int = DEFAULT_SEED, sizes: tuple[int, int, int] = DEFAULT_SIZ
 
 def write_corpus(
     outdir, seed: int = DEFAULT_SEED, sizes: tuple[int, int, int] = DEFAULT_SIZES
-) -> dict[str, Path]:
-    """Write the 12 corpus files; returns {key: path} as the pipeline names them."""
+) -> None:
+    """Write the 12 corpus files: the pipeline reads the six ``.morphs`` files,
+    and the ``.words`` files serve the subcommands and the benchmark."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = {}
     for split, pairs in generate(seed, sizes).items():
-        columns = {
-            "src_words": [p[0] for p in pairs],
-            "src_morphs": [p[1] for p in pairs],
-            "tgt_words": [p[2] for p in pairs],
-            "tgt_morphs": [p[3] for p in pairs],
-        }
-        for key, rows in columns.items():
-            path = outdir / f"{split}.{key.replace('_', '.')}"
-            with open(path, "w", encoding="utf-8") as fh:
-                for row in rows:
-                    fh.write(" ".join(row) + "\n")
-            paths[f"{split}_{key}"] = path
-    return paths
+        for column, name in enumerate(("src.words", "src.morphs", "tgt.words", "tgt.morphs")):
+            with open(outdir / f"{split}.{name}", "w", encoding="utf-8") as fh:
+                for pair in pairs:
+                    fh.write(" ".join(pair[column]) + "\n")
 
 
 def write_workspace(outdir, seed: int = DEFAULT_SEED,

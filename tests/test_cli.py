@@ -25,7 +25,7 @@ def test_config_load_and_validation(synth_dir):
     cfg = load_config(synth_dir / "synth.cfg")
     assert cfg.max_words == 7
     assert cfg.beam == 20
-    assert cfg.paths["train_src_words"].exists()
+    assert cfg.paths["train_src_morphs"].exists()
 
 
 def test_config_overrides(synth_dir):
@@ -39,7 +39,7 @@ def test_config_rejects_bad_values(synth_dir, tmp_path):
     with pytest.raises(ConfigError):
         load_config(synth_dir / "synth.cfg", {"merge.method": "bogus"})
     with pytest.raises(ConfigError):
-        load_config(synth_dir / "synth.cfg", {"data.train_src_words": "missing.txt"})
+        load_config(synth_dir / "synth.cfg", {"data.train_src_morphs": "missing.txt"})
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense without equals\n", encoding="utf-8")
     with pytest.raises(ConfigError):
@@ -89,7 +89,7 @@ def test_extract_writes_the_pipelines_table(tmp_path, system, given_alignments):
     pt = cli.run_pipeline(system, cfg, tmp_path / "run")["pt"]
     plan = cli.PLANS[system]
     kind = "words" if plan.granularity == "word" else "morphs"
-    src, tgt = (str(cfg.paths[f"train_{side}_{kind}"]) for side in ("src", "tgt"))
+    src, tgt = (str(tmp_path / "ws" / f"train.{side}.{kind}") for side in ("src", "tgt"))
     max_span = cfg.max_morphemes if kind == "morphs" and not plan.boundary_aware \
         else cfg.max_words
     argv = ["extract", "--source", src, "--target", tgt, "--output", str(tmp_path / "pt.txt"),
@@ -115,7 +115,7 @@ def test_extract_defaults_write_the_pipelines_table(tmp_path, system):
     pt = cli.run_pipeline(system, cfg, tmp_path / "run")["pt"]
     plan = cli.PLANS[system]
     kind = "words" if plan.granularity == "word" else "morphs"
-    src, tgt = (str(cfg.paths[f"train_{side}_{kind}"]) for side in ("src", "tgt"))
+    src, tgt = (str(tmp_path / "ws" / f"train.{side}.{kind}") for side in ("src", "tgt"))
     argv = ["extract", "--source", src, "--target", tgt, "--output", str(tmp_path / "pt.txt"),
             "--granularity", plan.granularity] + ["--boundary-aware"] * plan.boundary_aware
     assert cli.main(argv) == 0
@@ -134,7 +134,8 @@ def test_decoding_a_runs_artifacts_gives_its_output(tmp_path, monkeypatch, syste
     run = cli.run_pipeline(system, cfg, tmp_path / "run")
     plan = cli.PLANS[system]
     kind = "words" if plan.granularity == "word" else "morphs"
-    argv = ["decode", "--input", str(cfg.paths[f"test_src_{kind}"]), "--table", str(run["pt"]),
+    argv = ["decode", "--input", str(tmp_path / "ws" / f"test.src.{kind}"),
+            "--table", str(run["pt"]),
             "--granularity", plan.granularity, "--weights", str(run["weights"]),
             "--beam", str(cfg.beam), "--distortion-limit", str(cfg.distortion_limit),
             "--nbest", str(cfg.nbest), "--output", str(tmp_path / "out.txt"),
@@ -151,7 +152,7 @@ def test_decoding_a_runs_artifacts_gives_its_output(tmp_path, monkeypatch, syste
     assert read_back.n_extras == tables[0].n_extras
     if plan.granularity == "word":
         sources = [cli.words_as_tokens(words) for split in ("dev", "test")
-                   for words in morpho.read_word_file(cfg.paths[f"{split}_src_words"])]
+                   for words in morpho.read_word_file(tmp_path / "ws" / f"{split}.src.words")]
     else:
         sources = [source for split in ("dev", "test")
                    for source in morpho.read_segmented_file(cfg.paths[f"{split}_src_morphs"])]
@@ -641,15 +642,44 @@ def test_parallel_files_of_unequal_length_are_named(tmp_path, case):
 
 def test_pipeline_checks_parallel_files_before_training(tmp_path):
     cfg = synth.write_workspace(tmp_path / "ws", seed=3, sizes=(20, 3, 3))
-    refs = tmp_path / "ws" / "test.tgt.words"
+    refs = tmp_path / "ws" / "test.tgt.morphs"
     refs.write_text("".join(refs.read_text(encoding="utf-8").splitlines(True)[:-1]),
                     encoding="utf-8")
     run_dir = tmp_path / "run"
     proc = run_morphsmt("pipeline", "m-system", "--config", str(cfg), "--run-dir", str(run_dir))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert f"{tmp_path / 'ws' / 'test.src.words'} has 3 lines, {refs} has 2" in proc.stderr
+    assert f"{tmp_path / 'ws' / 'test.src.morphs'} has 3 lines, {refs} has 2" in proc.stderr
     assert not (run_dir / "pt.txt").exists()
+
+
+def test_a_malformed_corpus_line_leaves_no_run_directory(tmp_path):
+    cfg = synth.write_workspace(tmp_path / "ws", seed=3, sizes=(5, 2, 2))
+    source = tmp_path / "ws" / "test.src.morphs"
+    lines = source.read_text(encoding="utf-8").splitlines(True)
+    source.write_text(lines[0] + "dog/XYZ\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    proc = run_morphsmt("pipeline", "m-system", "--config", str(cfg), "--run-dir", str(run_dir))
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {source}:2: token 0: not of form surface/TAG[+]: "
+                           "'dog/XYZ'\n")
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("system", ["w-system", "merged"])
+def test_pipeline_runs_from_the_six_segmented_files(tmp_path, system):
+    # every word view is derived from the segmented files: without the .words
+    # files a run writes what it writes beside them
+    runs = []
+    for name in ("full", "segmented"):
+        cfg = synth.write_workspace(tmp_path / name, seed=7, sizes=(30, 4, 4))
+        if name == "segmented":
+            for words in (tmp_path / name).glob("*.words"):
+                words.unlink()
+        artifacts = cli.run_pipeline(system, load_config(cfg), tmp_path / f"run_{name}")
+        runs.append({key: path.read_bytes() for key, path in artifacts.items()
+                     if key != "manifest"})
+    assert runs[0] == runs[1]
 
 
 CONFIG_ERRORS = {
@@ -663,14 +693,20 @@ CONFIG_ERRORS = {
     "unknown-key": ("decoder.bogus = 3", [], "{cfg}:{line}: unknown config key: decoder.bogus"),
     "unknown-data-key": ("data.extra = x.txt", [],
                          "{cfg}:{line}: unknown data key: data.extra"),
+    "retired-words-key": ("data.test_tgt_words = test.tgt.words", [],
+                          "{cfg}:{line}: unknown data key: data.test_tgt_words"),
     "duplicate-key": ("+decoder.beam = 3", [],
                       "{cfg}:{line}: duplicate key decoder.beam, first on line {first}"),
     "bad-value": ("decoder.beam = ten", [], "{cfg}:{line}: bad value for decoder.beam: 'ten'"),
     "out-of-range-value": ("decoder.beam = -4", [], "{cfg}:{line}: beam must be positive"),
-    "missing-data-file": ("data.dev_src_words = nowhere.txt", [],
-                          "{cfg}:{line}: data.dev_src_words: no such file: {dir}/nowhere.txt"),
-    "missing-data-key": ("-data.dev_src_words", [],
-                         "{cfg}: missing data paths: dev_src_words"),
+    "missing-data-file": ("data.dev_src_morphs = nowhere.txt", [],
+                          "{cfg}:{line}: data.dev_src_morphs: no such file: {dir}/nowhere.txt"),
+    "data-path-is-a-directory": ("data.dev_src_morphs = .", [],
+                                 "{cfg}:{line}: data.dev_src_morphs: no such file: {dir}"),
+    "empty-set-data-path": (None, ["--set", "data.dev_src_morphs="],
+                            "--set data.dev_src_morphs=: data.dev_src_morphs: no such file: {dir}"),
+    "missing-data-key": ("-data.dev_src_morphs", [],
+                         "{cfg}: missing data paths: dev_src_morphs"),
     "bad-set-value": (None, ["--set", "decoder.beam=ten"],
                       "--set decoder.beam=ten: bad value for decoder.beam: 'ten'"),
     "spaced-set-value": (None, ["--set", "decoder.beam = ten"],

@@ -23,28 +23,19 @@ def table(entries, granularity="morpheme"):
 # --- segmentation lexicon / retokenization -----------------------------------
 
 
-def test_build_lexicon_reassembly_enforced():
-    with pytest.raises(ValueError):
-        merge.build_lexicon([["dogs"]], [morpho.parse_segmented_line("cat/STM")])
-
-
 def test_build_lexicon_majority_then_lexicographic():
-    words = [["dogs"], ["dogs"], ["dogs"]]
     morphs = [
         morpho.parse_segmented_line("dog/STM+ s/SUF"),
         morpho.parse_segmented_line("dog/STM+ s/SUF"),
         morpho.parse_segmented_line("dogs/STM"),
     ]
-    lex = merge.build_lexicon(words, morphs)
+    lex = merge.build_lexicon(morphs)
     assert lex.segment("dogs") == ("dog/STM+", "s/SUF")
     assert lex.segment("unknown") == ("unknown/STM",)
 
 
 def test_retokenize_expands_alignment_as_product():
-    lex = merge.build_lexicon(
-        [["dogs", "koirat"]],
-        [morpho.parse_segmented_line("dog/STM+ s/SUF koira/STM+ t/SUF")],
-    )
+    lex = merge.build_lexicon([morpho.parse_segmented_line("dog/STM+ s/SUF koira/STM+ t/SUF")])
     pt_w = table([entry(("dogs",), ("koirat",), count=3)], "word")
     pt_wm = merge.retokenize_pt(pt_w, lex)
     got = pt_wm.get(("dog/STM+", "s/SUF"), ("koira/STM+", "t/SUF"))
@@ -79,9 +70,7 @@ def test_retokenize_requires_word_granularity():
 
 def test_induced_alignment_roundtrip():
     lex = merge.build_lexicon(
-        [["ab", "cd", "xy"]],
-        [morpho.parse_segmented_line("a/STM+ b/SUF c/STM+ d/SUF x/STM+ y/SUF")],
-    )
+        [morpho.parse_segmented_line("a/STM+ b/SUF c/STM+ d/SUF x/STM+ y/SUF")])
     pt_w = table([entry(("ab", "cd"), ("xy",), links=((0, 0), (1, 0)))], "word")
     pt_wm = merge.retokenize_pt(pt_w, lex)
     (got,) = pt_wm

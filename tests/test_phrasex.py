@@ -301,7 +301,7 @@ def test_every_table_build_holds_one_set_per_alignment(tmp_path):
     classic, _, _ = cli.build_table(src, tgt, "morpheme", False, 4, 2, heuristic)
     aware, _, _ = cli.build_table(src, tgt, "morpheme", True, 3, 2, heuristic)
     pt_w, _, _ = cli.build_table(src_w, tgt_w, "word", False, 3, 2, heuristic)
-    pt_wm = merge.retokenize_pt(pt_w, merge.build_lexicon(src_w + tgt_w, src + tgt))
+    pt_wm = merge.retokenize_pt(pt_w, merge.build_lexicon(src + tgt))
     phrasex.write_phrase_table(tmp_path / "pt.txt", aware)
     read = phrasex.read_phrase_table(tmp_path / "pt.txt")
     for table in (classic, aware, pt_wm, read):
