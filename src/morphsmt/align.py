@@ -1,8 +1,9 @@
 """Token-level alignment: IBM Model 1 EM training, Viterbi links, symmetrization.
 
-Works on opaque token strings at either granularity.  The NULL source token is
-the ``None`` key in the lexical table; a target whose best source is NULL gets
-no link at all.
+Works on opaque token strings at either granularity, over a plain list of
+(source, target) sentence pairs (``sentence_pairs``), with ``train_both`` for
+Model 1 in both directions.  The NULL source token is the ``None`` key in the
+lexical table; a target whose best source is NULL gets no link at all.
 """
 
 from __future__ import annotations
@@ -18,29 +19,18 @@ Granularity = Literal["word", "morpheme"]
 
 # t(target | source) by (source, target), with source None as the NULL token
 LexicalTable = dict[tuple[Optional[str], str], float]
+SentencePairs = list[tuple[tuple[str, ...], tuple[str, ...]]]
 
 # fallback translation probability for pairs absent from a trained table;
 # keeps Viterbi total and lexical weighting finite on held-out data
 FLOOR_PROB = 1e-9
 
 
-@dataclass
-class ParallelCorpus:
-    pairs: list[tuple[tuple[str, ...], tuple[str, ...]]]
-    dropped: int = 0  # empty-side pairs removed at load
-
-    @classmethod
-    def from_sentences(
-        cls, source: Iterable[Sequence[str]], target: Iterable[Sequence[str]]
-    ) -> "ParallelCorpus":
-        pairs = []
-        dropped = 0
-        for src, tgt in zip(source, target, strict=True):
-            if not src or not tgt:
-                dropped += 1
-                continue
-            pairs.append((tuple(src), tuple(tgt)))
-        return cls(pairs, dropped)
+def sentence_pairs(source: Iterable[Sequence[str]],
+                   target: Iterable[Sequence[str]]) -> SentencePairs:
+    """The (source, target) pairs of two parallel sentence lists that have no empty side."""
+    return [(tuple(src), tuple(tgt))
+            for src, tgt in zip(source, target, strict=True) if src and tgt]
 
 
 @dataclass(frozen=True)
@@ -61,12 +51,12 @@ class AlignmentMatrix:
         )
 
 
-def train_model1(corpus: ParallelCorpus, iterations: int = 5) -> LexicalTable:
+def train_model1(pairs: SentencePairs, iterations: int = 5) -> LexicalTable:
     """EM-train IBM Model 1 translation probabilities with a NULL source,
     starting from uniform over each source token's observed targets."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if not corpus.pairs:
+    if not pairs:
         raise ValueError("cannot train on an empty corpus")
 
     # Each co-occurring (e, f) pair gets a slot, numbered in first-seen order
@@ -77,7 +67,7 @@ def train_model1(corpus: ParallelCorpus, iterations: int = 5) -> LexicalTable:
     slot_cols: dict[str, dict[Optional[str], int]] = {}
     src_ids: dict[Optional[str], int] = {}
     events = []  # per target token: (slot per source token, source ids)
-    for src, tgt in corpus.pairs:
+    for src, tgt in pairs:
         sources = (None, *src)
         ids = tuple(src_ids.setdefault(e, len(src_ids)) for e in sources)
         for f in tgt:
@@ -110,6 +100,13 @@ def train_model1(corpus: ParallelCorpus, iterations: int = 5) -> LexicalTable:
         t = [c / totals[i] for c, i in zip(counts, owner)]
 
     return dict(zip(keys, t))
+
+
+def train_both(pairs: SentencePairs, iterations: int = 5) -> tuple[LexicalTable, LexicalTable]:
+    """Model 1 in both directions: the forward table t(tgt|src) and the
+    backward table t(src|tgt), trained on the reversed pairs."""
+    return (train_model1(pairs, iterations),
+            train_model1([(tgt, src) for src, tgt in pairs], iterations))
 
 
 def viterbi_align(
@@ -199,7 +196,7 @@ def symmetrize(
 
 
 def align_corpus(
-    corpus: ParallelCorpus,
+    pairs: SentencePairs,
     iterations: int = 5,
     heuristic: Heuristic = "grow-diag-final-and",
 ) -> tuple[list[AlignmentMatrix], LexicalTable, LexicalTable]:
@@ -207,10 +204,9 @@ def align_corpus(
 
     Returns (alignments, forward lexical table t(tgt|src), backward t(src|tgt)).
     """
-    fwd_table = train_model1(corpus, iterations)
-    bwd_table = train_model1(ParallelCorpus([(t, s) for s, t in corpus.pairs]), iterations)
+    fwd_table, bwd_table = train_both(pairs, iterations)
     alignments = []
-    for src, tgt in corpus.pairs:
+    for src, tgt in pairs:
         fwd = viterbi_align(src, tgt, fwd_table)
         rev = viterbi_align(tgt, src, bwd_table)
         alignments.append(symmetrize(fwd, rev, heuristic))

@@ -51,12 +51,6 @@ PLANS = {
 SYSTEMS = tuple(PLANS)
 
 
-def words_as_tokens(words: Sequence[str]) -> tuple[str, ...]:
-    """Word-granularity input wrapped as monomorphemic tokens, so that a word
-    shaped like a token (``x/STM+``) is still read as one whole word."""
-    return tuple(f"{w}/STM" for w in words)
-
-
 def _check_parallel(path_a, lines_a: list, path_b, lines_b: list) -> None:
     """ValueError naming both files if they do not have one line per sentence pair."""
     if len(lines_a) != len(lines_b):
@@ -107,14 +101,20 @@ class CorpusData:
     morphs: dict[str, list[tuple[str, ...]]]
 
 
-def _load_data(cfg: PipelineConfig) -> CorpusData:
+def _load_data(cfg: PipelineConfig, tune: bool = False) -> CorpusData:
     """The six segmented corpus files, each split's two sides parallel, and
-    each sentence's word view, joined from its tokens."""
+    each sentence's word view, joined from its tokens.  A split the run cannot
+    use is a ValueError naming its two files: a train split with no pair of two
+    non-empty sides, an empty test split, and an empty dev split if ``tune``."""
     morphs = {}
     for split in ("train", "dev", "test"):
         src, tgt = (cfg.paths[f"{split}_{side}_morphs"] for side in ("src", "tgt"))
-        morphs[f"{split}_src"], morphs[f"{split}_tgt"] = _read_parallel(
-            mo.read_segmented_file, src, tgt)
+        pair = _read_parallel(mo.read_segmented_file, src, tgt)
+        if split == "train" and not any(s and t for s, t in zip(*pair)):
+            raise ValueError(f"no train pair with two non-empty sides in {src} and {tgt}")
+        if not pair[0] and (split != "dev" or tune):
+            raise ValueError(f"no {split} sentences in {src} and {tgt}")
+        morphs[f"{split}_src"], morphs[f"{split}_tgt"] = pair
     return CorpusData({key: list(map(mo.words_from_tokens, sentences))
                        for key, sentences in morphs.items()}, morphs)
 
@@ -134,17 +134,14 @@ def build_table(
     pairs are aligned, or, given ``alignments`` (a Pharaoh file with one line
     per kept pair), Model 1 is trained in both directions for the lexical
     tables alone."""
-    corpus = al.ParallelCorpus.from_sentences(src, tgt)
+    pairs = al.sentence_pairs(src, tgt)
     if alignments is None:
-        links, lt_f, lt_b = al.align_corpus(corpus, iterations, heuristic)
+        links, lt_f, lt_b = al.align_corpus(pairs, iterations, heuristic)
     else:
-        links = al.read_alignments(alignments, [(len(s), len(t)) for s, t in corpus.pairs])
-        lt_f = al.train_model1(corpus, iterations)
-        rev = al.ParallelCorpus([(t, s) for s, t in corpus.pairs])
-        lt_b = al.train_model1(rev, iterations)
+        links = al.read_alignments(alignments, [(len(s), len(t)) for s, t in pairs])
+        lt_f, lt_b = al.train_both(pairs, iterations)
     extract = px.extract_corpus_boundary_aware if boundary_aware else px.extract_corpus
-    counts = extract([s for s, _ in corpus.pairs], [t for _, t in corpus.pairs],
-                     links, max_span)
+    counts = extract([s for s, _ in pairs], [t for _, t in pairs], links, max_span)
     table = px.score_phrase_table(counts, lt_f, lt_b, granularity)
     return table, lt_f, lt_b
 
@@ -185,10 +182,8 @@ def _merged_table(cfg: PipelineConfig, data: CorpusData,
 
 def _proximity(cfg: PipelineConfig, data: CorpusData, traces):
     """Translation proximity via src-ref alignments on train+test concatenation."""
-    combined = al.ParallelCorpus.from_sentences(
-        data.words["train_src"] + data.words["test_src"],
-        data.words["train_tgt"] + data.words["test_tgt"],
-    )
+    combined = al.sentence_pairs(data.words["train_src"] + data.words["test_src"],
+                                 data.words["train_tgt"] + data.words["test_tgt"])
     table = al.train_model1(combined, cfg.align_iterations)
     alignments = [al.viterbi_align(src, ref, table)
                   for src, ref in zip(data.words["test_src"], data.words["test_tgt"])]
@@ -220,7 +215,7 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     if system not in PLANS:
         raise ValueError(f"unknown system {system!r}; expected one of {', '.join(SYSTEMS)}")
     plan = PLANS[system]
-    data = _load_data(cfg)
+    data = _load_data(cfg, plan.tune)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
@@ -236,8 +231,8 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     artifacts["pt"] = run_dir / "pt.txt"
     px.write_phrase_table(artifacts["pt"], table)
     if plan.granularity == "word":
-        dev_sources = [words_as_tokens(s) for s in data.words["dev_src"]]
-        test_sources = [words_as_tokens(s) for s in data.words["test_src"]]
+        dev_sources = [mo.words_as_tokens(s) for s in data.words["dev_src"]]
+        test_sources = [mo.words_as_tokens(s) for s in data.words["test_src"]]
     else:
         dev_sources = data.morphs["dev_src"]
         test_sources = data.morphs["test_src"]
@@ -353,13 +348,12 @@ def _cmd_segment_apply(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    corpus = al.ParallelCorpus.from_sentences(
-        *_read_parallel(mo.read_word_file, args.source, args.target)
-    )
-    alignments, _, _ = al.align_corpus(corpus, args.iterations, args.heuristic)
+    src, tgt = _read_parallel(mo.read_word_file, args.source, args.target)
+    pairs = al.sentence_pairs(src, tgt)
+    alignments, _, _ = al.align_corpus(pairs, args.iterations, args.heuristic)
     al.write_alignments(args.output, alignments)
-    if corpus.dropped:
-        print(f"dropped {corpus.dropped} empty-side pairs", file=sys.stderr)
+    if len(src) > len(pairs):
+        print(f"dropped {len(src) - len(pairs)} empty-side pairs", file=sys.stderr)
     return 0
 
 
@@ -393,7 +387,7 @@ def _load_search(args, source_path):
         table.n_extras, lm_m is not None, lm_w is not None
     )
     if args.granularity == "word":
-        sources = [words_as_tokens(w) for w in mo.read_word_file(source_path)]
+        sources = [mo.words_as_tokens(w) for w in mo.read_word_file(source_path)]
     else:
         sources = mo.read_segmented_file(source_path)
     return dec.restrict_table(table, sources), lm_m, lm_w, weights, sources

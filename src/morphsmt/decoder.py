@@ -35,7 +35,7 @@ from .lm import (
     twin_extend, twin_finalize,
 )
 from .morpho import (
-    parse_file, parse_keyed_file, split_token_string, word_spans, words_from_tokens,
+    ends_word, parse_file, parse_keyed_file, split_token_string, word_spans, words_from_tokens,
 )
 from .phrasex import PhraseTable
 
@@ -183,7 +183,7 @@ def build_options(source: tuple[str, ...], table: PhraseTable) -> list[Translati
             options.append(TranslationOption(
                 start=w1, end=w2, target=entry.target,
                 tm_features=tuple(zip(names, map(safe_ln, entry.scores()))),
-                n_words=_count_finals(entry.target),
+                n_words=sum(map(ends_word, entry.target)),
                 mask=_span_mask(w1, w2),
             ))
             covered.update(range(w1, w2))
@@ -193,15 +193,10 @@ def build_options(source: tuple[str, ...], table: PhraseTable) -> list[Translati
         options.append(TranslationOption(
             start=w, end=w + 1, target=tgt,
             tm_features=(("phrase_penalty", 1.0), ("oov", 1.0)),
-            n_words=_count_finals(tgt),
+            n_words=sum(map(ends_word, tgt)),
             mask=_span_mask(w, w + 1),
         ))
     return options
-
-
-def _count_finals(tokens: Iterable[str]) -> int:
-    # only a token that ends in "+" can be word-internal, as in word_spans
-    return sum(1 for t in tokens if not t.endswith("+") or split_token_string(t)[1])
 
 
 def _future_costs(

@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Iterator, Literal, Optional, Sequence
 
 from .align import LexicalTable
-from .morpho import word_spans, words_from_tokens
+from .morpho import word_index, word_spans, words_as_tokens, words_from_tokens
 from .phrasex import PHRASE_PENALTY, PhraseEntry, PhraseTable, lexical_weights
 
 MergeMethod = Literal["add-1", "add-2", "interpolation", "our-method"]
@@ -40,7 +40,7 @@ class SegmentationLexicon:
 
     def segment(self, word: str) -> tuple[str, ...]:
         """Known words map through the lexicon; unknown words become one STM."""
-        return self.mapping.get(word, (f"{word}/STM",))
+        return self.mapping.get(word, words_as_tokens((word,)))
 
 
 def build_lexicon(morph_sentences: Sequence[tuple[str, ...]]) -> SegmentationLexicon:
@@ -158,19 +158,8 @@ def induce_word_alignment(
     morph_links: Sequence[tuple[int, int]],
 ) -> frozenset[tuple[int, int]]:
     """Word pair linked iff any of their constituent morpheme pairs is linked."""
-    src_word_of = _word_index(src_tokens)
-    tgt_word_of = _word_index(tgt_tokens)
-    return frozenset(
-        (src_word_of[i], tgt_word_of[j]) for i, j in morph_links
-    )
-
-
-def _word_index(tokens: Sequence[str]) -> dict[int, int]:
-    index = {}
-    for w, (start, end) in enumerate(word_spans(tokens)):
-        for pos in range(start, end + 1):
-            index[pos] = w
-    return index
+    src_word_of, tgt_word_of = word_index(src_tokens), word_index(tgt_tokens)
+    return frozenset((src_word_of[i], tgt_word_of[j]) for i, j in morph_links)
 
 
 def merge_our_method(
@@ -194,13 +183,9 @@ def merge_our_method(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    for name, pt in (("pt_m", pt_m), ("pt_wm", pt_wm)):
-        for e in pt:
-            if e.count_joint is None:
-                raise ValueError(f"{name} entry {e.source}->{e.target} lacks counts")
 
     # (source, target, pt_m entry or None, pt_wm entry or None, summed count)
-    found = [(src, tgt, em, ewm, _count(em) + _count(ewm))
+    found = [(src, tgt, em, ewm, _count("pt_m", em) + _count("pt_wm", ewm))
              for src, tgt, em, ewm in _union(pt_m, pt_wm)]
     src_marginal: Counter = Counter()
     tgt_marginal: Counter = Counter()
@@ -235,7 +220,12 @@ def merge_our_method(
     return PhraseTable.of(entries, "morpheme")
 
 
-def _count(e) -> float:
+def _count(name: str, e: Optional[PhraseEntry]) -> float:
+    """The joint count of ``e``, table ``name``'s entry or None (0.0); an
+    entry read without counts is a ValueError naming its pair."""
+    if e is not None and e.count_joint is None:
+        raise ValueError(f"{name} entry {' '.join(e.source)!r} ||| "
+                         f"{' '.join(e.target)!r} lacks counts")
     return e.count_joint if e is not None else 0.0
 
 

@@ -2,8 +2,9 @@
 
 A segmented sentence is a stream of ``surface/TAG`` tokens where TAG is one
 of PRE, STM, SUF and a trailing ``+`` marks word-internal morphemes.  Word
-boundaries fall after every token without ``+``; every other module gets its
-notion of "word" from here.  A sentence is the tuple of its token strings,
+boundaries fall after every token without ``+`` (``ends_word``); every other
+module gets its notion of "word" from here, and wraps a plain word as a token
+only through ``words_as_tokens``.  A sentence is the tuple of its token strings,
 from the parser to the writers: ``care/STM+`` and ``care/STM`` are different
 tokens everywhere downstream.
 """
@@ -94,6 +95,17 @@ def split_token_string(token: str) -> tuple[str, bool]:
     return m.group("surface"), m.group("plus") != "+"
 
 
+def ends_word(token: str) -> bool:
+    """Whether a token ends its word; only one ending in ``+`` can be word-internal."""
+    return not token.endswith("+") or split_token_string(token)[1]
+
+
+def words_as_tokens(words: Iterable[str]) -> tuple[str, ...]:
+    """Plain words wrapped as monomorphemic tokens, so that a word shaped
+    like a token (``x/STM+``) is still read as one whole word."""
+    return tuple(f"{w}/STM" for w in words)
+
+
 def words_from_tokens(tokens: Iterable[str]) -> list[str]:
     """Word view of a token-string sequence; a trailing open word is flushed."""
     words = []
@@ -113,17 +125,21 @@ def word_spans(tokens: Sequence[str]) -> list[tuple[int, int]]:
     """Inclusive (start, end) token-index spans of the words in a string sequence.
 
     A trailing open word (last token still word-internal) counts as a word.
-    Only a token that ends in ``+`` can be word-internal, so only those are split.
     """
     spans = []
     start = 0
     for i, tok in enumerate(tokens):
-        if not tok.endswith("+") or split_token_string(tok)[1]:
+        if ends_word(tok):
             spans.append((start, i))
             start = i + 1
     if start < len(tokens):
         spans.append((start, len(tokens) - 1))
     return spans
+
+
+def word_index(tokens: Sequence[str]) -> list[int]:
+    """The index of the word each token belongs to, by token position."""
+    return [w for w, (start, end) in enumerate(word_spans(tokens)) for _ in range(start, end + 1)]
 
 
 def _parsed_lines(path, parse_line: Callable[[str], T]) -> Iterator[T]:

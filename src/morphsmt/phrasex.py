@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .align import FLOOR_PROB, AlignmentMatrix, Granularity, LexicalTable, _parse_links
-from .morpho import parse_keyed_file, word_spans
+from .morpho import parse_keyed_file, word_index, word_spans
 
 PHRASE_PENALTY = math.e  # constant fifth score, ln = 1 per applied phrase
 
@@ -159,8 +159,7 @@ def extract_phrases(
         src_spans, tgt_spans = word_spans(source), word_spans(target)
         unit_rows = [[link for i in range(start, end + 1) for link in rows[i]]
                      for start, end in src_spans]
-        unit_of_tgt = [u for u, (start, end) in enumerate(tgt_spans)
-                       for _ in range(start, end + 1)]
+        unit_of_tgt = word_index(target)
         unaligned = [max(hi[start : end + 1]) < 0 for start, end in tgt_spans]
     else:
         src_spans = [(i, i) for i in range(len(source))]
@@ -267,7 +266,8 @@ def score_phrase_table(
     phi are relative frequencies over the joint counts, a pair's joint count
     being the sum of its alignments' counts; lexical weights take the max
     over the internal alignments a pair was extracted with; the stored
-    representative alignment is the most frequent one (ties lexicographic).
+    representative alignment is the most frequent one (ties lexicographic),
+    its key's own set, so ``extract_corpus``'s sharing carries over.
     """
     aligns: dict[tuple, dict[frozenset, int]] = {}
     src_marginal: Counter = Counter()
@@ -278,7 +278,6 @@ def score_phrase_table(
         tgt_marginal[tgt] += c
 
     entries = []
-    shared: dict[frozenset, frozenset] = {}
     while aligns:  # popped as entries are built, lowering the build's peak
         (src, tgt), observed = aligns.popitem()
         c = sum(observed.values())
@@ -298,7 +297,7 @@ def score_phrase_table(
             )
         entries.append(PhraseEntry(
             src, tgt, c / src_marginal[src], c / tgt_marginal[tgt], lex_fwd, lex_bwd,
-            PHRASE_PENALTY, c, shared.setdefault(representative, representative)))
+            PHRASE_PENALTY, c, representative))
     return PhraseTable.of(entries, granularity)
 
 

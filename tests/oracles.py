@@ -409,7 +409,7 @@ def reference_twin_extend(state, tokens, lm_m, lm_w):
     return TwinScorerState(morph_ctx, tuple(pending), word_ctx), morph_delta, word_delta
 
 
-def reference_model1(corpus, iterations=5):
+def reference_model1(pairs, iterations=5):
     """IBM Model 1 EM as a flat loop over tuple-keyed dicts: the E-step takes
     each denominator with ``fsum`` and adds the counts in the same order as
     the package, so every probability must agree bit for bit."""
@@ -419,11 +419,11 @@ def reference_model1(corpus, iterations=5):
 
     # uniform over each source token's observed targets
     cooc = defaultdict(set)
-    for src, tgt in corpus.pairs:
+    for src, tgt in pairs:
         for e in (None, *src):
             cooc[e].update(tgt)
     t = {}
-    for src, tgt in corpus.pairs:
+    for src, tgt in pairs:
         for e in (None, *src):
             u = 1.0 / len(cooc[e])
             for f in tgt:
@@ -432,7 +432,7 @@ def reference_model1(corpus, iterations=5):
     for _ in range(iterations):
         counts = defaultdict(float)
         totals = defaultdict(float)
-        for src, tgt in corpus.pairs:
+        for src, tgt in pairs:
             sources = (None, *src)
             for f in tgt:
                 denom = fsum(t.get((e, f), FLOOR_PROB) for e in sources)

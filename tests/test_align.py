@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morphsmt import align
-from morphsmt.align import AlignmentMatrix, ParallelCorpus
+from morphsmt.align import AlignmentMatrix
 
 import oracles
 from conftest import random_alignment
 
 
 def toy_corpus():
-    return ParallelCorpus([(("a",), ("x",)), (("a", "b"), ("x", "y"))])
+    return [(("a",), ("x",)), (("a", "b"), ("x", "y"))]
 
 
 def test_model1_concentrates_mass():
@@ -30,14 +30,14 @@ def test_model1_normalization():
 
 
 def test_model1_single_pair_single_iteration():
-    table = align.train_model1(ParallelCorpus([(("a",), ("x",))]), 1)
+    table = align.train_model1([(("a",), ("x",))], 1)
     assert table[("a", "x")] == pytest.approx(1.0, abs=1e-9)
     assert table[(None, "x")] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_model1_errors():
     with pytest.raises(ValueError):
-        align.train_model1(ParallelCorpus([]), 5)
+        align.train_model1([], 5)
     with pytest.raises(ValueError):
         align.train_model1(toy_corpus(), 0)
 
@@ -45,14 +45,13 @@ def test_model1_errors():
 def model1_logprob(corpus, table):
     """Model 1 log-likelihood (uniform alignment prior dropped)."""
     return sum(math.log(sum(table.get((e, f), align.FLOOR_PROB) for e in (None, *src)))
-               for src, tgt in corpus.pairs for f in tgt)
+               for src, tgt in corpus for f in tgt)
 
 
 def test_em_never_decreases_loglikelihood():
     corpora = [
         toy_corpus(),
-        ParallelCorpus([(("a", "b", "c"), ("z", "y")), (("b",), ("y",)),
-                        (("c", "a"), ("z", "w"))]),
+        [(("a", "b", "c"), ("z", "y")), (("b",), ("y",)), (("c", "a"), ("z", "w"))],
     ]
     for corpus in corpora:
         prev = None
@@ -64,9 +63,7 @@ def test_em_never_decreases_loglikelihood():
 
 
 def test_corpus_loader_drops_empty_pairs():
-    corpus = ParallelCorpus.from_sentences([["a"], [], ["b"]], [["x"], ["y"], []])
-    assert corpus.pairs == [(("a",), ("x",))]
-    assert corpus.dropped == 2
+    assert align.sentence_pairs([["a"], [], ["b"]], [["x"], ["y"], []]) == [(("a",), ("x",))]
 
 
 def test_viterbi_dominant_diagonal():
@@ -216,11 +213,11 @@ def test_align_corpus_deterministic():
 def _random_corpus(rng, n_pairs):
     src_vocab = [f"s{k}" for k in range(6)]
     tgt_vocab = [f"t{k}" for k in range(5)]
-    return ParallelCorpus([
+    return [
         (tuple(rng.choice(src_vocab) for _ in range(rng.randint(1, 6))),
          tuple(rng.choice(tgt_vocab) for _ in range(rng.randint(1, 6))))
         for _ in range(n_pairs)
-    ])
+    ]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -70,6 +70,17 @@ def test_align_subcommand(tmp_path):
     assert "0-0" in lines[1]
 
 
+def test_align_reports_the_pairs_it_drops(tmp_path, capsys):
+    (tmp_path / "s.txt").write_text("a b\n\na\n", encoding="utf-8")
+    (tmp_path / "t.txt").write_text("x y\nz\nx\n", encoding="utf-8")
+    out = tmp_path / "a.txt"
+    rc = cli.main(["align", "--source", str(tmp_path / "s.txt"),
+                   "--target", str(tmp_path / "t.txt"), "--output", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == "dropped 1 empty-side pairs\n"
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+
 def test_extract_subcommand(tmp_path):
     (tmp_path / "s.txt").write_text("a/STM b/STM\nb/STM\n", encoding="utf-8")
     (tmp_path / "t.txt").write_text("x/STM y/STM\ny/STM\n", encoding="utf-8")
@@ -151,7 +162,7 @@ def test_decoding_a_runs_artifacts_gives_its_output(tmp_path, monkeypatch, syste
     assert read_back.max_span == tables[0].max_span > 0
     assert read_back.n_extras == tables[0].n_extras
     if plan.granularity == "word":
-        sources = [cli.words_as_tokens(words) for split in ("dev", "test")
+        sources = [morpho.words_as_tokens(words) for split in ("dev", "test")
                    for words in morpho.read_word_file(tmp_path / "ws" / f"{split}.src.words")]
     else:
         sources = [source for split in ("dev", "test")
@@ -526,6 +537,18 @@ def test_merge_pt_our_method_refuses_word_granularity(tmp_path, inputs_exist):
     assert not (tmp_path / "out.txt").exists()
 
 
+def test_merge_pt_our_method_names_the_pair_that_lacks_counts(tmp_path):
+    paths = {"out": str(tmp_path / "out.txt")}
+    tables = {"pt": TABLE_LINE.replace("||| 1 |||", "||| |||"), "lex": "a/STM\tx/STM\t0.5\n"}
+    for name, text in tables.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    proc = run_morphsmt(*(arg.format(**paths) for arg in MERGE_OUR_METHOD))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: pt_m entry 'a/STM' ||| 'x/STM' lacks counts\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
 @pytest.mark.parametrize("flag", ["--pt-w", "--lex-w-bwd"])
 @pytest.mark.parametrize("method", ["add-1", "add-2", "interpolation"])
 def test_merge_pt_refuses_our_method_tables_under_other_methods(tmp_path, method, flag):
@@ -564,7 +587,7 @@ def test_unknown_system_fails(synth_dir, tmp_path):
 
 def test_words_as_tokens_wraps_words():
     # a bare word shaped like a word-internal token is still one whole word
-    tokens = cli.words_as_tokens(["hello", "x/STM+", "world"])
+    tokens = morpho.words_as_tokens(["hello", "x/STM+", "world"])
     assert tokens == ("hello/STM", "x/STM+/STM", "world/STM")
     assert morpho.words_from_tokens(tokens) == ["hello", "x/STM+", "world"]
     assert morpho.word_spans(tokens) == [(0, 0), (1, 1), (2, 2)]
@@ -664,6 +687,37 @@ def test_a_malformed_corpus_line_leaves_no_run_directory(tmp_path):
     assert proc.stderr == (f"error: {source}:2: token 0: not of form surface/TAG[+]: "
                            "'dog/XYZ'\n")
     assert not run_dir.exists()
+
+
+UNUSABLE_SPLITS = {
+    # split: (system, message before the split's two files)
+    "train": ("m-system", "no train pair with two non-empty sides"),
+    "test": ("m-system", "no test sentences"),
+    "dev": ("m+tune", "no dev sentences"),
+}
+
+
+@pytest.mark.parametrize("split", UNUSABLE_SPLITS)
+def test_pipeline_refuses_an_unusable_split_before_the_run_directory(tmp_path, capsys, split):
+    system, message = UNUSABLE_SPLITS[split]
+    cfg = synth.write_workspace(tmp_path / "ws", seed=7, sizes=(30, 4, 4))
+    src, tgt = (cfg.resolve().parent / f"{split}.{side}.morphs" for side in ("src", "tgt"))
+    # the train split keeps its lines, but every pair loses its source side
+    src.write_text("\n" * 30 if split == "train" else "", encoding="utf-8")
+    if split != "train":
+        tgt.write_text("", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert cli.main(["pipeline", system, "--config", str(cfg), "--run-dir", str(run_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message} in {src} and {tgt}\n"
+    assert not run_dir.exists()
+
+
+def test_an_untuned_pipeline_runs_without_a_dev_split(tmp_path):
+    cfg = synth.write_workspace(tmp_path / "ws", seed=7, sizes=(30, 4, 4))
+    for side in ("src", "tgt"):
+        (tmp_path / "ws" / f"dev.{side}.morphs").write_text("", encoding="utf-8")
+    artifacts = cli.run_pipeline("m-system", load_config(cfg), tmp_path / "run")
+    assert len(artifacts["output"].read_text(encoding="utf-8").splitlines()) == 4
 
 
 @pytest.mark.parametrize("system", ["w-system", "merged"])

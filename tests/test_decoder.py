@@ -831,7 +831,7 @@ def test_search_matches_references_on_word_table(synth_config):
     data = cli._load_data(synth_config)
     tab, _, _ = cli._word_table(synth_config, data)
     lm_w = lm.train_lm(data.words["train_tgt"], synth_config.lm_word_order, "witten-bell")
-    sources = [cli.words_as_tokens(s) for s in data.words["dev_src"][:15]]
+    sources = [morpho.words_as_tokens(s) for s in data.words["dev_src"][:15]]
     weights = decoder.default_weights(with_morph_lm=False)
     assert tab.granularity == "word"
     for beam, distortion in ((3, 6), (20, 0)):

@@ -238,6 +238,16 @@ def test_our_method_requires_counts():
         merge.merge_our_method(pt_bad, pt_wm, pt_w, 0.6, *lts)
 
 
+@pytest.mark.parametrize("side", ["pt_m", "pt_wm"])
+def test_our_method_names_the_pair_that_lacks_counts(side):
+    pt_m, pt_wm, pt_w, lts = our_method_fixture()
+    bad = table([*(pt_m if side == "pt_m" else pt_wm), entry(["b/STM"], ["w/STM"], count=None)])
+    tables = (bad, pt_wm) if side == "pt_m" else (pt_m, bad)
+    with pytest.raises(ValueError) as err:
+        merge.merge_our_method(*tables, pt_w, 0.6, *lts)
+    assert str(err.value) == f"{side} entry 'b/STM' ||| 'w/STM' lacks counts"
+
+
 @pytest.mark.parametrize("method", ["add-1", "interpolation", "our-method"])
 def test_merges_reject_a_word_table_with_a_morpheme_table(method):
     pt_m, _, pt_w, lts = our_method_fixture()

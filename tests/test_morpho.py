@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from morphsmt import morpho
-from morphsmt.cli import words_as_tokens
 from morphsmt.morpho import MorphParseError
 
 from conftest import random_morph_sentence
@@ -84,7 +83,7 @@ def tricky_sentences(draw):
     """Token strings, and each token's (surface, word-internal flag) as it was made."""
     if draw(st.booleans()):
         words = draw(st.lists(tricky_surface, max_size=6))
-        return words_as_tokens(words), [(w, False) for w in words]
+        return morpho.words_as_tokens(words), [(w, False) for w in words]
     n = draw(st.integers(min_value=0, max_value=8))
     made = [(draw(tricky_surface), draw(st.sampled_from(["PRE", "STM", "SUF"])),
              i + 1 < n and draw(st.booleans()))

@@ -17,3 +17,36 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names that the module-level imports of ``tree`` bind and nothing
+    in the module reads, apart from ``__future__`` imports and names listed
+    in ``__all__``."""
+    bound = {}  # name -> line of the import that binds it
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = stmt.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in bound.items()
+            if name not in read and name not in exported]
+
+
+def test_unused_import_check_sees_an_unused_name():
+    tree = ast.parse("import os\nfrom a import b, c as d\nfrom e import f\n"
+                     "__all__ = ['f']\nprint(d)\n")
+    assert _unused_imports(tree) == ["line 1: os", "line 2: b"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unused_imports(tree) == []
