@@ -248,15 +248,30 @@ def _parse_lexical_line(line: str):
 # --- Pharaoh alignment file format: one line per pair, space-separated i-j ---
 
 
+def format_links(links: Iterable[tuple[int, int]]) -> str:
+    """Pharaoh text of a link set: sorted ``i-j`` pairs joined by spaces."""
+    return " ".join(f"{i}-{j}" for i, j in sorted(links))
+
+
+def parse_links(line: str) -> frozenset[tuple[int, int]]:
+    links = set()
+    for piece in line.split():
+        i, sep, j = piece.partition("-")
+        if not (sep and i.isdecimal() and j.isdecimal()):
+            raise ValueError(f"bad link {piece!r}: expected i-j")
+        links.add((int(i), int(j)))
+    return frozenset(links)
+
+
 def write_alignments(path, alignments: Iterable[AlignmentMatrix]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for a in alignments:
-            fh.write(" ".join(f"{i}-{j}" for i, j in sorted(a.links)) + "\n")
+            fh.write(format_links(a.links) + "\n")
 
 
 def read_alignments(path, dimensions: Sequence[tuple[int, int]]) -> list[AlignmentMatrix]:
     """Read Pharaoh lines; dimensions supply (source_len, target_len) per line."""
-    lines = parse_file(path, _parse_links)
+    lines = parse_file(path, parse_links)
     if len(lines) != len(dimensions):
         raise ValueError(f"{path}: {len(lines)} alignment lines for "
                          f"{len(dimensions)} sentence pairs")
@@ -267,13 +282,3 @@ def read_alignments(path, dimensions: Sequence[tuple[int, int]]) -> list[Alignme
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
-
-
-def _parse_links(line: str) -> frozenset[tuple[int, int]]:
-    links = set()
-    for piece in line.split():
-        i, sep, j = piece.partition("-")
-        if not (sep and i.isdecimal() and j.isdecimal()):
-            raise ValueError(f"bad link {piece!r}: expected i-j")
-        links.add((int(i), int(j)))
-    return frozenset(links)

@@ -65,6 +65,16 @@ def _read_parallel(read, path_a, path_b) -> tuple[list, list]:
     return lines_a, lines_b
 
 
+_TRAIN_PAIRS = "train pair with two non-empty sides"  # what a train corpus needs one of
+
+
+def _check_found(found: list, what: str, *paths) -> list:
+    """``found``; a ValueError naming the files it came from if it is empty."""
+    if not found:
+        raise ValueError(f"no {what} in {' and '.join(map(str, paths))}")
+    return found
+
+
 # each checked subcommand flag, by dest: the config setting whose bound it takes
 _FLAG_SETTINGS = {
     "beam": "beam", "nbest": "nbest", "distortion_limit": "distortion_limit",
@@ -110,10 +120,10 @@ def _load_data(cfg: PipelineConfig, tune: bool = False) -> CorpusData:
     for split in ("train", "dev", "test"):
         src, tgt = (cfg.paths[f"{split}_{side}_morphs"] for side in ("src", "tgt"))
         pair = _read_parallel(mo.read_segmented_file, src, tgt)
-        if split == "train" and not any(s and t for s, t in zip(*pair)):
-            raise ValueError(f"no train pair with two non-empty sides in {src} and {tgt}")
-        if not pair[0] and (split != "dev" or tune):
-            raise ValueError(f"no {split} sentences in {src} and {tgt}")
+        if split == "train":
+            _check_found(al.sentence_pairs(*pair), _TRAIN_PAIRS, src, tgt)
+        elif split == "test" or tune:
+            _check_found(pair[0], f"{split} sentences", src, tgt)
         morphs[f"{split}_src"], morphs[f"{split}_tgt"] = pair
     return CorpusData({key: list(map(mo.words_from_tokens, sentences))
                        for key, sentences in morphs.items()}, morphs)
@@ -349,7 +359,7 @@ def _cmd_segment_apply(args) -> int:
 
 def _cmd_align(args) -> int:
     src, tgt = _read_parallel(mo.read_word_file, args.source, args.target)
-    pairs = al.sentence_pairs(src, tgt)
+    pairs = _check_found(al.sentence_pairs(src, tgt), _TRAIN_PAIRS, args.source, args.target)
     alignments, _, _ = al.align_corpus(pairs, args.iterations, args.heuristic)
     al.write_alignments(args.output, alignments)
     if len(src) > len(pairs):
@@ -363,6 +373,7 @@ def _cmd_extract(args) -> int:
     segmented = args.granularity == "morpheme" or args.boundary_aware
     read = mo.read_segmented_file if segmented else mo.read_word_file
     src, tgt = _read_parallel(read, args.source, args.target)
+    _check_found(al.sentence_pairs(src, tgt), _TRAIN_PAIRS, args.source, args.target)
     max_span = args.max_span or _span_limit(PipelineConfig, args.granularity, args.boundary_aware)
     table, _, _ = build_table(src, tgt, args.granularity, args.boundary_aware, max_span,
                               args.iterations, PipelineConfig.align_heuristic, args.alignments)
@@ -371,7 +382,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_lm_train(args) -> int:
-    model = lmod.train_lm(mo.read_word_file(args.input), args.order, args.smoothing)
+    sentences = _check_found(mo.read_word_file(args.input), "sentences", args.input)
+    model = lmod.train_lm(sentences, args.order, args.smoothing)
     lmod.write_arpa(args.output, model)
     return 0
 
@@ -407,6 +419,7 @@ def _cmd_mert(args) -> int:
     table, lm_m, lm_w, initial, sources = _load_search(args, args.dev_source)
     refs = [tuple(r) for r in mo.read_word_file(args.dev_refs)]
     _check_parallel(args.dev_source, sources, args.dev_refs, refs)
+    _check_found(refs, "dev sentences", args.dev_source, args.dev_refs)
     state = mt.mert_run(
         refs, initial,
         lambda wts: decode_corpus(sources, table, lm_m, lm_w, wts, args.beam,
@@ -423,6 +436,7 @@ def _cmd_eval(args) -> int:
     if (args.hyp_morphs is None) != (args.ref_morphs is None):
         raise ValueError("--hyp-morphs and --ref-morphs must be given together")
     hyps, refs = _read_parallel(mo.read_word_file, args.hyp, args.ref)
+    _check_found(hyps, "sentences", args.hyp, args.ref)
     report: dict[str, str] = {}
     _fill_report(report, "bleu", ev.bleu(hyps, refs))
     if args.hyp_morphs is not None:
@@ -447,19 +461,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_merge_pt(args) -> int:
-    pt_w, lexical, granularity = None, (), args.granularity
+    pt_w, lexical = None, ()
     lex_paths = (args.lex_m_fwd, args.lex_m_bwd, args.lex_w_fwd, args.lex_w_bwd)
     if args.method != "our-method" and any(p is not None for p in (args.pt_w, *lex_paths)):
         raise ValueError("--pt-w and --lex-* are used only by --method our-method")
-    if args.method == "our-method":  # which merges morpheme tables
-        if granularity == "word":
-            raise ValueError("--method our-method merges morpheme tables, "
-                             "not --granularity word")
+    if args.method == "our-method":
         if None in (args.pt_w, *lex_paths):
             raise ValueError("--method our-method needs --pt-w and the four --lex-* tables")
-        pt_w = px.read_phrase_table(args.pt_w, "word")
+        pt_w = px.read_phrase_table(args.pt_w)
         lexical = [al.read_lexical_table(path) for path in lex_paths]
-    a, b = (px.read_phrase_table(path, granularity) for path in (args.primary, args.secondary))
+    a, b = map(px.read_phrase_table, (args.primary, args.secondary))
     merged = mg.merge_tables(args.method, a, b, args.alpha, pt_w, lexical)
     px.write_phrase_table(args.output, merged)
     return 0
@@ -575,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--secondary", required=True,
                    help="secondary table (retokenized pt_w->m for our-method)")
     p.add_argument("--output", required=True)
-    p.add_argument("--granularity", default="morpheme", choices=granularities)
     p.add_argument("--alpha", type=float, default=PipelineConfig.merge_alpha)
     p.add_argument("--pt-w", default=None)
     p.add_argument("--lex-m-fwd", default=None)

@@ -39,12 +39,6 @@ from .morpho import (
 )
 from .phrasex import PhraseTable
 
-FEATURE_ORDER = (
-    "lm_morph", "lm_word", "phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd",
-    "phrase_penalty", "word_penalty", "distortion", "oov",
-    "merge_feat_1", "merge_feat_2",
-)
-
 # untuned starting point; the positive word_penalty counteracts the LMs'
 # preference for fewer (or merged) words, MERT moves these freely
 DEFAULT_WEIGHTS = {
@@ -60,6 +54,13 @@ DEFAULT_WEIGHTS = {
     "oov": 0.0,
 }
 MERGE_FEAT_WEIGHT = 0.3  # the start of every merge_feat_i
+
+
+def merge_feature_names(n_extras: int) -> tuple[str, ...]:
+    return tuple(f"merge_feat_{i + 1}" for i in range(n_extras))
+
+
+FEATURE_ORDER = (*DEFAULT_WEIGHTS, *merge_feature_names(2))
 # the features of PhraseEntry.scores(), in its order; merge_feat_i follow
 TM_SCORES = ("phi_fwd", "phi_bwd", "lex_fwd", "lex_bwd", "phrase_penalty")
 
@@ -89,7 +90,7 @@ def default_weights(
 ) -> dict[str, float]:
     absent = {"lm_morph": not with_morph_lm, "lm_word": not with_word_lm}
     weights = {n: w for n, w in DEFAULT_WEIGHTS.items() if not absent.get(n)}
-    weights.update((f"merge_feat_{i + 1}", MERGE_FEAT_WEIGHT) for i in range(n_extras))
+    weights.update(dict.fromkeys(merge_feature_names(n_extras), MERGE_FEAT_WEIGHT))
     return weights
 
 
@@ -175,7 +176,7 @@ def build_options(source: tuple[str, ...], table: PhraseTable) -> list[Translati
     covered = set()
     words = []  # each word's one-word key, its pass-through target
     # no entry has more extras than the table's n_extras, so zip names them all
-    names = (*TM_SCORES, *(f"merge_feat_{i + 1}" for i in range(table.n_extras)))
+    names = (*TM_SCORES, *merge_feature_names(table.n_extras))
     for w1, w2, src in lookup_keys(source, table):
         if w2 == w1 + 1:
             words.append(src)

@@ -5,7 +5,9 @@ to words before its BLEU sufficient statistics are computed, so the metric
 being optimized is word-token BLEU (brevity penalty in words, not morphemes).
 Line search sweeps the exact piecewise-constant corpus-BLEU envelope along a
 direction and lands in the middle of the best interval, preferring the step
-closest to zero on ties.
+closest to zero on ties.  ``mert_run`` calls ``line_search`` once per
+direction per pass, and takes each candidate's dot products with a direction
+once per iteration and with the weights once per weight vector.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Callable, Mapping, Optional, Sequence
 
 from .decoder import NBestEntry, dot, feature_rank
@@ -48,19 +51,6 @@ def _as_candidate(entry: NBestEntry, ref: Sequence[str]) -> tuple[tuple, Candida
     return key, Candidate(dict(entry.features), bleu_stats(words, ref))
 
 
-def line_search(
-    pool: Sequence[Sequence[Candidate]],
-    weights: Mapping[str, float],
-    direction: Mapping[str, float],
-) -> tuple[float, float]:
-    """Best step along ``weights + step * direction`` by exact envelope sweep.
-
-    Returns (step, corpus BLEU at that step).  Candidate selection per
-    sentence is the upper envelope of score(c) = dot(w,f) + step*dot(d,f).
-    """
-    return _sweep(pool, _dots(direction, pool), _dots(weights, pool))
-
-
 def _dots(
     weights: Mapping[str, float], cand_lists: Sequence[Sequence[Candidate]]
 ) -> list[list[float]]:
@@ -68,22 +58,20 @@ def _dots(
     return [[dot(weights, c.features) for c in cands] for cands in cand_lists]
 
 
-def _sweep(
+def line_search(
     cand_lists: Sequence[Sequence[Candidate]],
     slopes: Sequence[Sequence[float]],
     offsets: Sequence[Sequence[float]],
 ) -> tuple[float, float]:
-    """``line_search`` over lines given per candidate: its score at ``step``
-    is offset + step * slope."""
-    events: list[tuple[float, int, Candidate, Candidate]] = []
+    """(step, corpus BLEU at that step) of the best step by exact envelope
+    sweep, each candidate's score at ``step`` being offset + step * slope."""
+    events: list[tuple[float, Candidate, Candidate]] = []  # (x, left winner, right winner)
     stats = zero_stats()
-    for s, cands in enumerate(cand_lists):
-        if not cands:
-            continue
-        hull = _upper_envelope(list(zip(slopes[s], offsets[s], cands)))
-        stats = add_stats(stats, hull[0][1].stats)
-        for (_, prev_c), (x, c) in zip(hull, hull[1:]):
-            events.append((x, s, prev_c, c))
+    for cands, cand_slopes, cand_offsets in zip(cand_lists, slopes, offsets):
+        if cands:
+            hull = _upper_envelope(list(zip(cand_slopes, cand_offsets, cands)))
+            stats = add_stats(stats, hull[0][1].stats)
+            events.extend((x, prev_c, c) for (_, prev_c), (x, c) in pairwise(hull))
     events.sort(key=lambda e: e[0])
 
     best: Optional[tuple[float, float]] = None  # (bleu, step)
@@ -101,7 +89,7 @@ def _sweep(
             break
         x = events[idx][0]
         while idx < len(events) and events[idx][0] == x:
-            _, _, prev_c, new_c = events[idx]
+            _, prev_c, new_c = events[idx]
             stats = tuple(
                 v - p + n for v, p, n in zip(stats, prev_c.stats, new_c.stats)
             )
@@ -146,15 +134,14 @@ def _upper_envelope(
 
 
 def select_bleu(
-    pool_lists: Sequence[Sequence[Candidate]], weights: Mapping[str, float]
+    pool_lists: Sequence[Sequence[Candidate]], scores: Sequence[Sequence[float]]
 ) -> float:
-    """Corpus BLEU of the per-sentence argmax selection under the weights."""
+    """Corpus BLEU of each sentence's first best candidate by its ``scores``."""
     total = zero_stats()
-    for cands in pool_lists:
-        if not cands:
-            continue
-        best = max(cands, key=lambda c: dot(weights, c.features))
-        total = add_stats(total, best.stats)
+    for cands, cand_scores in zip(pool_lists, scores):
+        if cands:
+            best = max(range(len(cands)), key=cand_scores.__getitem__)
+            total = add_stats(total, cands[best].stats)
     return bleu_from_stats(total).score
 
 
@@ -183,8 +170,7 @@ def mert_run(
     names = sorted(initial_weights, key=feature_rank)
 
     for iteration in range(max_iters):
-        nbests = decoder_handle(state.weights)
-        for s, entries in enumerate(nbests):
+        for s, entries in enumerate(decoder_handle(state.weights)):
             for entry in entries:
                 key, cand = _as_candidate(entry, dev_refs[s])
                 state.pool[s].setdefault(key, cand)
@@ -193,24 +179,23 @@ def mert_run(
         directions = [{n: 1.0} for n in names]
         for _ in range(N_RANDOM_DIRECTIONS):
             directions.append({n: rng.gauss(0.0, 1.0) for n in names})
-        # each line's slope is fixed for the iteration, its offset for a pass
+        # each line's slope is fixed for the iteration, its offset until a move
         slopes = [_dots(d, pool_lists) for d in directions]
+        offsets = _dots(state.weights, pool_lists)
 
-        current = select_bleu(pool_lists, state.weights)
+        current = select_bleu(pool_lists, offsets)
         for _ in range(MAX_PASSES):
             best_move = None
-            offsets = _dots(state.weights, pool_lists)
             for d, d_slopes in zip(directions, slopes):
-                step, score = _sweep(pool_lists, d_slopes, offsets)
-                if score > current + 1e-12 and (
-                    best_move is None or score > best_move[0]
-                ):
+                step, score = line_search(pool_lists, d_slopes, offsets)
+                if score > current + 1e-12 and (best_move is None or score > best_move[0]):
                     best_move = (score, step, d)
             if best_move is None:
                 break
             score, step, d = best_move
             for n, v in d.items():
                 state.weights[n] = state.weights.get(n, 0.0) + step * v
+            offsets = _dots(state.weights, pool_lists)
             current = score
 
         state.history.append(current)

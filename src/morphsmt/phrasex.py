@@ -20,7 +20,7 @@ from itertools import chain, groupby, pairwise
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .align import FLOOR_PROB, AlignmentMatrix, Granularity, LexicalTable, _parse_links
+from .align import FLOOR_PROB, AlignmentMatrix, Granularity, LexicalTable, format_links, parse_links
 from .morpho import parse_keyed_file, word_index, word_spans
 
 PHRASE_PENALTY = math.e  # constant fifth score, ln = 1 per applied phrase
@@ -329,11 +329,10 @@ def write_phrase_table(path, table: PhraseTable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in table:
             scores = " ".join(repr(s) for s in e.scores())
-            links = " ".join(f"{i}-{j}" for i, j in sorted(e.alignment))
             count = "" if e.count_joint is None else repr(e.count_joint)
             fh.write(
                 f"{' '.join(e.source)} ||| {' '.join(e.target)} ||| {scores} "
-                f"||| {count} ||| {links}\n".rstrip() + "\n"
+                f"||| {count} ||| {format_links(e.alignment)}\n".rstrip() + "\n"
             )
 
 
@@ -368,7 +367,7 @@ def _parse_phrase_line(line: str, shared: dict) -> Optional[tuple[tuple, PhraseE
         raise ValueError(f"count must be positive: {line.rstrip()!r}")
     if fields[3].isdecimal():  # a count written from an int reads back as one
         count = int(fields[3])
-    links = _parse_links(fields[4]) if len(fields) > 4 else frozenset()
+    links = parse_links(fields[4]) if len(fields) > 4 else frozenset()
     for i, j in links:
         if i >= len(src) or j >= len(tgt):
             raise ValueError(f"link {i}-{j} outside the {len(src)}x{len(tgt)} phrase pair")

@@ -280,11 +280,19 @@ def replay_scores(hyp, lm_m, lm_w, weights):
     return replayed
 
 
+def reference_line_search(pool, weights, direction):
+    """``mert.line_search`` along ``weights + step * direction``, with every
+    line's slope and offset worked out afresh."""
+    from morphsmt import mert
+
+    return mert.line_search(pool, mert._dots(direction, pool), mert._dots(weights, pool))
+
+
 def reference_mert_run(dev_refs, initial_weights, decoder_handle, max_iters=10,
                        epsilon=1e-4, seed=0, n_random_directions=1, max_passes=8):
-    """``mert.mert_run`` as a plain loop that calls ``line_search`` for every
-    direction in every pass, so each line's slope and offset are worked out
-    afresh each time.  The returned state must agree bit for bit."""
+    """``mert.mert_run`` as a plain loop that calls ``reference_line_search``
+    for every direction in every pass, so each line's slope and offset are
+    worked out afresh each time.  The returned state must agree bit for bit."""
     import random
 
     from morphsmt import decoder, mert
@@ -303,11 +311,11 @@ def reference_mert_run(dev_refs, initial_weights, decoder_handle, max_iters=10,
         directions = [{n: 1.0} for n in names]
         for _ in range(n_random_directions):
             directions.append({n: rng.gauss(0.0, 1.0) for n in names})
-        current = mert.select_bleu(pool_lists, state.weights)
+        current = mert.select_bleu(pool_lists, mert._dots(state.weights, pool_lists))
         for _ in range(max_passes):
             best_move = None
             for d in directions:
-                step, score = mert.line_search(pool_lists, state.weights, d)
+                step, score = reference_line_search(pool_lists, state.weights, d)
                 if score > current + 1e-12 and (best_move is None or score > best_move[0]):
                     best_move = (score, step, d)
             if best_move is None:

@@ -20,7 +20,7 @@ REP = Path(__file__).resolve().parents[1] / "bench" / "rep.py"
 # counts each system's traced repetition must report above 0
 COUNTS = {
     "m+phr+lm+tune": ("align.model1_calls", "phrasex.pairs", "lm.twin_extend_calls",
-                      "decoder.extensions", "mert.iterations"),
+                      "decoder.extensions", "mert.iterations", "mert.line_searches"),
     "merged": ("align.model1_calls", "phrasex.pairs", "phrasex.entries",
                "merge.merged_entries", "lm.twin_extend_calls", "decoder.extensions"),
 }

@@ -520,23 +520,6 @@ def test_merge_pt_our_method_needs_the_word_and_lexical_tables(tmp_path, omitted
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("inputs_exist", [True, False])
-def test_merge_pt_our_method_refuses_word_granularity(tmp_path, inputs_exist):
-    # our-method merges morpheme tables: a word granularity is refused, with
-    # readable inputs or with none (so before any read), and nothing is written
-    paths = {"out": str(tmp_path / "out.txt")}
-    for name, text in {"pt": TABLE_LINE, "lex": "a/STM\tx/STM\t0.5\n"}.items():
-        paths[name] = str(tmp_path / name)
-        if inputs_exist:
-            (tmp_path / name).write_text(text, encoding="utf-8")
-    proc = run_morphsmt(*(arg.format(**paths) for arg in MERGE_OUR_METHOD),
-                        "--granularity", "word")
-    assert proc.returncode == 1
-    assert proc.stderr == ("error: --method our-method merges morpheme tables, "
-                           "not --granularity word\n")
-    assert not (tmp_path / "out.txt").exists()
-
-
 def test_merge_pt_our_method_names_the_pair_that_lacks_counts(tmp_path):
     paths = {"out": str(tmp_path / "out.txt")}
     tables = {"pt": TABLE_LINE.replace("||| 1 |||", "||| |||"), "lex": "a/STM\tx/STM\t0.5\n"}
@@ -660,6 +643,51 @@ def test_parallel_files_of_unequal_length_are_named(tmp_path, case):
     assert "Traceback" not in proc.stderr
     n_src, n_other = files["src"].count("\n"), files[other].count("\n")
     assert f"{paths['src']} has {n_src} lines, {paths[other]} has {n_other}" in proc.stderr
+    assert not (tmp_path / "out.txt").exists()
+
+
+EMPTY_INPUTS = {
+    # name: (files, message before the files it names, the files it names,
+    # subcommand arguments)
+    "extract": (
+        {"src": "", "tgt": ""}, "no train pair with two non-empty sides", ("src", "tgt"),
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--output", "{out}"],
+    ),
+    "extract-word": (
+        {"src": "a b\n", "tgt": "\n"}, "no train pair with two non-empty sides", ("src", "tgt"),
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--granularity", "word",
+         "--output", "{out}"],
+    ),
+    "align": (
+        {"src": "a b\n", "tgt": "\n"}, "no train pair with two non-empty sides", ("src", "tgt"),
+        ["align", "--source", "{src}", "--target", "{tgt}", "--output", "{out}"],
+    ),
+    "lm-train": (
+        {"text": ""}, "no sentences", ("text",),
+        ["lm-train", "--input", "{text}", "--order", "2", "--output", "{out}"],
+    ),
+    "eval": (
+        {"hyp": "", "ref": ""}, "no sentences", ("hyp", "ref"),
+        ["eval", "--hyp", "{hyp}", "--ref", "{ref}", "--output", "{out}"],
+    ),
+    "mert": (
+        {"src": "", "refs": "", "table": TABLE_LINE}, "no dev sentences", ("src", "refs"),
+        ["mert", "--dev-source", "{src}", "--dev-refs", "{refs}", "--table", "{table}",
+         "--output", "{out}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_INPUTS))
+def test_empty_inputs_are_named_before_any_output(tmp_path, capsys, case):
+    files, message, named, argv = EMPTY_INPUTS[case]
+    paths = {"out": str(tmp_path / "out.txt")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths[name] = str(tmp_path / name)
+    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    names = " and ".join(paths[name] for name in named)
+    assert capsys.readouterr().err == f"error: {message} in {names}\n"
     assert not (tmp_path / "out.txt").exists()
 
 

@@ -1,4 +1,6 @@
-"""Every module parses under the oldest Python that ``requires-python`` admits."""
+"""Every module parses under the oldest Python that ``requires-python`` admits,
+uses each name it imports, and, within the package, imports no other module's
+underscore names."""
 
 import ast
 from pathlib import Path
@@ -50,3 +52,31 @@ def test_unused_import_check_sees_an_unused_name():
 def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "morphsmt").glob("*.py"))
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """The underscore names that ``tree`` imports from another module of the
+    package (a relative import or one from ``morphsmt``), dunder names apart."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").partition(".")[0] == "morphsmt":
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_private_import_check_sees_a_private_name():
+    tree = ast.parse("from . import __version__, _a\nfrom .b import c, _d\n"
+                     "from morphsmt.e import _f\nfrom os import _exit\n")
+    assert _private_imports(tree) == ["line 1: _a", "line 2: _d", "line 3: _f"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _private_imports(tree) == []
