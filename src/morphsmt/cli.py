@@ -32,21 +32,20 @@ from .config import BOUNDS, PipelineConfig, load_config
 class SystemPlan:
     granularity: str  # "word" or "morpheme"
     boundary_aware: bool
-    word_lm: bool
-    morph_lm: bool
+    word_lm: bool  # a morpheme system has a morpheme LM, the word system none
     tune: bool
     merged: bool
 
 
 PLANS = {
-    "w-system": SystemPlan("word", False, True, False, False, False),
-    "m-system": SystemPlan("morpheme", False, False, True, False, False),
-    "m+phr": SystemPlan("morpheme", True, False, True, False, False),
-    "m+lm": SystemPlan("morpheme", False, True, True, False, False),
-    "m+tune": SystemPlan("morpheme", False, False, True, True, False),
-    "m+phr+lm": SystemPlan("morpheme", True, True, True, False, False),
-    "m+phr+lm+tune": SystemPlan("morpheme", True, True, True, True, False),
-    "merged": SystemPlan("morpheme", True, True, True, False, True),
+    "w-system": SystemPlan("word", False, True, False, False),
+    "m-system": SystemPlan("morpheme", False, False, False, False),
+    "m+phr": SystemPlan("morpheme", True, False, False, False),
+    "m+lm": SystemPlan("morpheme", False, True, False, False),
+    "m+tune": SystemPlan("morpheme", False, False, True, False),
+    "m+phr+lm": SystemPlan("morpheme", True, True, False, False),
+    "m+phr+lm+tune": SystemPlan("morpheme", True, True, True, False),
+    "merged": SystemPlan("morpheme", True, True, False, True),
 }
 SYSTEMS = tuple(PLANS)
 
@@ -200,6 +199,11 @@ def _proximity(cfg: PipelineConfig, data: CorpusData, traces):
     return ev.proximity_triples(traces, data.words["test_tgt"], alignments)
 
 
+def _search_sources(granularity: al.Granularity, sentences: list) -> list:
+    """Decoder input: word sentences as tokens, segmented sentences as they are."""
+    return [mo.words_as_tokens(s) for s in sentences] if granularity == "word" else sentences
+
+
 def decode_corpus(
     sources: Sequence[tuple[str, ...]],
     table: px.PhraseTable,
@@ -229,8 +233,8 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
-    # the merged system retokenizes with the lexicon that evaluation uses
-    lexicon = _segmentation_lexicon(data) if plan.merged else None
+    # one lexicon: the merged system retokenizes with it, evaluation segments with it
+    lexicon = _segmentation_lexicon(data)
 
     if plan.merged:
         table = _merged_table(cfg, data, lexicon)
@@ -240,18 +244,15 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
         table, _, _ = _morph_table(cfg, data, plan.boundary_aware)
     artifacts["pt"] = run_dir / "pt.txt"
     px.write_phrase_table(artifacts["pt"], table)
-    if plan.granularity == "word":
-        dev_sources = [mo.words_as_tokens(s) for s in data.words["dev_src"]]
-        test_sources = [mo.words_as_tokens(s) for s in data.words["test_src"]]
-    else:
-        dev_sources = data.morphs["dev_src"]
-        test_sources = data.morphs["test_src"]
+    view = data.words if plan.granularity == "word" else data.morphs
+    dev_sources = _search_sources(plan.granularity, view["dev_src"])
+    test_sources = _search_sources(plan.granularity, view["test_src"])
     # the run searches only what its sentences can look up: free the rest now
     table = dec.restrict_table(table, (dev_sources if plan.tune else []) + test_sources)
 
     smoothing = cfg.lm_smoothing
     lm_m = lm_w = None
-    if plan.morph_lm:
+    if plan.granularity == "morpheme":
         lm_m = lmod.train_lm(data.morphs["train_tgt"], cfg.lm_morph_order, smoothing)
         artifacts["lm_m"] = run_dir / "lm_m.arpa"
         lmod.write_arpa(artifacts["lm_m"], lm_m)
@@ -260,11 +261,7 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
         artifacts["lm_w"] = run_dir / "lm_w.arpa"
         lmod.write_arpa(artifacts["lm_w"], lm_w)
 
-    weights = dec.default_weights(
-        n_extras=table.n_extras,
-        with_morph_lm=plan.morph_lm,
-        with_word_lm=plan.word_lm,
-    )
+    weights = dec.default_weights(table.n_extras, lm_m is not None, lm_w is not None)
 
     if plan.tune:
         state = mt.mert_run(
@@ -300,8 +297,6 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     report = {}
     bleu_report = ev.bleu(hyp_words, data.words["test_tgt"])
     _fill_report(report, "bleu", bleu_report)
-    if lexicon is None:
-        lexicon = _segmentation_lexicon(data)
     hyp_morphs = [
         [tok for w in words for tok in lexicon.segment(w)] for words in hyp_words
     ]
@@ -398,10 +393,8 @@ def _load_search(args, source_path):
     weights = dec.read_weights(args.weights) if args.weights else dec.default_weights(
         table.n_extras, lm_m is not None, lm_w is not None
     )
-    if args.granularity == "word":
-        sources = [mo.words_as_tokens(w) for w in mo.read_word_file(source_path)]
-    else:
-        sources = mo.read_segmented_file(source_path)
+    read = mo.read_word_file if args.granularity == "word" else mo.read_segmented_file
+    sources = _search_sources(args.granularity, read(source_path))
     return dec.restrict_table(table, sources), lm_m, lm_w, weights, sources
 
 

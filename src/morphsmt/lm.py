@@ -104,16 +104,12 @@ class NGramModel:
         return context
 
     def context_id(self, context: tuple[str, ...]) -> int:
-        """The id of a vocab-mapped context's minimal form, interned on first use."""
-        return self._intern(self.minimal_context(context))
-
-    def _intern(self, context: tuple[str, ...]) -> int:
-        """The id of a minimal context; interning it interns its suffix's
-        minimal form too (the empty context is its own suffix)."""
+        """The id of a vocab-mapped context's minimal form, interned on first
+        use with its suffix's minimal form (the empty context is its own suffix)."""
+        context = self.minimal_context(context)
         cid = self._context_ids.get(context)
         if cid is None:
-            suffix = (self._intern(self.minimal_context(context[1:])) if context
-                      else len(self.context_tuples))
+            suffix = self.context_id(context[1:]) if context else len(self.context_tuples)
             cid = self._context_ids[context] = len(self.context_tuples)
             self.context_tuples.append(context)
             self._transitions.append({})
@@ -269,7 +265,7 @@ def _miss(model: NGramModel, ctx_id: int, token: str, event: str) -> tuple[float
     if lp is None and not backs_off:
         lp = NEG_INF
     if extends and not backs_off:
-        return lp, model._intern(gram)
+        return lp, model.context_id(gram)
     if not ctx:
         return lp, ctx_id
     suffix = model._suffixes[ctx_id]
@@ -282,7 +278,7 @@ def _miss(model: NGramModel, ctx_id: int, token: str, event: str) -> tuple[float
             suffix_lp = _miss(model, suffix, token, event)[0]
     if backs_off:
         lp = model._bows[ctx_id] + suffix_lp
-    return lp, model._intern(gram) if extends else next_id
+    return lp, model.context_id(gram) if extends else next_id
 
 
 # ---------------------------------------------------------------------------

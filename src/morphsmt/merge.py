@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Iterator, Literal, Optional, Sequence
@@ -36,7 +36,7 @@ FEAT_OFF = 1.0                    # add-2 slot inactive
 class SegmentationLexicon:
     """word -> serialized morpheme token sequence, from the corpus segmentation."""
 
-    mapping: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    mapping: dict[str, tuple[str, ...]]
 
     def segment(self, word: str) -> tuple[str, ...]:
         """Known words map through the lexicon; unknown words become one STM."""

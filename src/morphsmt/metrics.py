@@ -110,18 +110,8 @@ def lcsr(a: str, b: str) -> float:
     return lcs_length(a, b) / max(len(a), len(b))
 
 
-@dataclass(frozen=True)
-class ProximityTriple:
-    source: str
-    output: str
-    reference: str
-    similarity: float
-    exact: bool
-
-
 @dataclass
 class ProximityReport:
-    triples: list[ProximityTriple]
     total: int
     exact_matches: int
     skipped: int
@@ -139,19 +129,17 @@ def proximity_triples(
 ) -> ProximityReport:
     """Project each used source span through a src-ref word alignment.
 
-    A triple survives when the character LCSR between the produced phrase and
+    A match counts when the character LCSR between the produced phrase and
     the projected reference phrase reaches the threshold; sentences without an
     alignment are skipped and counted.
     """
-    triples: list[ProximityTriple] = []
-    exact = 0
-    skipped = 0
+    total = exact = skipped = 0
     for trace, ref, alignment in zip(traces, ref_sentences, alignments, strict=True):
         if alignment is None:
             skipped += 1
             continue
         links = alignment.links
-        for start, end, src_words, out_words in trace:
+        for start, end, _, out_words in trace:
             proj = sorted(j for i, j in links if start <= i < end)
             if not proj:
                 continue
@@ -159,14 +147,10 @@ def proximity_triples(
             out_phrase = " ".join(out_words)
             if not ref_phrase or not out_phrase:
                 continue
-            sim = lcsr(out_phrase, ref_phrase)
-            if sim >= threshold:
-                is_exact = out_phrase == ref_phrase
-                exact += is_exact
-                triples.append(ProximityTriple(
-                    " ".join(src_words), out_phrase, ref_phrase, sim, is_exact
-                ))
-    return ProximityReport(triples, len(triples), exact, skipped)
+            if lcsr(out_phrase, ref_phrase) >= threshold:
+                total += 1
+                exact += out_phrase == ref_phrase
+    return ProximityReport(total, exact, skipped)
 
 
 def sign_test(wins_a: int, wins_b: int) -> float:
