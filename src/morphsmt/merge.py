@@ -221,12 +221,12 @@ def merge_our_method(
 
 
 def _count(name: str, e: Optional[PhraseEntry]) -> float:
-    """The joint count of ``e``, table ``name``'s entry or None (0.0); an
+    """The joint count of ``e``, table ``name``'s entry or None (0); an
     entry read without counts is a ValueError naming its pair."""
     if e is not None and e.count_joint is None:
         raise ValueError(f"{name} entry {' '.join(e.source)!r} ||| "
                          f"{' '.join(e.target)!r} lacks counts")
-    return e.count_joint if e is not None else 0.0
+    return e.count_joint if e is not None else 0
 
 
 def _union(a: PhraseTable, b: PhraseTable) -> Iterator[tuple]:

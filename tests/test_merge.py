@@ -3,7 +3,7 @@ import math
 import pytest
 
 from morphsmt import merge, morpho
-from morphsmt.phrasex import PhraseEntry, PhraseTable
+from morphsmt.phrasex import PhraseEntry, PhraseTable, write_phrase_table
 
 E_1 = math.e
 E_23 = math.exp(2 / 3)
@@ -196,6 +196,14 @@ def test_our_method_phi_and_lex_hand_values():
     # lex_m = 0.5 from pt_m, lex_w = 0.25 from pt_w: 0.6*0.5 + 0.4*0.25 = 0.4
     assert got.lex_fwd == pytest.approx(0.4)
     assert got.count_joint == 4
+
+
+def test_our_method_writes_int_counts_as_ints(tmp_path):
+    # (a,x) is in both tables, (a,y) in pt_m alone and (a,z) in pt_wm alone
+    pt_m, pt_wm, pt_w, lts = our_method_fixture()
+    write_phrase_table(tmp_path / "pt.txt", merge.merge_our_method(pt_m, pt_wm, pt_w, 0.6, *lts))
+    lines = (tmp_path / "pt.txt").read_text(encoding="utf-8").splitlines()
+    assert [line.split(" ||| ")[3] for line in lines] == ["4", "2", "2"]
 
 
 def test_our_method_estimates_missing_lex_side():
