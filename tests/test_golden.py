@@ -91,7 +91,7 @@ GOLDEN = {
         "lm_w": "127a483176e06eb7d71d0d5a1fb7968b2cd93a0665e3a65621aca7cec2754fd4",
         "nbest": "e674812d22d69d47df018be5c82278c7cc0fef70fbe6002b5db22a1199c330f6",
         "output": "83adb713adad21bb465a2a606abec40abea535493fe3b0e2542035aeeed6084c",
-        "pt": "134dc1bea708c8e32e41c46e051688288274d3815abc8159814f64347873062f",
+        "pt": "d9a77af47c58ac6abf809fe733dff30b610f787ecb5aa885fb83a373cd79ac5f",
         "report": "23567d048f3b0c149bc70de0abb4a213a984ecef47e522b284bb3d047c4ad09e",
         "trace": "15634d6bb2197f459439aabec009f8f5fc7c652f97f46a94a768cd094ebaa1b3",
         "weights": "c70d7bb922619e3918d9c1f073be545b507730f99188c3b606e4e08a05f9c745",
