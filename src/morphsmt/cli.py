@@ -363,10 +363,11 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    # morpheme and boundary-aware input is parsed as segmented text, so a
-    # malformed token is reported with its file and line
-    segmented = args.granularity == "morpheme" or args.boundary_aware
-    read = mo.read_segmented_file if segmented else mo.read_word_file
+    if args.boundary_aware and args.granularity == "word":
+        raise ValueError("--boundary-aware extracts morpheme tables, not --granularity word")
+    # morpheme input is parsed as segmented text, so a malformed token is
+    # reported with its file and line
+    read = mo.read_segmented_file if args.granularity == "morpheme" else mo.read_word_file
     src, tgt = _read_parallel(read, args.source, args.target)
     _check_found(al.sentence_pairs(src, tgt), _TRAIN_PAIRS, args.source, args.target)
     max_span = args.max_span or _span_limit(PipelineConfig, args.granularity, args.boundary_aware)

@@ -172,6 +172,25 @@ def test_decoding_a_runs_artifacts_gives_its_output(tmp_path, monkeypatch, syste
         assert decoder.build_options(source, read_back) == decoder.build_options(source, tables[0])
 
 
+@pytest.mark.parametrize("system", ["m+tune", "m+phr+lm+tune"])
+def test_tuning_a_runs_artifacts_gives_its_weights(tmp_path, system):
+    ws = tmp_path / "ws"
+    cfg = load_config(synth.write_workspace(ws, seed=7, sizes=(60, 8, 8)))
+    run = cli.run_pipeline(system, cfg, tmp_path / "run")
+    argv = ["mert", "--table", str(run["pt"]), "--dev-source", str(ws / "dev.src.morphs"),
+            "--dev-refs", str(ws / "dev.tgt.words"), "--beam", str(cfg.beam),
+            "--distortion-limit", str(cfg.distortion_limit), "--nbest", str(cfg.nbest),
+            "--max-iters", str(cfg.mert_max_iters), "--epsilon", repr(cfg.mert_epsilon),
+            "--seed", str(cfg.seed), "--output", str(tmp_path / "weights.tsv"),
+            "--log", str(tmp_path / "mert_log.txt")]
+    for name, flag in (("lm_m", "--lm-morph"), ("lm_w", "--lm-word")):
+        if name in run:
+            argv += [flag, str(run[name])]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "weights.tsv").read_bytes() == run["weights"].read_bytes()
+    assert (tmp_path / "mert_log.txt").read_bytes() == run["mert_log"].read_bytes()
+
+
 def whole_word_spans(source):
     """Every whole-word span of a morpheme sentence, as its token strings."""
     spans = morpho.word_spans(source)
@@ -851,6 +870,9 @@ SEARCH_OPTIONS = {
     "lm-train-order": ("lm-train", "--order", "0", "--order must be positive"),
     "merge-pt-alpha": ("merge-pt", "--alpha", "1.5", "--alpha must be in [0, 1]"),
     "mert-nan-epsilon": ("mert", "--epsilon", "nan", "--epsilon must be positive"),
+    "extract-boundary-aware-word": ("extract", "--boundary-aware", "--granularity=word",
+                                    "--boundary-aware extracts morpheme tables, "
+                                    "not --granularity word"),
 }
 
 

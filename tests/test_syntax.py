@@ -1,6 +1,6 @@
 """Every module parses under the oldest Python that ``requires-python`` admits,
 uses each name it imports, and, within the package, imports no other module's
-underscore names."""
+underscore names and declares no class field that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -80,3 +80,32 @@ def test_private_import_check_sees_a_private_name():
 def test_no_module_imports_another_modules_private_name(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _private_imports(tree) == []
+
+
+def _unread_fields(trees: list[ast.Module]) -> list[str]:
+    """``Class.field`` for each annotated class field of ``trees`` whose name
+    no tree reads as an attribute or spells as a whole string constant (as
+    ``getattr`` and the config's keys name a field)."""
+    fields = [(node.name, stmt.target.id) for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{cls}.{name}" for cls, name in fields if name not in read]
+
+
+def test_field_check_sees_an_unread_field():
+    trees = [ast.parse("class A:\n    read: int\n    named: int\n    unread: int\n"
+                       "    written: int\n"),
+             ast.parse("def f(a):\n    a.written = a.read\n    return getattr(a, 'named')\n")]
+    assert _unread_fields(trees) == ["A.unread", "A.written"]
+
+
+def test_every_class_field_is_read():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in PACKAGE]
+    assert _unread_fields(trees) == []
