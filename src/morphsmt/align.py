@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional, Sequence
 
-from .morpho import parse_file, parse_keyed_file
+from .morpho import parse_file, parse_keyed_file, write_lines
 
 Granularity = Literal["word", "morpheme"]
 
@@ -217,11 +217,8 @@ def align_corpus(
 
 
 def write_lexical_table(path, table: LexicalTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (src, tgt), p in sorted(
-            table.items(), key=lambda kv: (kv[0][0] or "", kv[0][1])
-        ):
-            fh.write(f"{src or ''}\t{tgt}\t{p!r}\n")
+    write_lines(path, (f"{src or ''}\t{tgt}\t{p!r}" for (src, tgt), p
+                       in sorted(table.items(), key=lambda kv: (kv[0][0] or "", kv[0][1]))))
 
 
 def read_lexical_table(path) -> LexicalTable:
@@ -264,9 +261,7 @@ def parse_links(line: str) -> frozenset[tuple[int, int]]:
 
 
 def write_alignments(path, alignments: Iterable[AlignmentMatrix]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in alignments:
-            fh.write(format_links(a.links) + "\n")
+    write_lines(path, (format_links(a.links) for a in alignments))
 
 
 def read_alignments(path, dimensions: Sequence[tuple[int, int]]) -> list[AlignmentMatrix]:

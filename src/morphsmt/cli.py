@@ -14,7 +14,7 @@ import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, get_args
+from typing import Iterable, Mapping, Optional, Sequence, get_args
 
 from . import __version__
 from . import align as al
@@ -287,11 +287,9 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     artifacts["nbest"] = run_dir / "nbest.txt"
     dec.write_nbest(artifacts["nbest"], nbest_lists)
     artifacts["trace"] = run_dir / "trace.txt"
-    with open(artifacts["trace"], "w", encoding="utf-8") as fh:
-        for sent_id, items in enumerate(traces):
-            for start, end, src_words, out_words in items:
-                fh.write(f"{sent_id} ||| {start}-{end} ||| "
-                         f"{' '.join(src_words)} ||| {' '.join(out_words)}\n")
+    mo.write_lines(artifacts["trace"], (
+        f"{sent_id} ||| {start}-{end} ||| {' '.join(src_words)} ||| {' '.join(out_words)}"
+        for sent_id, items in enumerate(traces) for start, end, src_words, out_words in items))
 
     hyp_words = [mo.words_from_tokens(toks) for toks in outputs]
     report = {}
@@ -307,7 +305,7 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     report["skipped"] = str(prox.skipped)
 
     artifacts["report"] = run_dir / "report.txt"
-    _write_report(artifacts["report"], report)
+    _write_report(artifacts["report"], report.items())
     artifacts["manifest"] = run_dir / "manifest.txt"
     _write_manifest(artifacts["manifest"], system, cfg)
     return artifacts
@@ -322,21 +320,15 @@ def _fill_report(report: dict, prefix: str, r: ev.BleuReport) -> None:
     report[f"{prefix}_ref_len"] = str(r.ref_length)
 
 
-def _write_report(path, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in report.items():
-            fh.write(f"{key}={value}\n")
+def _write_report(path, items: Iterable[tuple[str, object]]) -> None:
+    mo.write_lines(path, (f"{key}={value}" for key, value in items))
 
 
 def _write_manifest(path, system: str, cfg: PipelineConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"system={system}\n")
-        # digests that differ between two runs may come from another Python
-        fh.write(f"python={platform.python_version()}\nmorphsmt={__version__}\n")
-        for key, value in cfg.settings_items():
-            fh.write(f"{key}={value}\n")
-        for key in sorted(cfg.paths):
-            fh.write(f"digest.{key}={sha256_file(cfg.paths[key])}\n")
+    # digests that differ between two runs may come from another Python
+    _write_report(path, [("system", system), ("python", platform.python_version()),
+                         ("morphsmt", __version__), *cfg.settings_items(),
+                         *((f"digest.{k}", sha256_file(cfg.paths[k])) for k in sorted(cfg.paths))])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +441,7 @@ def _cmd_eval(args) -> int:
         report["wins_compare"] = str(wins_b)
         if wins_a + wins_b:
             report["p_value"] = repr(ev.sign_test(wins_a, wins_b))
-    _write_report(args.output, report)
+    _write_report(args.output, report.items())
     print("\n".join(f"{k}={v}" for k, v in report.items()))
     return 0
 

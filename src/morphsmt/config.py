@@ -15,6 +15,7 @@ from typing import Mapping, NoReturn, Optional, get_args
 from .align import Heuristic
 from .lm import Smoothing
 from .merge import MergeMethod
+from .morpho import read_lines
 
 DATA_KEYS = tuple(
     f"{split}_{side}_morphs" for split in ("train", "dev", "test") for side in ("src", "tgt")
@@ -120,8 +121,8 @@ def load_config(
     filename, base_dir = str(path), path.resolve().parent
     raw: dict[str, tuple[str, str]] = {}  # key: (value, where it was set)
     first_line: dict[str, int] = {}  # key: the file line that set it
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
+    for lineno, line in read_lines(path):
+        line, stripped = line.rstrip("\n"), line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:

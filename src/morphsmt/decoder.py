@@ -36,6 +36,7 @@ from .lm import (
 )
 from .morpho import (
     ends_word, parse_file, parse_keyed_file, split_token_string, word_spans, words_from_tokens,
+    write_lines,
 )
 from .phrasex import PhraseTable
 
@@ -562,11 +563,10 @@ def nbest(
 
 
 def write_nbest(path, lists: Sequence[Sequence[NBestEntry]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sent_id, entries in enumerate(lists):
-            for e in entries:
-                feats = " ".join(f"{k}={v!r}" for k, v in sorted(e.features.items()))
-                fh.write(f"{sent_id} ||| {' '.join(e.tokens)} ||| {feats} ||| {e.score!r}\n")
+    write_lines(path, (
+        f"{sent_id} ||| {' '.join(e.tokens)} ||| "
+        f"{' '.join(f'{k}={v!r}' for k, v in sorted(e.features.items()))} ||| {e.score!r}"
+        for sent_id, entries in enumerate(lists) for e in entries))
 
 
 def read_nbest(path) -> list[list[NBestEntry]]:
@@ -605,9 +605,8 @@ def _parse_nbest_line(line: str) -> Optional[tuple[int, NBestEntry]]:
 
 
 def write_weights(path, weights: Mapping[str, float]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in sorted(weights, key=feature_rank):
-            fh.write(f"{name}\t{weights[name]!r}\n")
+    write_lines(path, (f"{name}\t{weights[name]!r}"
+                       for name in sorted(weights, key=feature_rank)))
 
 
 def read_weights(path) -> dict[str, float]:

@@ -29,11 +29,12 @@ answered from one n-gram lookup and the suffix context's answer, and
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal, NamedTuple, NoReturn, Optional, Sequence, get_args
+from typing import Iterable, Iterator, Literal, NamedTuple, NoReturn, Optional, Sequence, get_args
 
-from .morpho import split_token_string
+from .morpho import read_lines, split_token_string, write_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -386,30 +387,26 @@ _ARPA_NEG_INF = -99.0  # conventional stand-in for ln p = -inf
 
 
 def write_arpa(path, model: NGramModel) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"smoothing: {model.smoothing}\n\n")  # ARPA readers skip the preamble
-        fh.write("\\data\\\n")
-        # contexts that are never events (pure <s> prefixes) still need
-        # their backoff weight carried; SRILM writes them as -99 lines
-        sections = []  # per order: its sorted n-grams and backoff weights
-        for k in range(1, model.order + 1):
-            bows = model.backoffs[k - 1] if k < model.order else {}
-            sections.append((sorted(set(model.logprobs[k - 1]) | set(bows)), bows))
-        for k, (grams, _) in enumerate(sections, start=1):
-            fh.write(f"ngram {k}={len(grams)}\n")
-        fh.write("\n")
-        for k, (grams, bows) in enumerate(sections, start=1):
-            fh.write(f"\\{k}-grams:\n")
-            for gram in grams:
-                lp = model.logprobs[k - 1].get(gram, NEG_INF)
-                lp10 = _ARPA_NEG_INF if lp == NEG_INF else lp / _LN10
-                line = f"{lp10!r}\t{' '.join(gram)}"
-                bow = bows.get(gram)
-                if bow is not None:
-                    line += f"\t{bow / _LN10!r}"
-                fh.write(line + "\n")
-            fh.write("\n")
-        fh.write("\\end\\\n")
+    write_lines(path, _arpa_lines(model))
+
+
+def _arpa_lines(model: NGramModel) -> Iterator[str]:
+    yield from (f"smoothing: {model.smoothing}", "", "\\data\\")  # ARPA readers skip the preamble
+    # contexts that are never events (pure <s> prefixes) still need their
+    # backoff weight carried; SRILM writes them as -99 lines.  The top order
+    # has no backoffs: train_lm stores none and read_arpa refuses one
+    sections = [sorted(set(lps) | set(bows)) for lps, bows in zip(model.logprobs, model.backoffs)]
+    yield from (f"ngram {k}={len(grams)}" for k, grams in enumerate(sections, start=1))
+    yield ""
+    for k, (grams, lps, bows) in enumerate(zip(sections, model.logprobs, model.backoffs), start=1):
+        yield f"\\{k}-grams:"
+        for gram in grams:
+            lp = lps.get(gram, NEG_INF)
+            lp10 = _ARPA_NEG_INF if lp == NEG_INF else lp / _LN10
+            line, bow = f"{lp10!r}\t{' '.join(gram)}", bows.get(gram)
+            yield line if bow is None else f"{line}\t{bow / _LN10!r}"
+        yield ""
+    yield "\\end\\"
 
 
 def read_arpa(path) -> NGramModel:
@@ -426,8 +423,7 @@ def read_arpa(path) -> NGramModel:
         where = f"{path}:{lineno}" if lineno else path  # an empty file has no line
         raise ValueError(f"{where}: {message}")
 
-    with open(path, encoding="utf-8") as fh:
-        lines = enumerate(fh, 1)
+    with closing(read_lines(path)) as lines:  # a fail stops the read mid-file
         for lineno, line in lines:
             line = line.rstrip("\n")
             if line == "\\data\\":

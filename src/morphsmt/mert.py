@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .decoder import NBestEntry, dot, feature_rank
 from .metrics import add_stats, bleu_from_stats, bleu_stats, zero_stats
-from .morpho import words_from_tokens
+from .morpho import words_from_tokens, write_lines
 
 INF = math.inf
 N_RANDOM_DIRECTIONS = 1  # per iteration, besides one along each feature axis
@@ -208,7 +208,5 @@ def mert_run(
 
 
 def write_mert_log(path, state: MertState) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, b in enumerate(state.history):
-            fh.write(f"iteration {i}\tdev_bleu {b:.6f}\n")
-        fh.write(f"best\tdev_bleu {state.best_bleu:.6f}\n")
+    write_lines(path, [*(f"iteration {i}\tdev_bleu {b:.6f}" for i, b in enumerate(state.history)),
+                       f"best\tdev_bleu {state.best_bleu:.6f}"])

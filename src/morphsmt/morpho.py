@@ -1,4 +1,5 @@
-"""Tagged morpheme tokens: parsing, word boundaries, round-tripping.
+"""Tagged morpheme tokens: parsing, word boundaries, round-tripping; and
+the package's one text-file reader and writer (``read_lines``, ``write_lines``).
 
 A segmented sentence is a stream of ``surface/TAG`` tokens where TAG is one
 of PRE, STM, SUF and a trailing ``+`` marks word-internal morphemes.  Word
@@ -18,14 +19,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 T = TypeVar("T")
 
 
-class MorphParseError(ValueError):
-    """Malformed segmented input (bad token shape, unknown tag, dangling +)."""
-
-    def __init__(self, message: str, token_index: int):
-        super().__init__(f"token {token_index}: {message}")
-        self.token_index = token_index
-
-
 # greedy surface group claims any "/" inside the surface itself
 _TOKEN_RE = re.compile(r"^(?P<surface>\S+)/(?P<tag>PRE|STM|SUF)(?P<plus>\+?)$")
 
@@ -33,19 +26,17 @@ _TOKEN_RE = re.compile(r"^(?P<surface>\S+)/(?P<tag>PRE|STM|SUF)(?P<plus>\+?)$")
 def parse_segmented_line(line: str) -> tuple[str, ...]:
     """The validated token strings of one whitespace-separated segmented line.
 
-    Raises MorphParseError on malformed tokens, and when the final token
-    carries "+" (a dangling continuation is an upstream segmenter bug, not
-    something to repair silently).
+    Raises ValueError, naming the token, on a malformed token, and when the
+    final token carries "+" (a dangling continuation is an upstream segmenter
+    bug, not something to repair silently).
     """
     tokens = tuple(line.split())
     for i, tok in enumerate(tokens):
         if _TOKEN_RE.match(tok) is None:
-            raise MorphParseError(f"not of form surface/TAG[+]: {tok!r}", i)
+            raise ValueError(f"token {i}: not of form surface/TAG[+]: {tok!r}")
     if tokens and tokens[-1].endswith("+"):
-        raise MorphParseError(
-            f"dangling continuation at end of sentence: {tokens[-1]!r}",
-            len(tokens) - 1,
-        )
+        raise ValueError(f"token {len(tokens) - 1}: dangling continuation at end of "
+                         f"sentence: {tokens[-1]!r}")
     return tokens
 
 
@@ -142,23 +133,43 @@ def word_index(tokens: Sequence[str]) -> list[int]:
     return [w for w, (start, end) in enumerate(word_spans(tokens)) for _ in range(start, end + 1)]
 
 
-def _parsed_lines(path, parse_line: Callable[[str], T]) -> Iterator[T]:
-    """``parse_line`` of each line of a UTF-8 text file, in order.
-
-    A ValueError it raises is raised again with the file and the 1-based
-    line number in front, so malformed input says where it is.
-    """
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """(1-based number, line with its newline) of each line of a UTF-8 file: the
+    package's one text-mode read.  A non-UTF-8 byte is a ValueError at ``<path>:<line>:``."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+        try:
+            yield from enumerate(fh, 1)
+        except UnicodeDecodeError as exc:  # text mode decodes in blocks: find the line
+            with open(path, "rb") as raw:
+                data = raw.read()
             try:
-                parsed = parse_line(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            yield parsed
+                data.decode("utf-8")
+            except UnicodeDecodeError as first:
+                line = len((data[:first.start] + b".").splitlines())  # line breaks before it, +1
+                raise ValueError(f"{path}:{line}: not UTF-8: {first.reason}") from exc
+            raise ValueError(f"{path}: not UTF-8: {exc.reason}") from exc  # the file changed
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Each string as one line of a UTF-8 file: the package's one text-mode write."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:  # faster than writelines over a generator
+            fh.write(line + "\n")
+
+
+def _parsed_lines(path, parse_line: Callable[[str], T]) -> Iterator[T]:
+    """``parse_line`` of each line of a file, in order; a ValueError it raises
+    is raised again at ``<path>:<line>:``, so malformed input says where it is."""
+    for lineno, line in read_lines(path):
+        try:
+            parsed = parse_line(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        yield parsed
 
 
 def parse_file(path, parse_line: Callable[[str], T]) -> list[T]:
-    """Every line of a UTF-8 text file through ``parse_line``, as a list."""
+    """Every line of a text file through ``parse_line``, as a list."""
     return list(_parsed_lines(path, parse_line))
 
 
@@ -187,12 +198,9 @@ def read_segmented_file(path) -> list[tuple[str, ...]]:
 
 def read_word_file(path) -> list[list[str]]:
     """One word list per line; a blank line is an empty list."""
-    with open(path, encoding="utf-8") as fh:
-        return [line.split() for line in fh]
+    return parse_file(path, str.split)
 
 
 def write_word_lines(path, lines: Iterable[Sequence[str]]) -> None:
     """One line per sentence, its words or token strings joined by spaces."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for words in lines:
-            fh.write(" ".join(words) + "\n")
+    write_lines(path, map(" ".join, lines))

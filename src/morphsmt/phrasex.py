@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .align import FLOOR_PROB, AlignmentMatrix, Granularity, LexicalTable, format_links, parse_links
-from .morpho import parse_keyed_file, word_index, word_spans
+from .morpho import parse_keyed_file, word_index, word_spans, write_lines
 
 PHRASE_PENALTY = math.e  # constant fifth score, ln = 1 per applied phrase
 
@@ -326,14 +326,10 @@ extract_corpus_boundary_aware = partial(extract_corpus, boundary_aware=True)
 
 
 def write_phrase_table(path, table: PhraseTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in table:
-            scores = " ".join(repr(s) for s in e.scores())
-            count = "" if e.count_joint is None else repr(e.count_joint)
-            fh.write(
-                f"{' '.join(e.source)} ||| {' '.join(e.target)} ||| {scores} "
-                f"||| {count} ||| {format_links(e.alignment)}\n".rstrip() + "\n"
-            )
+    write_lines(path, (f"{' '.join(e.source)} ||| {' '.join(e.target)} ||| "
+                       f"{' '.join(map(repr, e.scores()))} ||| "
+                       f"{'' if e.count_joint is None else repr(e.count_joint)} ||| "
+                       f"{format_links(e.alignment)}".rstrip() for e in table))
 
 
 def read_phrase_table(path, granularity: Granularity = "morpheme") -> PhraseTable:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from .morpho import read_lines, write_lines
+
 STEM_MAP = {
     "bal": "laba", "dor": "roda", "fem": "mefa", "gat": "taga",
     "hil": "liha", "jun": "nuja", "kap": "paka", "lem": "mela",
@@ -73,9 +75,9 @@ def bundled_dir() -> Path:
     return Path(__file__).resolve().parent / "data" / "synth"
 
 
-# the bundled corpus's config, read once: its data paths are relative, so it
-# serves every workspace unchanged
-SYNTH_CONFIG = (bundled_dir() / "synth.cfg").read_text(encoding="utf-8")
+# the bundled corpus's config lines, read once: its data paths are relative,
+# so it serves every workspace unchanged
+SYNTH_CONFIG = [line.rstrip("\n") for _, line in read_lines(bundled_dir() / "synth.cfg")]
 
 
 def generate(seed: int = DEFAULT_SEED, sizes: tuple[int, int, int] = DEFAULT_SIZES):
@@ -96,16 +98,13 @@ def write_corpus(
     outdir.mkdir(parents=True, exist_ok=True)
     for split, pairs in generate(seed, sizes).items():
         for column, name in enumerate(("src.words", "src.morphs", "tgt.words", "tgt.morphs")):
-            with open(outdir / f"{split}.{name}", "w", encoding="utf-8") as fh:
-                for pair in pairs:
-                    fh.write(" ".join(pair[column]) + "\n")
+            write_lines(outdir / f"{split}.{name}", [" ".join(pair[column]) for pair in pairs])
 
 
 def write_workspace(outdir, seed: int = DEFAULT_SEED,
                     sizes: tuple[int, int, int] = DEFAULT_SIZES) -> Path:
     """Corpus files plus a ready-to-run config; returns the config path."""
-    outdir = Path(outdir)
+    cfg = Path(outdir) / "synth.cfg"
     write_corpus(outdir, seed, sizes)
-    cfg = outdir / "synth.cfg"
-    cfg.write_text(SYNTH_CONFIG, encoding="utf-8")
+    write_lines(cfg, SYNTH_CONFIG)
     return cfg

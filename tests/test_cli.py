@@ -436,6 +436,68 @@ def test_readers_name_file_and_line_of_malformed_input(tmp_path, case):
     assert f"{tmp_path / bad}:{line}:" in proc.stderr
 
 
+NOT_UTF8 = {
+    # case: (files, bad file, its bad line, subcommand arguments); a file's
+    # text is written as Latin-1, so its "\xff" is the byte 0xff
+    "corpus": (
+        {"src": "a/STM\n\xff/STM\n", "tgt": "x/STM\ny/STM\n"}, "src", 2,
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--output", "{out}"],
+    ),
+    "corpus-past-the-first-block": (  # 12,000 bytes before it: text mode decodes 8 KB blocks
+        {"src": "a/STM b/STM\n" * 1000 + "\xff/STM\n", "tgt": "x/STM\n" * 1001}, "src", 1001,
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--output", "{out}"],
+    ),
+    "word-file": (
+        {"hyp": "a b\nc \xff\n", "ref": "a b\nc d\n"}, "hyp", 2,
+        ["eval", "--hyp", "{hyp}", "--ref", "{ref}", "--output", "{out}"],
+    ),
+    "phrase-table": (
+        {"input": "a/STM\n", "table": TABLE_LINE + TABLE_LINE.replace("x/STM", "\xff/STM")},
+        "table", 2, ["decode", "--input", "{input}", "--table", "{table}", "--output", "{out}"],
+    ),
+    "arpa": (
+        {"input": "a/STM\n", "table": TABLE_LINE,
+         "lm": "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\t\xff/STM\n\n\\end\\\n"},
+        "lm", 5,
+        ["decode", "--input", "{input}", "--table", "{table}", "--lm-morph", "{lm}",
+         "--output", "{out}"],
+    ),
+    "weights": (
+        {"input": "a/STM\n", "table": TABLE_LINE, "weights": "phi_fwd\t0.4\n\xff\t0.5\n"},
+        "weights", 2,
+        ["decode", "--input", "{input}", "--table", "{table}", "--weights", "{weights}",
+         "--output", "{out}"],
+    ),
+    "lexical-table": (
+        {"pt": TABLE_LINE, "lex": "a/STM\tx/STM\t0.5\n\xff\tx/STM\t0.25\n"},
+        "lex", 2, MERGE_OUR_METHOD,
+    ),
+    "alignments": (
+        {"src": "a b\nc\n", "tgt": "x\ny z\n", "align": "0-0 1-0\n0-0 \xff\n"},
+        "align", 2,
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--alignments", "{align}",
+         "--granularity", "word", "--output", "{out}"],
+    ),
+    "config": (
+        {"cfg": "# a config\nseed = \xff\n"}, "cfg", 2,
+        ["pipeline", "m-system", "--config", "{cfg}", "--run-dir", "{out}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_a_byte_that_is_not_utf8_is_named_by_file_and_line(tmp_path, capsys, case):
+    files, bad, line, argv = NOT_UTF8[case]
+    paths = {"out": str(tmp_path / "out")}
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode("latin-1"))
+        paths[name] = str(tmp_path / name)
+    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths[bad]}:{line}: not UTF-8: invalid start byte\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_records_versions(tmp_path, synth_config):
     import platform
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from morphsmt import morpho
-from morphsmt.morpho import MorphParseError
 
 from conftest import random_morph_sentence
 
@@ -24,19 +23,29 @@ def test_parse_single_word():
 
 
 def test_parse_dangling_continuation_is_error():
-    with pytest.raises(MorphParseError) as exc:
+    with pytest.raises(ValueError) as exc:
         morpho.parse_segmented_line("a/STM+")
     assert str(exc.value) == "token 0: dangling continuation at end of sentence: 'a/STM+'"
 
 
 def test_parse_errors_carry_token_index():
-    with pytest.raises(MorphParseError) as exc:
+    with pytest.raises(ValueError) as exc:
         morpho.parse_segmented_line("a/STM b/XYZ")
-    assert exc.value.token_index == 1
     assert str(exc.value) == "token 1: not of form surface/TAG[+]: 'b/XYZ'"
-    with pytest.raises(MorphParseError) as exc:
+    with pytest.raises(ValueError) as exc:
         morpho.parse_segmented_line("a/STM nodelim")
-    assert exc.value.token_index == 1
+    assert str(exc.value) == "token 1: not of form surface/TAG[+]: 'nodelim'"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_read_lines_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    good.write_bytes(newline.join(["a", "b", "c", "d"]).encode("ascii"))
+    assert list(morpho.read_lines(good)) == [(1, "a\n"), (2, "b\n"), (3, "c\n"), (4, "d")]
+    bad.write_bytes(newline.join(["a", "b", "c\xe9", "d"]).encode("latin-1"))
+    with pytest.raises(ValueError) as exc:
+        list(morpho.read_lines(bad))
+    assert str(exc.value) == f"{bad}:3: not UTF-8: invalid continuation byte"
 
 
 def test_token_identity_includes_continuation():
