@@ -67,8 +67,8 @@ def _read_parallel(read, path_a, path_b) -> tuple[list, list]:
 _TRAIN_PAIRS = "train pair with two non-empty sides"  # what a train corpus needs one of
 
 
-def _check_found(found: list, what: str, *paths) -> list:
-    """``found``; a ValueError naming the files it came from if it is empty."""
+def _check_found(found, what: str, *paths):
+    """``found``, a list or dict; a ValueError naming the files it came from if it is empty."""
     if not found:
         raise ValueError(f"no {what} in {' and '.join(map(str, paths))}")
     return found
@@ -383,9 +383,10 @@ def _load_search(args, source_path):
     table = px.read_phrase_table(args.table, args.granularity)
     lm_m = lmod.read_arpa(args.lm_morph) if args.lm_morph else None
     lm_w = lmod.read_arpa(args.lm_word) if args.lm_word else None
-    weights = dec.read_weights(args.weights) if args.weights else dec.default_weights(
-        table.n_extras, lm_m is not None, lm_w is not None
-    )
+    if args.weights:
+        weights = _check_found(dec.read_weights(args.weights), "weights", args.weights)
+    else:
+        weights = dec.default_weights(table.n_extras, lm_m is not None, lm_w is not None)
     read = mo.read_word_file if args.granularity == "word" else mo.read_segmented_file
     sources = _search_sources(args.granularity, read(source_path))
     return dec.restrict_table(table, sources), lm_m, lm_w, weights, sources

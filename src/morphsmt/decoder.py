@@ -16,7 +16,7 @@ names, ``lm_morph`` and ``lm_word`` for the LMs present, ``word_penalty`` and
 untouched) and a bitmask of the slots its path touched, so ``features`` and
 the n-best file list exactly the features the path added to.  Scores are
 ``math.fsum`` of weights times values: correctly rounded, hence free of the
-slot order, equal to ``dot`` over the features, and the same on every Python
+slot order and of the untouched slots' zeros, and the same on every Python
 version.
 """
 
@@ -99,10 +99,6 @@ def feature_rank(name: str) -> int:
     """A feature's place in a weights file and in MERT's direction order:
     its index in FEATURE_ORDER, and after all of those when not listed."""
     return FEATURE_ORDER.index(name) if name in FEATURE_ORDER else len(FEATURE_ORDER)
-
-
-def dot(weights: Mapping[str, float], features: Mapping[str, float]) -> float:
-    return fsum(weights.get(k, 0.0) * v for k, v in features.items())
 
 
 def safe_ln(x: float) -> float:

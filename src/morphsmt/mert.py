@@ -6,8 +6,10 @@ being optimized is word-token BLEU (brevity penalty in words, not morphemes).
 Line search sweeps the exact piecewise-constant corpus-BLEU envelope along a
 direction and lands in the middle of the best interval, preferring the step
 closest to zero on ties.  ``mert_run`` calls ``line_search`` once per
-direction per pass, and takes each candidate's dot products with a direction
-once per iteration and with the weights once per weight vector.
+direction per pass.  A candidate holds its values in the run's feature order
+(the weights' names by ``feature_rank``; a feature they do not name has weight 0
+and is dropped).  Along an axis a slope is the value itself; every other slope
+and every offset is one ``fsum`` of a vector times the values.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import pairwise
+from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
-from .decoder import NBestEntry, dot, feature_rank
+from .decoder import NBestEntry, feature_rank
 from .metrics import add_stats, bleu_from_stats, bleu_stats, zero_stats
 from .morpho import words_from_tokens, write_lines
 
@@ -29,7 +32,7 @@ MAX_PASSES = 8  # line-search passes per iteration
 
 @dataclass(frozen=True)
 class Candidate:
-    features: dict[str, float]
+    values: tuple[float, ...]  # feature values in the run's feature order
     stats: tuple[int, ...]  # word-level BLEU sufficient statistics vs the ref
 
 
@@ -45,24 +48,23 @@ class MertState:
         return [[p[k] for k in sorted(p)] for p in self.pool]
 
 
-def _as_candidate(entry: NBestEntry, ref: Sequence[str]) -> tuple[tuple, Candidate]:
+def _as_candidate(entry: NBestEntry, ref: Sequence[str], names: Sequence[str]) -> tuple:
     words = tuple(words_from_tokens(entry.tokens))
     key = (words, tuple(sorted(entry.features.items())))
-    return key, Candidate(dict(entry.features), bleu_stats(words, ref))
+    values = tuple(entry.features.get(n, 0.0) for n in names)
+    return key, Candidate(values, bleu_stats(words, ref))
 
 
-def _dots(
-    weights: Mapping[str, float], cand_lists: Sequence[Sequence[Candidate]]
-) -> list[list[float]]:
-    """dot(weights, c.features) for every candidate, per sentence."""
-    return [[dot(weights, c.features) for c in cands] for cands in cand_lists]
+Pool = Sequence[Sequence[Candidate]]  # per dev sentence, its candidates in pool order
+PerCandidate = Sequence[Sequence[float]]  # a number per candidate of a Pool
 
 
-def line_search(
-    cand_lists: Sequence[Sequence[Candidate]],
-    slopes: Sequence[Sequence[float]],
-    offsets: Sequence[Sequence[float]],
-) -> tuple[float, float]:
+def _dots(vector: Sequence[float], cand_lists: Pool) -> list[list[float]]:
+    """The dot product of ``vector`` with every candidate's values, per sentence."""
+    return [[math.fsum(map(mul, vector, c.values)) for c in cands] for cands in cand_lists]
+
+
+def line_search(cand_lists: Pool, slopes: PerCandidate, offsets: PerCandidate) -> tuple:
     """(step, corpus BLEU at that step) of the best step by exact envelope
     sweep, each candidate's score at ``step`` being offset + step * slope."""
     events: list[tuple[float, Candidate, Candidate]] = []  # (x, left winner, right winner)
@@ -133,9 +135,7 @@ def _upper_envelope(
     return [(x_from, c) for x_from, _, _, c in hull]
 
 
-def select_bleu(
-    pool_lists: Sequence[Sequence[Candidate]], scores: Sequence[Sequence[float]]
-) -> float:
+def select_bleu(pool_lists: Pool, scores: PerCandidate) -> float:
     """Corpus BLEU of each sentence's first best candidate by its ``scores``."""
     total = zero_stats()
     for cands, cand_scores in zip(pool_lists, scores):
@@ -172,30 +172,31 @@ def mert_run(
     for iteration in range(max_iters):
         for s, entries in enumerate(decoder_handle(state.weights)):
             for entry in entries:
-                key, cand = _as_candidate(entry, dev_refs[s])
+                key, cand = _as_candidate(entry, dev_refs[s], names)
                 state.pool[s].setdefault(key, cand)
         pool_lists = state.pool_lists()
 
-        directions = [{n: 1.0} for n in names]
+        # a direction's (index, component) pairs and slopes; along an axis, a column
+        directions = [(((i, 1.0),), [[c.values[i] for c in cands] for cands in pool_lists])
+                      for i in range(len(names))]
         for _ in range(N_RANDOM_DIRECTIONS):
-            directions.append({n: rng.gauss(0.0, 1.0) for n in names})
-        # each line's slope is fixed for the iteration, its offset until a move
-        slopes = [_dots(d, pool_lists) for d in directions]
-        offsets = _dots(state.weights, pool_lists)
+            d = [rng.gauss(0.0, 1.0) for _ in names]
+            directions.append((tuple(enumerate(d)), _dots(d, pool_lists)))
+        offsets = _dots([state.weights[n] for n in names], pool_lists)  # until a move
 
         current = select_bleu(pool_lists, offsets)
         for _ in range(MAX_PASSES):
             best_move = None
-            for d, d_slopes in zip(directions, slopes):
+            for components, d_slopes in directions:
                 step, score = line_search(pool_lists, d_slopes, offsets)
                 if score > current + 1e-12 and (best_move is None or score > best_move[0]):
-                    best_move = (score, step, d)
+                    best_move = (score, step, components)
             if best_move is None:
                 break
-            score, step, d = best_move
-            for n, v in d.items():
-                state.weights[n] = state.weights.get(n, 0.0) + step * v
-            offsets = _dots(state.weights, pool_lists)
+            score, step, components = best_move
+            for i, v in components:  # only these: a -0.0 weight elsewhere stays -0.0
+                state.weights[names[i]] += step * v
+            offsets = _dots([state.weights[n] for n in names], pool_lists)
             current = score
 
         state.history.append(current)

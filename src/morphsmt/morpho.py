@@ -134,9 +134,10 @@ def word_index(tokens: Sequence[str]) -> list[int]:
 
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
-    """(1-based number, line with its newline) of each line of a UTF-8 file: the
-    package's one text-mode read.  A non-UTF-8 byte is a ValueError at ``<path>:<line>:``."""
-    with open(path, encoding="utf-8") as fh:
+    """(1-based number, line with its newline) of each line of a UTF-8 file, a leading BOM
+    dropped: the package's one text-mode read.  A non-UTF-8 byte is a ValueError at
+    ``<path>:<line>:``."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from enumerate(fh, 1)
         except UnicodeDecodeError as exc:  # text mode decodes in blocks: find the line

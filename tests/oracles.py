@@ -155,6 +155,12 @@ def binomial_tail_fraction(n, m):
     return Fraction(sum(coeffs[: m + 1]), 2 ** n)
 
 
+def dot(weights, features):
+    """The dot product of two dicts of feature values: a feature missing from
+    ``weights`` has weight 0."""
+    return fsum(weights.get(k, 0.0) * v for k, v in features.items())
+
+
 @dataclass
 class ReferenceHypothesis:
     """A plain search node: its features as a dict, scored by ``dot``."""
@@ -239,7 +245,7 @@ def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
                                           morph_delta, word_delta, lm_m, lm_w)
                 stacks[level + opt.end - opt.start].append(ReferenceHypothesis(
                     hyp.coverage | opt.mask, opt.end, state, feats,
-                    dec.dot(weights, feats), hyp, opt))
+                    dot(weights, feats), hyp, opt))
     complete = stacks[n_words]
     if beam_size is not None and len(complete) > beam_size:
         complete.sort(key=lambda h: h.score, reverse=True)
@@ -248,7 +254,7 @@ def reference_search(source, table, lm_m, lm_w, weights, beam_size=100,
     for h in complete:
         feats = finalized_features(h.features, h.state, lm_m, lm_w)
         finalized.append(ReferenceHypothesis(h.coverage, h.last_end, h.state, feats,
-                                             dec.dot(weights, feats), h.parent, h.option))
+                                             dot(weights, feats), h.parent, h.option))
     return finalized
 
 
@@ -258,7 +264,6 @@ def replay_scores(hyp, lm_m, lm_w, weights):
     one dict per extension (``extended_features``) scored by ``dot``.  The
     last pair includes the end-of-sentence step, so ``hyp`` must be a
     finalized search result that applied at least one phrase."""
-    from morphsmt.decoder import dot
     from morphsmt.lm import initial_twin_state, twin_extend
 
     options = []
@@ -280,19 +285,46 @@ def replay_scores(hyp, lm_m, lm_w, weights):
     return replayed
 
 
+@dataclass(frozen=True)
+class ReferenceCandidate:
+    """A pooled n-best entry as MERT's reference sees it: its features as a
+    dict, and its word-level BLEU statistics against the reference."""
+
+    features: dict
+    stats: tuple
+
+
+def reference_candidate(entry, ref):
+    """(pool key, ReferenceCandidate) of an n-best entry: the key is the
+    entry's words and sorted feature items, as ``mert`` dedups its pool."""
+    from morphsmt.metrics import bleu_stats
+    from morphsmt.morpho import words_from_tokens
+
+    words = tuple(words_from_tokens(entry.tokens))
+    return ((words, tuple(sorted(entry.features.items()))),
+            ReferenceCandidate(dict(entry.features), bleu_stats(words, ref)))
+
+
+def dots(weights, pool):
+    """``dot(weights, c.features)`` for every candidate, per sentence."""
+    return [[dot(weights, c.features) for c in cands] for cands in pool]
+
+
 def reference_line_search(pool, weights, direction):
     """``mert.line_search`` along ``weights + step * direction``, with every
-    line's slope and offset worked out afresh."""
+    line's slope and offset worked out afresh as dict dot products."""
     from morphsmt import mert
 
-    return mert.line_search(pool, mert._dots(direction, pool), mert._dots(weights, pool))
+    return mert.line_search(pool, dots(direction, pool), dots(weights, pool))
 
 
 def reference_mert_run(dev_refs, initial_weights, decoder_handle, max_iters=10,
                        epsilon=1e-4, seed=0, n_random_directions=1, max_passes=8):
     """``mert.mert_run`` as a plain loop that calls ``reference_line_search``
     for every direction in every pass, so each line's slope and offset are
-    worked out afresh each time.  The returned state must agree bit for bit."""
+    worked out afresh each time, from each candidate's feature dict and a
+    dict direction updated by name.  The returned state must agree bit for
+    bit."""
     import random
 
     from morphsmt import decoder, mert
@@ -305,13 +337,13 @@ def reference_mert_run(dev_refs, initial_weights, decoder_handle, max_iters=10,
     for iteration in range(max_iters):
         for s, entries in enumerate(decoder_handle(state.weights)):
             for entry in entries:
-                key, cand = mert._as_candidate(entry, dev_refs[s])
+                key, cand = reference_candidate(entry, dev_refs[s])
                 state.pool[s].setdefault(key, cand)
         pool_lists = state.pool_lists()
         directions = [{n: 1.0} for n in names]
         for _ in range(n_random_directions):
             directions.append({n: rng.gauss(0.0, 1.0) for n in names})
-        current = mert.select_bleu(pool_lists, mert._dots(state.weights, pool_lists))
+        current = mert.select_bleu(pool_lists, dots(state.weights, pool_lists))
         for _ in range(max_passes):
             best_move = None
             for d in directions:

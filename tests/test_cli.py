@@ -498,6 +498,64 @@ def test_a_byte_that_is_not_utf8_is_named_by_file_and_line(tmp_path, capsys, cas
     assert not (tmp_path / "out").exists()
 
 
+BOM_INPUTS = {
+    # case: (files, or None for a workspace's, the file given a byte-order
+    # mark, subcommand arguments)
+    "weights": (  # the first weight, phi_fwd, picks x/STM over y/STM
+        {"input": "a/STM\n", "weights": "phi_fwd\t1.0\nphi_bwd\t0.5\n",
+         "table": TABLE_LINE + TABLE_LINE.replace("x/STM ||| 1.0 1.0", "y/STM ||| 0.5 2.0")},
+        "weights",
+        ["decode", "--input", "{input}", "--table", "{table}", "--weights", "{weights}",
+         "--output", "{out}"],
+    ),
+    "word-file": (
+        {"hyp": "a b c d\n", "ref": "a b c d\n"}, "hyp",
+        ["eval", "--hyp", "{hyp}", "--ref", "{ref}", "--output", "{out}"],
+    ),
+    "corpus": (
+        {"src": "a/STM b/STM\n", "tgt": "x/STM y/STM\n"}, "src",
+        ["extract", "--source", "{src}", "--target", "{tgt}", "--output", "{out}"],
+    ),
+    "phrase-table": (
+        {"input": "a/STM\n", "table": TABLE_LINE}, "table",
+        ["decode", "--input", "{input}", "--table", "{table}", "--output", "{out}"],
+    ),
+    "arpa": (
+        {"input": "a/STM\n", "table": TABLE_LINE,
+         "lm": "\\data\\\nngram 1=3\n\n\\1-grams:\n-99\t<s>\n-0.5\t</s>\n-0.5\tx/STM\n\n"
+               "\\end\\\n"},
+        "lm",
+        ["decode", "--input", "{input}", "--table", "{table}", "--lm-morph", "{lm}",
+         "--output", "{out}"],
+    ),
+    "config": (
+        None, "cfg", ["pipeline", "m-system", "--config", "{cfg}", "--run-dir", "{out}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOM_INPUTS))
+def test_a_byte_order_mark_is_not_text(tmp_path, case):
+    """A copy of an input file that starts with UTF-8's byte-order mark gives
+    the same output bytes as the file itself."""
+    files, marked, argv = BOM_INPUTS[case]
+    if files is None:
+        paths = {"cfg": str(synth.write_workspace(tmp_path, seed=3, sizes=(5, 2, 2)))}
+    else:
+        paths = {name: str(tmp_path / name) for name in files}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    marked_copy = tmp_path / f"bom.{marked}"
+    marked_copy.write_bytes(b"\xef\xbb\xbf" + Path(paths[marked]).read_bytes())
+    outputs = []
+    for given in (paths, {**paths, marked: str(marked_copy)}):
+        out = tmp_path / f"out{len(outputs)}"
+        assert cli.main([arg.format(out=out, **given) for arg in argv]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir()
+                       else out.read_bytes())
+    assert outputs[1] == outputs[0]
+
+
 def test_manifest_records_versions(tmp_path, synth_config):
     import platform
 
@@ -755,6 +813,17 @@ EMPTY_INPUTS = {
         {"src": "", "refs": "", "table": TABLE_LINE}, "no dev sentences", ("src", "refs"),
         ["mert", "--dev-source", "{src}", "--dev-refs", "{refs}", "--table", "{table}",
          "--output", "{out}"],
+    ),
+    "decode-weights": (
+        {"src": "a/STM\n", "table": TABLE_LINE, "weights": "\n"}, "no weights", ("weights",),
+        ["decode", "--input", "{src}", "--table", "{table}", "--weights", "{weights}",
+         "--output", "{out}"],
+    ),
+    "mert-weights": (
+        {"src": "a/STM\n", "refs": "x\n", "table": TABLE_LINE, "weights": ""}, "no weights",
+        ("weights",),
+        ["mert", "--dev-source", "{src}", "--dev-refs", "{refs}", "--table", "{table}",
+         "--weights", "{weights}", "--output", "{out}"],
     ),
 }
 

@@ -45,7 +45,7 @@ def test_score_equals_weighted_features():
     lm_m, lm_w = tiny_lms([["x/STM", "y/STM"], ["z/STM"]], [["x", "y"], ["z"]])
     weights = decoder.default_weights()
     for h in decoder.search(src, tab, lm_m, lm_w, weights, None, 0):
-        assert h.score == pytest.approx(decoder.dot(weights, h.features), abs=1e-9)
+        assert h.score == pytest.approx(oracles.dot(weights, h.features), abs=1e-9)
 
 
 def test_score_decomposes_over_extensions():
@@ -175,7 +175,7 @@ def test_nbest_sorted_distinct_and_consistent():
     scores = [e.score for e in lists]
     assert scores == sorted(scores, reverse=True)
     for e in lists:
-        assert e.score == pytest.approx(decoder.dot(weights, e.features), abs=1e-9)
+        assert e.score == pytest.approx(oracles.dot(weights, e.features), abs=1e-9)
 
 
 def test_nbest_single_option_list_of_one():
@@ -378,7 +378,7 @@ def exhaustive_monotone_best(src_words, options, lm_m, lm_w, weights):
         if lm_w is not None:
             feats["lm_word"] = oracles.sentence_logprob(
                 lm_w, morpho.words_from_tokens(tokens))
-        return decoder.dot(weights, feats)
+        return oracles.dot(weights, feats)
 
     def rec(pos, chosen):
         if pos == n:
@@ -760,7 +760,7 @@ def test_option_whose_term_magnitudes_overflow_is_searched(monkeypatch):
 def assert_matches_references(sources, tab, lm_m, lm_w, weights, beam, distortion):
     """``search`` equals ``reference_search`` in fingerprint, and every
     hypothesis on each result's path has the features and score, in float
-    hex, that one dict per extension scored by ``dot`` gives."""
+    hex, that one dict per extension scored by ``oracles.dot`` gives."""
     from oracles import reference_search, replay_scores
 
     for src in sources:

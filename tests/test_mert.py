@@ -4,13 +4,13 @@ import pytest
 
 from morphsmt import decoder, mert, metrics
 from morphsmt.decoder import NBestEntry
-from morphsmt.mert import Candidate, mert_run
+from morphsmt.mert import mert_run
 
 import oracles
 
 
 def cand(words, feats, ref):
-    return Candidate(dict(feats), metrics.bleu_stats(tuple(words), tuple(ref)))
+    return oracles.ReferenceCandidate(dict(feats), metrics.bleu_stats(tuple(words), tuple(ref)))
 
 
 REF = ("a", "b", "c", "d")
@@ -38,7 +38,7 @@ def test_search_never_worse_than_step_zero():
     ]
     for pool in pools:
         weights = {"f": 0.5, "g": -0.25}
-        base = mert.select_bleu(pool, mert._dots(weights, pool))
+        base = mert.select_bleu(pool, oracles.dots(weights, pool))
         for direction in ({"f": 1.0}, {"g": 1.0}, {"f": -1.0, "g": 2.0}):
             _, bleu = oracles.reference_line_search(pool, weights, direction)
             assert bleu >= base - 1e-12
@@ -178,16 +178,20 @@ def test_mert_run_matches_reference_bit_for_bit(trial, monkeypatch):
 
     rng = random.Random(trial)
     names = ["lm_morph", "phi_fwd", "word_penalty", "distortion", "merge_feat_1"]
+    # the entries also carry a feature that the weights do not name (weight 0),
+    # and the weights also name a feature that no entry carries
+    entry_names = [*names, "lex_bwd"]
     refs = [tuple(f"w{rng.randrange(8)}" for _ in range(rng.randint(4, 9)))
             for _ in range(rng.randint(3, 8))]
-    initial = {n: rng.uniform(-1.0, 1.0) for n in names}
+    initial = {n: rng.uniform(-1.0, 1.0) for n in [*names, "phrase_penalty"]}
     max_iters = rng.randint(1, 3)
     n_random = rng.randint(1, 2)
     monkeypatch.setattr(mert, "N_RANDOM_DIRECTIONS", n_random)
     states = [
-        mert_run(refs, initial, random_nbest_handle(random.Random(trial), refs, names),
+        mert_run(refs, initial, random_nbest_handle(random.Random(trial), refs, entry_names),
                  max_iters, 1e-12, trial),
-        reference_mert_run(refs, initial, random_nbest_handle(random.Random(trial), refs, names),
+        reference_mert_run(refs, initial,
+                           random_nbest_handle(random.Random(trial), refs, entry_names),
                            max_iters, 1e-12, trial, n_random),
     ]
     got, want = ([sorted((k, v.hex()) for k, v in weights.items())
@@ -206,19 +210,16 @@ def test_mert_needs_an_iteration(max_iters):
     assert calls == []
 
 
-def test_weights_files_and_mert_directions_rank_features_alike(tmp_path, monkeypatch):
+def test_weights_files_and_mert_directions_rank_features_alike(tmp_path):
     # listed features in FEATURE_ORDER, then the rest in the weights' order
     weights = {"merge_feat_3": 0.3, "oov": 0.0, "zz": 1.0, "merge_feat_2": 0.3, "lm_word": 0.1}
     ranked = ["lm_word", "oov", "merge_feat_2", "merge_feat_3", "zz"]
     path = tmp_path / "weights.tsv"
     decoder.write_weights(path, weights)
     assert [line.split("\t")[0] for line in path.read_text().splitlines()] == ranked
-    directions = []
-    dots = mert._dots
-    monkeypatch.setattr(mert, "_dots",
-                        lambda d, pools: directions.append(list(d)) or dots(d, pools))
-    mert_run([REF], weights, fake_handle([[NBestEntry(("a",), {"oov": 1.0}, 0.0)]]),
-             max_iters=1)
-    # the slopes of the axis directions are worked out first, then a random one's
-    assert directions[:len(ranked)] == [[name] for name in ranked]
-    assert directions[len(ranked)] == ranked
+    features = {"zz": 5.0, "oov": 1.0, "lm_word": 2.0, "merge_feat_3": 4.0}
+    state = mert_run([REF], weights, fake_handle([[NBestEntry(("a",), features, 0.0)]]),
+                     max_iters=1)
+    # a pooled candidate holds its values in that order, 0.0 for an untouched
+    # feature; MERT's axis directions take the same order
+    assert [c.values for c in state.pool_lists()[0]] == [(2.0, 1.0, 0.0, 4.0, 5.0)]
