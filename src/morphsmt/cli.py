@@ -9,6 +9,7 @@ of input digests and settings, so identical configs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import platform
 import sys
@@ -215,13 +216,22 @@ def decode_corpus(
     n: int,
 ) -> tuple[list[dec.Hypothesis], list[list[dec.NBestEntry]]]:
     """The best hypothesis and the ``n``-best list of each source sentence,
-    from one search per sentence."""
+    from one search per sentence.  The heap is frozen before each search, so
+    the collector skips the tables and LMs, and unfrozen on return; a caller
+    that has frozen objects itself manages freezing, so it is left alone."""
     best, lists = [], []
-    for source in sources:
-        entries, complete = dec.nbest(source, table, lm_m, lm_w, weights, beam,
-                                      distortion_limit, n)
-        lists.append(entries)
-        best.append(dec.decode(complete))
+    freeze = gc.get_freeze_count() == 0
+    try:
+        for source in sources:
+            if freeze:
+                gc.freeze()
+            entries, complete = dec.nbest(source, table, lm_m, lm_w, weights, beam,
+                                          distortion_limit, n)
+            lists.append(entries)
+            best.append(dec.decode(complete))
+    finally:
+        if freeze:
+            gc.unfreeze()
     return best, lists
 
 
@@ -383,10 +393,13 @@ def _load_search(args, source_path):
     table = px.read_phrase_table(args.table, args.granularity)
     lm_m = lmod.read_arpa(args.lm_morph) if args.lm_morph else None
     lm_w = lmod.read_arpa(args.lm_word) if args.lm_word else None
+    weights = features = dec.default_weights(table.n_extras, lm_m is not None, lm_w is not None)
     if args.weights:
         weights = _check_found(dec.read_weights(args.weights), "weights", args.weights)
-    else:
-        weights = dec.default_weights(table.n_extras, lm_m is not None, lm_w is not None)
+        unknown = [name for name in weights if name not in features]
+        if unknown:
+            raise ValueError(f"{args.weights}: unknown feature {unknown[0]!r}; expected one of "
+                             f"{', '.join(features)}")
     read = mo.read_word_file if args.granularity == "word" else mo.read_segmented_file
     sources = _search_sources(args.granularity, read(source_path))
     return dec.restrict_table(table, sources), lm_m, lm_w, weights, sources

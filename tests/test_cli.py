@@ -191,6 +191,43 @@ def test_tuning_a_runs_artifacts_gives_its_weights(tmp_path, system):
     assert (tmp_path / "mert_log.txt").read_bytes() == run["mert_log"].read_bytes()
 
 
+def lm_flags(run):
+    """The ``decode`` and ``mert`` flags that give a run's LMs, morpheme LM first."""
+    return [arg for name, flag in (("lm_m", "--lm-morph"), ("lm_w", "--lm-word"))
+            if name in run for arg in (flag, str(run[name]))]
+
+
+@pytest.mark.parametrize("system", sorted(cli.SYSTEMS))
+def test_a_weight_that_names_no_feature_is_refused(tmp_path, capsys, system):
+    ws = tmp_path / "ws"
+    cfg = load_config(synth.write_workspace(ws, seed=7, sizes=(30, 4, 4)))
+    run = cli.run_pipeline(system, cfg, tmp_path / "run")
+    plan = cli.PLANS[system]
+    kind = "words" if plan.granularity == "word" else "morphs"
+    lms = lm_flags(run)
+    out = tmp_path / "out.txt"
+    search = ["--table", str(run["pt"]), "--granularity", plan.granularity, "--output", str(out)]
+    decode = ["decode", "--input", str(ws / f"test.src.{kind}"), *search]
+    mert = ["mert", "--dev-source", str(ws / f"dev.src.{kind}"),
+            "--dev-refs", str(ws / "dev.tgt.words"), "--max-iters", "1", *search]
+    own = run["weights"].read_text(encoding="utf-8")
+    names = [line.split("\t")[0] for line in own.splitlines()]
+    misspelled = names[0][:-2] + names[0][-1] + names[0][-2]  # lm_morph -> lm_morhp
+    bad = tmp_path / "bad_weights.tsv"
+    bad.write_text(own.replace(names[0], misspelled, 1), encoding="utf-8")
+    for argv in (decode, mert):
+        assert cli.main([*argv, *lms, "--weights", str(bad)]) == 1
+        assert capsys.readouterr().err == (f"error: {bad}: unknown feature {misspelled!r}; "
+                                           f"expected one of {', '.join(names)}\n")
+        assert not out.exists()
+        assert cli.main([*argv, *lms, "--weights", str(run["weights"])]) == 0
+        out.unlink()
+    if "lm_w" in run:  # a weight for an LM the search is not given
+        assert cli.main([*decode, *lms[:-2], "--weights", str(run["weights"])]) == 1
+        assert "unknown feature 'lm_word'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def whole_word_spans(source):
     """Every whole-word span of a morpheme sentence, as its token strings."""
     spans = morpho.word_spans(source)
@@ -224,9 +261,10 @@ def test_pipeline_and_decode_search_only_what_their_sentences_can_look_up(
         searched.clear()
 
     check_searches(("dev", "test") if cli.PLANS[system].tune else ("test",))
+    lms = lm_flags(run)
     assert cli.main(["decode", "--input", str(cfg.paths["test_src_morphs"]),
                      "--table", str(run["pt"]), "--weights", str(run["weights"]),
-                     "--output", str(tmp_path / "out.txt")]) == 0
+                     "--output", str(tmp_path / "out.txt"), *lms]) == 0
     check_searches(("test",))
 
 
@@ -1059,3 +1097,43 @@ def test_a_finished_pipeline_holds_no_model_or_table(tmp_path, monkeypatch, syst
     gc.collect()
     assert len(built) == n_built
     assert [type(ref()).__name__ for ref in built if ref() is not None] == []
+
+
+@pytest.mark.parametrize("disabled", [False, True])
+@pytest.mark.parametrize("caller_froze", [False, True])
+@pytest.mark.parametrize("fail", [False, True])
+def test_decode_corpus_leaves_the_collector_as_it_found_it(
+        tmp_path, monkeypatch, disabled, caller_froze, fail):
+    (tmp_path / "pt.txt").write_text(TABLE_LINE, encoding="utf-8")
+    table = phrasex.read_phrase_table(tmp_path / "pt.txt")
+    sources = [("a/STM",), ("a/STM", "a/STM"), ("a/STM",)]
+    weights = decoder.default_weights(table.n_extras, False, False)
+    frozen_during = []
+    nbest = decoder.nbest
+
+    def counted_nbest(*args):
+        frozen_during.append(gc.get_freeze_count())
+        if fail and len(frozen_during) == 2:
+            raise RuntimeError("second sentence")
+        return nbest(*args)
+
+    monkeypatch.setattr(decoder, "nbest", counted_nbest)
+    try:
+        if disabled:
+            gc.disable()
+        if caller_froze:
+            gc.freeze()
+        before = (gc.isenabled(), gc.get_freeze_count())
+        assert before[1] > 0 if caller_froze else before[1] == 0
+        if fail:
+            with pytest.raises(RuntimeError):
+                cli.decode_corpus(sources, table, None, None, weights, 10, 6, 5)
+        else:
+            best, lists = cli.decode_corpus(sources, table, None, None, weights, 10, 6, 5)
+            assert len(best) == len(lists) == 3
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+        assert len(frozen_during) == (2 if fail else 3)
+        assert all(count > 0 for count in frozen_during)
+    finally:
+        gc.unfreeze()
+        gc.enable()
