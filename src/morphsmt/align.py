@@ -229,13 +229,16 @@ def read_lexical_table(path) -> LexicalTable:
 
 
 def _parse_lexical_line(line: str):
-    """``((src or None, tgt), prob)`` of one table line; None if blank."""
+    """``((src or None, tgt), prob)`` of one table line; None if blank.  An
+    empty source is NULL; an empty target is refused."""
     if not line.strip():
         return None
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 3:
         raise ValueError(f"expected src<TAB>tgt<TAB>prob: {line.rstrip()!r}")
     src, tgt, p = fields
+    if not tgt:
+        raise ValueError(f"empty target: {line.rstrip()!r}")
     prob = float(p)
     if not math.isfinite(prob):
         raise ValueError(f"probability must be finite: {line.rstrip()!r}")

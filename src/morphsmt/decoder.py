@@ -13,11 +13,10 @@ rank by score, then the larger target, so the 1-best heads the n-best list.
 Each search fixes one order of feature slots: the options' TM feature
 names, ``lm_morph`` and ``lm_word`` for the LMs present, ``word_penalty`` and
 ``distortion``.  A hypothesis holds its values in that order (0.0 where
-untouched) and a bitmask of the slots its path touched, so ``features`` and
-the n-best file list exactly the features the path added to.  Scores are
-``math.fsum`` of weights times values: correctly rounded, hence free of the
-slot order and of the untouched slots' zeros, and the same on every Python
-version.
+untouched); ``features`` and the n-best file list the features its path
+added to, read off the path.  Scores are ``math.fsum`` of weights times
+values: correctly rounded, hence free of the slot order and of the untouched
+slots' zeros, and the same on every Python version.
 """
 
 from __future__ import annotations
@@ -121,7 +120,6 @@ class Hypothesis:
     last_end: int  # word index one past the last applied span
     state: TwinScorerState
     names: tuple[str, ...]  # the search's feature slots, in slot order
-    touched: int  # bitmask over slots: the features some step of the path added to
     values: list[float]  # feature values in slot order, 0.0 where untouched
     score: float
     parent: Optional["Hypothesis"]
@@ -129,10 +127,17 @@ class Hypothesis:
 
     @property
     def features(self) -> dict[str, float]:
-        """The features the path touched, by name, in slot order."""
-        touched = self.touched
-        return {name: value for i, (name, value) in enumerate(zip(self.names, self.values))
-                if touched >> i & 1}
+        """The features the path added to, by name, in slot order: its
+        options' TM features, the LMs present (every hypothesis ``search``
+        returns is finalized; the root, which nothing reads, lists them at
+        0.0), ``word_penalty`` once the path is non-empty, and ``distortion``
+        once it jumped (jumps are whole numbers, added exactly)."""
+        added = {name for opt in _applied(self) for name, _ in opt.tm_features}
+        added.update(("lm_morph", "lm_word"))
+        if self.option is not None:
+            added.add("word_penalty")
+        return {name: value for name, value in zip(self.names, self.values)
+                if name in added or name == "distortion" and value}
 
 
 def _span_mask(start: int, end: int) -> int:
@@ -262,10 +267,8 @@ def search(
     """All finalized complete hypotheses that survived the beam.
 
     Each option gets one template in this search's slot order (its TM values
-    and word count, 0.0 elsewhere) and the touched bits of those slots and of
-    the LMs.  A child's values are its parent's plus the template, with the
-    jump and the LM deltas added at their slots, and its touched mask is the
-    parent's, the option's and, if it jumped, distortion's.
+    and word count, 0.0 elsewhere).  A child's values are its parent's plus
+    the template, with the jump and the LM deltas added at their slots.
 
     A stack offered more than ``beam_size`` hypotheses keeps its best
     ``beam_size`` by score + rest cost (a stable sort, so ties keep arrival
@@ -286,11 +289,7 @@ def search(
     more than ``SLACK * M`` below the minimum is one the exact test rejects.
       - Before its LM queries, by the cheap key alone.  LM log-probs are
         <= 0, so with every present LM weight >= 0 it bounds the key with
-        the LM deltas; with a negative LM weight this test is off.  The
-        options of one source span form a group, in ``build_options`` order,
-        with its best TM score and largest magnitude, and a group whose best
-        offer fails is rejected whole; every offer still counts for the
-        stack's sort.
+        the LM deltas; with a negative LM weight this test is off.
       - After them, for any weight signs, by the cheap key plus each LM's
         weighted delta.
     Only a child that passes both gets its values and exact score, and it
@@ -318,33 +317,25 @@ def search(
     jump_slot = slot["distortion"]
     w_morph = 0.0 if morph_slot is None else wvec[morph_slot]
     w_word = 0.0 if word_slot is None else wvec[word_slot]
-    step_bits = sum(1 << slot[name] for name in ("lm_morph", "lm_word", "word_penalty")
-                    if name in slot)
-    # per start, one group per span in option order: (mask, width, members,
-    # best TM score, largest magnitude); per member: (option, target id,
-    # compiled target, template, touched bits, weighted TM score, its magnitude)
-    by_start: dict[int, list[tuple[int, int, list[tuple], float, float]]] = {}
+    # per start, one group per span in option order: (mask, width, members);
+    # per member: (option, target id, compiled target, template, weighted TM
+    # score, its magnitude)
+    by_start: dict[int, list[tuple[int, int, list[tuple]]]] = {}
     targets: dict[tuple[str, ...], int] = {}
     compiled = []  # by target id
     for (start, end), span_options in groupby(options, key=lambda o: (o.start, o.end)):
         members = []
         for opt in span_options:
             template = [0.0] * len(names)
-            bits = step_bits
             for name, value in opt.tm_features:
                 template[slot[name]] = value
-                bits |= 1 << slot[name]
             template[slot["word_penalty"]] = float(opt.n_words)
             target_id = targets.setdefault(opt.target, len(targets))
             if target_id == len(compiled):
                 compiled.append(compile_target(opt.target))
-            members.append((opt, target_id, compiled[target_id], template, bits,
+            members.append((opt, target_id, compiled[target_id], template,
                             *_tm_score(wvec, template)))
-        tms = [tm for *_, tm, _ in members]
-        by_start.setdefault(start, []).append((
-            _span_mask(start, end), end - start, members,
-            math.nan if any(map(math.isnan, tms)) else max(tms),
-            max(mag for *_, mag in members)))
+        by_start.setdefault(start, []).append((_span_mask(start, end), end - start, members))
     future = _future_costs(options, n_words, weights, lm_m)
     rest_memo: dict[int, float] = {}
     reject = beam_size is not None and beam_size > 0
@@ -354,7 +345,7 @@ def search(
     )
 
     stacks: list[list[Hypothesis]] = [[] for _ in range(n_words + 1)]
-    stacks[0].append(Hypothesis(0, 0, initial_twin_state(lm_m, lm_w), names, 0,
+    stacks[0].append(Hypothesis(0, 0, initial_twin_state(lm_m, lm_w), names,
                                 [0.0] * len(names), 0.0, None, None))
     offered = [0] * (n_words + 1)  # hypotheses offered per stack, rejected ones included
     offered[0] = 1
@@ -375,7 +366,6 @@ def search(
         for hyp in stack:
             coverage = hyp.coverage
             parent_values = hyp.values
-            parent_touched = hyp.touched
             parent_score = hyp.score
             parent_mag = _magnitude(wvec, parent_values)
             by_target = lm_scores.setdefault(hyp.state, {})
@@ -385,7 +375,7 @@ def search(
                     continue
                 jump = abs(start - hyp.last_end)
                 jump_term = wvec[jump_slot] * jump
-                for mask, width, members, best_tm, best_mag in by_start.get(start, ()):
+                for mask, width, members in by_start.get(start, ()):
                     if mask & coverage:
                         continue
                     target = level + width
@@ -395,10 +385,7 @@ def search(
                         heap = best_keys[target]
                         base = parent_score + jump_term + rest
                         base_mag = parent_mag + abs(jump_term) + abs(rest)
-                        if (reject_pre_lm and len(heap) == beam_size
-                                and base + best_tm + SLACK * (base_mag + best_mag) < heap[0]):
-                            continue  # the group's best offer fails, so every one does
-                    for opt, target_id, phrase, template, bits, tm, mag in members:
+                    for opt, target_id, phrase, template, tm, mag in members:
                         full = reject and len(heap) == beam_size
                         if full:
                             lowest = heap[0]
@@ -432,8 +419,7 @@ def search(
                             heapq.heappushpop(heap, score + rest)
                         elif reject:
                             heapq.heappush(heap, score + rest)
-                        touched = parent_touched | bits | (1 << jump_slot if jump else 0)
-                        stacks[target].append(extend(hyp, opt, state, touched, values, score))
+                        stacks[target].append(extend(hyp, opt, state, values, score))
 
     complete = stacks[n_words]
     if beam_size is not None and offered[n_words] > beam_size:
@@ -460,16 +446,12 @@ def _extend(
     hyp: Hypothesis,
     opt: TranslationOption,
     state: TwinScorerState,
-    touched: int,
     values: list[float],
     score: float,
 ) -> Hypothesis:
     """``hyp`` extended by ``opt``; ``search`` works out the child's twin
-    state, touched slots, values (LM deltas included) and score."""
-    return Hypothesis(
-        hyp.coverage | opt.mask, opt.end, state, hyp.names, touched, values, score,
-        hyp, opt,
-    )
+    state, values (LM deltas included) and score."""
+    return Hypothesis(hyp.coverage | opt.mask, opt.end, state, hyp.names, values, score, hyp, opt)
 
 
 def _finalize(
@@ -478,21 +460,18 @@ def _finalize(
     lm_w: Optional[NGramModel],
     wvec: Sequence[float],
 ) -> Hypothesis:
-    """``hyp`` with the end-of-sentence LM deltas added (touching the LM slots
-    even where no step did, as in an empty sentence), scored by ``wvec``, the
-    weights in slot order."""
+    """``hyp`` with the end-of-sentence LM deltas added, scored by ``wvec``,
+    the weights in slot order."""
     names = hyp.names
     values = hyp.values.copy()
-    touched = hyp.touched
     deltas = dict(zip(("lm_morph", "lm_word"), twin_finalize(hyp.state, lm_m, lm_w)))
     if hyp.state.pending:  # the flushed tail counts as a completed word
         deltas["word_penalty"] = 1
     for i, name in enumerate(names):
         if name in deltas:
             values[i] += deltas[name]
-            touched |= 1 << i
     return Hypothesis(
-        hyp.coverage, hyp.last_end, hyp.state, names, touched, values,
+        hyp.coverage, hyp.last_end, hyp.state, names, values,
         fsum(map(mul, wvec, values)), hyp.parent, hyp.option,
     )
 

@@ -353,6 +353,8 @@ def _parse_phrase_line(line: str, shared: dict) -> Optional[tuple[tuple, PhraseE
         raise ValueError(f"bad phrase-table line: {line.rstrip()!r}")
     src = tuple(fields[0].split())
     tgt = tuple(fields[1].split())
+    if not (src and tgt):
+        raise ValueError(f"empty phrase side: {line.rstrip()!r}")
     scores = [float(x) for x in fields[2].split()]
     if len(scores) < 5:
         raise ValueError(f"expected >= 5 scores: {line.rstrip()!r}")

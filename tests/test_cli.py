@@ -333,6 +333,8 @@ DECODE_MALFORMED = {
     "weights-nan": ("weights", "phi_bwd\tnan\n"),
     "table": ("table", "a/STM ||| y/STM ||| 1.0 oops\n"),
     "table-inf": ("table", f"a/STM ||| y/STM ||| inf 1.0 1.0 1.0 {math.e!r} ||| 1 ||| 0-0\n"),
+    "table-empty-source": ("table", f" ||| y/STM ||| 0.5 0.5 0.5 0.5 {math.e!r} ||| 1 |||\n"),
+    "table-empty-target": ("table", f"a/STM ||| ||| 0.5 0.5 0.5 0.5 {math.e!r} ||| 1 |||\n"),
 }
 
 
@@ -402,6 +404,14 @@ MALFORMED_INPUTS = {
         "lex", 2,
         ["merge-pt", "--method", "our-method", "--primary", "{pt}", "--secondary", "{pt}",
          "--pt-w", "{pt}", "--lex-m-fwd", "{lex_ok}", "--lex-m-bwd", "{lex}",
+         "--lex-w-fwd", "{lex_ok}", "--lex-w-bwd", "{lex_ok}", "--output", "{out}"],
+    ),
+    "lexical-empty-target": (
+        {"pt": TABLE_LINE, "lex": "a/STM\tx/STM\t0.5\na/STM\t\t0.5\n",
+         "lex_ok": "a/STM\tx/STM\t0.5\n"},
+        "lex", 2,
+        ["merge-pt", "--method", "our-method", "--primary", "{pt}", "--secondary", "{pt}",
+         "--pt-w", "{pt}", "--lex-m-fwd", "{lex}", "--lex-m-bwd", "{lex_ok}",
          "--lex-w-fwd", "{lex_ok}", "--lex-w-bwd", "{lex_ok}", "--output", "{out}"],
     ),
     "lexical-duplicate": (

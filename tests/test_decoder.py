@@ -686,8 +686,8 @@ def test_offer_a_rounding_error_above_the_heap_minimum_is_kept(monkeypatch):
 
 
 def test_stack_offered_more_than_beam_only_through_a_rejected_group_is_sorted(monkeypatch):
-    # From the root, x1 and x2 fill stack 1's beam-2 heap; the group of y1
-    # and y2 (word b, a jump away) is then rejected whole.  Stack 1 holds two
+    # From the root, x1 and x2 fill stack 1's beam-2 heap; y1 and y2 (word
+    # b, a jump away) then each fail the pre-LM test.  Stack 1 holds two
     # hypotheses but was offered four, so it is sorted: x2 is expanded first.
     from oracles import reference_search
 
@@ -718,10 +718,10 @@ def single_word_options(*specs):
 
 
 def test_group_with_a_nan_key_after_its_first_member_is_not_rejected_whole(monkeypatch):
-    # From the root, x fills stack 1's beam-1 heap, and then the group of y1
-    # and y2 (word b, a jump away) is offered.  y1 fails the heap minimum,
-    # but y2's key is NaN (weight 0 times an infinite score), which the
-    # exact test keeps: so the group is not rejected whole and y2 is built.
+    # From the root, x fills stack 1's beam-1 heap, and then y1 and y2 (word
+    # b, a jump away) are offered.  y1 fails the pre-LM test, but y2's key
+    # is NaN (weight 0 times an infinite score), which no cheap test rejects
+    # and the exact test keeps: so y2 is built.
     from oracles import reference_search
 
     monkeypatch.setattr(decoder, "build_options", lambda *args: single_word_options(
