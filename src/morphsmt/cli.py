@@ -26,7 +26,7 @@ from . import mert as mt
 from . import metrics as ev
 from . import morpho as mo
 from . import phrasex as px
-from .config import BOUNDS, PipelineConfig, load_config
+from .config import CHECKS, PipelineConfig, load_config
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ def _check_flags(args) -> None:
     """ValueError naming the first given flag outside its setting's bound."""
     for dest, setting in _FLAG_SETTINGS.items():
         value = getattr(args, dest, None)
-        ok, must = BOUNDS[setting]
+        ok, message = CHECKS[setting]
         if value is not None and not ok(value):
-            raise ValueError(f"--{dest.replace('_', '-')} {must}")
+            raise ValueError(message.format(name=f"--{dest.replace('_', '-')}", value=value))
 
 
 def sha256_file(path) -> str:

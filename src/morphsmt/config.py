@@ -1,16 +1,20 @@
 """Flat ``section.key = value`` pipeline configuration.
 
-Paths are resolved against the config file's own directory, so a config can
-sit next to its corpus.  Every numeric setting is validated and every data
-path must name a file at load time.  The corpus is the six segmented files;
-the pipeline derives each sentence's word view from its tokens.
+Each setting is declared once, on its ``PipelineConfig`` field through
+``_setting``: its config key, its default (whose type converts a value read
+from the file) and its check.  ``SETTINGS`` and ``CHECKS`` are derived from
+the fields; the subcommands' flag bounds read ``CHECKS`` too.  Paths are
+resolved against the config file's own directory, so a config can sit next to
+its corpus, and every data path must name a file at load time.  The corpus is
+the six segmented files; the pipeline derives each sentence's word view from
+its tokens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, NoReturn, Optional, get_args
+from typing import Any, Callable, Mapping, NoReturn, Optional, get_args
 
 from .align import Heuristic
 from .lm import Smoothing
@@ -21,33 +25,20 @@ DATA_KEYS = tuple(
     f"{split}_{side}_morphs" for split in ("train", "dev", "test") for side in ("src", "tgt")
 )
 
-_SETTING_KEYS = {
-    "granularity.max_words": ("max_words", int),
-    "granularity.max_morphemes": ("max_morphemes", int),
-    "lm.word_order": ("lm_word_order", int),
-    "lm.morph_order": ("lm_morph_order", int),
-    "lm.smoothing": ("lm_smoothing", str),
-    "align.iterations": ("align_iterations", int),
-    "align.heuristic": ("align_heuristic", str),
-    "decoder.beam": ("beam", int),
-    "decoder.distortion_limit": ("distortion_limit", int),
-    "decoder.nbest": ("nbest", int),
-    "mert.max_iters": ("mert_max_iters", int),
-    "mert.epsilon": ("mert_epsilon", float),
-    "merge.method": ("merge_method", str),
-    "merge.alpha": ("merge_alpha", float),
-    "merge.primary": ("merge_primary", str),
-    "seed": ("seed", int),
-}
+# a setting's check: a test of its value, and a message with {name} and {value} slots
+Check = tuple[Callable[[Any], bool], str]
+POSITIVE: Check = (lambda v: v > 0, "{name} must be positive")
+NON_NEGATIVE: Check = (lambda v: v >= 0, "{name} must be >= 0")
+UNIT: Check = (lambda v: 0.0 <= v <= 1.0, "{name} must be in [0, 1]")
 
-# each bounded setting: a test of its value, and what a value must be to pass
-BOUNDS = {
-    **dict.fromkeys(("max_words", "max_morphemes", "lm_word_order", "lm_morph_order",
-                     "align_iterations", "beam", "nbest", "mert_max_iters", "mert_epsilon",
-                     "seed"), (lambda v: v > 0, "must be positive")),
-    "distortion_limit": (lambda v: v >= 0, "must be >= 0"),
-    "merge_alpha": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
-}
+
+def _one_of(choices, message: str) -> Check:
+    return choices.__contains__, message
+
+
+def _setting(key: str, default, check: Check) -> Any:
+    """A field that config ``key`` sets; ``default``'s type converts the value read."""
+    return field(default=default, metadata={"key": key, "check": check})
 
 
 class ConfigError(ValueError):
@@ -57,43 +48,40 @@ class ConfigError(ValueError):
 @dataclass
 class PipelineConfig:
     paths: dict[str, Path] = field(default_factory=dict)
-    max_words: int = 7
-    max_morphemes: int = 10
-    lm_word_order: int = 4
-    lm_morph_order: int = 5
-    lm_smoothing: str = "witten-bell"
-    align_iterations: int = 5
-    align_heuristic: str = "grow-diag-final-and"
-    beam: int = 100
-    distortion_limit: int = 6
-    nbest: int = 100
-    mert_max_iters: int = 10
-    mert_epsilon: float = 0.0001
-    merge_method: str = "our-method"
-    merge_alpha: float = 0.6
-    merge_primary: str = "wm"
-    seed: int = 42
+    max_words: int = _setting("granularity.max_words", 7, POSITIVE)
+    max_morphemes: int = _setting("granularity.max_morphemes", 10, POSITIVE)
+    lm_word_order: int = _setting("lm.word_order", 4, POSITIVE)
+    lm_morph_order: int = _setting("lm.morph_order", 5, POSITIVE)
+    lm_smoothing: str = _setting("lm.smoothing", "witten-bell",
+                                 _one_of(get_args(Smoothing), "unknown smoothing: {value}"))
+    align_iterations: int = _setting("align.iterations", 5, POSITIVE)
+    align_heuristic: str = _setting("align.heuristic", "grow-diag-final-and",
+                                    _one_of(get_args(Heuristic), "unknown heuristic: {value}"))
+    beam: int = _setting("decoder.beam", 100, POSITIVE)
+    distortion_limit: int = _setting("decoder.distortion_limit", 6, NON_NEGATIVE)
+    nbest: int = _setting("decoder.nbest", 100, POSITIVE)
+    mert_max_iters: int = _setting("mert.max_iters", 10, POSITIVE)
+    mert_epsilon: float = _setting("mert.epsilon", 0.0001, POSITIVE)
+    merge_method: str = _setting("merge.method", "our-method",
+                                 _one_of(get_args(MergeMethod), "unknown merge method: {value}"))
+    merge_alpha: float = _setting("merge.alpha", 0.6, UNIT)
+    merge_primary: str = _setting("merge.primary", "wm",
+                                  _one_of(("wm", "m"), "merge.primary must be wm or m: {value}"))
+    seed: int = _setting("seed", 42, POSITIVE)
 
     def validate(self, origins: Mapping[str, str], source: str) -> None:
-        """Check every setting.  ``origins`` maps a setting's attribute name,
-        or ``data.<key>``, to where it was set; a message names that first.
-        A data path set nowhere is reported against ``source``, the config
-        file's name."""
+        """Check every setting, in field order.  ``origins`` maps a setting's
+        attribute name, or ``data.<key>``, to where it was set; a message names
+        that first.  A data path set nowhere is reported against ``source``,
+        the config file's name."""
         def fail(name: str, problem: str) -> NoReturn:
             where = origins.get(name)
             raise ConfigError(f"{where}: {problem}" if where else problem)
 
-        for name, (ok, must) in BOUNDS.items():
-            if not ok(getattr(self, name)):
-                fail(name, f"{name} {must}")
-        if self.merge_method not in get_args(MergeMethod):
-            fail("merge_method", f"unknown merge method: {self.merge_method}")
-        if self.merge_primary not in ("wm", "m"):
-            fail("merge_primary", f"merge.primary must be wm or m: {self.merge_primary}")
-        if self.lm_smoothing not in get_args(Smoothing):
-            fail("lm_smoothing", f"unknown smoothing: {self.lm_smoothing}")
-        if self.align_heuristic not in get_args(Heuristic):
-            fail("align_heuristic", f"unknown heuristic: {self.align_heuristic}")
+        for name, (ok, message) in CHECKS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                fail(name, message.format(name=name, value=value))
         missing = [k for k in DATA_KEYS if k not in self.paths]
         if missing:
             raise ConfigError(f"{source}: missing data paths: {', '.join(missing)}")
@@ -102,12 +90,14 @@ class PipelineConfig:
                 fail(f"data.{key}", f"data.{key}: no such file: {path}")
 
     def settings_items(self) -> list[tuple[str, str]]:
-        """Canonical (key, value) list, for manifests."""
-        items = [(k, str(self.paths[a])) for k, a in
-                 ((f"data.{key}", key) for key in DATA_KEYS)]
-        for key, (attr, _) in _SETTING_KEYS.items():
-            items.append((key, str(getattr(self, attr))))
-        return items
+        """Canonical (key, value) list, for manifests: the data paths, then
+        the settings in field order."""
+        return [*((f"data.{key}", str(self.paths[key])) for key in DATA_KEYS),
+                *((key, str(getattr(self, f.name))) for key, f in SETTINGS.items())]
+
+
+SETTINGS = {f.metadata["key"]: f for f in fields(PipelineConfig) if f.metadata}  # key: field
+CHECKS = {f.name: f.metadata["check"] for f in SETTINGS.values()}  # attribute name: check
 
 
 def load_config(
@@ -145,13 +135,13 @@ def load_config(
                 raise ConfigError(f"{where}: unknown data key: {key}")
             cfg.paths[name] = (base_dir / value).resolve()
             origins[key] = where
-        elif key in _SETTING_KEYS:
-            attr, conv = _SETTING_KEYS[key]
+        elif key in SETTINGS:
+            name, default = SETTINGS[key].name, SETTINGS[key].default
             try:
-                setattr(cfg, attr, conv(value))
+                setattr(cfg, name, type(default)(value))
             except ValueError as exc:
                 raise ConfigError(f"{where}: bad value for {key}: {value!r}") from exc
-            origins[attr] = where
+            origins[name] = where
         else:
             raise ConfigError(f"{where}: unknown config key: {key}")
     cfg.validate(origins, filename)

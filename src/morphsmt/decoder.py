@@ -502,8 +502,10 @@ def _rank(hyp: Hypothesis) -> tuple[float, tuple[str, ...]]:
 
 
 def decode(complete: Sequence[Hypothesis]) -> Hypothesis:
-    """The complete hypothesis that ``_rank`` puts first: the head of ``nbest``'s list."""
-    return max(complete, key=_rank)
+    """The complete hypothesis that ``_rank`` puts first: the head of ``nbest``'s
+    list.  Only the top-score hypotheses' targets are built and compared."""
+    top = max(hyp.score for hyp in complete)
+    return max((hyp for hyp in complete if hyp.score == top), key=target_tokens)
 
 
 @dataclass(frozen=True)

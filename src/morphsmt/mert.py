@@ -48,13 +48,6 @@ class MertState:
         return [[p[k] for k in sorted(p)] for p in self.pool]
 
 
-def _as_candidate(entry: NBestEntry, ref: Sequence[str], names: Sequence[str]) -> tuple:
-    words = tuple(words_from_tokens(entry.tokens))
-    key = (words, tuple(sorted(entry.features.items())))
-    values = tuple(entry.features.get(n, 0.0) for n in names)
-    return key, Candidate(values, bleu_stats(words, ref))
-
-
 Pool = Sequence[Sequence[Candidate]]  # per dev sentence, its candidates in pool order
 PerCandidate = Sequence[Sequence[float]]  # a number per candidate of a Pool
 
@@ -171,9 +164,12 @@ def mert_run(
 
     for iteration in range(max_iters):
         for s, entries in enumerate(decoder_handle(state.weights)):
-            for entry in entries:
-                key, cand = _as_candidate(entry, dev_refs[s], names)
-                state.pool[s].setdefault(key, cand)
+            for entry in entries:  # a candidate is built only under a new key
+                words = tuple(words_from_tokens(entry.tokens))
+                key = (words, tuple(sorted(entry.features.items())))
+                if key not in state.pool[s]:
+                    state.pool[s][key] = Candidate(tuple(entry.features.get(n, 0.0) for n in names),
+                                                   bleu_stats(words, dev_refs[s]))
         pool_lists = state.pool_lists()
 
         # a direction's (index, component) pairs and slopes; along an axis, a column

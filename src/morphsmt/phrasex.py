@@ -349,8 +349,9 @@ def _parse_phrase_line(line: str, shared: dict) -> Optional[tuple[tuple, PhraseE
     if not line.strip():
         return None
     fields = [f.strip() for f in line.split("|||")]
-    if len(fields) < 4:
-        raise ValueError(f"bad phrase-table line: {line.rstrip()!r}")
+    if not 4 <= len(fields) <= 5:
+        raise ValueError(f"expected 4 or 5 '|||'-separated fields, got {len(fields)}: "
+                         f"{line.rstrip()!r}")
     src = tuple(fields[0].split())
     tgt = tuple(fields[1].split())
     if not (src and tgt):

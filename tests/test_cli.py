@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from morphsmt import cli, decoder, lm, morpho, phrasex, synth
+from morphsmt import cli, config, decoder, lm, morpho, phrasex, synth
 from morphsmt.config import ConfigError, load_config
 
 
@@ -335,6 +335,8 @@ DECODE_MALFORMED = {
     "table-inf": ("table", f"a/STM ||| y/STM ||| inf 1.0 1.0 1.0 {math.e!r} ||| 1 ||| 0-0\n"),
     "table-empty-source": ("table", f" ||| y/STM ||| 0.5 0.5 0.5 0.5 {math.e!r} ||| 1 |||\n"),
     "table-empty-target": ("table", f"a/STM ||| ||| 0.5 0.5 0.5 0.5 {math.e!r} ||| 1 |||\n"),
+    "table-extra-field": ("table", f"a/STM ||| y/STM ||| 1.0 1.0 1.0 1.0 {math.e!r} ||| 1 "
+                                   "||| 0-0 ||| junk here\n"),
 }
 
 
@@ -1002,7 +1004,41 @@ CONFIG_ERRORS = {
                           "first set by --set decoder.beam=0"),
     "unknown-heuristic": (None, ["--set", "align.heuristic=grow-diag"],
                           "--set align.heuristic=grow-diag: unknown heuristic: grow-diag"),
+    "max-words": ("granularity.max_words = 0", [], "{cfg}:{line}: max_words must be positive"),
+    "max-morphemes": ("granularity.max_morphemes = 0", [],
+                      "{cfg}:{line}: max_morphemes must be positive"),
+    "lm-word-order": ("lm.word_order = 0", [], "{cfg}:{line}: lm_word_order must be positive"),
+    "lm-morph-order": ("lm.morph_order = -2", [],
+                       "{cfg}:{line}: lm_morph_order must be positive"),
+    "unknown-smoothing": ("lm.smoothing = laplace", [], "{cfg}:{line}: unknown smoothing: laplace"),
+    "align-iterations": ("align.iterations = 0", [],
+                         "{cfg}:{line}: align_iterations must be positive"),
+    "nbest": (None, ["--set", "decoder.nbest=0"], "--set decoder.nbest=0: nbest must be positive"),
+    "distortion-limit": ("decoder.distortion_limit = -1", [],
+                         "{cfg}:{line}: distortion_limit must be >= 0"),
+    "mert-max-iters": ("mert.max_iters = 0", [], "{cfg}:{line}: mert_max_iters must be positive"),
+    "unknown-merge-method": ("merge.method = add-3", [],
+                             "{cfg}:{line}: unknown merge method: add-3"),
+    "merge-primary": (None, ["--set", "merge.primary=x"],
+                      "--set merge.primary=x: merge.primary must be wm or m: x"),
+    "seed": ("seed = 0", [], "{cfg}:{line}: seed must be positive"),
 }
+
+
+def test_settings_items_list_data_paths_then_each_setting_in_order():
+    # the manifest's settings: the six data keys, then every setting key with
+    # its default, in the order the manifest has always written them
+    paths = {key: Path(key) for key in config.DATA_KEYS}
+    assert config.PipelineConfig(paths=paths).settings_items() == [
+        *((f"data.{split}_{side}_morphs", f"{split}_{side}_morphs")
+          for split in ("train", "dev", "test") for side in ("src", "tgt")),
+        ("granularity.max_words", "7"), ("granularity.max_morphemes", "10"),
+        ("lm.word_order", "4"), ("lm.morph_order", "5"), ("lm.smoothing", "witten-bell"),
+        ("align.iterations", "5"), ("align.heuristic", "grow-diag-final-and"),
+        ("decoder.beam", "100"), ("decoder.distortion_limit", "6"), ("decoder.nbest", "100"),
+        ("mert.max_iters", "10"), ("mert.epsilon", "0.0001"), ("merge.method", "our-method"),
+        ("merge.alpha", "0.6"), ("merge.primary", "wm"), ("seed", "42"),
+    ]
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))

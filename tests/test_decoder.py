@@ -576,6 +576,20 @@ def test_tied_targets_rank_the_larger_first_and_decode_returns_nbest_head(n):
         entries[0].tokens, entries[0].features, entries[0].score)
 
 
+def test_decode_builds_a_target_only_for_the_top_score(monkeypatch):
+    # distinct scores: the one top-score hypothesis is picked without
+    # building any other hypothesis' target
+    src = morpho.parse_segmented_line("a/STM")
+    tab = table([entry(("a/STM",), (f"x{i}/STM",), p) for i, p in enumerate((0.3, 0.5, 0.4))])
+    complete = decoder.search(src, tab, None, None, {"phi_fwd": 1.0}, None, 0)
+    assert sorted(h.score for h in complete) == [math.log(p) for p in (0.3, 0.4, 0.5)]
+    calls = []
+    real = decoder.target_tokens
+    monkeypatch.setattr(decoder, "target_tokens", lambda hyp: calls.append(1) or real(hyp))
+    assert real(decoder.decode(complete)) == ("x1/STM",)
+    assert len(calls) == 1
+
+
 def test_stack_offered_more_than_beam_is_sorted_even_after_rejections():
     # x3 is rejected, so stack 1 holds exactly beam=2 hypotheses; it was
     # offered three, so it is sorted as the plain search sorts it

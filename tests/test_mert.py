@@ -118,6 +118,24 @@ def test_pool_only_grows_and_dedups():
     assert len(state.pool[0]) == 2
 
 
+def test_a_candidate_is_built_only_under_a_new_key(monkeypatch):
+    # the same lists on every iteration; within them, two entries share words
+    # and features, and one shares only the words: three distinct candidates
+    lists = [
+        [NBestEntry(("a/STM+", "b/SUF"), {"f": 1.0}, 0.0),
+         NBestEntry(("ab/STM",), {"f": 1.0}, 0.0),
+         NBestEntry(("ab/STM",), {"f": 2.0}, 0.0)],
+        [NBestEntry(("c/STM",), {"f": 0.5}, 0.0)],
+    ]
+    calls = []
+    real = mert.bleu_stats
+    monkeypatch.setattr(mert, "bleu_stats", lambda *a: calls.append(1) or real(*a))
+    state = mert_run([("ab",), ("c",)], {"f": 1.0}, fake_handle(lists), max_iters=3)
+    assert len(state.history) >= 2
+    assert [len(p) for p in state.pool] == [2, 1]
+    assert len(calls) == 3
+
+
 def test_empty_dev_is_error():
     with pytest.raises(ValueError):
         mert_run([], {"f": 1.0}, fake_handle([]), max_iters=1)
