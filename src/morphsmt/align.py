@@ -45,11 +45,6 @@ class AlignmentMatrix:
                 raise ValueError(f"link ({i},{j}) out of bounds "
                                  f"{self.source_len}x{self.target_len}")
 
-    def transpose(self) -> "AlignmentMatrix":
-        return AlignmentMatrix(
-            frozenset((j, i) for i, j in self.links), self.target_len, self.source_len
-        )
-
 
 def train_model1(pairs: SentencePairs, iterations: int = 5) -> LexicalTable:
     """EM-train IBM Model 1 translation probabilities with a NULL source,
@@ -148,9 +143,9 @@ def symmetrize(
     """
     if (fwd.source_len, fwd.target_len) != (rev.target_len, rev.source_len):
         raise ValueError("alignment dimension mismatch")
-    rev_t = rev.transpose()
-    inter = fwd.links & rev_t.links
-    union = fwd.links | rev_t.links
+    rev_links = frozenset((j, i) for i, j in rev.links)
+    inter = fwd.links & rev_links
+    union = fwd.links | rev_links
 
     if heuristic == "intersection":
         links = inter
@@ -187,7 +182,7 @@ def symmetrize(
                         changed = True
         # final-and: only points whose source AND target are both uncovered
         grow(sorted(fwd.links - links), require_both=True)
-        grow(sorted(rev_t.links - links), require_both=True)
+        grow(sorted(rev_links - links), require_both=True)
         links = frozenset(links)
     else:
         raise ValueError(f"unknown heuristic: {heuristic}")

@@ -217,21 +217,18 @@ def decode_corpus(
 ) -> tuple[list[dec.Hypothesis], list[list[dec.NBestEntry]]]:
     """The best hypothesis and the ``n``-best list of each source sentence,
     from one search per sentence.  The heap is frozen before each search, so
-    the collector skips the tables and LMs, and unfrozen on return; a caller
-    that has frozen objects itself manages freezing, so it is left alone."""
+    the collector skips the tables and LMs, and wholly unfrozen on return: a
+    freeze count cannot tell a caller's freeze from CPython 3.12's own."""
     best, lists = [], []
-    freeze = gc.get_freeze_count() == 0
     try:
         for source in sources:
-            if freeze:
-                gc.freeze()
+            gc.freeze()
             entries, complete = dec.nbest(source, table, lm_m, lm_w, weights, beam,
                                           distortion_limit, n)
             lists.append(entries)
             best.append(dec.decode(complete))
     finally:
-        if freeze:
-            gc.unfreeze()
+        gc.unfreeze()
     return best, lists
 
 

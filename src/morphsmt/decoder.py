@@ -353,7 +353,6 @@ def search(
     # this search's memo: twin_extend results (with the weighted LM term and
     # its magnitude) per state and target id
     lm_scores: dict[TwinScorerState, dict[int, tuple]] = {}
-    extend = _extend  # looked up per search, so a wrapper set on the module is used
 
     for level in range(n_words):
         stack = stacks[level]
@@ -419,7 +418,7 @@ def search(
                             heapq.heappushpop(heap, score + rest)
                         elif reject:
                             heapq.heappush(heap, score + rest)
-                        stacks[target].append(extend(hyp, opt, state, values, score))
+                        stacks[target].append(_extend(hyp, opt, state, values, score))
 
     complete = stacks[n_words]
     if beam_size is not None and offered[n_words] > beam_size:

@@ -1148,8 +1148,10 @@ def test_a_finished_pipeline_holds_no_model_or_table(tmp_path, monkeypatch, syst
 @pytest.mark.parametrize("disabled", [False, True])
 @pytest.mark.parametrize("caller_froze", [False, True])
 @pytest.mark.parametrize("fail", [False, True])
-def test_decode_corpus_leaves_the_collector_as_it_found_it(
+def test_decode_corpus_freezes_each_search_and_unfreezes_all(
         tmp_path, monkeypatch, disabled, caller_froze, fail):
+    # CPython 3.12 keeps some objects of its own frozen, so the count at entry
+    # need not be 0 even when nothing called gc.freeze()
     (tmp_path / "pt.txt").write_text(TABLE_LINE, encoding="utf-8")
     table = phrasex.read_phrase_table(tmp_path / "pt.txt")
     sources = [("a/STM",), ("a/STM", "a/STM"), ("a/STM",)]
@@ -1169,17 +1171,17 @@ def test_decode_corpus_leaves_the_collector_as_it_found_it(
             gc.disable()
         if caller_froze:
             gc.freeze()
-        before = (gc.isenabled(), gc.get_freeze_count())
-        assert before[1] > 0 if caller_froze else before[1] == 0
+        enabled, at_entry = gc.isenabled(), gc.get_freeze_count()
         if fail:
             with pytest.raises(RuntimeError):
                 cli.decode_corpus(sources, table, None, None, weights, 10, 6, 5)
         else:
             best, lists = cli.decode_corpus(sources, table, None, None, weights, 10, 6, 5)
             assert len(best) == len(lists) == 3
-        assert (gc.isenabled(), gc.get_freeze_count()) == before
+        assert gc.isenabled() == enabled
+        assert gc.get_freeze_count() < min(frozen_during)
         assert len(frozen_during) == (2 if fail else 3)
-        assert all(count > 0 for count in frozen_during)
+        assert all(count > at_entry for count in frozen_during)
     finally:
         gc.unfreeze()
         gc.enable()
