@@ -32,6 +32,7 @@ import math
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Literal, NamedTuple, NoReturn, Optional, Sequence, get_args
 
 from .morpho import read_lines, split_token_string, write_lines
@@ -80,16 +81,18 @@ class NGramModel:
     def contexts(self) -> frozenset[tuple[str, ...]]:
         """Known contexts: every prefix, up to order-1 tokens, of a stored
         n-gram or of a context with a backoff weight.  Closed under prefixes,
-        so a context outside the set stays outside when a token is appended."""
+        so a context outside the set stays outside when a token is appended.
+        Built on the first query that needs it: the n-gram levels below the
+        top order and the backoff contexts, which for a trained Witten-Bell
+        or Kneser-Ney model are already the whole set, and then each prefix
+        that is missing, since an ARPA file need not be closed under prefixes."""
         longest = self.order - 1
-        known: set[tuple[str, ...]] = set()
-        for level in (*self.logprobs, *self.backoffs):
-            for gram in level:
-                for i in range(min(len(gram), longest), 0, -1):
-                    prefix = gram[:i]
-                    if prefix in known:
-                        break  # its own prefixes are in already
-                    known.add(prefix)
+        known = set().union(*self.logprobs[:longest], *self.backoffs[:longest])
+        for gram in chain(tuple(known), self.logprobs[longest], self.backoffs[longest]):
+            prefix = gram[:-1]
+            while prefix and prefix not in known:
+                known.add(prefix)
+                prefix = prefix[:-1]
         return frozenset(known)
 
     def minimal_context(self, context: tuple[str, ...]) -> tuple[str, ...]:
@@ -252,7 +255,9 @@ def _miss(model: NGramModel, ctx_id: int, token: str, event: str) -> tuple[float
       - the next context is h + event if that is a known context shorter
         than the order (under MLE contexts are whole, so every one is
         known), else s's next context, as known contexts are closed under
-        prefixes.
+        prefixes.  h + event is then its own minimal form, so its id is
+        read from the intern table, and ``context_id`` is called only to
+        intern it on first use.
     s's answer is read from its table, or worked out here without being
     stored, so a miss adds one table entry.  A stored answer at the
     LOG_ZERO floor may have been clipped, so then s's raw answer is worked
@@ -265,21 +270,23 @@ def _miss(model: NGramModel, ctx_id: int, token: str, event: str) -> tuple[float
     backs_off = lp is None and bool(ctx) and not mle
     if lp is None and not backs_off:
         lp = NEG_INF
-    if extends and not backs_off:
-        return lp, model.context_id(gram)
-    if not ctx:
-        return lp, ctx_id
-    suffix = model._suffixes[ctx_id]
-    hit = model._transitions[suffix].get(token)
-    if hit is None:
-        suffix_lp, next_id = _miss(model, suffix, token, event)
-    else:
-        suffix_lp, next_id = hit
-        if backs_off and suffix_lp <= LOG_ZERO:
-            suffix_lp = _miss(model, suffix, token, event)[0]
-    if backs_off:
-        lp = model._bows[ctx_id] + suffix_lp
-    return lp, model.context_id(gram) if extends else next_id
+    if backs_off or not extends:
+        if not ctx:
+            return lp, ctx_id
+        suffix = model._suffixes[ctx_id]
+        hit = model._transitions[suffix].get(token)
+        if hit is None:
+            suffix_lp, next_id = _miss(model, suffix, token, event)
+        else:
+            suffix_lp, next_id = hit
+            if backs_off and suffix_lp <= LOG_ZERO:
+                suffix_lp = _miss(model, suffix, token, event)[0]
+        if backs_off:
+            lp = model._bows[ctx_id] + suffix_lp
+        if not extends:
+            return lp, next_id
+    next_id = model._context_ids.get(gram)
+    return lp, model.context_id(gram) if next_id is None else next_id
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,22 @@ def next_context(model, ctx, token):
     return model.minimal_context(roll(ctx, event, model.order))
 
 
+def reference_contexts(model):
+    """``NGramModel.contexts`` as a walk over every stored n-gram and every
+    context with a backoff weight, adding each of its prefixes up to
+    order-1 tokens long."""
+    longest = model.order - 1
+    known = set()
+    for level in (*model.logprobs, *model.backoffs):
+        for gram in level:
+            for i in range(min(len(gram), longest), 0, -1):
+                prefix = gram[:i]
+                if prefix in known:
+                    break  # its own prefixes are in already
+                known.add(prefix)
+    return frozenset(known)
+
+
 def sentence_logprob(model, tokens):
     """ln p(tokens </s>) with <s> padding, the offline whole-sentence score
     that a scorer's deltas must sum to: one ``reference_logprob`` per token

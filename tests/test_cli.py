@@ -279,6 +279,21 @@ def test_lm_train_subcommand(tmp_path):
     assert math.exp(model.logprob("b", ["a"])) == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("corpus", ["bundled", "seed-7"])
+def test_lm_train_rebuilds_a_runs_lms(tmp_path, synth_config, corpus):
+    cfg = synth_config if corpus == "bundled" else \
+        load_config(synth.write_workspace(tmp_path / "ws", seed=7, sizes=(30, 4, 4)))
+    run = cli.run_pipeline("m+phr+lm", cfg, tmp_path / "run")
+    morphs = cfg.paths["train_tgt_morphs"]
+    for name, text, order in (("lm_m", morphs, cfg.lm_morph_order),
+                              ("lm_w", morphs.with_suffix(".words"), cfg.lm_word_order)):
+        out = tmp_path / f"{name}.arpa"
+        assert cli.main(["lm-train", "--input", str(text),
+                         "--order", str(order), "--smoothing", cfg.lm_smoothing,
+                         "--output", str(out)]) == 0
+        assert out.read_bytes() == run[name].read_bytes()
+
+
 def test_decode_subcommand(tmp_path):
     pt = tmp_path / "pt.txt"
     e = math.e

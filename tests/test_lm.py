@@ -230,6 +230,7 @@ def test_logprob_matches_recursive_backoff_bit_for_bit(tmp_path, order, smoothin
 
     rng = random.Random(order * 11 + len(smoothing) + via_arpa)
     model, stream_tokens = _stream_model(tmp_path, order, smoothing, via_arpa, rng)
+    assert model.contexts == oracles.reference_contexts(model)
     events = sorted(model.vocab | {UNK, EOS, "zz"})
     rolled = set()
     contexts = {()}
@@ -272,6 +273,25 @@ def test_mle_contexts_are_not_minimized(order):
         rolled = oracles.roll(full, tok if tok in model.vocab else UNK, order)
         assert oracles.next_context(model, full, tok) == rolled
         full = rolled
+
+
+def test_contexts_add_the_prefix_an_arpa_file_leaves_out(tmp_path):
+    # another toolkit may drop a lower-order n-gram whose longer n-grams it
+    # keeps; that prefix is still a known context
+    model = lm.train_lm([["a", "b", "c", "a", "b"], ["b", "a", "b", "c"], ["c", "b"]],
+                        4, "witten-bell")
+    path = tmp_path / "model.arpa"
+    lm.write_arpa(path, model)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines.remove(next(line for line in lines if line.split("\t")[1:2] == ["a b"]))
+    count = next(i for i, line in enumerate(lines) if line.startswith("ngram 2="))
+    lines[count] = "ngram 2=%d" % (int(lines[count].split("=")[1]) - 1)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    pruned = lm.read_arpa(path)
+    assert ("a", "b") not in pruned.logprobs[1] and ("a", "b") not in pruned.backoffs[1]
+    assert ("a", "b", "c") in pruned.backoffs[2]
+    assert ("a", "b") in pruned.contexts
+    assert pruned.contexts == oracles.reference_contexts(pruned) == model.contexts
 
 
 def test_sentence_logprob_matches_manual_sum():
