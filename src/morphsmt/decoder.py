@@ -34,7 +34,7 @@ from .lm import (
     twin_extend, twin_finalize,
 )
 from .morpho import (
-    ends_word, parse_file, parse_keyed_file, split_token_string, word_spans, words_from_tokens,
+    ends_word, parse_keyed_file, split_token_string, word_spans, words_from_tokens,
     write_lines,
 )
 from .phrasex import PhraseTable
@@ -460,19 +460,17 @@ def _finalize(
     wvec: Sequence[float],
 ) -> Hypothesis:
     """``hyp`` with the end-of-sentence LM deltas added, scored by ``wvec``,
-    the weights in slot order."""
-    names = hyp.names
-    values = hyp.values.copy()
+    the weights in slot order.  It is updated in place: ``search`` gives each
+    child a values list of its own, and a complete hypothesis is no parent."""
+    values = hyp.values
     deltas = dict(zip(("lm_morph", "lm_word"), twin_finalize(hyp.state, lm_m, lm_w)))
     if hyp.state.pending:  # the flushed tail counts as a completed word
         deltas["word_penalty"] = 1
-    for i, name in enumerate(names):
+    for i, name in enumerate(hyp.names):
         if name in deltas:
             values[i] += deltas[name]
-    return Hypothesis(
-        hyp.coverage, hyp.last_end, hyp.state, names, values,
-        fsum(map(mul, wvec, values)), hyp.parent, hyp.option,
-    )
+    hyp.score = fsum(map(mul, wvec, values))
+    return hyp
 
 
 def _applied(hyp: Hypothesis) -> Iterator[TranslationOption]:
@@ -543,38 +541,6 @@ def write_nbest(path, lists: Sequence[Sequence[NBestEntry]]) -> None:
         f"{sent_id} ||| {' '.join(e.tokens)} ||| "
         f"{' '.join(f'{k}={v!r}' for k, v in sorted(e.features.items()))} ||| {e.score!r}"
         for sent_id, entries in enumerate(lists) for e in entries))
-
-
-def read_nbest(path) -> list[list[NBestEntry]]:
-    """Inverse of ``write_nbest``.  No code in the package calls it; it is
-    kept as the tested reader of the n-best artifact."""
-    lists: list[list[NBestEntry]] = []
-    for parsed in parse_file(path, _parse_nbest_line):
-        if parsed is not None:
-            sent_id, entry = parsed
-            while len(lists) <= sent_id:
-                lists.append([])
-            lists[sent_id].append(entry)
-    return lists
-
-
-def _parse_nbest_line(line: str) -> Optional[tuple[int, NBestEntry]]:
-    if not line.strip():
-        return None
-    fields = [p.strip() for p in line.split("|||")]
-    if len(fields) != 4:
-        raise ValueError(f"expected 4 '|||'-separated fields, got {len(fields)}: "
-                         f"{line.rstrip()!r}")
-    sent_id_s, tokens_s, feats_s, score_s = fields
-    if not sent_id_s.isdecimal():
-        raise ValueError(f"bad sentence id: {sent_id_s!r}")
-    feats = {}
-    for piece in feats_s.split():
-        name, eq, value = piece.partition("=")
-        if not eq:
-            raise ValueError(f"expected name=value, got {piece!r}")
-        feats[name] = float(value)
-    return int(sent_id_s), NBestEntry(tuple(tokens_s.split()), feats, float(score_s))
 
 
 # --- weights file: name<TAB>value ---------------------------------------------

@@ -3,12 +3,17 @@
 Everything here is deliberately written along a different path than the
 package code: brute-force enumeration instead of the extraction algorithm,
 Fraction arithmetic and naive loops instead of Counter-based BLEU, recursion
-instead of iterative DP for the LCS.
+instead of iterative DP for the LCS.  The one exception is ``read_nbest``,
+the n-best file's reader: the package writes that file and never reads it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, fsum, log
+from typing import Optional
+
+from morphsmt.decoder import NBestEntry
+from morphsmt.morpho import parse_file
 
 
 def consistent_boxes(src_len, tgt_len, links, max_src, max_tgt):
@@ -569,3 +574,36 @@ def reference_score_phrase_table(pairs, lex_fwd_table, lex_bwd_table,
             alignment=representative,
         )
     return PhraseTable.of(entries.values(), granularity)
+
+
+def read_nbest(path) -> list[list[NBestEntry]]:
+    """Inverse of ``decoder.write_nbest``.  The package writes ``nbest.txt``
+    and never reads it back (MERT takes its lists from the decoder in
+    memory), so the reader of that artifact lives with the tests."""
+    lists: list[list[NBestEntry]] = []
+    for parsed in parse_file(path, _parse_nbest_line):
+        if parsed is not None:
+            sent_id, entry = parsed
+            while len(lists) <= sent_id:
+                lists.append([])
+            lists[sent_id].append(entry)
+    return lists
+
+
+def _parse_nbest_line(line: str) -> Optional[tuple[int, NBestEntry]]:
+    if not line.strip():
+        return None
+    fields = [p.strip() for p in line.split("|||")]
+    if len(fields) != 4:
+        raise ValueError(f"expected 4 '|||'-separated fields, got {len(fields)}: "
+                         f"{line.rstrip()!r}")
+    sent_id_s, tokens_s, feats_s, score_s = fields
+    if not sent_id_s.isdecimal():
+        raise ValueError(f"bad sentence id: {sent_id_s!r}")
+    feats = {}
+    for piece in feats_s.split():
+        name, eq, value = piece.partition("=")
+        if not eq:
+            raise ValueError(f"expected name=value, got {piece!r}")
+        feats[name] = float(value)
+    return int(sent_id_s), NBestEntry(tuple(tokens_s.split()), feats, float(score_s))

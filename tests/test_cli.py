@@ -13,6 +13,8 @@ import pytest
 from morphsmt import cli, config, decoder, lm, morpho, phrasex, synth
 from morphsmt.config import ConfigError, load_config
 
+import oracles
+
 
 def test_bundled_corpus_matches_generator(tmp_path):
     synth.write_workspace(tmp_path)
@@ -322,7 +324,7 @@ def test_decode_writes_one_line_per_input_line(tmp_path):
     assert rc == 0
     assert out.read_text(encoding="utf-8").split("\n") == [
         "x/STM", "x/STM x/STM", "", "x/STM", "x/STM", ""]
-    lists = decoder.read_nbest(nbest)
+    lists = oracles.read_nbest(nbest)
     assert len(lists) == 5 and lists[2][0].tokens == ()
 
 
@@ -637,7 +639,7 @@ def test_mle_lm_gives_finite_nbest_scores(tmp_path):
     cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=5, sizes=(60, 5, 5)),
                       {"lm.smoothing": "mle"})
     artifacts = cli.run_pipeline("m+phr+lm", cfg, tmp_path / "run")
-    scores = [e.score for entries in decoder.read_nbest(artifacts["nbest"])
+    scores = [e.score for entries in oracles.read_nbest(artifacts["nbest"])
               for e in entries]
     assert scores and all(math.isfinite(x) for x in scores)
 

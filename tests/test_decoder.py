@@ -206,7 +206,7 @@ def test_nbest_file_roundtrip(tmp_path):
     lists = [decoder.nbest(src, tab, lm_m, lm_w, decoder.default_weights(), None, 0, 5)[0]]
     path = tmp_path / "nbest.txt"
     decoder.write_nbest(path, lists)
-    back = decoder.read_nbest(path)
+    back = oracles.read_nbest(path)
     assert back == lists
 
 
@@ -237,7 +237,7 @@ def test_read_nbest_names_file_and_line_of_malformed_input(tmp_path, case):
     path = tmp_path / "nbest.txt"
     path.write_text(NBEST_LINE + line, encoding="utf-8")
     with pytest.raises(ValueError) as info:
-        decoder.read_nbest(path)
+        oracles.read_nbest(path)
     assert str(info.value) == f"{path}:2: {message}"
 
 
@@ -285,7 +285,7 @@ def test_nbest_write_read_write_is_byte_identical(tmp_path_factory, lists):
     path = tmp_path_factory.mktemp("nbest") / "nbest.txt"
     decoder.write_nbest(path, lists)
     first = path.read_bytes()
-    back = decoder.read_nbest(path)
+    back = oracles.read_nbest(path)
     assert back == lists
     decoder.write_nbest(path, back)
     assert path.read_bytes() == first

@@ -23,8 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from morphsmt import cli, decoder, synth
+from morphsmt import cli, synth
 from morphsmt.config import load_config
+
+import oracles
 
 GOLDEN = {
     "m+lm": {
@@ -128,7 +130,7 @@ def test_output_is_the_first_nbest_entry(workspace, system):
     root, cfg = workspace
     artifacts = cli.run_pipeline(system, cfg, root / "first" / system)
     outputs = [tuple(line.split()) for line in artifacts["output"].read_text("utf-8").splitlines()]
-    assert [entries[0].tokens for entries in decoder.read_nbest(artifacts["nbest"])] == outputs
+    assert [entries[0].tokens for entries in oracles.read_nbest(artifacts["nbest"])] == outputs
 
 
 def test_golden_covers_every_system():

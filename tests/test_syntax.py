@@ -1,9 +1,11 @@
 """Every module parses under the oldest Python that ``requires-python`` admits,
 uses each name it imports, and, within the package, imports no other module's
-underscore names, declares no class field that nothing reads and, outside
+underscore names, declares no class field that nothing reads, defines no
+function or method that nothing in ``src/`` or ``bench/`` names and, outside
 ``morpho``, opens no file in text mode."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -168,3 +170,62 @@ def test_text_file_check_sees_a_text_open():
 def test_no_module_but_morpho_opens_a_text_file(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _text_file_opens(tree) == []
+
+
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+# kept without a caller: README's only way to write `merge-pt --lex-*` inputs
+# until a subcommand writes lexical tables (ROADMAP item 7)
+NO_CALLER = ["align.write_lexical_table"]
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each name is spelled under ``node``: as a ``Name``, as an
+    ``Attribute`` or as a whole string constant (as ``bench/tracing.py``
+    names the functions it wraps)."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
+    return found
+
+
+def _unnamed_functions(package: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """``module.function`` and ``module.Class.method`` for each function
+    defined at the top level of a ``package`` module or of one of its
+    classes, dunders apart, whose name no tree spells outside its own
+    definition."""
+    named = sum(map(_names, [*package.values(), *others]), Counter())
+    found = []
+    for module, tree in package.items():
+        defs = [(module, stmt) for stmt in tree.body]
+        defs += [(f"{module}.{cls.name}", stmt) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for stmt in cls.body]
+        for owner, fn in defs:
+            if (isinstance(fn, ast.FunctionDef) and not fn.name.endswith("__")
+                    and named[fn.name] == _names(fn)[fn.name]):
+                found.append(f"{owner}.{fn.name}")
+    return found
+
+
+def test_function_check_sees_an_unnamed_function():
+    package = {
+        "a": ast.parse("def unnamed():\n    pass\ndef recursive(n):\n    return recursive(n)\n"
+                       "def by_string():\n    pass\ndef by_attribute():\n    pass\n"
+                       "def __dunder__():\n    pass\n"
+                       "class C:\n    def method(self):\n        pass\n"
+                       "    def used(self):\n        return self.method()\n"),
+        "b": ast.parse("import a\nWRAPPED = ['by_string']\na.by_attribute()\na.C().used()\n"),
+    }
+    assert _unnamed_functions(package, []) == ["a.unnamed", "a.recursive"]
+    assert _unnamed_functions(package, [ast.parse("recursive(unnamed)")]) == []
+
+
+def test_every_function_is_named_in_src_or_bench():
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+               for path in PACKAGE}
+    others = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in BENCH]
+    assert _unnamed_functions(package, others) == NO_CALLER
