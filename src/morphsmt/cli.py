@@ -13,7 +13,7 @@ import gc
 import hashlib
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, get_args
 
@@ -105,15 +105,9 @@ def sha256_file(path) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CorpusData:
-    words: dict[str, list[list[str]]]  # the word view of each sentence in morphs
-    morphs: dict[str, list[tuple[str, ...]]]
-
-
-def _load_data(cfg: PipelineConfig, tune: bool = False) -> CorpusData:
-    """The six segmented corpus files, each split's two sides parallel, and
-    each sentence's word view, joined from its tokens.  A split the run cannot
+def _load_data(cfg: PipelineConfig, tune: bool = False) -> dict[str, dict[str, list]]:
+    """The six segmented corpus files, each split's two sides parallel, as the views
+    ``"morpheme"`` and ``"word"`` (words joined from tokens).  A split the run cannot
     use is a ValueError naming its two files: a train split with no pair of two
     non-empty sides, an empty test split, and an empty dev split if ``tune``."""
     morphs = {}
@@ -125,8 +119,8 @@ def _load_data(cfg: PipelineConfig, tune: bool = False) -> CorpusData:
         elif split == "test" or tune:
             _check_found(pair[0], f"{split} sentences", src, tgt)
         morphs[f"{split}_src"], morphs[f"{split}_tgt"] = pair
-    return CorpusData({key: list(map(mo.words_from_tokens, sentences))
-                       for key, sentences in morphs.items()}, morphs)
+    return {"morpheme": morphs, "word": {key: list(map(mo.words_from_tokens, sentences))
+                                         for key, sentences in morphs.items()}}
 
 
 def build_table(
@@ -162,26 +156,17 @@ def _span_limit(cfg, granularity: al.Granularity, boundary_aware: bool) -> int:
     return cfg.max_morphemes if granularity == "morpheme" and not boundary_aware else cfg.max_words
 
 
-def _word_table(cfg: PipelineConfig, data: CorpusData):
-    return build_table(data.words["train_src"], data.words["train_tgt"], "word", False,
-                       cfg.max_words, cfg.align_iterations, cfg.align_heuristic)
+def _table(cfg: PipelineConfig, views: dict, granularity: al.Granularity, boundary_aware: bool):
+    """``build_table`` on the train split of the view of ``granularity``."""
+    view = views[granularity]
+    return build_table(view["train_src"], view["train_tgt"], granularity, boundary_aware,
+                       _span_limit(cfg, granularity, boundary_aware), cfg.align_iterations,
+                       cfg.align_heuristic)
 
 
-def _morph_table(cfg: PipelineConfig, data: CorpusData, boundary_aware: bool):
-    return build_table(
-        data.morphs["train_src"], data.morphs["train_tgt"], "morpheme", boundary_aware,
-        _span_limit(cfg, "morpheme", boundary_aware), cfg.align_iterations, cfg.align_heuristic,
-    )
-
-
-def _segmentation_lexicon(data: CorpusData) -> mg.SegmentationLexicon:
-    return mg.build_lexicon([s for sentences in data.morphs.values() for s in sentences])
-
-
-def _merged_table(cfg: PipelineConfig, data: CorpusData,
-                  lexicon: mg.SegmentationLexicon):
-    pt_m, ltm_f, ltm_b = _morph_table(cfg, data, boundary_aware=True)
-    pt_w, ltw_f, ltw_b = _word_table(cfg, data)
+def _merged_table(cfg: PipelineConfig, views: dict, lexicon: mg.SegmentationLexicon):
+    pt_m, ltm_f, ltm_b = _table(cfg, views, "morpheme", boundary_aware=True)
+    pt_w, ltw_f, ltw_b = _table(cfg, views, "word", boundary_aware=False)
     pt_wm = mg.retokenize_pt(pt_w, lexicon)
     # merge.primary picks the primary table of add-1 and add-2 only
     wm_first = cfg.merge_method in ("add-1", "add-2") and cfg.merge_primary == "wm"
@@ -190,19 +175,32 @@ def _merged_table(cfg: PipelineConfig, data: CorpusData,
                            (ltm_f, ltm_b, ltw_f, ltw_b))
 
 
-def _proximity(cfg: PipelineConfig, data: CorpusData, traces):
-    """Translation proximity via src-ref alignments on train+test concatenation."""
-    combined = al.sentence_pairs(data.words["train_src"] + data.words["test_src"],
-                                 data.words["train_tgt"] + data.words["test_tgt"])
+def _proximity(cfg: PipelineConfig, words: dict, traces):
+    """Translation proximity via src-ref alignments on train+test concatenation of words."""
+    combined = al.sentence_pairs(words["train_src"] + words["test_src"],
+                                 words["train_tgt"] + words["test_tgt"])
     table = al.train_model1(combined, cfg.align_iterations)
     alignments = [al.viterbi_align(src, ref, table)
-                  for src, ref in zip(data.words["test_src"], data.words["test_tgt"])]
-    return ev.proximity_triples(traces, data.words["test_tgt"], alignments)
+                  for src, ref in zip(words["test_src"], words["test_tgt"])]
+    return ev.proximity_triples(traces, words["test_tgt"], alignments)
 
 
 def _search_sources(granularity: al.Granularity, sentences: list) -> list:
     """Decoder input: word sentences as tokens, segmented sentences as they are."""
     return [mo.words_as_tokens(s) for s in sentences] if granularity == "word" else sentences
+
+
+def _write_translations(granularity: al.Granularity, best, nbest_lists, output, nbest_output):
+    """The 1-best file and, given its path, the n-best file: a word system's
+    targets, which the search holds as tokens, are written as its words."""
+    targets = [dec.target_tokens(h) for h in best]
+    if granularity == "word":
+        targets = list(map(mo.words_from_tokens, targets))
+        nbest_lists = [[replace(e, tokens=mo.words_from_tokens(e.tokens)) for e in entries]
+                       for entries in nbest_lists]
+    mo.write_word_lines(output, targets)
+    if nbest_output:
+        dec.write_nbest(nbest_output, nbest_lists)
 
 
 def decode_corpus(
@@ -236,22 +234,20 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     if system not in PLANS:
         raise ValueError(f"unknown system {system!r}; expected one of {', '.join(SYSTEMS)}")
     plan = PLANS[system]
-    data = _load_data(cfg, plan.tune)
+    views = _load_data(cfg, plan.tune)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
     # one lexicon: the merged system retokenizes with it, evaluation segments with it
-    lexicon = _segmentation_lexicon(data)
+    lexicon = mg.build_lexicon([s for split in views["morpheme"].values() for s in split])
 
     if plan.merged:
-        table = _merged_table(cfg, data, lexicon)
-    elif plan.granularity == "word":
-        table, _, _ = _word_table(cfg, data)
+        table = _merged_table(cfg, views, lexicon)
     else:
-        table, _, _ = _morph_table(cfg, data, plan.boundary_aware)
+        table, _, _ = _table(cfg, views, plan.granularity, plan.boundary_aware)
     artifacts["pt"] = run_dir / "pt.txt"
     px.write_phrase_table(artifacts["pt"], table)
-    view = data.words if plan.granularity == "word" else data.morphs
+    view = views[plan.granularity]
     dev_sources = _search_sources(plan.granularity, view["dev_src"])
     test_sources = _search_sources(plan.granularity, view["test_src"])
     # the run searches only what its sentences can look up: free the rest now
@@ -260,11 +256,11 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
     smoothing = cfg.lm_smoothing
     lm_m = lm_w = None
     if plan.granularity == "morpheme":
-        lm_m = lmod.train_lm(data.morphs["train_tgt"], cfg.lm_morph_order, smoothing)
+        lm_m = lmod.train_lm(views["morpheme"]["train_tgt"], cfg.lm_morph_order, smoothing)
         artifacts["lm_m"] = run_dir / "lm_m.arpa"
         lmod.write_arpa(artifacts["lm_m"], lm_m)
     if plan.word_lm:
-        lm_w = lmod.train_lm(data.words["train_tgt"], cfg.lm_word_order, smoothing)
+        lm_w = lmod.train_lm(views["word"]["train_tgt"], cfg.lm_word_order, smoothing)
         artifacts["lm_w"] = run_dir / "lm_w.arpa"
         lmod.write_arpa(artifacts["lm_w"], lm_w)
 
@@ -272,7 +268,7 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
 
     if plan.tune:
         state = mt.mert_run(
-            [tuple(r) for r in data.words["dev_tgt"]], weights,
+            [tuple(r) for r in views["word"]["dev_tgt"]], weights,
             lambda wts: decode_corpus(dev_sources, table, lm_m, lm_w, wts, cfg.beam,
                                       cfg.distortion_limit, cfg.nbest)[1],
             cfg.mert_max_iters, cfg.mert_epsilon, seed=cfg.seed,
@@ -286,27 +282,25 @@ def run_pipeline(system: str, cfg: PipelineConfig, run_dir) -> dict[str, Path]:
 
     best, nbest_lists = decode_corpus(test_sources, table, lm_m, lm_w, weights,
                                       cfg.beam, cfg.distortion_limit, cfg.nbest)
-    outputs = [dec.target_tokens(h) for h in best]
     traces = [dec.trace(h, source) for h, source in zip(best, test_sources)]
 
     artifacts["output"] = run_dir / "output.txt"
-    mo.write_word_lines(artifacts["output"], outputs)
     artifacts["nbest"] = run_dir / "nbest.txt"
-    dec.write_nbest(artifacts["nbest"], nbest_lists)
+    _write_translations(plan.granularity, best, nbest_lists, artifacts["output"],
+                        artifacts["nbest"])
     artifacts["trace"] = run_dir / "trace.txt"
     mo.write_lines(artifacts["trace"], (
         f"{sent_id} ||| {start}-{end} ||| {' '.join(src_words)} ||| {' '.join(out_words)}"
         for sent_id, items in enumerate(traces) for start, end, src_words, out_words in items))
 
-    hyp_words = [mo.words_from_tokens(toks) for toks in outputs]
+    hyp_words = [mo.words_from_tokens(dec.target_tokens(h)) for h in best]
     report = {}
-    bleu_report = ev.bleu(hyp_words, data.words["test_tgt"])
-    _fill_report(report, "bleu", bleu_report)
+    _fill_report(report, "bleu", ev.bleu(hyp_words, views["word"]["test_tgt"]))
     hyp_morphs = [
         [tok for w in words for tok in lexicon.segment(w)] for words in hyp_words
     ]
-    _fill_report(report, "m_bleu", ev.m_bleu(hyp_morphs, data.morphs["test_tgt"]))
-    prox = _proximity(cfg, data, traces)
+    _fill_report(report, "m_bleu", ev.m_bleu(hyp_morphs, views["morpheme"]["test_tgt"]))
+    prox = _proximity(cfg, views["word"], traces)
     report["triples"] = str(prox.total)
     report["exact_matches"] = str(prox.exact_matches)
     report["skipped"] = str(prox.skipped)
@@ -342,6 +336,9 @@ def _write_manifest(path, system: str, cfg: PipelineConfig) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# each granularity's sentence-file reader: a malformed segmented token is named by file and line
+_READERS = {"morpheme": mo.read_segmented_file, "word": mo.read_word_file}
+
 
 def _cmd_segment_apply(args) -> int:
     suffixes = tuple(args.suffixes.split(",")) if args.suffixes else mo.DEFAULT_STUB_SUFFIXES
@@ -364,10 +361,7 @@ def _cmd_align(args) -> int:
 def _cmd_extract(args) -> int:
     if args.boundary_aware and args.granularity == "word":
         raise ValueError("--boundary-aware extracts morpheme tables, not --granularity word")
-    # morpheme input is parsed as segmented text, so a malformed token is
-    # reported with its file and line
-    read = mo.read_segmented_file if args.granularity == "morpheme" else mo.read_word_file
-    src, tgt = _read_parallel(read, args.source, args.target)
+    src, tgt = _read_parallel(_READERS[args.granularity], args.source, args.target)
     _check_found(al.sentence_pairs(src, tgt), _TRAIN_PAIRS, args.source, args.target)
     max_span = args.max_span or _span_limit(PipelineConfig, args.granularity, args.boundary_aware)
     table, _, _ = build_table(src, tgt, args.granularity, args.boundary_aware, max_span,
@@ -397,8 +391,7 @@ def _load_search(args, source_path):
         if unknown:
             raise ValueError(f"{args.weights}: unknown feature {unknown[0]!r}; expected one of "
                              f"{', '.join(features)}")
-    read = mo.read_word_file if args.granularity == "word" else mo.read_segmented_file
-    sources = _search_sources(args.granularity, read(source_path))
+    sources = _search_sources(args.granularity, _READERS[args.granularity](source_path))
     return dec.restrict_table(table, sources), lm_m, lm_w, weights, sources
 
 
@@ -406,9 +399,7 @@ def _cmd_decode(args) -> int:
     table, lm_m, lm_w, weights, sources = _load_search(args, args.input)
     best, nbest_lists = decode_corpus(sources, table, lm_m, lm_w, weights, args.beam,
                                       args.distortion_limit, args.nbest)
-    mo.write_word_lines(args.output, [dec.target_tokens(h) for h in best])
-    if args.nbest_output:
-        dec.write_nbest(args.nbest_output, nbest_lists)
+    _write_translations(args.granularity, best, nbest_lists, args.output, args.nbest_output)
     return 0
 
 

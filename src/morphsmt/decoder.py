@@ -34,8 +34,8 @@ from .lm import (
     twin_extend, twin_finalize,
 )
 from .morpho import (
-    ends_word, parse_keyed_file, split_token_string, word_spans, words_from_tokens,
-    write_lines,
+    ends_word, parse_keyed_file, split_token_string, word_spans, words_as_tokens,
+    words_from_tokens, write_lines,
 )
 from .phrasex import PhraseTable
 
@@ -172,21 +172,25 @@ def build_options(source: tuple[str, ...], table: PhraseTable) -> list[Translati
     """Phrase options over the spans of ``lookup_keys``, plus OOV pass-through.
 
     A source word no option covers is copied through as its own word with a
-    unit oov feature and neutral translation scores.
+    unit oov feature and neutral translation scores.  A word table's targets
+    and pass-throughs are plain words, so they are wrapped as tokens: a word
+    shaped like a token (``q/STM+``) is then still one whole word.
     """
     options: list[TranslationOption] = []
     covered = set()
     words = []  # each word's one-word key, its pass-through target
     # no entry has more extras than the table's n_extras, so zip names them all
     names = (*TM_SCORES, *merge_feature_names(table.n_extras))
+    as_tokens = words_as_tokens if table.granularity == "word" else tuple
     for w1, w2, src in lookup_keys(source, table):
         if w2 == w1 + 1:
-            words.append(src)
+            words.append(as_tokens(src))
         for entry in table.by_source.get(src, ()):
+            target = as_tokens(entry.target)
             options.append(TranslationOption(
-                start=w1, end=w2, target=entry.target,
+                start=w1, end=w2, target=target,
                 tm_features=tuple(zip(names, map(safe_ln, entry.scores()))),
-                n_words=sum(map(ends_word, entry.target)),
+                n_words=sum(map(ends_word, target)),
                 mask=_span_mask(w1, w2),
             ))
             covered.update(range(w1, w2))

@@ -48,9 +48,10 @@ def synth_data(synth_cfg):
 @pytest.fixture(scope="module")
 def synth_tables(synth_cfg, synth_data):
     """Morpheme boundary-aware table, word table, lexical tables, retokenized."""
-    pt_m, ltm_f, ltm_b = cli._morph_table(synth_cfg, synth_data, True)
-    pt_w, ltw_f, ltw_b = cli._word_table(synth_cfg, synth_data)
-    lexicon = cli._segmentation_lexicon(synth_data)
+    pt_m, ltm_f, ltm_b = cli._table(synth_cfg, synth_data, "morpheme", True)
+    pt_w, ltw_f, ltw_b = cli._table(synth_cfg, synth_data, "word", False)
+    lexicon = merge.build_lexicon(
+        [s for split in synth_data["morpheme"].values() for s in split])
     pt_wm = merge.retokenize_pt(pt_w, lexicon)
     return {
         "pt_m": pt_m, "pt_w": pt_w, "pt_wm": pt_wm,
@@ -266,11 +267,11 @@ def test_criterion_7_mert(synth_cfg, synth_data):
     assert weights["f"] > 0.0  # selects the word-BLEU winner A
 
     # 5 real iterations on the synthetic bitext
-    table, _, _ = cli._morph_table(synth_cfg, synth_data, False)
-    lm_m = lm.train_lm(synth_data.morphs["train_tgt"], synth_cfg.lm_morph_order,
+    table, _, _ = cli._table(synth_cfg, synth_data, "morpheme", False)
+    lm_m = lm.train_lm(synth_data["morpheme"]["train_tgt"], synth_cfg.lm_morph_order,
                        synth_cfg.lm_smoothing)
-    dev_sources = synth_data.morphs["dev_src"][:25]
-    dev_refs = [tuple(r) for r in synth_data.words["dev_tgt"][:25]]
+    dev_sources = synth_data["morpheme"]["dev_src"][:25]
+    dev_refs = [tuple(r) for r in synth_data["word"]["dev_tgt"][:25]]
     initial = decoder.default_weights(with_word_lm=False)
 
     def handle(wts):

@@ -311,6 +311,22 @@ def test_decode_subcommand(tmp_path):
     assert out.read_text(encoding="utf-8") == "x/STM\n"
 
 
+def test_decode_writes_a_word_systems_targets_as_words(tmp_path):
+    # a word shaped like a token, as a table target and as an OOV pass-through
+    pt = tmp_path / "pt.txt"
+    pt.write_text(f"a ||| q/STM+ ||| 1.0 1.0 1.0 1.0 {math.e!r} ||| 1 ||| 0-0\n",
+                  encoding="utf-8")
+    (tmp_path / "in.txt").write_text("a\nr/SUF+ a\n", encoding="utf-8")
+    out, nbest = tmp_path / "out.txt", tmp_path / "nbest.txt"
+    assert cli.main(["decode", "--granularity", "word", "--input", str(tmp_path / "in.txt"),
+                     "--table", str(pt), "--distortion-limit", "0", "--output", str(out),
+                     "--nbest-output", str(nbest)]) == 0
+    assert out.read_text(encoding="utf-8") == "q/STM+\nr/SUF+ q/STM+\n"
+    best = [entries[0] for entries in oracles.read_nbest(nbest)]
+    assert [e.tokens for e in best] == [("q/STM+",), ("r/SUF+", "q/STM+")]
+    assert [e.features["word_penalty"] for e in best] == [1.0, 2.0]
+
+
 def test_decode_writes_one_line_per_input_line(tmp_path):
     pt = tmp_path / "pt.txt"
     pt.write_text(f"a/STM ||| x/STM ||| 1.0 1.0 1.0 1.0 {math.e!r} ||| 1 ||| 0-0\n",
@@ -675,6 +691,23 @@ def test_eval_identity_scores_one(tmp_path):
         line.split("=", 1) for line in out.read_text(encoding="utf-8").splitlines()
     )
     assert float(report["bleu"]) == 1.0
+
+
+@pytest.mark.parametrize("seed, sizes", [(7, (30, 4, 4)), (5, (60, 8, 6))])
+def test_eval_gives_a_word_systems_bleu_lines(tmp_path, seed, sizes):
+    ws = tmp_path / "ws"
+    cfg = load_config(synth.write_workspace(ws, seed, sizes))
+    run = cli.run_pipeline("w-system", cfg, tmp_path / "run")
+    out = tmp_path / "report.txt"
+    assert cli.main(["eval", "--hyp", str(run["output"]), "--ref", str(ws / "test.tgt.words"),
+                     "--output", str(out)]) == 0
+
+    def bleu_lines(path):
+        return [line for line in path.read_text(encoding="utf-8").splitlines()
+                if line.startswith("bleu")]
+
+    assert len(bleu_lines(out)) == 8
+    assert bleu_lines(out) == bleu_lines(run["report"])
 
 
 def test_eval_compare_sign_test(tmp_path):

@@ -150,8 +150,25 @@ def test_word_granularity_system():
     lm_w = lm.train_lm([["moi", "maailma"]], 2, "witten-bell")
     weights = decoder.default_weights(with_morph_lm=False)
     h = decoder.decode(decoder.search(src, tab, None, lm_w, weights, None, 0))
-    assert decoder.target_tokens(h) == ("moi", "maailma")
+    assert decoder.target_tokens(h) == ("moi/STM", "maailma/STM")
     assert morpho.words_from_tokens(decoder.target_tokens(h)) == ["moi", "maailma"]
+
+
+@pytest.mark.parametrize("words, entries, word", [
+    (["q/STM+", "b"], [], "q/STM+"),  # an OOV pass-through
+    (["a", "b"], [entry(("a",), ("x/STM+",))], "x/STM+"),  # a table target
+])
+def test_a_word_shaped_like_a_token_stays_one_word(words, entries, word):
+    from morphsmt import cli
+
+    source = cli._search_sources("word", [words])[0]
+    tab = table(entries, granularity="word")
+    options = decoder.build_options(source, tab)
+    assert [(o.target, o.n_words) for o in options] == [((f"{word}/STM",), 1), (("b/STM",), 1)]
+    weights = decoder.default_weights(with_morph_lm=False, with_word_lm=False)
+    for beam, distortion in ((None, 0), (100, 6)):
+        h = decoder.decode(decoder.search(source, tab, None, None, weights, beam, distortion))
+        assert morpho.words_from_tokens(decoder.target_tokens(h)) == [word, "b"]
 
 
 def cliless_words(words):
@@ -435,10 +452,10 @@ def bundled_models(synth_config):
     from morphsmt import cli
 
     data = cli._load_data(synth_config)
-    tab, _, _ = cli._morph_table(synth_config, data, boundary_aware=True)
-    lm_m = lm.train_lm(data.morphs["train_tgt"], synth_config.lm_morph_order, "witten-bell")
-    lm_w = lm.train_lm(data.words["train_tgt"], synth_config.lm_word_order, "witten-bell")
-    return data.morphs["dev_src"], tab, lm_m, lm_w
+    tab, _, _ = cli._table(synth_config, data, "morpheme", boundary_aware=True)
+    lm_m = lm.train_lm(data["morpheme"]["train_tgt"], synth_config.lm_morph_order, "witten-bell")
+    lm_w = lm.train_lm(data["word"]["train_tgt"], synth_config.lm_word_order, "witten-bell")
+    return data["morpheme"]["dev_src"], tab, lm_m, lm_w
 
 
 # MERT can drive an LM weight below zero, which switches pre-LM rejection off
@@ -798,8 +815,8 @@ def test_search_matches_references_on_merged_table(bundled_models, synth_config)
     from morphsmt import cli, merge
 
     sources, tab, lm_m, lm_w = bundled_models
-    classic, _, _ = cli._morph_table(synth_config, cli._load_data(synth_config),
-                                     boundary_aware=False)
+    classic, _, _ = cli._table(synth_config, cli._load_data(synth_config), "morpheme",
+                               boundary_aware=False)
     merged = merge.merge_add_features(tab, classic, 2)
     weights = decoder.default_weights(n_extras=2)
     assert any(e.extras for e in merged)
@@ -843,9 +860,9 @@ def test_search_matches_references_on_word_table(synth_config):
     from morphsmt import cli
 
     data = cli._load_data(synth_config)
-    tab, _, _ = cli._word_table(synth_config, data)
-    lm_w = lm.train_lm(data.words["train_tgt"], synth_config.lm_word_order, "witten-bell")
-    sources = [morpho.words_as_tokens(s) for s in data.words["dev_src"][:15]]
+    tab, _, _ = cli._table(synth_config, data, "word", False)
+    lm_w = lm.train_lm(data["word"]["train_tgt"], synth_config.lm_word_order, "witten-bell")
+    sources = [morpho.words_as_tokens(s) for s in data["word"]["dev_src"][:15]]
     weights = decoder.default_weights(with_morph_lm=False)
     assert tab.granularity == "word"
     for beam, distortion in ((3, 6), (20, 0)):

@@ -451,10 +451,11 @@ def test_every_table_builder_works_out_its_span_and_extras(tmp_path):
 
     cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=5, sizes=(60, 8, 6)))
     data = cli._load_data(cfg)
-    pt_w, lwf, lwb = cli._word_table(cfg, data)
-    pt_c, _, _ = cli._morph_table(cfg, data, boundary_aware=False)
-    pt_m, lmf, lmb = cli._morph_table(cfg, data, boundary_aware=True)
-    pt_wm = merge.retokenize_pt(pt_w, cli._segmentation_lexicon(data))
+    pt_w, lwf, lwb = cli._table(cfg, data, "word", False)
+    pt_c, _, _ = cli._table(cfg, data, "morpheme", boundary_aware=False)
+    pt_m, lmf, lmb = cli._table(cfg, data, "morpheme", boundary_aware=True)
+    lexicon = merge.build_lexicon([s for split in data["morpheme"].values() for s in split])
+    pt_wm = merge.retokenize_pt(pt_w, lexicon)
     tables = {"word": pt_w, "classic": pt_c, "boundary-aware": pt_m, "retokenized": pt_wm}
     for method in get_args(merge.MergeMethod):
         tables[method] = merge.merge_tables(method, pt_m, pt_wm, 0.6, pt_w,
@@ -479,9 +480,10 @@ def test_pipeline_tables_write_read_write_byte_identical(tmp_path, system):
     cfg = load_config(synth.write_workspace(tmp_path / "ws", seed=5, sizes=(60, 8, 6)))
     data = cli._load_data(cfg)
     if system == "merged":
-        table = cli._merged_table(cfg, data, cli._segmentation_lexicon(data))
+        lexicon = merge.build_lexicon([s for split in data["morpheme"].values() for s in split])
+        table = cli._merged_table(cfg, data, lexicon)
     else:
-        table, _, _ = cli._morph_table(cfg, data, boundary_aware=False)
+        table, _, _ = cli._table(cfg, data, "morpheme", boundary_aware=False)
     path = tmp_path / "pt.txt"
     phrasex.write_phrase_table(path, table)
     first = path.read_bytes()
